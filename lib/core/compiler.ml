@@ -171,21 +171,24 @@ let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
     List.concat_map
       (fun (s : Slice.slice) ->
         Block.partition ~max_width s.circuit
-        |> List.map (fun (b : Block.block) ->
-               (s, b, Circuit.bind (Block.extract b) theta)))
+        |> List.map (fun (b : Block.block) -> (s, b)))
       slices
   in
   (* Search + hyperparameter tuning + one tuned run per slice block, the
-     whole per-block pipeline batched over the pool. *)
+     whole per-block pipeline batched over the pool.  The blocks go in
+     unbound: the engine binds them itself and keys its per-slice
+     hyperparameter memo on the unbound form, so the grid runs once per
+     slice block, not once per iteration. *)
   let results, pstats, pool_degs =
-    Engine.flex_many ?workers engine (List.map (fun (_, _, c) -> c) items)
+    Engine.flex_many ?workers engine ~theta
+      (List.map (fun (_, b) -> Block.extract b) items)
   in
   let precompute = ref Engine.zero_cost in
   let per_iteration = ref Engine.zero_cost in
   let degs = ref [] in
   let jobs =
     List.map2
-      (fun ((s : Slice.slice), (b : Block.block), _) (fr : Engine.flex_result) ->
+      (fun ((s : Slice.slice), (b : Block.block)) (fr : Engine.flex_result) ->
         let r = fr.Engine.search in
         let label = Printf.sprintf "slice[t%s]"
             (match s.var with Some v -> string_of_int v | None -> "-")

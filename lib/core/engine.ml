@@ -28,10 +28,17 @@ type block_result = {
          keep the id of the request that originally paid for the pulse *)
 }
 
+(* The winner of one slice block's hyperparameter grid and what the grid
+   cost, memoized under the block's θ-independent slice key. *)
+type tuning = { winner : Grape.hyperparams; grid_cost : cost }
+
 type numeric_config = {
   settings : Grape.settings;
   system_for : int -> Hamiltonian.t;
   cache : (string, block_result) Hashtbl.t;
+  tunings : (string, tuning) Hashtbl.t;
+      (* per-engine only: never persisted, written only by the parent's
+         merge step in [flex_many] *)
   policy : Resilience.policy;
   deadline_s : float option;
   cache_file : string option;
@@ -120,8 +127,9 @@ let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
     | None -> Sys.getenv_opt "PQC_PULSE_CACHE"
   in
   let cfg =
-    { settings; system_for; cache = Hashtbl.create 64; policy; deadline_s;
-      cache_file; cache_dropped = 0; cache_salvaged = 0 }
+    { settings; system_for; cache = Hashtbl.create 64;
+      tunings = Hashtbl.create 16; policy; deadline_s; cache_file;
+      cache_dropped = 0; cache_salvaged = 0 }
   in
   (match cache_file with Some path -> load_cache cfg path | None -> ());
   Numeric cfg
@@ -189,6 +197,11 @@ let cache_size t =
   | _, Base_model -> 0
   | _, Base_numeric cfg -> Hashtbl.length cfg.cache
 
+let hyperopt_memo_size t =
+  match unwrap t with
+  | _, Base_model -> 0
+  | _, Base_numeric cfg -> Hashtbl.length cfg.tunings
+
 let cache_dropped t =
   match unwrap t with
   | _, Base_model -> 0
@@ -199,24 +212,36 @@ let cache_salvaged t =
   | _, Base_model -> 0
   | _, Base_numeric cfg -> cfg.cache_salvaged
 
-(* Canonical key of a bound block, for memoization.  Angles are keyed on
-   their exact IEEE-754 bits: a printf truncation here once made bindings
-   closer than its precision collide and alias each other's pulses. *)
-let block_key c =
+(* Width, then per instruction its gate name, rendered parameter and
+   operand qubits. *)
+let circuit_key ~param c =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (string_of_int (Circuit.n_qubits c));
   Circuit.iter
     (fun (i : Circuit.instr) ->
       Buffer.add_char buf ';';
       Buffer.add_string buf (Gate.name i.gate);
-      (match Gate.param i.gate with
-      | Some p ->
-        Buffer.add_string buf
-          (Printf.sprintf "(%Lx)" (Int64.bits_of_float (Param.bind p [||])))
-      | None -> ());
+      Option.iter (fun p -> Buffer.add_string buf (param p)) (Gate.param i.gate);
       Array.iter (fun q -> Buffer.add_string buf (Printf.sprintf ",%d" q)) i.qubits)
     c;
   Buffer.contents buf
+
+let bits f = Int64.bits_of_float f
+
+(* Canonical key of a bound block, for memoization.  Angles are keyed on
+   their exact IEEE-754 bits: a printf truncation here once made bindings
+   closer than its precision collide and alias each other's pulses. *)
+let block_key =
+  circuit_key ~param:(fun p -> Printf.sprintf "(%Lx)" (bits (Param.bind p [||])))
+
+(* Key of an unbound slice block that every binding of θ shares: each
+   parameter renders as its variable index and the exact bits of its
+   scale and offset. *)
+let slice_key =
+  circuit_key ~param:(fun (p : Param.t) ->
+      Printf.sprintf "(%s*%Lx+%Lx)"
+        (match p.var with Some v -> "t" ^ string_of_int v | None -> "c")
+        (bits p.scale) (bits p.offset))
 
 let require_bound c =
   if Circuit.depends c <> [] then
@@ -367,7 +392,7 @@ let search_flagged t c =
 
 let search t c = fst (search_flagged t c)
 
-let tuned_run_cost t c ~duration =
+let tuned_run_cost ?hyperparams t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
   match unwrap t with
@@ -384,12 +409,44 @@ let tuned_run_cost t c ~duration =
     let sys = cfg.system_for width in
     let target = Circuit.unitary c in
     let deadline = Resilience.of_seconds cfg.deadline_s in
+    let settings =
+      match hyperparams with
+      | Some hyperparams -> { cfg.settings with Grape.hyperparams }
+      | None -> cfg.settings
+    in
     let r =
-      Grape.optimize ~settings:cfg.settings
-        ?deadline:(Resilience.absolute deadline) sys ~target
-        ~total_time:duration
+      Grape.optimize ~settings ?deadline:(Resilience.absolute deadline) sys
+        ~target ~total_time:duration
     in
     { grape_runs = 1; grape_iterations = r.iterations; seconds = r.wall_time_s }
+
+(* The hyperparameter grid of one bound block at a known duration, and
+   its cost summed over the cells actually scored. *)
+let run_grid cfg c ~duration =
+  (* Wall clock, not [Sys.time] (process CPU time): hyperopt probes can
+     block on deadlines or fault hooks, and CPU time would silently drop
+     that.  Started before [system_for] so Hamiltonian construction is
+     part of the reported cost, matching what a caller actually waits. *)
+  let t0 = Obs.Clock.now () in
+  let sys = cfg.system_for (Circuit.n_qubits c) in
+  let obj =
+    { Hyperopt.system = sys;
+      (* The block is already bound; hyperopt probes perturb nothing, so
+         reuse the same target for each probe angle. *)
+      target_of = (fun _ -> Circuit.unitary c);
+      total_time = duration;
+      settings = cfg.settings }
+  in
+  let deadline = Resilience.of_seconds cfg.deadline_s in
+  let lr_grid = Pqc_util.Stats.logspace (-1.0) 0.3 4 in
+  let s =
+    Hyperopt.grid_search ~lr_grid ~decay_grid:[| 0.998; 1.0 |]
+      ~angles:[| 1.0 |] ?deadline:(Resilience.absolute deadline) obj
+  in
+  ( s,
+    { grape_runs = s.Hyperopt.grape_runs;
+      grape_iterations = s.Hyperopt.grape_iterations;
+      seconds = Obs.Clock.now () -. t0 } )
 
 let hyperopt_cost t c ~duration =
   require_bound c;
@@ -404,30 +461,7 @@ let hyperopt_cost t c ~duration =
       grape_iterations = iters;
       seconds =
         float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps }
-  | _, Base_numeric cfg ->
-    (* Wall clock, not [Sys.time] (process CPU time): hyperopt probes can
-       block on deadlines or fault hooks, and CPU time would silently drop
-       that.  Started before [system_for] so Hamiltonian construction is
-       part of the reported cost, matching what a caller actually waits. *)
-    let t0 = Obs.Clock.now () in
-    let sys = cfg.system_for width in
-    let obj =
-      { Hyperopt.system = sys;
-        (* The block is already bound; hyperopt probes perturb nothing, so
-           reuse the same target for each probe angle. *)
-        target_of = (fun _ -> Circuit.unitary c);
-        total_time = duration;
-        settings = cfg.settings }
-    in
-    let deadline = Resilience.of_seconds cfg.deadline_s in
-    let lr_grid = Pqc_util.Stats.logspace (-1.0) 0.3 4 in
-    let score =
-      Hyperopt.grid_search ~lr_grid ~decay_grid:[| 0.998; 1.0 |]
-        ~angles:[| 1.0 |] ?deadline:(Resilience.absolute deadline) obj
-    in
-    { grape_runs = 8;
-      grape_iterations = int_of_float (8.0 *. score.Hyperopt.iterations);
-      seconds = Obs.Clock.now () -. t0 }
+  | _, Base_numeric cfg -> snd (run_grid cfg c ~duration)
 
 (* --- Batch compilation over the worker pool --- *)
 
@@ -468,27 +502,51 @@ let decode_search s =
               (fun r -> (e.key, (r, injected)))
               (result_of_entry e)))
 
-let encode_cost (c : cost) =
-  let p =
-    Printf.sprintf "%d\t%d\t%h" c.grape_runs c.grape_iterations c.seconds
-  in
-  Pulse_cache.checksum p ^ "\t" ^ p
+(* Flexible-partial records ride the wire behind the same FNV-1a checksum
+   as the pulse-cache record they follow. *)
+let seal p = Pulse_cache.checksum p ^ "\t" ^ p
 
-let decode_cost s =
+let unseal s =
   match String.index_opt s '\t' with
   | None -> None
   | Some i ->
-    let crc = String.sub s 0 i in
     let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    if not (String.equal (Pulse_cache.checksum rest) crc) then None
-    else
-      (match
-         Scanf.sscanf rest "%d\t%d\t%h" (fun gr gi sec -> (gr, gi, sec))
-       with
+    if String.equal (Pulse_cache.checksum rest) (String.sub s 0 i) then
+      Some rest
+    else None
+
+let encode_cost (c : cost) =
+  seal (Printf.sprintf "%d\t%d\t%h" c.grape_runs c.grape_iterations c.seconds)
+
+let decode_cost s =
+  Option.bind (unseal s) (fun rest ->
+      match
+        Scanf.sscanf rest "%d\t%d\t%h" (fun gr gi sec -> (gr, gi, sec))
+      with
       | gr, gi, sec when Float.is_finite sec ->
         Some { grape_runs = gr; grape_iterations = gi; seconds = sec }
       | _ -> None
       | exception _ -> None)
+
+(* The grid winner the tuned run used ("-" for the model engine, which
+   has none) and whether it is a fresh, memoizable grid result. *)
+let encode_winner (winner, fresh) =
+  seal
+    (match winner with
+     | None -> "-"
+     | Some (hp : Grape.hyperparams) ->
+       Printf.sprintf "%h\t%h\t%B" hp.learning_rate hp.decay fresh)
+
+let decode_winner s =
+  Option.bind (unseal s) (function
+    | "-" -> Some (None, false)
+    | p ->
+      (match
+         Scanf.sscanf p "%h\t%h\t%B%!" (fun learning_rate decay fresh ->
+             (Some { Grape.learning_rate; decay }, fresh))
+       with
+       | v -> Some v
+       | exception _ -> None))
 
 (* Each batch item gets its own injection stream, keyed on the plan seed
    and the item's input position: the pattern of injected faults is then
@@ -505,9 +563,10 @@ let item_engine t plan idx =
    the key it was dispatched for, merge cacheable results back into the
    memo table, and reassemble per input order.  [compute] runs in forked
    children {e and} in the parent (sequential mode and recovery), so the
-   two paths stay behaviorally identical by construction. *)
+   two paths stay behaviorally identical by construction; it also gets
+   the item's input position. *)
 let run_batch (type r) ?workers ?min_items t circuits
-    ~(compute : t -> Pqc_quantum.Circuit.t -> r)
+    ~(compute : t -> int -> Pqc_quantum.Circuit.t -> r)
     ~(encode : string -> r -> string)
     ~(decode : string -> (string * r) option)
     ~(cached : numeric_config -> string -> r option)
@@ -537,7 +596,7 @@ let run_batch (type r) ?workers ?min_items t circuits
       else if Circuit.length arr.(i) = 0 then
         (* Empty blocks are free; computing them in-process keeps them
            out of the cache, exactly as the single-item path does. *)
-        results.(i) <- Some (compute t arr.(i))
+        results.(i) <- Some (compute t i arr.(i))
       else
         let hit =
           match base with
@@ -570,7 +629,7 @@ let run_batch (type r) ?workers ?min_items t circuits
   in
   let f (idx, _k, c) =
     Obs.Ctx.with_ctx (item_ctx idx) (fun () ->
-        compute (item_engine t plan idx) c)
+        compute (item_engine t plan idx) idx c)
   in
   (* Force the chaos plan (PQC_FAULT_PLAN) to parse and install its pool
      hook before any fork, so seeded worker faults apply to this batch. *)
@@ -634,7 +693,7 @@ let run_batch (type r) ?workers ?min_items t circuits
 let search_many ?workers ?min_items t circuits =
   let rs, stats, degs =
     run_batch ?workers ?min_items t circuits
-      ~compute:search_flagged
+      ~compute:(fun t _ c -> search_flagged t c)
       ~encode:encode_search
       ~decode:decode_search
       ~cached:(fun cfg k ->
@@ -644,38 +703,87 @@ let search_many ?workers ?min_items t circuits =
   in
   (List.map fst rs, stats, degs)
 
-type flex_result = { search : block_result; hyperopt : cost; tuned : cost }
+type flex_result = {
+  search : block_result;
+  hyperopt : cost;
+  hyperparams : Grape.hyperparams option;
+  tuned : cost;
+}
 
-let flex_many ?workers ?min_items t circuits =
-  let compute eng c =
-    let r, injected = search_flagged eng c in
-    let hyperopt = hyperopt_cost eng c ~duration:r.duration_ns in
-    let tuned = tuned_run_cost eng c ~duration:r.duration_ns in
-    ({ search = r; hyperopt; tuned }, injected)
+let flex_many ?workers ?min_items t ~theta blocks =
+  let bound = List.map (fun b -> Circuit.bind b theta) blocks in
+  (* The numeric engine keys its hyperparameter memo on each unbound
+     block; the model engine prices tuning analytically and has none. *)
+  let memo =
+    match unwrap t with
+    | _, Base_numeric cfg ->
+      Some (cfg, Array.of_list (List.map slice_key blocks))
+    | _, Base_model -> None
   in
-  let encode k ({ search = r; hyperopt; tuned }, injected) =
+  (* Reads the memo only: in sequential mode every item runs before the
+     merge below writes, exactly as forked children see the memo they
+     inherited, so results do not depend on the worker count. *)
+  let compute eng idx c =
+    let r, injected = search_flagged eng c in
+    let duration = r.duration_ns in
+    match memo with
+    | None ->
+      ( { search = r; hyperopt = hyperopt_cost eng c ~duration;
+          hyperparams = None; tuned = tuned_run_cost eng c ~duration },
+        injected, false )
+    | Some (cfg, keys) ->
+      let winner, grid_cost, fresh =
+        match Hashtbl.find_opt cfg.tunings keys.(idx) with
+        | Some tu ->
+          Obs.count "engine.hyperopt.hit";
+          (tu.winner, tu.grid_cost, false)
+        | None ->
+          Obs.count "engine.hyperopt.miss";
+          let s, grid_cost = run_grid cfg c ~duration in
+          (s.Hyperopt.best.Hyperopt.hyperparams, grid_cost, s.Hyperopt.complete)
+      in
+      ( { search = r; hyperopt = grid_cost; hyperparams = Some winner;
+          tuned = tuned_run_cost ~hyperparams:winner eng c ~duration },
+        injected, fresh )
+  in
+  let encode k ({ search = r; hyperopt; hyperparams; tuned }, injected, fresh) =
     String.concat "\x1f"
       [ encode_search k (r, injected); encode_cost hyperopt;
-        encode_cost tuned ]
+        encode_cost tuned; encode_winner (hyperparams, fresh) ]
   in
   let decode s =
     match String.split_on_char '\x1f' s with
-    | [ se; he; te ] ->
-      Option.bind (decode_search se) (fun (k, (r, injected)) ->
-          Option.bind (decode_cost he) (fun hyperopt ->
-              Option.map
-                (fun tuned ->
-                  (k, ({ search = r; hyperopt; tuned }, injected)))
-                (decode_cost te)))
+    | [ se; he; te; we ] ->
+      (match
+         (decode_search se, decode_cost he, decode_cost te, decode_winner we)
+       with
+       | Some (k, (r, injected)), Some hyperopt, Some tuned,
+         Some (hyperparams, fresh) ->
+         Some (k, ({ search = r; hyperopt; hyperparams; tuned }, injected, fresh))
+       | _ -> None)
     | _ -> None
   in
   let rs, stats, degs =
-    run_batch ?workers ?min_items t circuits ~compute ~encode ~decode
-      (* Hyperopt and tuned-run costs are never memoized, so every unique
-         block dispatches; the search inside still hits the memo table
-         the child inherited at fork time. *)
+    run_batch ?workers ?min_items t bound ~compute ~encode ~decode
+      (* Tuned runs are never memoized, so every unique block dispatches;
+         the search inside still hits the memo table the child inherited
+         at fork time. *)
       ~cached:(fun _ _ -> None)
-      ~cacheable:(fun (_, injected) -> not injected)
-      ~store:(fun cfg k ({ search = r; _ }, _) -> Hashtbl.replace cfg.cache k r)
+      ~cacheable:(fun (_, injected, _) -> not injected)
+      ~store:(fun cfg k ({ search = r; _ }, _, _) ->
+        Hashtbl.replace cfg.cache k r)
   in
-  (List.map fst rs, stats, degs)
+  (* The merge step: only the parent writes the hyperparameter memo, and
+     only a grid that ran to the end on a search free of injected faults. *)
+  (match memo with
+   | Some (cfg, keys) ->
+     List.iteri
+       (fun i (fr, injected, fresh) ->
+         match fr.hyperparams with
+         | Some winner when fresh && not injected ->
+           Hashtbl.replace cfg.tunings keys.(i)
+             { winner; grid_cost = fr.hyperopt }
+         | _ -> ())
+       rs
+   | None -> ());
+  (List.map (fun (fr, _, _) -> fr) rs, stats, degs)

@@ -104,6 +104,10 @@ val persist : t -> unit
 val cache_size : t -> int
 (** Number of memoized block results (0 for [model]). *)
 
+val hyperopt_memo_size : t -> int
+(** Number of slice blocks whose tuned hyperparameters are memoized (0
+    for [model]); see {!flex_many}. *)
+
 val cache_dropped : t -> int
 (** Corrupt/unreadable entries dropped when the persistent cache was
     loaded at engine creation (mid-file damage — bit flips). *)
@@ -113,14 +117,23 @@ val cache_salvaged : t -> int
     at engine creation (expected crash damage; see
     {!Pulse_cache.load_result}). *)
 
-val tuned_run_cost : t -> Circuit.t -> duration:float -> cost
+val tuned_run_cost :
+  ?hyperparams:Grape.hyperparams -> t -> Circuit.t -> duration:float -> cost
 (** Cost of one GRAPE run at a known duration with per-slice tuned
     hyperparameters — flexible partial compilation's per-iteration work.
-    Bounded by the engine's search deadline. *)
+    [Numeric] runs it with [hyperparams] (default: the engine settings');
+    {!flex_many} passes the slice block's memoized grid winner.  [Model]
+    prices the tuning with {!Latency_model.tuning_speedup} and ignores
+    [hyperparams].  Bounded by the engine's search deadline. *)
 
 val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
-(** Offline hyperparameter-tuning cost for one slice (grid search).
-    Bounded by the engine's search deadline. *)
+(** Offline hyperparameter-tuning cost for one slice: the learning-rate ×
+    decay grid, with runs and iterations summed over the cells actually
+    scored (a deadline can cut the grid short).  This is what a miss in
+    the per-slice hyperparameter memo of {!flex_many} pays; a hit reports
+    the cost stored with the winner instead.  Always runs the grid itself:
+    a bound block carries no slice key.  Bounded by the engine's search
+    deadline. *)
 
 (** {2 Batch compilation over the worker pool}
 
@@ -168,15 +181,35 @@ val search_many :
 
 type flex_result = {
   search : block_result;
-  hyperopt : cost;  (** Offline {!hyperopt_cost} at the found duration. *)
+  hyperopt : cost;
+      (** Offline {!hyperopt_cost} at the found duration; on a memo hit,
+          the cost stored when the grid ran. *)
+  hyperparams : Grape.hyperparams option;
+      (** The grid winner the tuned run used ([None] for [model]). *)
   tuned : cost;  (** Per-iteration {!tuned_run_cost} at that duration. *)
 }
 
 val flex_many :
-  ?workers:int -> ?min_items:int -> t -> Circuit.t list ->
-  flex_result list * pool_stats * Resilience.degradation list
-(** Batched flexible-partial precompute: per block, the minimal-time
-    search plus hyperparameter tuning plus one tuned run, all executed
-    inside the same worker so the pool parallelizes the whole per-slice
-    pipeline (not just the search).  Same determinism, recovery and
-    caching contract as {!search_many}. *)
+  ?workers:int -> ?min_items:int -> t -> theta:float array ->
+  Circuit.t list -> flex_result list * pool_stats * Resilience.degradation list
+(** Batched flexible-partial compile of unbound slice blocks at [theta]:
+    per block, the minimal-time search of the bound block plus
+    hyperparameter tuning plus one tuned run, all executed inside the same
+    worker so the pool parallelizes the whole per-slice pipeline (not just
+    the search).  Same determinism, recovery and caching contract as
+    {!search_many}.
+
+    {b Hyperparameter memo.}  The numeric engine tunes each slice block
+    once.  It memoizes the grid winner and the grid's cost under a
+    θ-independent key of the unbound block (gate names, relabelled
+    qubits, and each parameter's variable index with the exact bits of
+    its scale and offset), so later compiles at new [theta] run only the
+    search and the tuned run — the paper's offline tuning, sound because
+    the best hyperparameters are robust to the angle (Figure 4).  Items
+    read the memo in the parent and in forked children, which inherit it
+    at fork; only the parent writes it, after the whole batch, and only
+    from grids that ran to the end on a search free of injected faults,
+    so results stay independent of the worker count.  A hit reports the
+    stored cost and counts [engine.hyperopt.hit], a miss
+    [engine.hyperopt.miss].  The memo lives as long as the engine and is
+    never persisted.  The model engine builds no key and keeps no memo. *)

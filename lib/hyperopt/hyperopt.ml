@@ -15,6 +15,7 @@ type score = {
   iterations : float;
   converged_all : bool;
   mean_fidelity : float;
+  total_iterations : int;
 }
 
 let evaluate ?deadline obj ~angles hyperparams =
@@ -33,7 +34,9 @@ let evaluate ?deadline obj ~angles hyperparams =
   { hyperparams;
     iterations = Stats.mean iters;
     converged_all = Array.for_all (fun (r : Grape.result) -> r.converged) runs;
-    mean_fidelity = Stats.mean fids }
+    mean_fidelity = Stats.mean fids;
+    total_iterations =
+      Array.fold_left (fun acc (r : Grape.result) -> acc + r.iterations) 0 runs }
 
 let default_lr_grid = Stats.logspace (-1.5) 0.5 6
 let default_decay_grid = [| 0.995; 0.999; 1.0 |]
@@ -52,18 +55,27 @@ let better a b =
    parsed line; a cell that fails to round-trip is simply re-evaluated
    in the parent by the pool's recovery path. *)
 let encode_score s =
-  Printf.sprintf "%h\t%h\t%h\t%B\t%h" s.hyperparams.Grape.learning_rate
+  Printf.sprintf "%h\t%h\t%h\t%B\t%h\t%d" s.hyperparams.Grape.learning_rate
     s.hyperparams.Grape.decay s.iterations s.converged_all s.mean_fidelity
+    s.total_iterations
 
 let decode_score line =
   match
-    Scanf.sscanf line "%h\t%h\t%h\t%B\t%h"
-      (fun learning_rate decay iterations converged_all mean_fidelity ->
+    Scanf.sscanf line "%h\t%h\t%h\t%B\t%h\t%d%!"
+      (fun learning_rate decay iterations converged_all mean_fidelity
+           total_iterations ->
         { hyperparams = { Grape.learning_rate; decay }; iterations;
-          converged_all; mean_fidelity })
+          converged_all; mean_fidelity; total_iterations })
   with
   | s -> Some s
   | exception _ -> None
+
+type search = {
+  best : score;
+  grape_runs : int;
+  grape_iterations : int;
+  complete : bool;
+}
 
 let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
     ?(decay_grid = default_decay_grid) ?(angles = default_angles) ?deadline
@@ -71,46 +83,46 @@ let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
   let expired () =
     match deadline with Some d -> Pqc_obs.Obs.Clock.now () > d | None -> false
   in
-  if workers <= 1 then begin
-    let best = ref None in
-    Array.iter
-      (fun learning_rate ->
-        Array.iter
-          (fun decay ->
-            (* Always score at least one candidate so callers get a usable
-               hyperparameter set even with an already-expired deadline; the
-               remaining grid is skipped once the budget runs out. *)
-            if !best = None || not (expired ()) then begin
-              let s = evaluate ?deadline obj ~angles { Grape.learning_rate; decay } in
-              best :=
-                Some (match !best with None -> s | Some b -> better s b)
-            end)
-          decay_grid)
-      lr_grid;
-    Option.get !best
-  end
-  else begin
-    (* Parallel mode scores the whole grid (each GRAPE run still honours
-       [deadline] individually) and folds [better] in grid order, so the
-       winner ties break exactly as they do sequentially. *)
-    let cells =
-      Array.to_list lr_grid
-      |> List.concat_map (fun learning_rate ->
-             Array.to_list decay_grid
-             |> List.map (fun decay -> { Grape.learning_rate; decay }))
-    in
-    let scores, _stats =
-      Pqc_parallel.Pool.map ~workers ~encode:encode_score ~decode:decode_score
-        (fun hp -> evaluate ?deadline obj ~angles hp)
-        cells
-    in
-    match List.map fst scores with
-    | [] -> invalid_arg "Hyperopt.grid_search: empty hyperparameter grid"
-    | s :: rest ->
-      (* The sequential loop calls [better candidate incumbent], letting a
-         later cell win exact ties; keep that argument order here. *)
-      List.fold_left (fun acc s -> better s acc) s rest
-  end
+  let cells =
+    Array.to_list lr_grid
+    |> List.concat_map (fun learning_rate ->
+           Array.to_list decay_grid
+           |> List.map (fun decay -> { Grape.learning_rate; decay }))
+  in
+  let scored =
+    if workers <= 1 then
+      (* Always score at least one candidate so callers get a usable
+         hyperparameter set even with an already-expired deadline; the
+         remaining grid is skipped once the budget runs out. *)
+      List.fold_left
+        (fun acc hp ->
+          if acc = [] || not (expired ()) then
+            evaluate ?deadline obj ~angles hp :: acc
+          else acc)
+        [] cells
+      |> List.rev
+    else
+      (* Parallel mode scores the whole grid (each GRAPE run still honours
+         [deadline] individually). *)
+      List.map fst
+        (fst
+           (Pqc_parallel.Pool.map ~workers ~encode:encode_score
+              ~decode:decode_score
+              (fun hp -> evaluate ?deadline obj ~angles hp)
+              cells))
+  in
+  match scored with
+  | [] -> invalid_arg "Hyperopt.grid_search: empty hyperparameter grid"
+  | s :: rest ->
+    (* Fold in grid order as [better candidate incumbent], letting a later
+       cell win exact ties, so both modes crown the same winner. *)
+    { best = List.fold_left (fun acc s -> better s acc) s rest;
+      grape_runs = List.length scored * Array.length angles;
+      grape_iterations =
+        List.fold_left (fun acc s -> acc + s.total_iterations) 0 scored;
+      (* Unexpired at the end means no cell was skipped and no run was
+         cut short by the deadline. *)
+      complete = List.length scored = List.length cells && not (expired ()) }
 
 type robustness_point = {
   angle : float;

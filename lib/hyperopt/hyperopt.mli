@@ -29,6 +29,7 @@ type score = {
   iterations : float;  (** Mean iterations-to-convergence over probe angles. *)
   converged_all : bool;
   mean_fidelity : float;
+  total_iterations : int;  (** Iterations summed over the probe-angle runs. *)
 }
 
 val evaluate :
@@ -37,24 +38,36 @@ val evaluate :
 (** Run GRAPE at each probe angle with the given hyperparameters.
     [deadline] (absolute wall-clock) is threaded into each GRAPE run. *)
 
+type search = {
+  best : score;  (** The winning cell. *)
+  grape_runs : int;  (** GRAPE runs over the cells actually scored. *)
+  grape_iterations : int;  (** Optimizer iterations summed over those runs. *)
+  complete : bool;
+      (** Every cell was scored and no run was cut short by the deadline:
+          [best] is the grid's true winner. *)
+}
+
 val grid_search :
   ?workers:int -> ?lr_grid:float array -> ?decay_grid:float array ->
-  ?angles:float array -> ?deadline:float -> objective -> score
+  ?angles:float array -> ?deadline:float -> objective -> search
 (** Exhaustive search over the hyperparameter grid (defaults: 6 logarithmic
     learning rates in [0.03, 3], decays {0.995, 0.999, 1.0}; probe angles
-    {0.5, 2.0}).  Returns the best score: fewest mean iterations among
-    fully-converged cells, falling back to highest mean fidelity.
+    {0.5, 2.0}).  The winner is the fewest mean iterations among
+    fully-converged cells, falling back to highest mean fidelity; the
+    result also accounts for the work every scored cell cost.
 
     With a [deadline] (absolute wall-clock), at least one candidate is
     always scored; the rest of the grid is skipped once the deadline
-    expires, so a bounded search still returns usable hyperparameters.
+    expires, so a bounded search still returns usable hyperparameters
+    (with [complete] false).
 
     [workers] (default 1, deliberately {e not} [PQC_WORKERS]: this runs
     inside pool workers during flexible-partial precompute, and nested
     forking should be explicit) scores grid cells on forked
     {!Pqc_parallel.Pool} workers when > 1.  The winner is identical to
     the sequential search, except that an expired deadline skips no cell
-    — each GRAPE run is still individually deadline-bounded. *)
+    — each GRAPE run is still individually deadline-bounded.  Raises
+    [Invalid_argument] on an empty grid. *)
 
 type robustness_point = {
   angle : float;

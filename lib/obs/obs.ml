@@ -79,6 +79,9 @@ let events_rev = ref []
 let n_events = ref 0
 let stack = ref []
 let next_id = ref 0
+(* Highest span id absorbed from a forked child: a later pool map numbers
+   its workers' spans above it, so successive maps never reuse an id. *)
+let absorbed_max = ref 0
 let tid = ref 0
 let counters : (string, float) Hashtbl.t = Hashtbl.create 16
 
@@ -191,6 +194,7 @@ let reset () =
   n_events := 0;
   stack := [];
   next_id := 0;
+  absorbed_max := 0;
   Hashtbl.reset counters;
   Hashtbl.reset hists;
   sample_tick := 0;
@@ -211,7 +215,7 @@ let mark () = !n_events
 
 let set_worker w =
   tid := w;
-  next_id := !next_id + (w * 1_000_000)
+  next_id := max !next_id !absorbed_max + (w * 1_000_000)
 
 (* ---- flight recorder --------------------------------------------------
    A bounded ring of the last N structured events, always on (even with
@@ -591,6 +595,7 @@ let absorb line =
              (match e with
              | Count c ->
                Hashtbl.replace counters c.name (counter_value c.name +. c.by)
+             | Span sp -> absorbed_max := max !absorbed_max sp.id
              | _ -> ());
              push e)
 

@@ -373,7 +373,8 @@ val mark : unit -> int
 val set_worker : int -> unit
 (** Tag this process as pool worker [w] (1-based): subsequent events get
     [tid = w] and span ids move to a disjoint namespace so they cannot
-    collide with the parent's or a sibling's. *)
+    collide with the parent's, a sibling's, or those of any worker whose
+    spans the parent {!absorb}ed from an earlier pool map. *)
 
 val encode_since : int -> string
 (** Single-line (newline-free) serialization of the events recorded

@@ -206,6 +206,67 @@ let test_hyperopt_cost_wall_clock () =
   Alcotest.(check bool) "wall clock sees the sleep" true
     (cost.Engine.seconds >= 0.05)
 
+(* The engine's grid: 4 learning rates x 2 decays, one probe angle. *)
+let engine_grid =
+  Array.to_list (Pqc_util.Stats.logspace (-1.0) 0.3 4)
+  |> List.concat_map (fun learning_rate ->
+         [ { Grape.learning_rate; decay = 0.998 };
+           { Grape.learning_rate; decay = 1.0 } ])
+
+let test_hyperopt_cost_counts_every_cell () =
+  (* Regression: the grid reported 8 runs at 8x the winner's iterations,
+     under-counting the losers' work and over-counting runs a deadline
+     skipped. *)
+  let settings = { Grape.fast_settings with Grape.max_iters = 30 } in
+  let c = Circuit.of_gates 1 [ (Gate.H, [ 0 ]) ] in
+  let duration = 4.0 in
+  let cost = Engine.hyperopt_cost (Engine.numeric ~settings ()) c ~duration in
+  let iterations =
+    List.map
+      (fun hyperparams ->
+        (Grape.optimize ~settings:{ settings with Grape.hyperparams }
+           (Hamiltonian.gmon 1) ~target:(Circuit.unitary c)
+           ~total_time:duration)
+          .Grape.iterations)
+      engine_grid
+  in
+  Alcotest.(check int) "one run per cell" (List.length engine_grid)
+    cost.Engine.grape_runs;
+  Alcotest.(check int) "iterations summed over every cell"
+    (List.fold_left ( + ) 0 iterations)
+    cost.Engine.grape_iterations;
+  (* A deadline that has passed by the first cell's end cuts the grid to
+     that one cell. *)
+  let cut =
+    Engine.hyperopt_cost (Engine.numeric ~settings ~deadline_s:1e-9 ()) c
+      ~duration
+  in
+  Alcotest.(check int) "only the scored cell counted" 1 cut.Engine.grape_runs
+
+let test_flex_tuned_run_uses_winner () =
+  let settings = { Grape.fast_settings with Grape.max_iters = 60 } in
+  let block =
+    Circuit.of_gates 1 [ (Gate.Rz (Param.var 0), [ 0 ]); (Gate.H, [ 0 ]) ]
+  in
+  let theta = [| 0.7 |] in
+  let engine = Engine.numeric ~settings () in
+  match Engine.flex_many ~workers:1 engine ~theta [ block ] with
+  | [ fr ], _, _ ->
+    let winner =
+      match fr.Engine.hyperparams with
+      | Some hp -> hp
+      | None -> Alcotest.fail "numeric flex result carries no winner"
+    in
+    let expected =
+      Grape.optimize ~settings:{ settings with Grape.hyperparams = winner }
+        (Hamiltonian.gmon 1)
+        ~target:(Circuit.unitary (Circuit.bind block theta))
+        ~total_time:fr.Engine.search.Engine.duration_ns
+    in
+    Alcotest.(check int) "tuned run at the winner's hyperparameters"
+      expected.Grape.iterations fr.Engine.tuned.Engine.grape_iterations
+  | _ -> Alcotest.fail "one result per block"
+
 let test_tuned_run_cheaper_than_search () =
   let c = Circuit.of_gates 2 [ (Gate.CX, [0;1]); (Gate.H, [0]); (Gate.CX, [0;1]) ] in
   let search = (Engine.search Engine.model c).Engine.search_cost in
@@ -394,6 +455,10 @@ let () =
           Alcotest.test_case "numeric cached" `Slow test_engine_numeric_cached;
           Alcotest.test_case "hyperopt cost wall clock" `Slow
             test_hyperopt_cost_wall_clock;
+          Alcotest.test_case "hyperopt cost counts every cell" `Quick
+            test_hyperopt_cost_counts_every_cell;
+          Alcotest.test_case "flex tuned run uses winner" `Quick
+            test_flex_tuned_run_uses_winner;
           Alcotest.test_case "tuned cheaper" `Quick test_tuned_run_cheaper_than_search ] );
       ( "strategy",
         [ Alcotest.test_case "makespan parallel" `Quick test_makespan_parallel;

@@ -35,13 +35,19 @@ let test_evaluate_bad_lr () =
 
 let test_grid_search_beats_bad () =
   let obj = objective () in
-  let best =
+  let search =
     Hyperopt.grid_search
       ~lr_grid:[| 1e-5; 0.3 |] ~decay_grid:[| 0.999 |] ~angles:[| 0.5 |] obj
   in
+  let best = search.Hyperopt.best in
   Alcotest.(check bool) "picks the converging cell" true
     (best.Hyperopt.hyperparams.Grape.learning_rate > 1e-4);
-  Alcotest.(check bool) "converged" true best.Hyperopt.converged_all
+  Alcotest.(check bool) "converged" true best.Hyperopt.converged_all;
+  (* The work of every scored cell is reported, not just the winner's. *)
+  Alcotest.(check int) "one run per cell" 2 search.Hyperopt.grape_runs;
+  Alcotest.(check bool) "losing cell's iterations counted" true
+    (search.Hyperopt.grape_iterations > best.Hyperopt.total_iterations);
+  Alcotest.(check bool) "grid ran to the end" true search.Hyperopt.complete
 
 let test_robustness_shape () =
   let obj = objective () in

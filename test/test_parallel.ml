@@ -111,6 +111,48 @@ let test_pool_corrupt_payload_recovered () =
       Alcotest.(check bool) (Printf.sprintf "flag %d" i) (i mod 2 = 1) r)
     out
 
+(* Regression: a forked worker numbered its spans from the parent's
+   counter plus a fixed per-worker offset, so worker [w] of a later map
+   reused the ids worker [w] had handed out in an earlier one. *)
+let test_traced_maps_unique_span_ids () =
+  let enc, dec = int_codec in
+  Obs.reset ();
+  Obs.enable ();
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        for _ = 1 to 2 do
+          ignore
+            (Pool.map ~workers:3 ~encode:enc ~decode:dec
+               (fun x -> Obs.Span.with_ ~name:"test.item" (fun () -> x + 1))
+               (List.init 6 Fun.id))
+        done;
+        List.filter_map
+          (function
+            | Obs.Span s -> Some (s.id, s.parent, s.name) | _ -> None)
+          (Obs.events ()))
+  in
+  let ids = List.map (fun (id, _, _) -> id) spans in
+  Alcotest.(check int) "no duplicate span id" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  let maps =
+    List.filter_map
+      (fun (id, _, name) -> if name = "pool.map" then Some id else None)
+      spans
+  in
+  Alcotest.(check int) "two forked maps" 2 (List.length maps);
+  let workers = List.filter (fun (_, _, name) -> name = "pool.worker") spans in
+  Alcotest.(check bool) "every worker span's parent is a pool map" true
+    (List.for_all (fun (_, p, _) -> List.mem p maps) workers);
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "three worker spans under each map" 3
+        (List.length (List.filter (fun (_, p, _) -> p = m) workers)))
+    maps
+
 let test_pool_min_items_floor () =
   (* Batches below the floor run in the parent: forking three processes
      to square three integers costs more than the work.  Encoding the
@@ -335,7 +377,7 @@ let test_flex_many_worker_count_invariant () =
   let blocks = h2_blocks () in
   let run workers =
     let engine = Engine.faulty ~rate:0.3 ~seed:17 Engine.model in
-    let rs, _, _ = Engine.flex_many ~workers engine blocks in
+    let rs, _, _ = Engine.flex_many ~workers engine ~theta:[||] blocks in
     rs
   in
   let seq = run 1 and par = run 4 in
@@ -453,6 +495,109 @@ let test_flexible_partial_worker_invariant () =
       c ~theta
   in
   check_same_compiled "uccsd-h2 flexible" (compile 1) (compile 4)
+
+(* --- Per-slice hyperparameter memo --- *)
+
+let h2_flex_thetas c =
+  let rng = Rng.create 11 in
+  List.init 3 (fun _ ->
+      Array.init (Circuit.n_params c) (fun _ ->
+          Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi)))
+
+let flex_compile ~workers engine c theta =
+  Compiler.flexible_partial ~workers ~max_width:2 ~engine c ~theta
+
+let test_hyperopt_memo_second_compile_runs_no_grid () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let theta1, theta2 =
+    match h2_flex_thetas c with a :: b :: _ -> (a, b) | _ -> assert false
+  in
+  List.iter
+    (fun workers ->
+      let engine = Engine.numeric ~settings:quick () in
+      let counted theta =
+        let hits = Obs.counter_value "engine.hyperopt.hit" in
+        let misses = Obs.counter_value "engine.hyperopt.miss" in
+        let r = flex_compile ~workers engine c theta in
+        ( r,
+          Obs.counter_value "engine.hyperopt.hit" -. hits,
+          Obs.counter_value "engine.hyperopt.miss" -. misses )
+      in
+      Obs.reset ();
+      Obs.enable ();
+      let (_, hits1, misses1), (second, hits2, misses2) =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.disable ();
+            Obs.reset ())
+          (fun () ->
+            let first = counted theta1 in
+            (first, counted theta2))
+      in
+      let name = Printf.sprintf "workers:%d" workers in
+      Alcotest.(check bool) (name ^ ": first compile tunes every block") true
+        (misses1 > 0.0 && hits1 = 0.0);
+      Alcotest.(check (float 0.0)) (name ^ ": second compile runs no grid") 0.0
+        misses2;
+      Alcotest.(check (float 0.0)) (name ^ ": every block a memo hit") misses1
+        hits2;
+      Alcotest.(check int) (name ^ ": one memo entry per slice block")
+        (int_of_float misses1) (Engine.hyperopt_memo_size engine);
+      let fresh =
+        flex_compile ~workers (Engine.numeric ~settings:quick ()) c theta2
+      in
+      Alcotest.(check int64) (name ^ ": duration bits as on a fresh engine")
+        (bits fresh.Strategy.duration_ns) (bits second.Strategy.duration_ns);
+      Alcotest.(check bool) (name ^ ": pulse as on a fresh engine") true
+        (fresh.Strategy.pulse = second.Strategy.pulse))
+    [ 1; 4 ]
+
+(* Three compiles in a row on one engine, so later compiles read what
+   earlier merges wrote; [(results, memo size)]. *)
+let flex_sequence ~workers engine c thetas =
+  let rs = List.map (flex_compile ~workers engine c) thetas in
+  (rs, Engine.hyperopt_memo_size engine)
+
+let check_same_sequence name (seq, seq_memo) (par, par_memo) =
+  List.iteri
+    (fun i ((a : Strategy.compiled), (b : Strategy.compiled)) ->
+      let name = Printf.sprintf "%s compile %d" name i in
+      check_same_compiled name a b;
+      Alcotest.(check int) (name ^ ": precompute iters")
+        a.Strategy.precompute.Engine.grape_iterations
+        b.Strategy.precompute.Engine.grape_iterations)
+    (List.combine seq par);
+  Alcotest.(check int) (name ^ ": memo size") seq_memo par_memo
+
+let test_hyperopt_memo_worker_invariant () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let thetas = h2_flex_thetas c in
+  let run workers =
+    flex_sequence ~workers (Engine.numeric ~settings:quick ()) c thetas
+  in
+  check_same_sequence "healthy" (run 1) (run 4)
+
+let test_hyperopt_memo_faulty_invariant () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let thetas = h2_flex_thetas c in
+  let faulty ~rate =
+    Engine.faulty ~rate ~seed:1 (Engine.numeric ~settings:quick ())
+  in
+  let run workers = flex_sequence ~workers (faulty ~rate:0.3) c thetas in
+  let ((seq, memo) as sequential) = run 1 in
+  check_same_sequence "faulty" sequential (run 4);
+  (* Vacuity guard: the plan fires, so some block's search fell back. *)
+  Alcotest.(check bool) "some block degraded" true
+    (List.exists
+       (fun (r : Strategy.compiled) -> r.Strategy.degradations <> [])
+       seq);
+  let blocks = (List.hd seq).Strategy.pool.Engine.dispatched in
+  Alcotest.(check bool) "injected blocks left no memo entry" true
+    (memo < blocks);
+  let all = faulty ~rate:1.0 in
+  ignore (flex_compile ~workers:4 all c (List.hd thetas));
+  Alcotest.(check int) "every search injected: memo stays empty" 0
+    (Engine.hyperopt_memo_size all)
 
 let test_pool_stats_reported () =
   let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
@@ -655,6 +800,8 @@ let () =
             test_pool_corrupt_payload_recovered;
           Alcotest.test_case "min-items floor" `Quick
             test_pool_min_items_floor;
+          Alcotest.test_case "traced maps keep span ids unique" `Quick
+            test_traced_maps_unique_span_ids;
           Alcotest.test_case "PQC_PAR_MIN_ITEMS parsing" `Quick
             test_min_items_from_env;
           Alcotest.test_case "PQC_WORKERS parsing" `Quick
@@ -686,6 +833,13 @@ let () =
             test_metrics_merge_matches_sequential;
           Alcotest.test_case "tracing preserves determinism" `Quick
             test_tracing_preserves_determinism ] );
+      ( "hyperopt-memo",
+        [ Alcotest.test_case "second compile runs no grid" `Quick
+            test_hyperopt_memo_second_compile_runs_no_grid;
+          Alcotest.test_case "worker-count invariant" `Quick
+            test_hyperopt_memo_worker_invariant;
+          Alcotest.test_case "faulty invariant" `Quick
+            test_hyperopt_memo_faulty_invariant ] );
       ( "pulse-cache",
         [ Alcotest.test_case "merge newest wins" `Quick test_merge_newest_wins;
           Alcotest.test_case "concurrent merges" `Quick
