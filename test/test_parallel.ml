@@ -833,7 +833,7 @@ let () =
             test_metrics_merge_matches_sequential;
           Alcotest.test_case "tracing preserves determinism" `Quick
             test_tracing_preserves_determinism ] );
-      ( "hyperopt-memo",
+      ( "hyperopt",
         [ Alcotest.test_case "second compile runs no grid" `Quick
             test_hyperopt_memo_second_compile_runs_no_grid;
           Alcotest.test_case "worker-count invariant" `Quick
