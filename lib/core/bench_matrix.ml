@@ -592,7 +592,7 @@ let run ?workers m ~out_dir =
       | Some _, None -> Unix.putenv "PQC_ITEM_DEADLINE_S" "")
     (fun () ->
       let results, _stats =
-        Pool.map ~workers ~min_items:1 ~encode:encode_status
+        Pool.map ~workers ~encode:encode_status
           ~decode:decode_status
           (fun cell -> run_cell m ~out_dir cell)
           cells

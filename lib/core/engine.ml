@@ -285,14 +285,7 @@ let numeric_attempt cfg settings deadline c =
            search_cost =
              { grape_runs = List.length s.probes;
                grape_iterations = s.grape_iterations_total;
-               seconds =
-                 (* Sum of per-probe wall time is not retained; the minimal
-                    probe's rate scaled by total iterations is a faithful
-                    estimate. *)
-                 (if s.minimal.iterations > 0 then
-                    s.minimal.wall_time_s /. float_of_int s.minimal.iterations
-                    *. float_of_int s.grape_iterations_total
-                  else s.minimal.wall_time_s) };
+               seconds = s.wall_time_total_s };
            fidelity = Some s.minimal.fidelity;
            fallback = None;
            run_id = Obs.Ctx.current () }
@@ -565,7 +558,7 @@ let item_engine t plan idx =
    children {e and} in the parent (sequential mode and recovery), so the
    two paths stay behaviorally identical by construction; it also gets
    the item's input position. *)
-let run_batch (type r) ?workers ?min_items t circuits
+let run_batch (type r) ?workers t circuits
     ~(compute : t -> int -> Pqc_quantum.Circuit.t -> r)
     ~(encode : string -> r -> string)
     ~(decode : string -> (string * r) option)
@@ -634,9 +627,23 @@ let run_batch (type r) ?workers ?min_items t circuits
   (* Force the chaos plan (PQC_FAULT_PLAN) to parse and install its pool
      hook before any fork, so seeded worker faults apply to this batch. *)
   ignore (Fault.current ());
+  (* Forking pays only for GRAPE searches.  An item whose bound block is
+     in the pulse memo runs at most a tuned run (about 1 ms), so a batch
+     with fewer than two misses stays in-process.  The model engine has
+     no memo: every one of its items counts. *)
+  let misses =
+    List.length
+      (List.filter
+         (fun (_, k, _) ->
+           match base with
+           | Base_numeric cfg -> not (Hashtbl.mem cfg.cache k)
+           | Base_model -> true)
+         todo)
+  in
+  let workers = if misses < 2 then Some 1 else workers in
   let todo_arr = Array.of_list todo in
   let pool_out, pstats =
-    Pool.map ?workers ?min_items
+    Pool.map ?workers
       ~item_label:(fun i ->
         if i < 0 || i >= Array.length todo_arr then ""
         else
@@ -690,9 +697,9 @@ let run_batch (type r) ?workers ?min_items t circuits
   in
   (out, stats, List.rev !degs)
 
-let search_many ?workers ?min_items t circuits =
+let search_many ?workers t circuits =
   let rs, stats, degs =
-    run_batch ?workers ?min_items t circuits
+    run_batch ?workers t circuits
       ~compute:(fun t _ c -> search_flagged t c)
       ~encode:encode_search
       ~decode:decode_search
@@ -710,7 +717,7 @@ type flex_result = {
   tuned : cost;
 }
 
-let flex_many ?workers ?min_items t ~theta blocks =
+let flex_many ?workers t ~theta blocks =
   let bound = List.map (fun b -> Circuit.bind b theta) blocks in
   (* The numeric engine keys its hyperparameter memo on each unbound
      block; the model engine prices tuning analytically and has none. *)
@@ -764,7 +771,7 @@ let flex_many ?workers ?min_items t ~theta blocks =
     | _ -> None
   in
   let rs, stats, degs =
-    run_batch ?workers ?min_items t bound ~compute ~encode ~decode
+    run_batch ?workers t bound ~compute ~encode ~decode
       (* Tuned runs are never memoized, so every unique block dispatches;
          the search inside still hits the memo table the child inherited
          at fork time. *)

@@ -163,21 +163,22 @@ val add_pool_stats : pool_stats -> pool_stats -> pool_stats
 (** Componentwise sum; [workers] is the max of the two. *)
 
 val search_many :
-  ?workers:int -> ?min_items:int -> t -> Circuit.t list ->
+  ?workers:int -> t -> Circuit.t list ->
   block_result list * pool_stats * Resilience.degradation list
 (** Batched {!search}: results in input order, one per circuit.
     [workers] defaults to {!Pqc_parallel.Pool.workers_from_env}
     ([PQC_WORKERS], default 1 — no fork, exact single-item behaviour).
     Memo-table hits and intra-batch duplicates are resolved in the
     parent before anything forks; only the remaining misses are sent to
-    the pool, and when fewer than [min_items] of them remain (default
-    {!Pqc_parallel.Pool.min_items_from_env}, [PQC_PAR_MIN_ITEMS]) they
-    run sequentially in-process — a cache-hot batch never pays fork
-    overhead.  Results travel back in the checksummed {!Pulse_cache}
-    record format; any lost or corrupt record is recomputed in the
-    parent and recorded as a [Worker_lost] degradation.  Genuine
-    (non-injected) results are merged into the engine's memo table
-    exactly as {!search} would. *)
+    the pool.  {b Dispatch rule:} a batch forks only when at least two
+    of its dispatched items miss the pulse memo (here every dispatched
+    item is a miss; the model engine has no memo, so every item counts),
+    so a cache-hot batch, or one with a single new block, never pays
+    fork overhead.  Results travel back in the checksummed
+    {!Pulse_cache} record format; any lost or corrupt record is
+    recomputed in the parent and recorded as a [Worker_lost]
+    degradation.  Genuine (non-injected) results are merged into the
+    engine's memo table exactly as {!search} would. *)
 
 type flex_result = {
   search : block_result;
@@ -190,7 +191,7 @@ type flex_result = {
 }
 
 val flex_many :
-  ?workers:int -> ?min_items:int -> t -> theta:float array ->
+  ?workers:int -> t -> theta:float array ->
   Circuit.t list -> flex_result list * pool_stats * Resilience.degradation list
 (** Batched flexible-partial compile of unbound slice blocks at [theta]:
     per block, the minimal-time search of the bound block plus
@@ -198,6 +199,13 @@ val flex_many :
     worker so the pool parallelizes the whole per-slice pipeline (not just
     the search).  Same determinism, recovery and caching contract as
     {!search_many}.
+
+    {b Dispatch rule.}  Every unique block is dispatched, but an item
+    counts as a miss only when its bound block is not in the pulse memo:
+    a hit runs just its tuned GRAPE run, about 1 ms.  The batch forks
+    only when at least two items miss, so a variational step that moves
+    one angle recompiles in-process.  The model engine has no memo, so
+    every one of its items counts.
 
     {b Hyperparameter memo.}  The numeric engine tunes each slice block
     once.  It memoizes the grid winner and the grid's cost under a

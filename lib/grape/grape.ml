@@ -455,6 +455,7 @@ type search = {
   minimal : result;
   probes : (float * bool) list;
   grape_iterations_total : int;
+  wall_time_total_s : float;
   deadline_hit : bool;
 }
 
@@ -467,11 +468,13 @@ let minimal_time ?(settings = default_settings) ?(precision = 0.3) ?deadline
   @@ fun () ->
   let probes = ref [] in
   let iters = ref 0 in
+  let wall = ref 0.0 in
   let hit = ref false in
   let attempt time =
     let r = optimize ~settings ?deadline sys ~target ~total_time:time in
     probes := (time, r.converged) :: !probes;
     iters := !iters + r.iterations;
+    wall := !wall +. r.wall_time_s;
     if r.deadline_hit then hit := true;
     r
   in
@@ -479,7 +482,8 @@ let minimal_time ?(settings = default_settings) ?(precision = 0.3) ?deadline
     Option.map
       (fun r ->
         { minimal = r; probes = List.rev !probes;
-          grape_iterations_total = !iters; deadline_hit = !hit })
+          grape_iterations_total = !iters; wall_time_total_s = !wall;
+          deadline_hit = !hit })
       best
   in
   let expired () =

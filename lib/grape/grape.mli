@@ -59,7 +59,7 @@ type result = {
   total_time : float;  (** Pulse duration, ns. *)
   n_steps : int;
   controls : float array array;  (** Best controls, [n_controls x n_steps]. *)
-  wall_time_s : float;  (** Processor time spent optimizing. *)
+  wall_time_s : float;  (** Wall-clock time spent optimizing. *)
 }
 
 val max_steps : int
@@ -108,6 +108,11 @@ type search = {
   grape_iterations_total : int;
       (** Total optimizer iterations across all probes — the compilation
           latency proxy used by the Figure 7 accounting. *)
+  wall_time_total_s : float;
+      (** [wall_time_s] summed over every probe.  Probes differ several-fold
+          in length (the first ones, at the upper bound and twice it, have
+          the most time steps), so no single probe's rate stands for the
+          search. *)
   deadline_hit : bool;
       (** Some probe ran out of wall-clock budget; [minimal] is the best
           converged duration found before the deadline, not necessarily

@@ -44,15 +44,6 @@ let workers_from_env ?(default = 1) () =
        Obs.count "pool.env.invalid";
        default)
 
-let min_items_from_env ?(default = 4) () =
-  match Sys.getenv_opt "PQC_PAR_MIN_ITEMS" with
-  | None -> default
-  | Some s when String.trim s = "" -> default
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | Some _ | None -> default)
-
 let item_deadline_from_env () =
   match Sys.getenv_opt "PQC_ITEM_DEADLINE_S" with
   | None -> None
@@ -88,16 +79,22 @@ let sequential f items =
 
 (* --- Child protocol ---
 
-   One frame per line over the worker pipe:
-     <idx>\t<payload>   a result for item idx (payload is codec output)
+   The parent feeds each worker item indices, one per line, on the
+   worker's feed pipe.  The worker answers on its result pipe, one frame
+   per line:
      H\t<idx>           heartbeat: the worker is starting item idx
+     <idx>\t<payload>   a result for item idx (payload is codec output)
+     R\t<idx>           ready: item idx is done, delivered or not
      T\t<payload>       trace events recorded since the fork
      M\t<payload>       histogram registry snapshot
-   Results and heartbeats are flushed eagerly so the parent's liveness
-   view is current: a worker that goes silent past the item deadline
-   while items are outstanding is presumed hung. *)
+   The parent answers each ready frame with the next queued index, or by
+   closing the feed once the queue is empty; the worker then ships its T
+   and M frames and exits.  Frames are flushed eagerly so the parent's
+   liveness view is current: a worker that goes silent past the item
+   deadline while it holds an item is presumed hung. *)
 
-let child_loop ~encode ~f ~items ~wr ~indices wid =
+let child_loop ~encode ~f ~items ~feed ~wr wid =
+  let ic = Unix.in_channel_of_descr feed in
   let oc = Unix.out_channel_of_descr wr in
   (* Events recorded before the fork belong to the parent; only ship
      what this child adds past this point.  The histogram registry is
@@ -110,55 +107,67 @@ let child_loop ~encode ~f ~items ~wr ~indices wid =
   Obs.set_worker wid;
   Obs.Metrics.reset ();
   Obs.Flight.reset ();
+  let next () =
+    Option.bind (In_channel.input_line ic) (fun l ->
+        match int_of_string_opt l with
+        | Some i when i >= 0 && i < Array.length items -> Some i
+        | Some _ | None -> None)
+  in
+  let run i =
+    (* Claim the item before computing it, so a subsequent hang or crash
+       is attributable to exactly this item. *)
+    Printf.fprintf oc "H\t%d\n" i;
+    flush oc;
+    (match !fault_hook i with
+     | Some Hang ->
+       (* A hung worker is silent, not dead: it holds its pipe open and
+          never frames again.  Only the parent's deadline can end it. *)
+       while true do
+         Unix.sleepf 3600.0
+       done
+     | Some Crash_pre -> Unix._exit 70
+     | (Some (Crash_mid | Partial_write) | None) as fault ->
+       (match encode (item_span f items.(i)) with
+        | s ->
+          (* A payload with a newline would desynchronize the line
+             framing; drop it and let the parent recompute. *)
+          if not (String.contains s '\n') then begin
+            let line = Printf.sprintf "%d\t%s" i s in
+            match fault with
+            | Some Crash_mid ->
+              (* Torn frame: half a line, no newline, then die — the
+                 parent must discard the fragment. *)
+              output_string oc
+                (String.sub line 0 ((String.length line + 1) / 2));
+              flush oc;
+              Unix._exit 71
+            | Some Partial_write ->
+              (* Short write that still terminates the line: a
+                 framed-but-corrupt record the codec must reject. *)
+              output_string oc
+                (String.sub line 0 ((String.length line + 1) / 2));
+              output_char oc '\n'
+            | _ ->
+              output_string oc line;
+              output_char oc '\n'
+          end
+        | exception _ -> ()));
+    (* The result and the ready frame leave in one write. *)
+    Printf.fprintf oc "R\t%d\n" i;
+    flush oc
+  in
   (try
      Obs.Span.with_ ~name:"pool.worker"
        ~attrs:[ ("worker", string_of_int wid) ]
        (fun () ->
-         List.iter
-           (fun i ->
-             (* Claim the item before computing it, so a subsequent hang
-                or crash is attributable to exactly this item. *)
-             Printf.fprintf oc "H\t%d\n" i;
-             flush oc;
-             match !fault_hook i with
-             | Some Hang ->
-               (* A hung worker is silent, not dead: it holds its pipe
-                  open and never frames again.  Only the parent's
-                  deadline can end it. *)
-               while true do
-                 Unix.sleepf 3600.0
-               done
-             | Some Crash_pre -> Unix._exit 70
-             | (Some (Crash_mid | Partial_write) | None) as fault ->
-               (match encode (item_span f items.(i)) with
-                | s ->
-                  (* A payload with a newline would desynchronize the
-                     line framing; drop it and let the parent recompute. *)
-                  if not (String.contains s '\n') then begin
-                    let line = Printf.sprintf "%d\t%s" i s in
-                    match fault with
-                    | Some Crash_mid ->
-                      (* Torn frame: half a line, no newline, then die —
-                         the parent must discard the fragment. *)
-                      output_string oc
-                        (String.sub line 0 ((String.length line + 1) / 2));
-                      flush oc;
-                      Unix._exit 71
-                    | Some Partial_write ->
-                      (* Short write that still terminates the line: a
-                         framed-but-corrupt record the codec must
-                         reject. *)
-                      output_string oc
-                        (String.sub line 0 ((String.length line + 1) / 2));
-                      output_char oc '\n';
-                      flush oc
-                    | _ ->
-                      output_string oc line;
-                      output_char oc '\n';
-                      flush oc
-                  end
-                | exception _ -> ()))
-           indices);
+         let rec loop () =
+           match next () with
+           | Some i ->
+             run i;
+             loop ()
+           | None -> ()
+         in
+         loop ());
      (* Trace frames ride the same pipe under a "T" pseudo-index that
         result parsing ignores, so untraced parents stay compatible;
         histogram registries travel likewise under "M". *)
@@ -194,18 +203,22 @@ let frame_payload line = String.sub line 2 (String.length line - 2)
 let is_trace_line = framed 'T'
 let is_metrics_line = framed 'M'
 let is_heartbeat_line = framed 'H'
+let is_ready_line = framed 'R'
 
 (* --- Parent-side supervision --- *)
 
-type 'b worker = {
+type worker = {
   pid : int;
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (** Result pipe, read end. *)
+  mutable feed : Unix.file_descr option;
+      (** Feed pipe, write end; [None] once closed. *)
   buf : Buffer.t;
   wid : int;
-  mutable pending : int list;  (** Assigned items not yet delivered. *)
-  mutable current : int;  (** Item claimed by the last heartbeat, -1 if none. *)
+  mutable current : int;  (** Item fed and not yet finished, -1 if none. *)
   mutable last_seen : float;
 }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Reap one child, preferring WNOHANG polls so a child that is slow to
    transition never wedges shutdown behind a blocking wait; after the
@@ -227,13 +240,10 @@ let reap_status pid =
   | status -> Some status
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
 
-let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
-    ~decode f items =
+let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
+    items =
   let requested =
     match workers with Some w -> max 1 w | None -> workers_from_env ()
-  in
-  let min_items =
-    match min_items with Some m -> max 1 m | None -> min_items_from_env ()
   in
   let deadline =
     match item_deadline_s with
@@ -247,13 +257,18 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
     | None -> item_retries_from_env ()
   in
   let n = List.length items in
-  if requested <= 1 || n <= 1 || n < min_items then sequential f items
+  if requested <= 1 || n <= 1 then sequential f items
   else
     Obs.Span.with_ ~name:"pool.map"
       ~attrs:
         [ ("items", string_of_int n);
           ("workers", string_of_int (min requested n)) ]
       (fun () ->
+        (* A feed write to a worker that has died must fail with EPIPE,
+           not kill the parent. *)
+        let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+        Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+        @@ fun () ->
         let items = Array.of_list items in
         (* Correlation label for item [i] — the run_id the supervising
            parent stamps on flight-recorder entries, so a dump names the
@@ -266,7 +281,13 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
         let w = min requested n in
         let results = Array.make n None in
         let strikes = Array.make n 0 in
-        let quarantined = Array.make n false in
+        (* The shared queue every worker pulls from, one item at a time:
+           a worker that draws cheap items simply asks again, so no worker
+           idles while another still holds a backlog. *)
+        let queue = Queue.create () in
+        for i = 0 to n - 1 do
+          Queue.push i queue
+        done;
         let hung = ref 0
         and respawned = ref 0
         and nquar = ref 0
@@ -279,31 +300,68 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
            still undelivered falls through to in-parent recovery. *)
         let respawn_cap = max 16 (4 * w) in
         let next_wid = ref w in
-        let spawn indices wid =
+        let live = ref [] in
+        let close_feed wk =
+          Option.iter close_quietly wk.feed;
+          wk.feed <- None
+        in
+        (* Answer a ready worker with the next queued item, or close its
+           feed once the queue is empty.  The worker has consumed every
+           line sent before its ready frame (and a new worker's feed is
+           empty), so this line is the only one in the pipe and the write
+           cannot block. *)
+        let feed wk =
+          match wk.feed with
+          | None -> ()
+          | Some fd ->
+            (match Queue.take_opt queue with
+             | None -> close_feed wk
+             | Some i ->
+               let line = string_of_int i ^ "\n" in
+               (match Unix.write_substring fd line 0 (String.length line) with
+                | _ ->
+                  wk.current <- i;
+                  wk.last_seen <- Obs.Clock.now ()
+                | exception Unix.Unix_error _ ->
+                  (* EPIPE: the worker died before taking the item; its
+                     EOF follows on the result pipe. *)
+                  Queue.push i queue;
+                  close_feed wk))
+        in
+        let spawn wid =
           let r, wr = Unix.pipe () in
+          let feed_r, feed_w = Unix.pipe () in
           match Unix.fork () with
           | 0 ->
-            (* Child: compute the shard, stream results, and _exit without
-               running at_exit handlers or flushing buffers inherited from
-               the parent (which would duplicate its pending output). *)
-            Unix.close r;
-            child_loop ~encode ~f ~items ~wr ~indices wid;
+            (* Child: keep only its own pipe ends.  An inherited copy of
+               another worker's feed would keep that feed open after the
+               parent closes it, and that worker would never see the end
+               of its input.  Compute what the feed hands out, stream
+               results, and _exit without running at_exit handlers or
+               flushing buffers inherited from the parent (which would
+               duplicate its pending output). *)
+            close_quietly r;
+            close_quietly feed_w;
+            List.iter
+              (fun wk ->
+                close_quietly wk.fd;
+                Option.iter close_quietly wk.feed)
+              !live;
+            child_loop ~encode ~f ~items ~feed:feed_r ~wr wid;
             Unix._exit 0
           | pid ->
-            Unix.close wr;
-            { pid; fd = r; buf = Buffer.create 256; wid; pending = indices;
-              current = -1; last_seen = Obs.Clock.now () }
+            close_quietly wr;
+            close_quietly feed_r;
+            let wk =
+              { pid; fd = r; feed = Some feed_w; buf = Buffer.create 256; wid;
+                current = -1; last_seen = Obs.Clock.now () }
+            in
+            live := wk :: !live;
+            feed wk
         in
-        (* Worker [j] of [w] owns items j, j+w, j+2w, ... — round-robin
-           sharding balances shards even when item cost correlates with
-           position (deep blocks cluster at the end of UCCSD ansatz
-           partitions). *)
-        let shard j =
-          let rec go i acc = if i >= n then List.rev acc else go (i + w) (i :: acc) in
-          go j []
-        in
-        let live = ref (List.init w (fun j -> spawn (shard j) (j + 1))) in
-        let remove wk = live := List.filter (fun x -> x.pid <> wk.pid) !live in
+        for j = 1 to w do
+          spawn j
+        done;
         let process_line wk line =
           if is_trace_line line then Obs.absorb (frame_payload line)
           else if is_metrics_line line then
@@ -311,7 +369,6 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
           else if is_heartbeat_line line then begin
             match int_of_string_opt (frame_payload line) with
             | Some i when i >= 0 && i < n ->
-              wk.current <- i;
               (* The claim trail is what makes a later kill attributable:
                  the dump's tail shows which item (and which request) the
                  worker was on when it went silent. *)
@@ -320,12 +377,16 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
                    wk.pid i)
             | Some _ | None -> ()
           end
+          else if is_ready_line line then begin
+            if int_of_string_opt (frame_payload line) = Some wk.current
+            then begin
+              wk.current <- -1;
+              feed wk
+            end
+          end
           else
             match parse_line ~decode ~n line with
-            | Some (i, v) ->
-              results.(i) <- Some v;
-              wk.pending <- List.filter (fun j -> j <> i) wk.pending;
-              if wk.current = i then wk.current <- -1
+            | Some (i, v) -> results.(i) <- Some v
             | None -> ()
         in
         let split_lines wk =
@@ -356,26 +417,23 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
         in
         let drain_to_eof wk =
-          (try
-             while not (read_once wk) do
-               ()
-             done
-           with Unix.Unix_error _ -> ());
-          (try Unix.close wk.fd with Unix.Unix_error _ -> ())
+          try
+            while not (read_once wk) do
+              ()
+            done
+          with Unix.Unix_error _ -> ()
         in
-        (* Decide what a dead worker leaves behind.  A strike (abnormal
-           death or hang) is charged to the item the worker had claimed;
-           an item that collects [retries] strikes is poison — it has
-           killed that many workers — and is quarantined to in-parent
-           execution instead of being allowed to kill another.  The
-           struck item is re-dispatched last so the shard's healthy
-           items complete first on the respawn. *)
-        let requeue wk ~strike =
-          if strike && wk.current >= 0 && results.(wk.current) = None then begin
-            let i = wk.current in
+        (* A strike (abnormal death or hang) is charged to the item the
+           worker held.  An item that collects [retries] strikes is poison
+           — it has killed that many workers — and is quarantined to
+           in-parent execution instead of being allowed to kill another;
+           any other struck item goes to the back of the queue, so healthy
+           items complete first. *)
+        let strike wk =
+          let i = wk.current in
+          if i >= 0 && results.(i) = None then begin
             strikes.(i) <- strikes.(i) + 1;
-            if strikes.(i) >= retries && not quarantined.(i) then begin
-              quarantined.(i) <- true;
+            if strikes.(i) >= retries then begin
               incr nquar;
               Obs.count "pool.quarantine";
               Obs.Flight.record ~kind:"pool.quarantine" ~run_id:(label i)
@@ -385,41 +443,33 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
                    i strikes.(i) wk.wid wk.pid);
               ignore (Obs.Flight.dump_auto ~reason:"pool.quarantine" ())
             end
-          end;
-          let undelivered =
-            List.filter
-              (fun i -> results.(i) = None && not quarantined.(i))
-              wk.pending
-          in
-          if strike && wk.current >= 0 && List.mem wk.current undelivered then
-            List.filter (fun i -> i <> wk.current) undelivered
-            @ [ wk.current ]
-          else undelivered
+            else Queue.push i queue
+          end
         in
-        let maybe_respawn wk ~strike =
-          match requeue wk ~strike with
-          | [] -> ()
-          | redispatch ->
-            if strike && !respawned < respawn_cap then begin
-              Obs.count "pool.respawn";
-              let b =
-                Float.min 0.5
-                  (backoff_base
-                  *. (2.0 ** float_of_int !respawned)
-                  *. (0.5 +. Rng.float rng 1.0))
-              in
-              incr respawned;
-              Obs.Metrics.observe "pool.respawn.backoff_s" b;
-              Unix.sleepf b;
-              incr next_wid;
-              live := spawn redispatch !next_wid :: !live
-            end
-            (* No strike (a worker that exited 0 without delivering, e.g.
-               an encode failure), or the respawn budget is spent: the
-               items recover in-parent at fan-in, exactly as before. *)
+        (* A replacement is forked only while there is work to hand it.
+           Without a strike (a worker that exited 0 early) or once the
+           respawn budget is spent, the remaining workers drain the queue
+           and whatever is left recovers in-parent at fan-in. *)
+        let respawn () =
+          if (not (Queue.is_empty queue)) && !respawned < respawn_cap then begin
+            Obs.count "pool.respawn";
+            let b =
+              Float.min 0.5
+                (backoff_base
+                *. (2.0 ** float_of_int !respawned)
+                *. (0.5 +. Rng.float rng 1.0))
+            in
+            incr respawned;
+            Obs.Metrics.observe "pool.respawn.backoff_s" b;
+            Unix.sleepf b;
+            incr next_wid;
+            spawn !next_wid
+          end
         in
         let finalize wk ~killed =
-          remove wk;
+          live := List.filter (fun x -> x.pid <> wk.pid) !live;
+          close_quietly wk.fd;
+          close_feed wk;
           let crashed =
             match reap_status wk.pid with
             | Some (Unix.WEXITED 0) | None -> false
@@ -439,10 +489,13 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
               end;
               true
           in
-          (* A worker that exited 0 with undelivered items (e.g. an encode
-             failure) is not struck: re-dispatching would fail the same
-             way, so those items recover in-parent instead. *)
-          maybe_respawn wk ~strike:(killed || crashed)
+          (* A worker that exited 0 holding an undelivered item is not
+             struck: it failed without dying, so handing the item to
+             another worker would fail the same way. *)
+          if killed || crashed then begin
+            strike wk;
+            respawn ()
+          end
         in
         while !live <> [] do
           let now = Obs.Clock.now () in
@@ -453,7 +506,7 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
               let remaining =
                 List.fold_left
                   (fun acc wk ->
-                    if wk.pending = [] then acc
+                    if wk.current < 0 then acc
                     else Float.min acc (d -. (now -. wk.last_seen)))
                   d !live
               in
@@ -470,31 +523,28 @@ let map ?workers ?min_items ?item_deadline_s ?item_retries ?item_label ~encode
               if List.mem wk.fd readable then
                 if read_once wk then eofs := wk :: !eofs)
             !live;
-          List.iter
-            (fun wk ->
-              (try Unix.close wk.fd with Unix.Unix_error _ -> ());
-              finalize wk ~killed:false)
-            !eofs;
+          List.iter (fun wk -> finalize wk ~killed:false) !eofs;
           (match deadline with
            | None -> ()
            | Some d ->
              let now = Obs.Clock.now () in
              List.iter
                (fun wk ->
-                 if wk.pending <> [] && now -. wk.last_seen > d then begin
-                   (* Hung: no frame for a full item deadline while items
-                      are outstanding.  SIGKILL — a stuck optimizer does
+                 if wk.current >= 0 && now -. wk.last_seen > d then begin
+                   (* Hung: no frame for a full item deadline while it
+                      holds an item.  SIGKILL — a stuck optimizer does
                       not respond to gentler signals — then salvage
-                      whatever it piped before stalling. *)
+                      whatever it piped before stalling.  The feed closes
+                      first, so a late ready frame hands out nothing. *)
                    incr hung;
                    Obs.count "pool.worker.hung";
                    Obs.Flight.record ~kind:"pool.kill"
-                     ~run_id:
-                       (if wk.current >= 0 then label wk.current else "")
+                     ~run_id:(label wk.current)
                      (Printf.sprintf
                         "SIGKILL worker %d (pid %d) hung on item %d span \
                          pool.item"
                         wk.wid wk.pid wk.current);
+                   close_feed wk;
                    (try Unix.kill wk.pid Sys.sigkill
                     with Unix.Unix_error _ -> ());
                    drain_to_eof wk;

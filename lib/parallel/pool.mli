@@ -3,22 +3,31 @@
     GRAPE block searches are CPU-bound, independent, and embarrassingly
     parallel; this module fans a batch of them out over [Unix.fork]
     workers and reassembles the results {e in input order}, so callers
-    observe the same result list regardless of how the batch was sharded
-    or in which order workers finished.
+    observe the same result list regardless of which worker computed
+    which item or in which order workers finished.
+
+    Dispatch is pull-based.  Every worker has a feed pipe on which the
+    parent writes one item index at a time from a shared queue.  After
+    each item, delivered or not, the worker writes a ready frame and is
+    answered with the next index, or with a closed feed once the queue is
+    empty.  A worker that draws cheap items therefore keeps pulling while
+    another works through an expensive one.  The parent writes a feed
+    only in answer to a ready frame (or into a new worker's empty feed),
+    so a feed never holds more than one unread line and the write cannot
+    block.
 
     The design is crash-only {e and} hang-aware.  Workers ship each
     result as one framed line over a pipe as soon as it is computed, and
-    heartbeat before starting each item, so the parent always knows
-    which item a worker is on.  The parent multiplexes every worker pipe
-    through [select]:
+    heartbeat before starting each item.  The parent multiplexes every
+    worker pipe through [select]:
 
-    - A worker that {e dies} mid-shard (segfault, OOM kill, nonzero
-      exit) truncates its stream; the parent reaps it (WNOHANG loop,
-      abnormal exits counted), charges a {e strike} to the item it had
-      claimed, and re-dispatches its undelivered items to a respawned
-      worker after a seeded exponential backoff.
+    - A worker that {e dies} mid-item (segfault, OOM kill, nonzero exit)
+      truncates its stream; the parent reaps it (WNOHANG loop, abnormal
+      exits counted), charges a {e strike} to the item it held, puts that
+      item at the back of the queue, and — while the queue is not empty —
+      forks a replacement worker after a seeded exponential backoff.
     - A worker that {e hangs} — no frame for a full item deadline while
-      items are outstanding — is SIGKILLed and handled the same way.
+      it holds an item — is SIGKILLed and handled the same way.
       Hang detection requires a deadline ([PQC_ITEM_DEADLINE_S] or
       [?item_deadline_s]); without one the parent waits indefinitely,
       as a deadline short enough to kill a healthy GRAPE run would be
@@ -91,13 +100,6 @@ val workers_from_env : ?default:int -> unit -> int
     warning (once per distinct value) and a [pool.env.invalid] trace
     counter; an unset or empty variable falls back silently. *)
 
-val min_items_from_env : ?default:int -> unit -> int
-(** Batch-size floor from the [PQC_PAR_MIN_ITEMS] environment variable
-    ([default] — itself defaulting to 4 — when unset or invalid;
-    accepted range: integers >= 1).  Batches smaller than the floor run
-    sequentially in-process: for tiny batches the fork/pipe overhead
-    exceeds the compute being sharded. *)
-
 val item_deadline_from_env : unit -> float option
 (** Per-item wall-clock deadline in seconds from [PQC_ITEM_DEADLINE_S]
     (finite, > 0; anything else reads as [None] — no hang detection). *)
@@ -114,7 +116,6 @@ val backoff_base_from_env : ?default:float -> unit -> float
 
 val map :
   ?workers:int ->
-  ?min_items:int ->
   ?item_deadline_s:float ->
   ?item_retries:int ->
   ?item_label:(int -> string) ->
@@ -124,16 +125,17 @@ val map :
   'a list ->
   ('b * bool) list * stats
 (** [map ~workers ~encode ~decode f items] computes [f] over [items] on
-    [workers] forked processes (round-robin sharding) and returns the
-    results in input order, each flagged [true] when it had to be
-    recovered by recomputing in the parent.  [workers] defaults to
-    {!workers_from_env}; [min_items] defaults to {!min_items_from_env};
-    [item_deadline_s] defaults to {!item_deadline_from_env} (values
-    <= 0 disable the deadline); [item_retries] defaults to
-    {!item_retries_from_env}.  With [workers <= 1], fewer than two
-    items, or fewer than [min_items] items the whole batch runs
-    sequentially in-process ([f x, false] per item, no fork — exactly
-    the pre-pool behaviour).
+    [workers] forked processes, each pulling one item at a time from a
+    shared queue, and returns the results in input order, each flagged
+    [true] when it had to be recovered by recomputing in the parent.
+    [workers] defaults to {!workers_from_env}; [item_deadline_s]
+    defaults to {!item_deadline_from_env} (values <= 0 disable the
+    deadline); [item_retries] defaults to {!item_retries_from_env}.
+    With [workers <= 1] or fewer than two items the whole batch runs
+    sequentially in-process ([f x, false] per item, no fork); otherwise
+    [min workers (List.length items)] workers are forked.  SIGPIPE is
+    ignored while the workers run, so a feed write to a dead worker
+    fails with [EPIPE] instead of killing the parent.
 
     [encode] must produce a single line (no newline); a payload that
     fails to encode, decode, or checksum is recomputed in the parent

@@ -337,7 +337,7 @@ let test_hung_batch_completes_within_two_deadlines () =
       with_hook (fun _ -> Some Pool.Hang) (fun () ->
           let t0 = Unix.gettimeofday () in
           let out, stats =
-            Pool.map ~workers:4 ~min_items:1 ~item_deadline_s:deadline
+            Pool.map ~workers:4 ~item_deadline_s:deadline
               ~item_retries:1 ~encode:enc ~decode:dec
               (fun x -> x * x) items
           in
@@ -364,7 +364,7 @@ let test_poison_batch_quarantines_and_converges () =
       let items = [ 0; 1; 2; 3 ] in
       with_hook (fun _ -> Some Pool.Crash_pre) (fun () ->
           let out, stats =
-            Pool.map ~workers:2 ~min_items:1 ~item_retries:1 ~encode:enc
+            Pool.map ~workers:2 ~item_retries:1 ~encode:enc
               ~decode:dec
               (fun x -> x + 100) items
           in
@@ -392,7 +392,7 @@ let test_crash_mid_and_partial_write_recovered () =
       in
       with_hook hook (fun () ->
           let out, stats =
-            Pool.map ~workers:3 ~min_items:1 ~item_retries:1 ~encode:enc
+            Pool.map ~workers:3 ~item_retries:1 ~encode:enc
               ~decode:dec
               (fun x -> (x * 7) + 1)
               items
@@ -402,6 +402,22 @@ let test_crash_mid_and_partial_write_recovered () =
             (List.map fst out);
           Alcotest.(check bool) "everything recovered or quarantined" true
             (stats.Pool.recovered = List.length items)))
+
+(* The healthy path closes every feed and result pipe and reaps every
+   worker: twenty maps in a row leave the descriptor count unchanged. *)
+let test_healthy_maps_leak_nothing () =
+  leak_checked (fun () ->
+      let enc, dec = int_codec in
+      let items = List.init 5 Fun.id in
+      for k = 1 to 20 do
+        let out, stats =
+          Pool.map ~workers:2 ~encode:enc ~decode:dec (fun x -> x + k) items
+        in
+        Alcotest.(check (list int)) "results" (List.map (fun x -> x + k) items)
+          (List.map fst out);
+        Alcotest.(check int) "forked" 2 stats.Pool.workers;
+        Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered
+      done)
 
 (* --- Flight recorder: fork semantics --- *)
 
@@ -441,7 +457,7 @@ let test_flight_child_ring_reset_post_fork () =
         else 0
       in
       let out, _ =
-        Pool.map ~workers:2 ~min_items:1 ~encode:enc ~decode:dec
+        Pool.map ~workers:2 ~encode:enc ~decode:dec
           sees_parent_history [ 0; 1; 2; 3 ]
       in
       Alcotest.(check (list int)) "child rings empty post-fork"
@@ -492,7 +508,7 @@ let test_flight_dump_on_chaos_crash () =
           let enc, dec = int_codec in
           with_hook (fun _ -> Some Pool.Crash_pre) (fun () ->
               let out, stats =
-                Pool.map ~workers:2 ~min_items:1 ~item_retries:1
+                Pool.map ~workers:2 ~item_retries:1
                   ~item_label:(fun i -> Printf.sprintf "r042-deadbeef#%d" i)
                   ~encode:enc ~decode:dec
                   (fun x -> x + 1)
@@ -645,8 +661,6 @@ let test_chaos_run_keeps_cache_consistent () =
         (Engine.cache_dropped engine2))
 
 let () =
-  (* Every chaos batch below must actually dispatch to workers. *)
-  Unix.putenv "PQC_PAR_MIN_ITEMS" "1";
   Alcotest.run "chaos"
     [ ( "fault-plan",
         [ Alcotest.test_case "parse round-trip" `Quick
@@ -676,7 +690,9 @@ let () =
           Alcotest.test_case "poison batch quarantines" `Quick
             test_poison_batch_quarantines_and_converges;
           Alcotest.test_case "torn frames recovered" `Quick
-            test_crash_mid_and_partial_write_recovered ] );
+            test_crash_mid_and_partial_write_recovered;
+          Alcotest.test_case "healthy maps leak nothing" `Quick
+            test_healthy_maps_leak_nothing ] );
       ( "flight-recorder",
         [ Alcotest.test_case "child ring reset post-fork" `Quick
             test_flight_child_ring_reset_post_fork;

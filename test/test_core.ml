@@ -187,6 +187,33 @@ let test_engine_numeric_cached () =
   let second = Sys.time () -. t1 in
   Alcotest.(check bool) "cache hit much faster" true (second < first /. 5.0 +. 1e-3)
 
+let test_search_seconds_sum_probes () =
+  (* Regression: [search_cost.seconds] was the minimal probe's time per
+     iteration times the search's total iterations, though the first
+     probes (at the upper bound and twice it) are several times longer.
+     With a clock that advances 1 s per reading every probe measures
+     exactly 1 s, so the summed time equals the probe count. *)
+  let engine =
+    Engine.numeric
+      ~settings:{ Grape.fast_settings with Grape.dt = 0.2; max_iters = 250 }
+      ()
+  in
+  let c = Circuit.of_gates 1 [ (Gate.H, [ 0 ]) ] in
+  let t = ref 0.0 in
+  Pqc_obs.Obs.Clock.set (fun () ->
+      t := !t +. 1.0;
+      !t);
+  let r =
+    Fun.protect ~finally:Pqc_obs.Obs.Clock.reset (fun () ->
+        Engine.search engine c)
+  in
+  Alcotest.(check bool) "the search converged" true (r.Engine.fallback = None);
+  Alcotest.(check bool) "several probes" true
+    (r.Engine.search_cost.Engine.grape_runs > 2);
+  Alcotest.(check (float 0.0)) "one second per probe"
+    (float_of_int r.Engine.search_cost.Engine.grape_runs)
+    r.Engine.search_cost.Engine.seconds
+
 let test_hyperopt_cost_wall_clock () =
   (* Regression for the timing-clock bug: [hyperopt_cost]'s [seconds] was
      [Sys.time]-based (process CPU time) and started after [system_for]
@@ -453,6 +480,8 @@ let () =
           Alcotest.test_case "rejects unbound" `Quick test_engine_rejects_unbound;
           Alcotest.test_case "numeric 1q" `Slow test_engine_numeric_1q;
           Alcotest.test_case "numeric cached" `Slow test_engine_numeric_cached;
+          Alcotest.test_case "search seconds sum every probe" `Quick
+            test_search_seconds_sum_probes;
           Alcotest.test_case "hyperopt cost wall clock" `Slow
             test_hyperopt_cost_wall_clock;
           Alcotest.test_case "hyperopt cost counts every cell" `Quick

@@ -28,9 +28,7 @@ let quick = { Grape.fast_settings with Grape.dt = 1.0; max_iters = 40;
 let int_codec =
   (string_of_int, fun s -> int_of_string_opt s)
 
-(* Scoped environment override (restored even on failure): several tests
-   below pin PQC_PAR_MIN_ITEMS to defeat or exercise the small-batch
-   sequential floor. *)
+(* Scoped environment override (restored even on failure). *)
 let with_env key value f =
   let old = Sys.getenv_opt key in
   Unix.putenv key value;
@@ -75,7 +73,7 @@ let test_pool_lost_worker_recovered () =
   let out, stats =
     Pool.map ~workers:3 ~encode:enc ~decode:dec
       (fun x ->
-        (* Kill the worker that reaches item 4 mid-shard; the parent must
+        (* Kill the worker that reaches item 4 mid-batch; the parent must
            recompute everything that worker never delivered. *)
         if x = 4 && Unix.getpid () <> parent then Unix._exit 9;
         x * 10)
@@ -153,48 +151,46 @@ let test_traced_maps_unique_span_ids () =
         (List.length (List.filter (fun (_, p, _) -> p = m) workers)))
     maps
 
-let test_pool_min_items_floor () =
-  (* Batches below the floor run in the parent: forking three processes
-     to square three integers costs more than the work.  Encoding the
-     computing pid in the result makes "did it fork" observable. *)
+(* The smallest batch that forks: one item per child. *)
+let test_pool_two_items_fork () =
   let enc, dec = int_codec in
   let parent = Unix.getpid () in
-  let pid_of _ = Unix.getpid () in
-  with_env "PQC_PAR_MIN_ITEMS" "" (fun () ->
-      let out, stats =
-        Pool.map ~workers:4 ~encode:enc ~decode:dec pid_of [ 1; 2; 3 ]
-      in
-      Alcotest.(check int) "default floor of 4 keeps 3 items sequential" 1
-        stats.Pool.workers;
-      Alcotest.(check (list int)) "computed in the parent"
-        [ parent; parent; parent ]
-        (List.map fst out));
   let out, stats =
-    Pool.map ~workers:4 ~min_items:10 ~encode:enc ~decode:dec pid_of
-      (List.init 9 (fun i -> i))
+    Pool.map ~workers:2 ~encode:enc ~decode:dec
+      (fun _ -> Unix.getpid ())
+      [ 1; 2 ]
   in
-  Alcotest.(check int) "explicit floor respected" 1 stats.Pool.workers;
-  Alcotest.(check bool) "all in parent" true
-    (List.for_all (fun (pid, _) -> pid = parent) out);
-  with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
-      let out, stats =
-        Pool.map ~workers:2 ~encode:enc ~decode:dec pid_of [ 1; 2 ]
-      in
-      Alcotest.(check int) "floor of 1 forks a 2-item batch" 2
-        stats.Pool.workers;
-      Alcotest.(check bool) "computed in children" true
-        (List.for_all (fun (pid, _) -> pid <> parent) out))
+  let pids = List.map fst out in
+  Alcotest.(check int) "two workers" 2 stats.Pool.workers;
+  Alcotest.(check bool) "computed in children" true
+    (List.for_all (fun pid -> pid <> parent) pids);
+  Alcotest.(check int) "one item per child" 2
+    (List.length (List.sort_uniq compare pids))
 
-let test_min_items_from_env () =
-  with_env "PQC_PAR_MIN_ITEMS" "7" (fun () ->
-      Alcotest.(check int) "parses" 7 (Pool.min_items_from_env ()));
-  with_env "PQC_PAR_MIN_ITEMS" "0" (fun () ->
-      Alcotest.(check int) "rejects < 1" 4 (Pool.min_items_from_env ()));
-  with_env "PQC_PAR_MIN_ITEMS" "soon" (fun () ->
-      Alcotest.(check int) "rejects garbage" 4 (Pool.min_items_from_env ()));
-  with_env "PQC_PAR_MIN_ITEMS" "" (fun () ->
-      Alcotest.(check int) "custom default" 2
-        (Pool.min_items_from_env ~default:2 ()))
+(* Pull dispatch: a worker busy with a slow item holds no backlog.  The
+   other worker asks for the next item as soon as it finishes one, so it
+   runs every quick item; a round-robin split would hand the slow worker
+   items 0, 2 and 4. *)
+let test_pool_pull_balance () =
+  let enc (pid, x) = Printf.sprintf "%d,%d" pid x in
+  let dec s = Scanf.sscanf_opt s "%d,%d%!" (fun pid x -> (pid, x)) in
+  let out, stats =
+    Pool.map ~workers:2 ~encode:enc ~decode:dec
+      (fun x ->
+        if x = 0 then Unix.sleepf 0.3;
+        (Unix.getpid (), x))
+      (List.init 5 Fun.id)
+  in
+  Alcotest.(check (list int)) "results in input order" [ 0; 1; 2; 3; 4 ]
+    (List.map (fun ((_, x), _) -> x) out);
+  Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered;
+  match List.map (fun ((pid, _), _) -> pid) out with
+  | slow :: quick ->
+    Alcotest.(check int) "one worker ran every quick item" 1
+      (List.length (List.sort_uniq compare quick));
+    Alcotest.(check bool) "the slow item's worker ran no quick item" false
+      (List.mem slow quick)
+  | [] -> Alcotest.fail "no results"
 
 let test_workers_from_env () =
   Unix.putenv "PQC_WORKERS" "6";
@@ -292,24 +288,19 @@ let test_search_many_worker_count_invariant () =
 let test_cache_hot_batch_never_forks () =
   (* Regression: a batch whose every block is already memoized used to
      pay the full fork-and-pipe cost to compute nothing.  Hits are now
-     resolved in the parent and only misses dispatch; PQC_PAR_MIN_ITEMS
-     is pinned to 1 so the sequential outcome below is attributable to
-     the empty dispatch list, not the small-batch floor. *)
+     resolved in the parent and only misses dispatch. *)
   let blocks = h2_blocks () in
   let engine = Engine.numeric ~settings:quick () in
   let warm, _, _ = Engine.search_many ~workers:1 engine blocks in
-  with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
-      let hot, stats, degs = Engine.search_many ~workers:4 engine blocks in
-      Alcotest.(check int) "nothing dispatched" 0 stats.Engine.dispatched;
-      Alcotest.(check int) "no fork on a fully-hot batch" 1
-        stats.Engine.workers;
-      Alcotest.(check int) "every block a cache hit"
-        (List.length blocks) stats.Engine.cache_hits;
-      Alcotest.(check int) "no degradations" 0 (List.length degs);
-      List.iteri
-        (fun i (a, b) ->
-          check_same_result (Printf.sprintf "hot block %d" i) a b)
-        (List.combine warm hot))
+  let hot, stats, degs = Engine.search_many ~workers:4 engine blocks in
+  Alcotest.(check int) "nothing dispatched" 0 stats.Engine.dispatched;
+  Alcotest.(check int) "no fork on a fully-hot batch" 1 stats.Engine.workers;
+  Alcotest.(check int) "every block a cache hit" (List.length blocks)
+    stats.Engine.cache_hits;
+  Alcotest.(check int) "no degradations" 0 (List.length degs);
+  List.iteri
+    (fun i (a, b) -> check_same_result (Printf.sprintf "hot block %d" i) a b)
+    (List.combine warm hot)
 
 let test_search_many_faulty_invariant () =
   (* Injection must be a function of the batch, not of worker scheduling:
@@ -599,16 +590,44 @@ let test_hyperopt_memo_faulty_invariant () =
   Alcotest.(check int) "every search injected: memo stays empty" 0
     (Engine.hyperopt_memo_size all)
 
+(* The dispatch rule: a batch forks only when at least two of its items
+   miss the pulse memo.  A variational step that moves one angle changes
+   one slice block, so its recompile stays in-process. *)
+let test_dispatch_rule () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let theta = theta_of c in
+  let moved = Array.copy theta in
+  moved.(0) <- moved.(0) +. 0.25;
+  let compile_both workers =
+    let engine = Engine.numeric ~settings:quick () in
+    let first = flex_compile ~workers engine c theta in
+    (first, flex_compile ~workers engine c moved)
+  in
+  let seq_first, seq_second = compile_both 1 in
+  let first, second = compile_both 2 in
+  Alcotest.(check int) "a cold compile forks" 2
+    first.Strategy.pool.Engine.workers;
+  Alcotest.(check int) "one moved angle recompiles in-process" 1
+    second.Strategy.pool.Engine.workers;
+  check_same_compiled "cold compile" seq_first first;
+  check_same_compiled "one-angle recompile" seq_second second;
+  let blocks =
+    List.init 3 (fun i ->
+        Circuit.of_gates 1
+          [ (Gate.Rx (Param.const (0.3 +. (0.5 *. float_of_int i))), [ 0 ]) ])
+  in
+  let _, stats, _ =
+    Engine.search_many ~workers:2 (Engine.numeric ~settings:quick ()) blocks
+  in
+  Alcotest.(check int) "a three-block search forks" 2 stats.Engine.workers
+
 let test_pool_stats_reported () =
   let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
   let theta = theta_of c in
   let r =
-    (* Pinned floor: the assertion below is about stats plumbing, so the
-       pool must actually fork even if few blocks miss the memo table. *)
-    with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
-        Compiler.strict_partial ~workers:2 ~max_width:2
-          ~engine:(Engine.numeric ~settings:quick ())
-          c ~theta)
+    Compiler.strict_partial ~workers:2 ~max_width:2
+      ~engine:(Engine.numeric ~settings:quick ())
+      c ~theta
   in
   Alcotest.(check int) "workers recorded" 2 r.Strategy.pool.Engine.workers;
   Alcotest.(check bool) "blocks dispatched" true
@@ -619,8 +638,8 @@ let test_pool_stats_reported () =
 let test_tracing_preserves_determinism () =
   (* The determinism contract must survive observation: a traced
      4-worker compile produces the same pulse, bit for bit, as an
-     untraced sequential one.  The floor is pinned to 1 so the traced
-     run genuinely forks (asserted via the pool.worker span). *)
+     untraced sequential one.  The traced run genuinely forks (asserted
+     via the pool.worker span). *)
   let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
   let theta = theta_of c in
   let compile workers =
@@ -637,9 +656,8 @@ let test_tracing_preserves_determinism () =
         Obs.disable ();
         Obs.reset ())
       (fun () ->
-        with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
-            let r = compile 4 in
-            (r, Obs.rollup ())))
+        let r = compile 4 in
+        (r, Obs.rollup ()))
   in
   let span_count name =
     List.fold_left
@@ -680,8 +698,7 @@ let test_metrics_merge_matches_sequential () =
       let expected = capture () in
       Obs.Metrics.reset ();
       let out, stats =
-        with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
-            Pool.map ~workers:4 ~encode:enc ~decode:dec observe items)
+        Pool.map ~workers:4 ~encode:enc ~decode:dec observe items
       in
       Alcotest.(check (list int)) "results intact" items (List.map fst out);
       Alcotest.(check int) "genuinely forked" 4 stats.Pool.workers;
@@ -784,11 +801,6 @@ let test_persist_merges_across_engines () =
         (Engine.cache_size e3))
 
 let () =
-  (* Most equivalence tests in this binary exist to exercise forked
-     workers on deliberately small batches; pin the small-batch floor so
-     they do not silently degrade to the sequential path (individual
-     floor tests above override this locally). *)
-  Unix.putenv "PQC_PAR_MIN_ITEMS" "1";
   QCheck.Test.check_exn prop_worker_count_invariant;
   Alcotest.run "parallel"
     [ ( "pool",
@@ -798,12 +810,12 @@ let () =
             test_pool_lost_worker_recovered;
           Alcotest.test_case "corrupt payload" `Quick
             test_pool_corrupt_payload_recovered;
-          Alcotest.test_case "min-items floor" `Quick
-            test_pool_min_items_floor;
+          Alcotest.test_case "two-item batch uses two children" `Quick
+            test_pool_two_items_fork;
+          Alcotest.test_case "pull dispatch balances a slow item" `Quick
+            test_pool_pull_balance;
           Alcotest.test_case "traced maps keep span ids unique" `Quick
             test_traced_maps_unique_span_ids;
-          Alcotest.test_case "PQC_PAR_MIN_ITEMS parsing" `Quick
-            test_min_items_from_env;
           Alcotest.test_case "PQC_WORKERS parsing" `Quick
             test_workers_from_env;
           Alcotest.test_case "PQC_WORKERS invalid warns" `Quick
@@ -822,7 +834,9 @@ let () =
           Alcotest.test_case "injected never cached" `Quick
             test_faulty_results_never_cached;
           Alcotest.test_case "flex invariant" `Quick
-            test_flex_many_worker_count_invariant ] );
+            test_flex_many_worker_count_invariant;
+          Alcotest.test_case "forks only on two misses" `Quick
+            test_dispatch_rule ] );
       ( "strategies",
         [ Alcotest.test_case "strict invariant" `Quick
             test_strict_partial_worker_invariant;
