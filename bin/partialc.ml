@@ -260,7 +260,7 @@ let run_grape gate =
     | Some s ->
       Printf.printf
         "%s: minimal pulse %.2f ns (lookup %.1f ns), fidelity %.4f, %d GRAPE \
-         iterations over %d probes\n"
+         iterations over %d runs\n"
         gate s.minimal.total_time
         (Gate_times.circuit_duration circuit)
         s.minimal.fidelity s.grape_iterations_total (List.length s.probes);

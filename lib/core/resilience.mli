@@ -68,8 +68,8 @@ val expired : deadline -> bool
 val remaining_s : deadline -> float option
 
 val absolute : deadline -> float option
-(** The underlying absolute [Unix.gettimeofday] instant, in the form
-    {!Grape.optimize}'s [?deadline] expects. *)
+(** The underlying absolute instant on the {!Pqc_obs.Obs.Clock.now}
+    scale, in the form {!Grape.optimize}'s [?deadline] expects. *)
 
 val deadline_seconds_from_env : unit -> float option
 (** Per-search budget from [PQC_SEARCH_DEADLINE_S], if set and valid. *)

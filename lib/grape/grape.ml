@@ -118,21 +118,28 @@ let fidelity_of_controls sys ~target ~dt u =
   let embedded = Hamiltonian.embed_target sys target in
   snd (subspace_overlap sys embedded (propagate sys ~dt u))
 
-let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
-    ~target ~total_time =
+(* The number of control samples of a [total_time] pulse.  It is all that
+   [optimize] takes from [total_time], so two durations with the same
+   count run the same optimization. *)
+let steps_of settings total_time =
   if settings.dt <= 0.0 || not (Float.is_finite settings.dt) then
     invalid_arg "Grape.optimize: dt must be positive and finite";
   if not (Float.is_finite total_time) then
     invalid_arg "Grape.optimize: total_time must be finite";
-  let t0 = now () in
-  let dim = sys.dim in
-  let nc = Array.length sys.controls in
   let n_steps = max 2 (int_of_float (Float.round (total_time /. settings.dt))) in
   if n_steps > max_steps then
     invalid_arg
       (Printf.sprintf
          "Grape.optimize: total_time %g / dt %g needs %d steps (cap %d)"
          total_time settings.dt n_steps max_steps);
+  n_steps
+
+let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
+    ~target ~total_time =
+  let n_steps = steps_of settings total_time in
+  let t0 = now () in
+  let dim = sys.dim in
+  let nc = Array.length sys.controls in
   Obs.Span.with_ ~name:"grape.optimize"
     ~attrs:
       [ ("dim", string_of_int dim);
@@ -470,13 +477,24 @@ let minimal_time ?(settings = default_settings) ?(precision = 0.3) ?deadline
   let iters = ref 0 in
   let wall = ref 0.0 in
   let hit = ref false in
+  (* Runs of this search by step count.  A probe that rounds to a count
+     already run takes the stored result, which is the result a fresh run
+     would return (see [steps_of]), so the bisection takes the same
+     branches while only the runs executed are counted.  Late probes,
+     closer together than [dt], mostly land on such counts. *)
+  let runs = Hashtbl.create 16 in
   let attempt time =
-    let r = optimize ~settings ?deadline sys ~target ~total_time:time in
-    probes := (time, r.converged) :: !probes;
-    iters := !iters + r.iterations;
-    wall := !wall +. r.wall_time_s;
-    if r.deadline_hit then hit := true;
-    r
+    let n_steps = steps_of settings time in
+    match Hashtbl.find_opt runs n_steps with
+    | Some r -> r
+    | None ->
+      let r = optimize ~settings ?deadline sys ~target ~total_time:time in
+      Hashtbl.add runs n_steps r;
+      probes := (time, r.converged) :: !probes;
+      iters := !iters + r.iterations;
+      wall := !wall +. r.wall_time_s;
+      if r.deadline_hit then hit := true;
+      r
   in
   let finish best =
     Option.map
@@ -503,11 +521,15 @@ let minimal_time ?(settings = default_settings) ?(precision = 0.3) ?deadline
   | None -> finish None
   | Some hi_r ->
     (* Bisection stops early on an expired deadline: the best converged
-       probe so far is still a valid (just not minimal) pulse. *)
+       probe so far is still a valid (just not minimal) pulse.  It also
+       stops once [lo] and [hi] are adjacent floats, where the midpoint
+       equals one of them: a [precision] at or below that spacing (zero,
+       negative, NaN) would otherwise probe the same bracket forever. *)
     let rec bisect lo hi best =
-      if hi -. lo <= precision || expired () then finish (Some best)
+      let mid = (lo +. hi) /. 2.0 in
+      if hi -. lo <= precision || not (lo < mid && mid < hi) || expired ()
+      then finish (Some best)
       else begin
-        let mid = (lo +. hi) /. 2.0 in
         let r = attempt mid in
         if r.converged then bisect lo mid r else bisect mid hi best
       end

@@ -74,8 +74,8 @@ val optimize :
     2^n-dimensional computational-subspace unitary; qutrit systems embed it
     and evaluate subspace fidelity.
 
-    [deadline] is an absolute wall-clock instant ([Unix.gettimeofday]
-    scale); the run stops at the first iteration boundary past it and
+    [deadline] is an absolute instant on the {!Pqc_obs.Obs.Clock.now}
+    scale; the run stops at the first iteration boundary past it and
     reports [deadline_hit].  Raises [Invalid_argument] on non-positive
     [dt], non-finite [total_time], or a discretization beyond
     {!max_steps}. *)
@@ -104,15 +104,17 @@ val to_pulse : ?label:string -> result -> Pqc_pulse.Pulse.t
 type search = {
   minimal : result;  (** Result at the shortest converged duration. *)
   probes : (float * bool) list;
-      (** Binary-search trace: (duration, converged). *)
+      (** Binary-search trace: (duration, converged), one entry per GRAPE
+          run executed.  A probe that reuses an earlier run (see
+          {!minimal_time}) adds no entry. *)
   grape_iterations_total : int;
-      (** Total optimizer iterations across all probes — the compilation
-          latency proxy used by the Figure 7 accounting. *)
+      (** Total optimizer iterations across the runs executed — the
+          compilation latency proxy used by the Figure 7 accounting. *)
   wall_time_total_s : float;
-      (** [wall_time_s] summed over every probe.  Probes differ several-fold
-          in length (the first ones, at the upper bound and twice it, have
-          the most time steps), so no single probe's rate stands for the
-          search. *)
+      (** [wall_time_s] summed over the runs executed.  Runs differ
+          several-fold in length (the first ones, at the upper bound and
+          twice it, have the most time steps), so no single run's rate
+          stands for the search. *)
   deadline_hit : bool;
       (** Some probe ran out of wall-clock budget; [minimal] is the best
           converged duration found before the deadline, not necessarily
@@ -128,7 +130,16 @@ val minimal_time :
     never need longer).  [None] when even the upper bound (after one
     doubling) fails to converge.
 
-    [deadline] (absolute wall-clock) bounds the whole search: bisection
-    stops at the first probe past it and returns the best converged probe
-    so far (with [deadline_hit] set), or [None] if nothing converged in
-    time. *)
+    {!optimize} depends on a duration only through its step count
+    [round (total_time / dt)], so within one search each step count runs
+    once: a probe that rounds to a count already run takes that run's
+    result.  The bisection visits the same durations, takes the same
+    branches and returns the same [minimal] as running every probe
+    afresh.  It also stops once the midpoint of the bracket is no longer
+    strictly inside it, so a [precision] at or below the float spacing
+    (zero, negative, NaN) still returns.
+
+    [deadline] (absolute, {!Pqc_obs.Obs.Clock.now} scale) bounds the whole
+    search: bisection stops at the first probe past it and returns the
+    best converged probe so far (with [deadline_hit] set), or [None] if
+    nothing converged in time. *)

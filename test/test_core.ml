@@ -191,28 +191,41 @@ let test_search_seconds_sum_probes () =
   (* Regression: [search_cost.seconds] was the minimal probe's time per
      iteration times the search's total iterations, though the first
      probes (at the upper bound and twice it) are several times longer.
-     With a clock that advances 1 s per reading every probe measures
-     exactly 1 s, so the summed time equals the probe count. *)
-  let engine =
-    Engine.numeric
-      ~settings:{ Grape.fast_settings with Grape.dt = 0.2; max_iters = 250 }
-      ()
-  in
-  let c = Circuit.of_gates 1 [ (Gate.H, [ 0 ]) ] in
-  let t = ref 0.0 in
-  Pqc_obs.Obs.Clock.set (fun () ->
-      t := !t +. 1.0;
-      !t);
-  let r =
-    Fun.protect ~finally:Pqc_obs.Obs.Clock.reset (fun () ->
-        Engine.search engine c)
-  in
-  Alcotest.(check bool) "the search converged" true (r.Engine.fallback = None);
-  Alcotest.(check bool) "several probes" true
-    (r.Engine.search_cost.Engine.grape_runs > 2);
-  Alcotest.(check (float 0.0)) "one second per probe"
-    (float_of_int r.Engine.search_cost.Engine.grape_runs)
-    r.Engine.search_cost.Engine.seconds
+     With a clock that advances 1 s per reading every GRAPE run measures
+     exactly 1 s, so the summed time equals the run count.  At dt 1.0 the
+     CX search's late probes round to step counts it already ran; those
+     reuse the run, and neither its seconds nor [grape_runs] count them
+     again. *)
+  List.iter
+    (fun (dt, c, repeats) ->
+      let engine =
+        Engine.numeric
+          ~settings:{ Grape.fast_settings with Grape.dt; max_iters = 250 }
+          ()
+      in
+      let t = ref 0.0 in
+      Pqc_obs.Obs.Clock.set (fun () ->
+          t := !t +. 1.0;
+          !t);
+      let r =
+        Fun.protect ~finally:Pqc_obs.Obs.Clock.reset (fun () ->
+            Engine.search engine c)
+      in
+      let runs = r.Engine.search_cost.Engine.grape_runs in
+      Alcotest.(check bool) "the search converged" true (r.Engine.fallback = None);
+      Alcotest.(check bool) "several probes" true (runs > 2);
+      Alcotest.(check (float 0.0)) "one second per run" (float_of_int runs)
+        r.Engine.search_cost.Engine.seconds;
+      if repeats then begin
+        (* The bisection probes the bound, then halves [0, hi] (hi at
+           least the bound) down to the default 0.3 ns precision. *)
+        let upper = Float.max (Gate_times.circuit_duration c) (4.0 *. dt) in
+        let probes = 1 + int_of_float (Float.ceil (Float.log2 (upper /. 0.3))) in
+        Alcotest.(check bool) "fewer runs than bisection probes" true
+          (runs < probes)
+      end)
+    [ (0.2, Circuit.of_gates 1 [ (Gate.H, [ 0 ]) ], false);
+      (1.0, Circuit.of_gates 2 [ (Gate.CX, [ 0; 1 ]) ], true) ]
 
 let test_hyperopt_cost_wall_clock () =
   (* Regression for the timing-clock bug: [hyperopt_cost]'s [seconds] was

@@ -229,6 +229,105 @@ let test_minimal_time_unreachable () =
        ~target:(gate_target 2 Gate.CX [ 0; 1 ])
     = None)
 
+(* The search of [Grape.minimal_time] with every probe a fresh
+   [Grape.optimize] run: the bound (doubled once on failure), then
+   bisection of [0, hi] to the default 0.3 ns precision.  Returns the
+   minimal result and every probe's duration and result, in order. *)
+let reference_minimal_time ~settings ~upper_bound sys ~target =
+  let probes = ref [] in
+  let attempt time =
+    let r = Grape.optimize ~settings sys ~target ~total_time:time in
+    probes := (time, r) :: !probes;
+    r
+  in
+  let r0 = attempt upper_bound in
+  let hi_r = if r0.Grape.converged then r0 else attempt (2.0 *. upper_bound) in
+  if not hi_r.Grape.converged then Alcotest.fail "reference search must converge";
+  let rec bisect lo hi best =
+    if hi -. lo <= 0.3 then best
+    else begin
+      let mid = (lo +. hi) /. 2.0 in
+      let r = attempt mid in
+      if r.Grape.converged then bisect lo mid r else bisect mid hi best
+    end
+  in
+  let best = bisect 0.0 hi_r.Grape.total_time hi_r in
+  (best, List.rev !probes)
+
+let check_same_result what (a : Grape.result) (b : Grape.result) =
+  let bits = Int64.bits_of_float in
+  Alcotest.(check (float 0.0)) (what ^ " total_time") a.total_time b.total_time;
+  Alcotest.(check int) (what ^ " iterations") a.iterations b.iterations;
+  Alcotest.(check int64) (what ^ " fidelity bits") (bits a.fidelity) (bits b.fidelity);
+  Alcotest.(check int) (what ^ " control rows") (Array.length a.controls)
+    (Array.length b.controls);
+  Array.iteri
+    (fun j row ->
+      Alcotest.(check (array int64)) (Printf.sprintf "%s control %d bits" what j)
+        (Array.map bits row) (Array.map bits b.controls.(j)))
+    a.controls
+
+let test_minimal_time_reuses_runs_invisibly () =
+  (* At dt 1.0 the late bisection probes round to step counts the search
+     already ran: the reference's first midpoint is the failed 8 ns bound
+     itself.  Reusing those runs must return exactly the reference's
+     pulse while executing one run per distinct step count. *)
+  let sys = Hamiltonian.gmon 2 in
+  let settings = { quick with Grape.dt = 1.0; max_iters = 300 } in
+  let target = gate_target 2 Gate.CX [ 0; 1 ] in
+  let ref_best, ref_probes =
+    reference_minimal_time ~settings ~upper_bound:8.0 sys ~target
+  in
+  (* The first probe at each step count, in probe order. *)
+  let first_runs =
+    List.rev
+      (List.fold_left
+         (fun acc ((_, (r : Grape.result)) as probe) ->
+           if List.exists (fun (_, (q : Grape.result)) -> q.n_steps = r.n_steps) acc
+           then acc
+           else probe :: acc)
+         [] ref_probes)
+  in
+  Alcotest.(check int) "reference probes" 8 (List.length ref_probes);
+  Alcotest.(check int) "distinct step counts" 5 (List.length first_runs);
+  match Grape.minimal_time ~settings ~upper_bound:8.0 sys ~target with
+  | None -> Alcotest.fail "cx search must converge"
+  | Some s ->
+    check_same_result "minimal" ref_best s.minimal;
+    Alcotest.(check (list (pair (float 0.0) bool))) "one probe per run executed"
+      (List.map (fun (time, (r : Grape.result)) -> (time, r.converged)) first_runs)
+      s.probes;
+    Alcotest.(check int) "iterations of the runs executed"
+      (List.fold_left (fun acc (_, (r : Grape.result)) -> acc + r.iterations) 0
+         first_runs)
+      s.grape_iterations_total
+
+let test_minimal_time_degenerate_precision () =
+  (* A precision at or below the float spacing of the bracket used to
+     bisect the same interval forever.  Below dt every midpoint rounds
+     to a step count already run, so precision 0, negative or NaN runs
+     the same probes as dt / 2. *)
+  let sys = Hamiltonian.gmon 1 in
+  let target = gate_target 1 Gate.H [ 0 ] in
+  let search precision =
+    match
+      Grape.minimal_time ~settings:quick ~precision ~upper_bound:4.0 sys ~target
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "H search must converge"
+  in
+  let base = search (quick.Grape.dt /. 2.0) in
+  List.iter
+    (fun precision ->
+      let what = Printf.sprintf "precision %g" precision in
+      let s = search precision in
+      check_same_result what base.minimal s.minimal;
+      Alcotest.(check (list (pair (float 0.0) bool))) (what ^ " probes")
+        base.probes s.probes;
+      Alcotest.(check int) (what ^ " iterations") base.grape_iterations_total
+        s.grape_iterations_total)
+    [ 0.0; -1.0; Float.nan ]
+
 let test_multistart_stops_on_convergence () =
   let sys = Hamiltonian.gmon 1 in
   let single = Grape.optimize ~settings:quick sys ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0 in
@@ -317,6 +416,10 @@ let () =
           Alcotest.test_case "CX near Table 1" `Slow test_minimal_time_cx_near_table;
           Alcotest.test_case "probes recorded" `Quick test_minimal_time_probes_recorded;
           Alcotest.test_case "unreachable target" `Quick test_minimal_time_unreachable;
+          Alcotest.test_case "reused runs invisible" `Quick
+            test_minimal_time_reuses_runs_invisibly;
+          Alcotest.test_case "precision 0 or NaN returns" `Quick
+            test_minimal_time_degenerate_precision;
           Alcotest.test_case "to_pulse" `Quick test_to_pulse;
           Alcotest.test_case "multistart early stop" `Quick test_multistart_stops_on_convergence;
           Alcotest.test_case "multistart accumulates" `Quick test_multistart_accumulates;
