@@ -28,6 +28,7 @@ module Gate_times = Pqc_pulse.Gate_times
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Grape = Pqc_grape.Grape
 module Hyperopt = Pqc_hyperopt.Hyperopt
+module Pulse_model = Pqc_analysis.Pulse_model
 module Molecule = Pqc_vqe.Molecule
 module Uccsd = Pqc_vqe.Uccsd
 module Graph = Pqc_qaoa.Graph

@@ -28,23 +28,29 @@ let theta_for seed c =
   let n = Circuit.n_params c in
   Array.init n (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi))
 
-(* --- compile --- *)
-
-let load_qasm path =
-  try
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Pqc_quantum.Qasm.of_qasm s with
+(* The one QASM reader behind compile, lint and analyze; each command
+   maps the two failures onto its own exit contract. *)
+let read_qasm path :
+    (Circuit.t, [ `Io of string | `Parse of int * int * string ]) result =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error (`Io e)
+  | source -> (
+    match Pqc_quantum.Qasm.of_qasm source with
     | c -> Ok c
     | exception Pqc_quantum.Qasm.Parse_error { line; col; message } ->
-      Error (Printf.sprintf "%s:%d:%d: %s" path line col message)
-  with Sys_error e -> Error e
+      Error (`Parse (line, col, message)))
+
+(* An unwritable output path is a usage problem, not a crash: one line
+   on stderr, exit 2. *)
+let cannot_write what e =
+  Printf.eprintf "partialc: cannot write %s: %s\n" what e;
+  2
+
+(* --- compile --- *)
 
 (* Scope tracing to the wrapped action: enable, run, write the Chrome
    trace atomically, and print the span/counter and histogram summary
-   tables.  An unwritable trace path is a usage problem, not a crash:
-   one line on stderr, exit 2. *)
+   tables. *)
 let with_trace trace f =
   match trace with
   | None -> f ()
@@ -64,14 +70,17 @@ let with_trace trace f =
         print_newline ()
       end;
       code
-    | exception Sys_error e ->
-      Printf.eprintf "partialc: cannot write trace: %s\n" e;
-      2)
+    | exception Sys_error e -> cannot_write "trace" e)
 
 let run_compile file benchmark strategy numeric seed trace =
   let circuit =
     match file with
-    | Some path -> load_qasm path
+    | Some path -> (
+      match read_qasm path with
+      | Ok c -> Ok c
+      | Error (`Io e) -> Error e
+      | Error (`Parse (line, col, message)) ->
+        Error (Printf.sprintf "%s:%d:%d: %s" path line col message))
     | None -> benchmark_circuit benchmark
   in
   let label = match file with Some p -> p | None -> benchmark in
@@ -161,8 +170,7 @@ let compile_info_for strategy circuit =
     cache_hits = r.Strategy.pool.Engine.cache_hits;
     degradations = List.length r.Strategy.degradations }
 
-(* [f] receives the recorder (or None when no path was given).  An
-   unwritable path is a usage problem: one line on stderr, exit 2.  The
+(* [f] receives the recorder (or None when no path was given).  The
    whole run — the compile-context probe and every recorded iteration —
    shares one minted run_id, so the JSONL joins against the traces and
    cache entries the embedded compiles produce. *)
@@ -175,9 +183,7 @@ let with_run_log run_log ~strategy ~algo ~label ~circuit f =
     @@ fun () ->
     let info = compile_info_for strategy circuit in
     match Pqc_obs.Run_log.create ~info ~algo ~label ~path () with
-    | exception Sys_error e ->
-      Printf.eprintf "partialc: cannot write run log: %s\n" e;
-      2
+    | exception Sys_error e -> cannot_write "run log" e
     | r ->
       Fun.protect
         ~finally:(fun () -> Pqc_obs.Run_log.close r)
@@ -281,52 +287,19 @@ let run_export benchmark strategy out seed =
     let qasm = Pqc_quantum.Qasm.to_qasm ~theta prepared in
     let json = Pqc_pulse.Pulse.to_json r.Strategy.pulse in
     let write path contents =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
+      Out_channel.with_open_text path (fun oc -> output_string oc contents);
       Printf.printf "wrote %s\n" path
     in
-    write (out ^ ".qasm") qasm;
-    write (out ^ ".pulse.json") json;
-    Printf.printf "%s under %s: %.1f ns over %d segments\n" benchmark
-      r.Strategy.strategy r.Strategy.duration_ns
-      (Pqc_pulse.Pulse.length r.Strategy.pulse);
-    0
-
-(* --- qasm --- *)
-
-let run_qasm_file path seed =
-  match
-    (try
-       let ic = open_in path in
-       let n = in_channel_length ic in
-       let s = really_input_string ic n in
-       close_in ic;
-       Ok s
-     with Sys_error e -> Error e)
-  with
-  | Error e -> prerr_endline e; 1
-  | Ok source ->
-    (match Pqc_quantum.Qasm.of_qasm source with
-    | exception Pqc_quantum.Qasm.Parse_error { line; col; message } ->
-      Printf.eprintf "%s:%d:%d: %s\n" path line col message;
-      1
-    | circuit ->
-      let prepared = Compiler.prepare circuit in
-      let theta = theta_for seed prepared in
-      Printf.printf "%s: %d qubits, %d gates\n" path
-        (Circuit.n_qubits prepared) (Circuit.length prepared);
-      let baseline = Compiler.gate_based prepared ~theta in
-      let t = Table.create [ "strategy"; "pulse (ns)"; "speedup" ] in
-      List.iter
-        (fun s ->
-          let r = Compiler.compile ~engine:Engine.model s prepared ~theta in
-          Table.add_row t
-            [ r.Strategy.strategy; Table.cell_f r.Strategy.duration_ns;
-              Table.cell_x (Strategy.speedup ~baseline r) ])
-        Compiler.all_strategies;
-      Table.print t;
-      0)
+    match
+      write (out ^ ".qasm") qasm;
+      write (out ^ ".pulse.json") json
+    with
+    | exception Sys_error e -> cannot_write "export" e
+    | () ->
+      Printf.printf "%s under %s: %.1f ns over %d segments\n" benchmark
+        r.Strategy.strategy r.Strategy.duration_ns
+        (Pqc_pulse.Pulse.length r.Strategy.pulse);
+      0
 
 (* --- slices --- *)
 
@@ -390,6 +363,17 @@ let parse_error_report (line, col, message) =
   { A.Runner.diagnostics = [ d ]; errors = 1; warnings = 0; infos = 0;
     suppressed = 0; rules_run = []; skipped_structural = false }
 
+(* FILE or --benchmark, for lint and analyze: an unknown benchmark is a
+   usage error like an unreadable file. *)
+let input_circuit file benchmark =
+  match (file, benchmark) with
+  | Some f, _ -> Result.map Option.some (read_qasm f)
+  | None, Some bench -> (
+    match benchmark_circuit bench with
+    | Ok c -> Ok (Some c)
+    | Error e -> Error (`Io e))
+  | None, None -> Ok None
+
 let run_lint file benchmark cache max_width json list_rules disable promote =
   let module A = Pqc_analysis in
   if list_rules then begin
@@ -411,25 +395,7 @@ let run_lint file benchmark cache max_width json list_rules disable promote =
       | None, None when cache = None ->
         usage "nothing to lint (pass FILE, --benchmark or --cache)"
       | _ -> (
-        let circuit =
-          match (file, benchmark) with
-          | Some f, _ -> (
-            try
-              let ic = open_in f in
-              let s = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              match Pqc_quantum.Qasm.of_qasm s with
-              | c -> Ok (Some c)
-              | exception Pqc_quantum.Qasm.Parse_error { line; col; message } ->
-                Error (`Parse (line, col, message))
-            with Sys_error e -> Error (`Io e))
-          | None, Some bench -> (
-            match benchmark_circuit bench with
-            | Ok c -> Ok (Some c)
-            | Error e -> Error (`Io e))
-          | None, None -> Ok None
-        in
-        match circuit with
+        match input_circuit file benchmark with
         | Error (`Io e) -> usage e
         | Error (`Parse pe) ->
           print_report ~json (parse_error_report pe);
@@ -447,67 +413,29 @@ let run_lint file benchmark cache max_width json list_rules disable promote =
           A.Runner.exit_code report))
   end
 
-(* analyze = lint + dataflow/cost advisory + optional SARIF export.  The
-   exit code follows the lint contract: 0 clean, 1 findings (errors),
-   2 usage or unreadable input. *)
-let run_analyze file benchmark cache max_width json sarif disable promote
+(* analyze = lint + dataflow/cost advisory.  The exit code follows the
+   lint contract: 0 clean, 1 findings (errors), 2 usage or unreadable
+   input. *)
+let run_analyze file benchmark cache max_width json disable promote
     latency_budget =
   let module A = Pqc_analysis in
   let usage msg =
     prerr_endline ("analyze: " ^ msg);
     2
   in
-  let write_sarif report =
-    match sarif with
-    | None -> Ok ()
-    | Some path -> (
-      let uri = match (file, benchmark) with
-        | Some f, _ -> f
-        | None, Some b -> "benchmark:" ^ b
-        | None, None -> "unknown"
-      in
-      try
-        let oc = open_out path in
-        output_string oc (A.Sarif.of_report ~uri report);
-        output_char oc '\n';
-        close_out oc;
-        Ok ()
-      with Sys_error e -> Error e)
-  in
   match build_overrides ~disable ~promote with
   | Error e -> usage e
   | Ok overrides -> (
     match (file, benchmark) with
     | Some _, Some _ -> usage "pass either FILE or --benchmark, not both"
-    | None, None -> usage "nothing to analyze (pass FILE or --benchmark)"
     | _ -> (
-      let circuit =
-        match (file, benchmark) with
-        | Some f, _ -> (
-          try
-            let ic = open_in f in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            match Pqc_quantum.Qasm.of_qasm s with
-            | c -> Ok c
-            | exception Pqc_quantum.Qasm.Parse_error { line; col; message } ->
-              Error (`Parse (line, col, message))
-          with Sys_error e -> Error (`Io e))
-        | None, Some bench -> (
-          match benchmark_circuit bench with
-          | Ok c -> Ok c
-          | Error e -> Error (`Io e))
-        | None, None -> assert false
-      in
-      match circuit with
+      match input_circuit file benchmark with
       | Error (`Io e) -> usage e
-      | Error (`Parse pe) -> (
-        let report = parse_error_report pe in
-        print_report ~json report;
-        match write_sarif report with
-        | Ok () -> 1
-        | Error e -> usage ("cannot write SARIF: " ^ e))
-      | Ok c -> (
+      | Error (`Parse pe) ->
+        print_report ~json (parse_error_report pe);
+        1
+      | Ok None -> usage "nothing to analyze (pass FILE or --benchmark)"
+      | Ok (Some c) ->
         let report =
           A.Runner.analyze ~overrides ?cache_file:cache ~max_width c
         in
@@ -523,13 +451,7 @@ let run_analyze file benchmark cache max_width json sarif disable promote
           print_newline ();
           print_endline (A.Cost.advice_to_string advice)
         end;
-        match write_sarif report with
-        | Ok () ->
-          (match sarif with
-          | Some path when not json -> Printf.printf "wrote SARIF %s\n" path
-          | _ -> ());
-          A.Runner.exit_code report
-        | Error e -> usage ("cannot write SARIF: " ^ e))))
+        A.Runner.exit_code report))
 
 (* --- bench diff --- *)
 
@@ -568,23 +490,27 @@ let run_bench_matrix manifest_path out_dir workers dry_run =
       0
     end
     else begin
-      let outcomes = Bench_matrix.run ?workers manifest ~out_dir in
-      let failed =
-        List.filter
-          (fun o -> Result.is_error o.Bench_matrix.status)
-          outcomes
-      in
-      List.iter
-        (fun o ->
-          match o.Bench_matrix.status with
-          | Ok () -> Printf.printf "ok   %s\n" o.Bench_matrix.cell.Bench_matrix.id
-          | Error e ->
-            Printf.printf "FAIL %s: %s\n" o.Bench_matrix.cell.Bench_matrix.id e)
-        outcomes;
-      Printf.printf "%d/%d cells ok; results under %s\n"
-        (List.length outcomes - List.length failed)
-        (List.length outcomes) out_dir;
-      if failed = [] then 0 else 1
+      match Bench_matrix.run ?workers manifest ~out_dir with
+      | exception Sys_error e -> cannot_write "results" e
+      | exception Unix.Unix_error (err, "mkdir", path) ->
+        cannot_write "results" (path ^ ": " ^ Unix.error_message err)
+      | outcomes ->
+        let failed =
+          List.filter
+            (fun o -> Result.is_error o.Bench_matrix.status)
+            outcomes
+        in
+        List.iter
+          (fun o ->
+            match o.Bench_matrix.status with
+            | Ok () -> Printf.printf "ok   %s\n" o.Bench_matrix.cell.Bench_matrix.id
+            | Error e ->
+              Printf.printf "FAIL %s: %s\n" o.Bench_matrix.cell.Bench_matrix.id e)
+          outcomes;
+        Printf.printf "%d/%d cells ok; results under %s\n"
+          (List.length outcomes - List.length failed)
+          (List.length outcomes) out_dir;
+        if failed = [] then 0 else 1
     end
 
 let run_bench_rollup dir out =
@@ -592,165 +518,14 @@ let run_bench_rollup dir out =
   | Error e ->
     Printf.eprintf "partialc: %s\n" e;
     2
-  | Ok rollup ->
+  | Ok rollup -> (
     let out = Option.value out ~default:(Filename.concat dir "rollup.json") in
-    Bench_rollup.write ~path:out rollup;
-    print_string (Bench_rollup.render rollup);
-    Printf.printf "wrote %s\n" out;
-    if rollup.Bench_rollup.missing_cells = [] then 0 else 1
-
-(* --- obs: exposition tooling --- *)
-
-let read_whole_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Registry files for [obs export]: a path is either one metrics.reg
-   file or a matrix results directory holding <cell>/metrics.reg files
-   (the layout [bench matrix] writes). *)
-let registry_files path =
-  if Sys.is_directory path then
-    let direct = Filename.concat path "metrics.reg" in
-    let per_cell =
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.filter_map (fun entry ->
-             let p = Filename.concat path entry in
-             let reg = Filename.concat p "metrics.reg" in
-             if Sys.is_directory p && Sys.file_exists reg then Some reg
-             else None)
-    in
-    if Sys.file_exists direct then direct :: per_cell else per_cell
-  else [ path ]
-
-let write_or_stdout out contents =
-  match out with
-  | None -> print_string contents
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        output_string oc contents);
-    Printf.printf "wrote %s\n" path
-
-let run_obs_export inputs out =
-  let module Obs = Pqc_obs.Obs in
-  let files = List.concat_map registry_files inputs in
-  match files with
-  | [] ->
-    Printf.eprintf "partialc: no metrics.reg files under %s\n"
-      (String.concat " " inputs);
-    2
-  | files -> (
-    match
-      let agg = Obs.Metrics.Agg.create () in
-      List.iter
-        (fun f ->
-          String.split_on_char '\n' (read_whole_file f)
-          |> List.iter (fun line ->
-                 if String.trim line <> "" then Obs.Metrics.Agg.absorb agg line))
-        files;
-      agg
-    with
-    | exception Sys_error e ->
-      Printf.eprintf "partialc: %s\n" e;
-      2
-    | agg ->
-      write_or_stdout out (Obs.Metrics.Agg.prometheus agg);
-      0)
-
-let run_obs_flamegraph trace mode out =
-  match read_whole_file trace with
-  | exception Sys_error e ->
-    Printf.eprintf "partialc: %s\n" e;
-    2
-  | doc -> (
-    match Pqc_obs.Obs.flamegraph_of_chrome ~mode doc with
-    | Error e ->
-      Printf.eprintf "partialc: %s: %s\n" trace e;
-      2
-    | Ok folded ->
-      write_or_stdout out folded;
-      0)
-
-let show_record (r : Pqc_obs.Run_log.record) =
-  Printf.printf "%-12s seq=%-5s iter=%-5d energy=% .6g elapsed=%.3fs %s/%s\n"
-    (Option.value ~default:"-" r.r_run_id)
-    (match r.r_seq with Some s -> string_of_int s | None -> "-")
-    r.r_iteration r.r_energy r.r_elapsed_s r.r_algo r.r_label
-
-let run_obs_tail path run_id last =
-  match Pqc_obs.Run_log.read_file path with
-  | exception Sys_error e ->
-    Printf.eprintf "partialc: %s\n" e;
-    2
-  | records ->
-    let records =
-      match run_id with
-      | None -> records
-      | Some rid ->
-        List.filter
-          (fun (r : Pqc_obs.Run_log.record) -> r.r_run_id = Some rid)
-          records
-    in
-    let n = List.length records in
-    let tail =
-      if n <= last then records
-      else List.filteri (fun i _ -> i >= n - last) records
-    in
-    List.iter show_record tail;
-    Printf.printf "%d of %d records\n" (List.length tail) n;
-    0
-
-(* Join: group records from several logs by run_id, so one correlation
-   id can be followed across files written by different processes. *)
-let run_obs_join paths run_id =
-  match List.concat_map Pqc_obs.Run_log.read_file paths with
-  | exception Sys_error e ->
-    Printf.eprintf "partialc: %s\n" e;
-    2
-  | records -> (
-    match run_id with
-    | Some rid ->
-      let mine =
-        List.filter
-          (fun (r : Pqc_obs.Run_log.record) -> r.r_run_id = Some rid)
-          records
-      in
-      let mine =
-        List.stable_sort
-          (fun (a : Pqc_obs.Run_log.record) (b : Pqc_obs.Run_log.record) ->
-            compare a.r_seq b.r_seq)
-          mine
-      in
-      List.iter show_record mine;
-      Printf.printf "%d records for run %s\n" (List.length mine) rid;
-      if mine = [] then 1 else 0
-    | None ->
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (r : Pqc_obs.Run_log.record) ->
-          let key = Option.value ~default:"-" r.r_run_id in
-          let count, last = try Hashtbl.find tbl key with Not_found -> (0, r) in
-          let last =
-            if compare r.r_seq last.Pqc_obs.Run_log.r_seq >= 0 then r else last
-          in
-          Hashtbl.replace tbl key (count + 1, last))
-        records;
-      let rows =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      let t = Table.create [ "run_id"; "records"; "algo/label"; "last energy" ] in
-      List.iter
-        (fun (rid, (count, (last : Pqc_obs.Run_log.record))) ->
-          Table.add_row t
-            [ rid; string_of_int count;
-              last.r_algo ^ "/" ^ last.r_label;
-              Printf.sprintf "%.6g" last.r_energy ])
-        rows;
-      Table.print t;
-      0)
+    match Bench_rollup.write ~path:out rollup with
+    | exception Sys_error e -> cannot_write "rollup" e
+    | () ->
+      print_string (Bench_rollup.render rollup);
+      Printf.printf "wrote %s\n" out;
+      if rollup.Bench_rollup.missing_cells = [] then 0 else 1)
 
 (* --- cmdliner plumbing --- *)
 
@@ -870,12 +645,6 @@ let export_cmd =
     (Cmd.info "export" ~doc:"Export a compiled benchmark as OpenQASM + pulse JSON")
     Term.(const run_export $ benchmark $ strategy $ out $ seed)
 
-let qasm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Parametrization seed.") in
-  Cmd.v (Cmd.info "qasm" ~doc:"Compile an external OpenQASM 2.0 file")
-    Term.(const run_qasm_file $ path $ seed)
-
 let disable_arg =
   Arg.(value & opt_all string []
       & info [ "disable" ] ~docv:"RULE"
@@ -943,11 +712,6 @@ let analyze_cmd =
         & info [ "json" ]
             ~doc:"One JSON object with $(b,report) and $(b,advice) keys.")
   in
-  let sarif =
-    Arg.(value & opt (some string) None
-        & info [ "sarif" ] ~docv:"OUT.sarif"
-            ~doc:"Also write the report as a SARIF 2.1.0 log to $(docv).")
-  in
   let latency_budget =
     Arg.(value & opt float 1.0
         & info [ "latency-budget" ] ~docv:"SECONDS"
@@ -960,10 +724,9 @@ let analyze_cmd =
        ~doc:
          "Lint plus dataflow/cost analysis: per-strategy pulse and latency \
           predictions, a strategy recommendation, per-block gate-vs-pulse \
-          decisions, and optional SARIF export (exit 0 clean, 1 findings, \
-          2 usage)")
+          decisions (exit 0 clean, 1 findings, 2 usage)")
     Term.(const run_analyze $ file $ benchmark $ cache $ max_width $ json
-          $ sarif $ disable_arg $ promote_arg $ latency_budget)
+          $ disable_arg $ promote_arg $ latency_budget)
 
 let bench_cmd =
   let diff_cmd =
@@ -1051,112 +814,6 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Benchmark report tooling")
     [ diff_cmd; matrix_cmd; rollup_cmd ]
 
-let obs_cmd =
-  let out_arg =
-    Arg.(value & opt (some string) None
-        & info [ "out"; "o" ] ~docv:"OUT"
-            ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let run_id_arg =
-    Arg.(value & opt (some string) None
-        & info [ "run-id" ] ~docv:"RID"
-            ~doc:"Only records carrying correlation id $(docv).")
-  in
-  let export_cmd =
-    let inputs =
-      Arg.(non_empty & pos_all string []
-          & info [] ~docv:"PATH"
-              ~doc:
-                "A metrics.reg registry file, or a $(b,bench matrix) \
-                 results directory whose cells' registries are merged.")
-    in
-    (* --prometheus is the only format today; the flag is required so
-       adding a second format later is not a breaking change. *)
-    let prometheus =
-      Arg.(value & flag
-          & info [ "prometheus" ]
-              ~doc:"Render the Prometheus text exposition format.")
-    in
-    let run prometheus inputs out =
-      if not prometheus then begin
-        prerr_endline "obs export: pass --prometheus (the only format)";
-        2
-      end
-      else run_obs_export inputs out
-    in
-    Cmd.v
-      (Cmd.info "export"
-         ~doc:
-           "Merge serialized histogram registries and render them as \
-            Prometheus text exposition (exit 0, 2 unreadable input)")
-      Term.(const run $ prometheus $ inputs $ out_arg)
-  in
-  let flamegraph_cmd =
-    let trace =
-      Arg.(required & pos 0 (some file) None
-          & info [] ~docv:"TRACE.json"
-              ~doc:"Chrome trace file written by --trace or $(b,PQC_TRACE).")
-    in
-    let mode =
-      let mode_conv =
-        Arg.conv
-          ( (function
-             | "time" -> Ok `Time
-             | "count" -> Ok `Count
-             | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))),
-            fun fmt m ->
-              Format.pp_print_string fmt
-                (match m with `Time -> "time" | `Count -> "count") )
-      in
-      Arg.(value & opt mode_conv `Time
-          & info [ "mode" ] ~docv:"time|count"
-              ~doc:
-                "Weighting: $(b,time) (self microseconds) or $(b,count) \
-                 (1 per span — bit-stable across runs).")
-    in
-    Cmd.v
-      (Cmd.info "flamegraph"
-         ~doc:
-           "Convert a Chrome trace to folded-stack flamegraph lines \
-            (exit 0, 2 unreadable input)")
-      Term.(const run_obs_flamegraph $ trace $ mode $ out_arg)
-  in
-  let tail_cmd =
-    let path =
-      Arg.(required & pos 0 (some file) None
-          & info [] ~docv:"RUN.jsonl" ~doc:"Run log to read.")
-    in
-    let last =
-      Arg.(value & opt int 10
-          & info [ "n" ] ~docv:"N" ~doc:"Show the last $(docv) records.")
-    in
-    Cmd.v
-      (Cmd.info "tail"
-         ~doc:
-           "Show the last records of a run log, optionally filtered by \
-            run id (exit 0, 2 unreadable input)")
-      Term.(const run_obs_tail $ path $ run_id_arg $ last)
-  in
-  let join_cmd =
-    let paths =
-      Arg.(non_empty & pos_all file []
-          & info [] ~docv:"RUN.jsonl"
-              ~doc:"Run logs to join (repeatable).")
-    in
-    Cmd.v
-      (Cmd.info "join"
-         ~doc:
-           "Group records from several run logs by correlation id; with \
-            --run-id, print that run's records in sequence order (exit \
-            0, 1 no matching records, 2 unreadable input)")
-      Term.(const run_obs_join $ paths $ run_id_arg)
-  in
-  Cmd.group
-    (Cmd.info "obs"
-       ~doc:"Observability tooling: Prometheus export, flamegraphs, run-log \
-             provenance")
-    [ export_cmd; flamegraph_cmd; tail_cmd; join_cmd ]
-
 let slices_cmd =
   let benchmark =
     Arg.(value & opt string "h2" & info [ "benchmark"; "b" ] ~doc:"Benchmark circuit.")
@@ -1170,4 +827,4 @@ let () =
     Cmd.info "partialc" ~version:"1.0.0"
       ~doc:"Partial compilation of variational quantum algorithms"
   in
-  exit (Cmd.eval' (Cmd.group ~default info [ compile_cmd; tables_cmd; vqe_cmd; qaoa_cmd; grape_cmd; export_cmd; qasm_cmd; slices_cmd; lint_cmd; analyze_cmd; bench_cmd; obs_cmd ]))
+  exit (Cmd.eval' (Cmd.group ~default info [ compile_cmd; tables_cmd; vqe_cmd; qaoa_cmd; grape_cmd; export_cmd; slices_cmd; lint_cmd; analyze_cmd; bench_cmd ]))

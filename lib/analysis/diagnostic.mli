@@ -47,7 +47,3 @@ val to_json : t -> string
 (** One JSON object, e.g.
     [{"rule":"PQC020","severity":"error","span":{"first":7,"last":7},
       "message":"...","hint":"..."}]. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping shared by every emitter in this library
-    (runner report, SARIF). *)

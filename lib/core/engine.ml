@@ -8,6 +8,8 @@ module Hyperopt = Pqc_hyperopt.Hyperopt
 module Rng = Pqc_util.Rng
 module Pool = Pqc_parallel.Pool
 module Obs = Pqc_obs.Obs
+module Latency_model = Pqc_analysis.Latency_model
+module Pulse_model = Pqc_analysis.Pulse_model
 
 type cost = { grape_runs : int; grape_iterations : int; seconds : float }
 

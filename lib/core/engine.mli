@@ -4,8 +4,8 @@ module Hamiltonian = Pqc_grape.Hamiltonian
 (** Pulse-duration engine: how strategies obtain the minimal GRAPE pulse
     duration (and compilation cost) of a block.
 
-    [Model] prices blocks with the calibrated {!Pulse_model} and
-    {!Latency_model} — instant, used for the full benchmark sweeps.
+    [Model] prices blocks with the calibrated {!Pqc_analysis.Pulse_model}
+    and {!Pqc_analysis.Latency_model} — instant, used for the full benchmark sweeps.
     [Numeric] runs the real {!Pqc_grape.Grape} optimizer — the ground
     truth, tractable on small blocks; it is what validates the model
     (EXPERIMENTS.md).  Results are memoized per bound block, and the
@@ -123,8 +123,8 @@ val tuned_run_cost :
     hyperparameters — flexible partial compilation's per-iteration work.
     [Numeric] runs it with [hyperparams] (default: the engine settings');
     {!flex_many} passes the slice block's memoized grid winner.  [Model]
-    prices the tuning with {!Latency_model.tuning_speedup} and ignores
-    [hyperparams].  Bounded by the engine's search deadline. *)
+    prices the tuning with {!Pqc_analysis.Latency_model.tuning_speedup}
+    and ignores [hyperparams].  Bounded by the engine's search deadline. *)
 
 val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
 (** Offline hyperparameter-tuning cost for one slice: the learning-rate ×

@@ -59,7 +59,6 @@ module Ctx = struct
 
   let derive parent idx = parent ^ "#" ^ string_of_int idx
   let current () = !ambient
-  let set c = ambient := c
 
   let with_ctx c f =
     let saved = !ambient in
@@ -149,33 +148,6 @@ let max_events = 500_000
 
 let enabled () = !enabled_flag
 
-(* Sampling keeps 1 of every [sample_stride] span/profile pushes (a
-   deterministic stride, not a coin flip).  Counters, gauges and the
-   histogram registry are never sampled, so metric totals stay exact at
-   any rate; only the event buffer thins out. *)
-let sample_stride = ref 1
-let sample_tick = ref 0
-
-let set_trace_sample rate =
-  let stride =
-    if Float.is_finite rate && rate > 0.0 && rate < 1.0 then
-      max 1 (int_of_float (Float.round (1.0 /. rate)))
-    else 1
-  in
-  sample_stride := stride;
-  sample_tick := 0
-
-let sample_keep () =
-  if !sample_stride <= 1 then true
-  else begin
-    incr sample_tick;
-    if !sample_tick >= !sample_stride then begin
-      sample_tick := 0;
-      true
-    end
-    else false
-  end
-
 (* Cumulative seconds the tracing layer spent on its own bookkeeping
    (span close, event push, histogram fold) — the self-overhead gauge. *)
 let overhead = ref 0.0
@@ -197,7 +169,6 @@ let reset () =
   absorbed_max := 0;
   Hashtbl.reset counters;
   Hashtbl.reset hists;
-  sample_tick := 0;
   overhead := 0.0;
   Ctx.reset_minted ();
   t0 := Clock.now ()
@@ -366,11 +337,9 @@ module Span = struct
         in
         let rid = match Ctx.current () with Some r -> r | None -> "" in
         Flight.record ~kind:"span" ~run_id:rid name;
-        if sample_keep () then
-          push (Span { id; parent; name; attrs; ts; dur; tid = !tid });
+        push (Span { id; parent; name; attrs; ts; dur; tid = !tid });
         (* Every span close also feeds the latency histogram of its
-           name, so percentiles of e.g. engine.search come for free —
-           sampling never touches the registry. *)
+           name, so percentiles of e.g. engine.search come for free. *)
         metrics_observe name dur;
         overhead := !overhead +. (now () -. t_close)
       in
@@ -397,7 +366,7 @@ let gauge name value =
   if !enabled_flag then push (Gauge { name; value; ts = now (); tid = !tid })
 
 let profile ~label points =
-  if !enabled_flag && sample_keep () then
+  if !enabled_flag then
     push (Profile { label; points; ts = now (); tid = !tid })
 
 let rollup () =
@@ -763,145 +732,6 @@ module Metrics = struct
       (names ());
     Pqc_util.Table.render t
 
-  let to_json () =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "{\n  \"metrics\": [";
-    let first = ref true in
-    List.iter
-      (fun name ->
-        match stats name with
-        | None -> ()
-        | Some s ->
-          let p50, p90, p99 = percentiles name in
-          if !first then first := false else Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n    {\"name\": %s, \"count\": %d, \"mean\": %s, \"min\": \
-                %s, \"max\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s}"
-               (json_string name) s.count
-               (json_float (mean name))
-               (json_float s.min) (json_float s.max) (json_float p50)
-               (json_float p90) (json_float p99)))
-      (names ());
-    Buffer.add_string buf "\n  ]\n}\n";
-    Buffer.contents buf
-
-  (* ---- bucket export & Prometheus text exposition -------------------- *)
-
-  type export = {
-    e_name : string;
-    e_count : int;
-    e_sum : float;
-    e_nonpos : int;
-    e_buckets : (int * int) list;  (* (bucket index, count), index asc *)
-  }
-
-  (* Upper edge of log bucket [k]: 2^((k+1)/8) — the "le" boundary the
-     Prometheus exposition publishes for that bucket. *)
-  let bucket_upper k = Float.exp (log_gamma *. float_of_int (k + 1))
-
-  let export_in (tbl : hist_table) =
-    names_in tbl
-    |> List.filter_map (fun name ->
-           match Hashtbl.find_opt tbl name with
-           | None -> None
-           | Some h when h.h_count = 0 -> None
-           | Some h ->
-             let buckets =
-               Hashtbl.fold (fun k n acc -> (k, n) :: acc) h.h_buckets []
-               |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-             in
-             Some
-               {
-                 e_name = name;
-                 e_count = h.h_count;
-                 e_sum = h.h_sum;
-                 e_nonpos = h.h_nonpos;
-                 e_buckets = buckets;
-               })
-
-  let export () = export_in hists
-
-  let prom_name name =
-    let b = Buffer.create (String.length name + 4) in
-    Buffer.add_string b "pqc_";
-    String.iter
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' ->
-          Buffer.add_char b c
-        | _ -> Buffer.add_char b '_')
-      name;
-    Buffer.contents b
-
-  let prom_float v =
-    if Float.is_nan v then "NaN"
-    else if v = Float.infinity then "+Inf"
-    else if v = Float.neg_infinity then "-Inf"
-    else Printf.sprintf "%.9g" v
-
-  (* Prometheus text format (version 0.0.4).  Histogram buckets are the
-     exact log buckets: "le" is the upper edge 2^((k+1)/8) of each
-     occupied bucket, cumulative counts fold the below-grid (<= 0)
-     observations in at the bottom, and the +Inf bucket equals _count,
-     so scraped counts reconstruct the registry losslessly. *)
-  let prometheus_render ?(counters = []) ?(gauges = []) (tbl : hist_table) =
-    let buf = Buffer.create 2048 in
-    List.iter
-      (fun e ->
-        let m = prom_name e.e_name in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "# HELP %s Log-bucket histogram for \"%s\" (gamma = 2^(1/8)).\n"
-             m e.e_name);
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" m);
-        let cum = ref e.e_nonpos in
-        List.iter
-          (fun (k, n) ->
-            cum := !cum + n;
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" m
-                 (prom_float (bucket_upper k))
-                 !cum))
-          e.e_buckets;
-        Buffer.add_string buf
-          (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" m e.e_count);
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum %s\n" m (prom_float e.e_sum));
-        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" m e.e_count))
-      (export_in tbl);
-    List.iter
-      (fun (name, v) ->
-        let m = prom_name name ^ "_total" in
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s Monotonic counter \"%s\".\n" m name);
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" m);
-        Buffer.add_string buf (Printf.sprintf "%s %s\n" m (prom_float v)))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) counters);
-    List.iter
-      (fun (name, v) ->
-        let m = prom_name name in
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s Gauge \"%s\" (last value).\n" m name);
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" m);
-        Buffer.add_string buf (Printf.sprintf "%s %s\n" m (prom_float v)))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) gauges);
-    Buffer.contents buf
-
-  let prometheus () =
-    let cs =
-      Hashtbl.fold (fun name v acc -> (name, v) :: acc) counters []
-    in
-    let gauge_tbl : (string, float) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Gauge g -> Hashtbl.replace gauge_tbl g.name g.value
-        | _ -> ())
-      (events ());
-    Hashtbl.replace gauge_tbl "obs.overhead_s" (overhead_seconds ());
-    let gs = Hashtbl.fold (fun name v acc -> (name, v) :: acc) gauge_tbl [] in
-    prometheus_render ~counters:cs ~gauges:gs hists
-
   (* Offline aggregator over serialized registries.  Unlike the global
      registry this is a plain value: it ignores the enabled flag and is
      untouched by {!reset}, so a rollup pass can merge the [encode_all]
@@ -915,11 +745,8 @@ module Metrics = struct
     let names = names_in
     let stats = stats_in
     let mean = mean_in
-    let quantile = quantile_in
     let percentiles = percentiles_in
     let encode = encode_in
-    let export = export_in
-    let prometheus t = prometheus_render t
   end
 end
 
@@ -1005,98 +832,6 @@ let write ?normalize ~path () =
     (fun () -> output_string oc (to_chrome_json ?normalize ()));
   Sys.rename tmp path
 
-(* ---- folded-stack flamegraph export -----------------------------------
-   Convert a Chrome trace document (as written by {!write}) into
-   folded-stack lines ("root;child;leaf weight") consumable by inferno /
-   flamegraph.pl / speedscope.  Stacks are rebuilt from the explicit
-   parent ids our exporter embeds in [args], not from interval
-   containment, so reconstruction is exact even for sampled traces.
-   [`Count] weights each span occurrence 1 (deterministic across runs of
-   the same workload); [`Time] weights by self time in integer
-   microseconds. *)
-let flamegraph_of_chrome ?(mode = `Time) doc =
-  match Pqc_util.Jsonx.parse doc with
-  | Error e -> Error ("trace parse error: " ^ e)
-  | Ok j -> (
-    match Option.bind (Pqc_util.Jsonx.member "traceEvents" j)
-            Pqc_util.Jsonx.to_list
-    with
-    | None -> Error "not a Chrome trace document (no traceEvents array)"
-    | Some evs ->
-      let spans = ref [] in
-      List.iter
-        (fun ev ->
-          let str k = Option.bind (Pqc_util.Jsonx.member k ev)
-                        Pqc_util.Jsonx.to_string in
-          let num k = Option.bind (Pqc_util.Jsonx.member k ev)
-                        Pqc_util.Jsonx.to_float in
-          let args = Pqc_util.Jsonx.member "args" ev in
-          let arg_str k =
-            Option.bind args (fun a ->
-                Option.bind (Pqc_util.Jsonx.member k a)
-                  Pqc_util.Jsonx.to_string)
-          in
-          match (str "ph", str "name", arg_str "id") with
-          | Some "X", Some name, Some id ->
-            let parent = Option.value ~default:"0" (arg_str "parent") in
-            let dur = Option.value ~default:0.0 (num "dur") in
-            spans := (id, (name, parent, dur)) :: !spans
-          | _ -> ())
-        evs;
-      let spans = List.rev !spans in
-      let by_id = Hashtbl.create 64 in
-      List.iter (fun (id, s) -> Hashtbl.replace by_id id s) spans;
-      (* Self time: duration minus the summed durations of direct
-         children (clamped at 0 against timer skew). *)
-      let child_dur = Hashtbl.create 64 in
-      List.iter
-        (fun (_, (_, parent, dur)) ->
-          if parent <> "0" then
-            Hashtbl.replace child_dur parent
-              (dur
-              +. Option.value ~default:0.0 (Hashtbl.find_opt child_dur parent)))
-        spans;
-      (* Folded-format separators must not appear inside a frame name. *)
-      let frame name =
-        String.map (function ';' | ' ' | '\n' | '\t' -> '_' | c -> c) name
-      in
-      let stack_of id =
-        let rec up id acc depth =
-          if depth > 1024 then acc  (* cycle guard on malformed input *)
-          else
-            match Hashtbl.find_opt by_id id with
-            | None -> acc
-            | Some (name, parent, _) ->
-              if parent = "0" then frame name :: acc
-              else up parent (frame name :: acc) (depth + 1)
-        in
-        String.concat ";" (up id [] 0)
-      in
-      let weights = Hashtbl.create 64 in
-      List.iter
-        (fun (id, (_, _, dur)) ->
-          let w =
-            match mode with
-            | `Count -> 1
-            | `Time ->
-              let self =
-                dur
-                -. Option.value ~default:0.0 (Hashtbl.find_opt child_dur id)
-              in
-              max 0 (int_of_float (Float.round self))
-          in
-          let stack = stack_of id in
-          if stack <> "" then
-            Hashtbl.replace weights stack
-              (w + Option.value ~default:0 (Hashtbl.find_opt weights stack)))
-        spans;
-      let lines =
-        Hashtbl.fold (fun stack w acc -> (stack, w) :: acc) weights []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.map (fun (stack, w) -> Printf.sprintf "%s %d" stack w)
-      in
-      Ok (String.concat "\n" lines ^ if lines = [] then "" else "\n"))
-
 let summary () =
   let t = Pqc_util.Table.create [ "name"; "kind"; "count"; "total" ] in
   List.iter
@@ -1137,17 +872,6 @@ let summary () =
    any other non-empty, non-"0" value enables and is treated as the
    output path for the Chrome trace.  Forked pool children exit through
    Unix._exit, which skips at_exit, so only the parent ever writes. *)
-(* PQC_TRACE_SAMPLE: keep roughly this fraction of span/profile events
-   (deterministic stride, metrics always exact).  Parsed once at load;
-   unparseable values fall back to 1.0 (keep everything). *)
-let () =
-  match Sys.getenv_opt "PQC_TRACE_SAMPLE" with
-  | None -> ()
-  | Some v -> (
-    match float_of_string_opt (String.trim v) with
-    | Some r -> set_trace_sample r
-    | None -> ())
-
 let () =
   match Sys.getenv_opt "PQC_TRACE" with
   | None -> ()

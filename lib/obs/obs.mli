@@ -89,8 +89,6 @@ module Ctx : sig
   val current : unit -> string option
   (** Ambient context, [None] outside any request. *)
 
-  val set : string option -> unit
-
   val with_ctx : string option -> (unit -> 'a) -> 'a
   (** Run with the ambient context swapped, restoring on exit (also on
       exceptions). *)
@@ -101,14 +99,6 @@ end
 val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
-
-val set_trace_sample : float -> unit
-(** Keep roughly this fraction of span/profile events, as a
-    deterministic stride (rate [r] keeps 1 of every [round(1/r)]
-    pushes).  Rates outside [(0, 1)] restore keep-everything.  Counters,
-    gauges and the {!Metrics} registry are never sampled, so metric
-    totals stay exact at any rate.  Also set by the [PQC_TRACE_SAMPLE]
-    environment variable at load time. *)
 
 val overhead_seconds : unit -> float
 (** Cumulative seconds the tracing layer has spent on its own
@@ -264,38 +254,6 @@ module Metrics : sig
   (** Rendered {!Pqc_util.Table}: per histogram, count, mean and
       p50/p90/p99/max. *)
 
-  val to_json : unit -> string
-  (** Deterministic JSON exposition: histograms sorted by name, each
-      with count, mean, min, max, p50, p90, p99.  Non-finite values
-      render as [null]. *)
-
-  type export = {
-    e_name : string;
-    e_count : int;  (** All finite observations ([e_nonpos] included). *)
-    e_sum : float;
-    e_nonpos : int;  (** Observations [<= 0], below the log grid. *)
-    e_buckets : (int * int) list;
-        (** [(bucket index, count)], index ascending. *)
-  }
-  (** Raw bucket-level view of one histogram, for exposition formats
-      that need exact buckets rather than quantile estimates. *)
-
-  val bucket_upper : int -> float
-  (** Upper edge [2^((k+1)/8)] of log bucket [k] — the ["le"] boundary
-      published for that bucket. *)
-
-  val export : unit -> export list
-  (** All non-empty histograms, sorted by name. *)
-
-  val prometheus : unit -> string
-  (** Prometheus text format (0.0.4) over the live registry plus counter
-      totals, last gauge values, and the ["obs.overhead_s"] self gauge.
-      Histograms expose the exact log buckets as cumulative ["le"]
-      series (below-grid observations fold in at the bottom; the [+Inf]
-      bucket equals [_count]), so scraped counts reconstruct the
-      registry losslessly.  Names are prefixed ["pqc_"] and sanitized to
-      the Prometheus charset. *)
-
   (** Offline histogram aggregator.  A standalone registry value that
       merges {!encode_all}-serialized registries (e.g. the per-cell
       [metrics.reg] files a bench-matrix run leaves on disk) additively,
@@ -319,22 +277,12 @@ module Metrics : sig
     val stats : t -> string -> stat option
     val mean : t -> string -> float
 
-    val quantile : t -> string -> float -> float
-    (** Same estimator as {!Metrics.quantile}, over the merged buckets. *)
-
     val percentiles : t -> string -> float * float * float
-    (** [(p50, p90, p99)]. *)
+    (** [(p50, p90, p99)], with the {!Metrics.quantile} estimator over the
+        merged buckets. *)
 
     val encode : t -> string
     (** Re-serialize the merged registry in {!encode_all} format. *)
-
-    val export : t -> export list
-    (** Bucket-level view of the merged histograms, sorted by name. *)
-
-    val prometheus : t -> string
-    (** Prometheus text exposition of the merged histograms — same
-        mapping as {!Metrics.prometheus}, minus counters and gauges
-        (serialized registries carry histograms only). *)
   end
 end
 
@@ -349,16 +297,6 @@ val to_chrome_json : ?normalize:bool -> unit -> string
 val write : ?normalize:bool -> path:string -> unit -> unit
 (** Atomically write {!to_chrome_json} to [path], stamping the
     ["obs.overhead_s"] self-overhead gauge first. *)
-
-val flamegraph_of_chrome :
-  ?mode:[ `Count | `Time ] -> string -> (string, string) result
-(** Convert a Chrome trace document (as written by {!write}) into
-    folded-stack lines (["root;child;leaf weight\n"], sorted by stack)
-    for inferno / flamegraph.pl / speedscope.  Stacks are rebuilt from
-    the explicit parent ids the exporter embeds in [args] — exact even
-    for sampled traces.  [`Time] (default) weights by self time in
-    integer microseconds; [`Count] weights each occurrence 1, which is
-    bit-stable across repeated runs of the same workload. *)
 
 val summary : unit -> string
 (** Rendered {!Pqc_util.Table}: span counts and total milliseconds,

@@ -442,7 +442,6 @@ let test_compile_rejects_unbound_param () =
 (* --- dataflow/cost rules (PQC06x) --- *)
 
 module Cost = Pqc_analysis.Cost
-module Sarif = Pqc_analysis.Sarif
 
 let test_commutation_reslice_rule () =
   (* non_monotone is all-Rz, hence fully commuting: reslicable. *)
@@ -499,31 +498,6 @@ let test_block_beats_grape_rule () =
   let bell = Circuit.of_gates 2 [ (Gate.H, [ 0 ]); (Gate.CX, [ 0; 1 ]) ] in
   Alcotest.(check bool) "PQC062 silent when GRAPE wins" false
     (has_rule "PQC062" (Runner.analyze bell))
-
-(* --- SARIF export --- *)
-
-let test_sarif_shape () =
-  let report = Runner.analyze ~theta_len:2 non_monotone in
-  let sarif = Sarif.of_report ~uri:"test.qasm" report in
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) (Printf.sprintf "contains %s" sub) true
-        (contains ~sub sarif))
-    [ "\"version\":\"2.1.0\"";
-      "sarif-2.1.0.json";
-      "\"name\":\"partialc-analysis\"";
-      "\"ruleId\":\"PQC020\"";
-      "\"ruleIndex\":";
-      "\"level\":\"error\"";
-      "\"firstInstruction\":";
-      "\"uri\":\"test.qasm\"" ];
-  (* Every result's ruleId resolves: PQC999 and PQC000 are in the driver
-     rule table too. *)
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) (Printf.sprintf "driver knows %s" sub) true
-        (contains ~sub sarif))
-    [ "\"id\":\"PQC000\""; "\"id\":\"PQC999\"" ]
 
 (* --- the strategy advisor --- *)
 
@@ -707,7 +681,6 @@ let () =
           Alcotest.test_case "dead parameter" `Quick test_dead_parameter_rule;
           Alcotest.test_case "block beats grape" `Quick
             test_block_beats_grape_rule ] );
-      ( "sarif", [ Alcotest.test_case "shape" `Quick test_sarif_shape ] );
       ( "advisor",
         [ Alcotest.test_case "no-op advice bit-identical" `Quick
             test_advice_noop_is_bit_identical;

@@ -5,8 +5,8 @@ module Circuit = Pqc_quantum.Circuit
 module Gate_times = Pqc_pulse.Gate_times
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Grape = Pqc_grape.Grape
-module Pulse_model = Pqc_core.Pulse_model
-module Latency_model = Pqc_core.Latency_model
+module Pulse_model = Pqc_analysis.Pulse_model
+module Latency_model = Pqc_analysis.Latency_model
 module Engine = Pqc_core.Engine
 module Strategy = Pqc_core.Strategy
 module Compiler = Pqc_core.Compiler

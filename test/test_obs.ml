@@ -385,24 +385,6 @@ let test_ctx_stamps_spans () =
       (List.assoc_opt "run_id" s.attrs)
   | _ -> Alcotest.fail "expected exactly one span"
 
-(* --- Sampling --- *)
-
-let test_sampling_stride_keeps_metrics_exact () =
-  with_obs @@ fun () ->
-  Obs.set_trace_sample 0.25;
-  Fun.protect ~finally:(fun () -> Obs.set_trace_sample 1.0) @@ fun () ->
-  for _ = 1 to 20 do
-    Obs.Span.with_ ~name:"sampled" (fun () -> ())
-  done;
-  let spans =
-    List.length
-      (List.filter (function Obs.Span _ -> true | _ -> false) (Obs.events ()))
-  in
-  Alcotest.(check int) "stride 4 keeps 5 of 20 span events" 5 spans;
-  (* The histogram registry is never sampled: exact counts at any rate. *)
-  Alcotest.(check int) "histogram saw all 20" 20
-    (Option.get (Obs.Metrics.stats "sampled")).Obs.Metrics.count
-
 (* --- Flight recorder --- *)
 
 let test_flight_ring_wrap () =
@@ -465,100 +447,6 @@ let prop_escape_roundtrip =
       | Ok (Pqc_util.Jsonx.Str s') -> s' = s
       | Ok _ -> QCheck.Test.fail_report "parsed to a non-string"
       | Error e -> QCheck.Test.fail_reportf "did not re-parse: %s" e)
-
-(* --- Prometheus exposition --- *)
-
-let test_prometheus_rendering () =
-  with_obs @@ fun () ->
-  Obs.Metrics.observe "block_s" 0.5;
-  Obs.Metrics.observe "block_s" 1.5;
-  Obs.Metrics.observe "block_s" (-1.0);
-  Obs.count ~by:3.0 "engine.searches";
-  Obs.gauge "pool.active" 2.0;
-  let doc = Obs.Metrics.prometheus () in
-  Alcotest.(check bool) "histogram TYPE line" true
-    (contains doc "# TYPE pqc_block_s histogram");
-  Alcotest.(check bool) "counter TYPE line" true
-    (contains doc "# TYPE pqc_engine_searches_total counter");
-  Alcotest.(check bool) "gauge TYPE line" true
-    (contains doc "# TYPE pqc_pool_active gauge");
-  Alcotest.(check bool) "self-overhead gauge exposed" true
-    (contains doc "pqc_obs_overhead_s");
-  Alcotest.(check bool) "+Inf bucket present" true
-    (contains doc "le=\"+Inf\"} 3");
-  Alcotest.(check bool) "histogram count exact" true
-    (contains doc "pqc_block_s_count 3");
-  (* Cumulative bucket counts must be monotonically non-decreasing. *)
-  let lines = String.split_on_char '\n' doc in
-  let buckets =
-    List.filter_map
-      (fun l ->
-        if String.length l > 17 && String.sub l 0 17 = "pqc_block_s_bucke" then
-          match String.rindex_opt l ' ' with
-          | Some i ->
-            int_of_string_opt
-              (String.sub l (i + 1) (String.length l - i - 1))
-          | None -> None
-        else None)
-      lines
-  in
-  Alcotest.(check bool) "at least two bucket series" true
-    (List.length buckets >= 2);
-  let rec mono = function
-    | a :: (b :: _ as rest) -> a <= b && mono rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "bucket series cumulative" true (mono buckets)
-
-let test_prometheus_agg_matches_live () =
-  (* The offline aggregator renders the same histogram series the live
-     registry does — the property the CI checker leans on when it
-     compares a fleet export against the rollup. *)
-  with_obs @@ fun () ->
-  Obs.Metrics.observe "m" 0.25;
-  Obs.Metrics.observe "m" 4.0;
-  let line = Obs.Metrics.encode_all () in
-  let agg = Obs.Metrics.Agg.create () in
-  Obs.Metrics.Agg.absorb agg line;
-  let doc = Obs.Metrics.Agg.prometheus agg in
-  Alcotest.(check bool) "aggregated count matches" true
-    (contains doc "pqc_m_count 2");
-  Alcotest.(check bool) "aggregated +Inf equals count" true
-    (contains doc "le=\"+Inf\"} 2")
-
-(* --- Flamegraph --- *)
-
-let traced_trace () =
-  with_obs @@ fun () ->
-  Obs.Span.with_ ~name:"root" (fun () ->
-      Obs.Span.with_ ~name:"child" (fun () ->
-          Obs.Span.with_ ~name:"leaf" (fun () -> ignore (Sys.opaque_identity 1)));
-      Obs.Span.with_ ~name:"child" (fun () -> ()));
-  Obs.to_chrome_json ()
-
-let test_flamegraph_folded_output () =
-  let doc = traced_trace () in
-  match Obs.flamegraph_of_chrome ~mode:`Count doc with
-  | Error e -> Alcotest.failf "flamegraph failed: %s" e
-  | Ok folded ->
-    Alcotest.(check bool) "leaf stack present" true
-      (contains folded "root;child;leaf 1");
-    Alcotest.(check bool) "sibling spans aggregate" true
-      (contains folded "root;child 2")
-
-let test_flamegraph_deterministic () =
-  (* `Count weighting is a pure function of the span tree: two runs of
-     the same workload must fold identically despite differing clocks. *)
-  let f1 =
-    Result.get_ok (Obs.flamegraph_of_chrome ~mode:`Count (traced_trace ()))
-  in
-  let f2 =
-    Result.get_ok (Obs.flamegraph_of_chrome ~mode:`Count (traced_trace ()))
-  in
-  Alcotest.(check string) "folded output bit-identical" f1 f2;
-  match Obs.flamegraph_of_chrome "{ not json" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted"
 
 (* --- Overhead regression --- *)
 
@@ -626,9 +514,6 @@ let () =
             test_ctx_mint_deterministic;
           Alcotest.test_case "ambient context stamps spans" `Quick
             test_ctx_stamps_spans ] );
-      ( "sampling",
-        [ Alcotest.test_case "stride thins spans, metrics stay exact"
-            `Quick test_sampling_stride_keeps_metrics_exact ] );
       ( "flight",
         [ Alcotest.test_case "ring wraps oldest-first" `Quick
             test_flight_ring_wrap;
@@ -636,16 +521,6 @@ let () =
             test_flight_dump ] );
       ( "escaper",
         [ QCheck_alcotest.to_alcotest prop_escape_roundtrip ] );
-      ( "prometheus",
-        [ Alcotest.test_case "rendering and bucket monotonicity" `Quick
-            test_prometheus_rendering;
-          Alcotest.test_case "aggregator matches live registry" `Quick
-            test_prometheus_agg_matches_live ] );
-      ( "flamegraph",
-        [ Alcotest.test_case "folded stacks from parent ids" `Quick
-            test_flamegraph_folded_output;
-          Alcotest.test_case "count mode deterministic" `Quick
-            test_flamegraph_deterministic ] );
       ( "overhead",
         [ Alcotest.test_case "per-span cost bounded" `Quick
             test_overhead_bounded ] ) ]
