@@ -161,73 +161,10 @@ let mul2 (ad : buffer) (bd : buffer) (dd : buffer) =
       ((0.0 +. ((a0r *. b01i) +. (a0i *. b01r))) +. ((a1r *. b11i) +. (a1i *. b11r)))
   done
 
-(* Fully unrolled 4x4 product (the two-qubit gmon block size, the hot case
-   of the bench workloads): B is hoisted into locals once, each output sums
-   in the exact ascending-k order of the generic loop. *)
-let mul4 (ad : buffer) (bd : buffer) (dd : buffer) =
-  let b00r = BA.unsafe_get bd 0 and b00i = BA.unsafe_get bd 1 in
-  let b01r = BA.unsafe_get bd 2 and b01i = BA.unsafe_get bd 3 in
-  let b02r = BA.unsafe_get bd 4 and b02i = BA.unsafe_get bd 5 in
-  let b03r = BA.unsafe_get bd 6 and b03i = BA.unsafe_get bd 7 in
-  let b10r = BA.unsafe_get bd 8 and b10i = BA.unsafe_get bd 9 in
-  let b11r = BA.unsafe_get bd 10 and b11i = BA.unsafe_get bd 11 in
-  let b12r = BA.unsafe_get bd 12 and b12i = BA.unsafe_get bd 13 in
-  let b13r = BA.unsafe_get bd 14 and b13i = BA.unsafe_get bd 15 in
-  let b20r = BA.unsafe_get bd 16 and b20i = BA.unsafe_get bd 17 in
-  let b21r = BA.unsafe_get bd 18 and b21i = BA.unsafe_get bd 19 in
-  let b22r = BA.unsafe_get bd 20 and b22i = BA.unsafe_get bd 21 in
-  let b23r = BA.unsafe_get bd 22 and b23i = BA.unsafe_get bd 23 in
-  let b30r = BA.unsafe_get bd 24 and b30i = BA.unsafe_get bd 25 in
-  let b31r = BA.unsafe_get bd 26 and b31i = BA.unsafe_get bd 27 in
-  let b32r = BA.unsafe_get bd 28 and b32i = BA.unsafe_get bd 29 in
-  let b33r = BA.unsafe_get bd 30 and b33i = BA.unsafe_get bd 31 in
-  for i = 0 to 3 do
-    let ai = 8 * i in
-    let a0r = BA.unsafe_get ad ai and a0i = BA.unsafe_get ad (ai + 1) in
-    let a1r = BA.unsafe_get ad (ai + 2) and a1i = BA.unsafe_get ad (ai + 3) in
-    let a2r = BA.unsafe_get ad (ai + 4) and a2i = BA.unsafe_get ad (ai + 5) in
-    let a3r = BA.unsafe_get ad (ai + 6) and a3i = BA.unsafe_get ad (ai + 7) in
-    BA.unsafe_set dd ai
-      ((((0.0 +. ((a0r *. b00r) -. (a0i *. b00i)))
-         +. ((a1r *. b10r) -. (a1i *. b10i)))
-        +. ((a2r *. b20r) -. (a2i *. b20i)))
-      +. ((a3r *. b30r) -. (a3i *. b30i)));
-    BA.unsafe_set dd (ai + 1)
-      ((((0.0 +. ((a0r *. b00i) +. (a0i *. b00r)))
-         +. ((a1r *. b10i) +. (a1i *. b10r)))
-        +. ((a2r *. b20i) +. (a2i *. b20r)))
-      +. ((a3r *. b30i) +. (a3i *. b30r)));
-    BA.unsafe_set dd (ai + 2)
-      ((((0.0 +. ((a0r *. b01r) -. (a0i *. b01i)))
-         +. ((a1r *. b11r) -. (a1i *. b11i)))
-        +. ((a2r *. b21r) -. (a2i *. b21i)))
-      +. ((a3r *. b31r) -. (a3i *. b31i)));
-    BA.unsafe_set dd (ai + 3)
-      ((((0.0 +. ((a0r *. b01i) +. (a0i *. b01r)))
-         +. ((a1r *. b11i) +. (a1i *. b11r)))
-        +. ((a2r *. b21i) +. (a2i *. b21r)))
-      +. ((a3r *. b31i) +. (a3i *. b31r)));
-    BA.unsafe_set dd (ai + 4)
-      ((((0.0 +. ((a0r *. b02r) -. (a0i *. b02i)))
-         +. ((a1r *. b12r) -. (a1i *. b12i)))
-        +. ((a2r *. b22r) -. (a2i *. b22i)))
-      +. ((a3r *. b32r) -. (a3i *. b32i)));
-    BA.unsafe_set dd (ai + 5)
-      ((((0.0 +. ((a0r *. b02i) +. (a0i *. b02r)))
-         +. ((a1r *. b12i) +. (a1i *. b12r)))
-        +. ((a2r *. b22i) +. (a2i *. b22r)))
-      +. ((a3r *. b32i) +. (a3i *. b32r)));
-    BA.unsafe_set dd (ai + 6)
-      ((((0.0 +. ((a0r *. b03r) -. (a0i *. b03i)))
-         +. ((a1r *. b13r) -. (a1i *. b13i)))
-        +. ((a2r *. b23r) -. (a2i *. b23i)))
-      +. ((a3r *. b33r) -. (a3i *. b33i)));
-    BA.unsafe_set dd (ai + 7)
-      ((((0.0 +. ((a0r *. b03i) +. (a0i *. b03r)))
-         +. ((a1r *. b13i) +. (a1i *. b13r)))
-        +. ((a2r *. b23i) +. (a2i *. b23r)))
-      +. ((a3r *. b33i) +. (a3i *. b33r)))
-  done
+(* The 4x4 product (the two-qubit gmon block size, the hot case of the
+   bench workloads) runs in C, vectorized over each output row with the
+   summation chain of [mul_tile]; see kernels4.c. *)
+external c_mul4 : buffer -> buffer -> buffer -> unit = "pqc_mul4" [@@noalloc]
 
 (* Precondition-free dispatch used by [mul_into] and by shape-safe internal
    hot loops ([mul_into_unchecked]).  Callers guarantee compatible shapes
@@ -235,7 +172,7 @@ let mul4 (ad : buffer) (bd : buffer) (dd : buffer) =
 let mul_dispatch ~dst a b =
   let n = a.r and p = a.c and q = b.c in
   let ad = a.d and bd = b.d and dd = dst.d in
-  if p = 4 && n = 4 && q = 4 then mul4 ad bd dd
+  if p = 4 && n = 4 && q = 4 then c_mul4 ad bd dd
   else if p = 2 && n = 2 && q = 2 then mul2 ad bd dd
   else if n <= mul_block && q <= mul_block then
     (* Small matrices (the GRAPE slice regime, dim <= 81) are a single tile:

@@ -78,7 +78,8 @@ val mul : t -> t -> t
 
 val mul_into : dst:t -> t -> t -> unit
 (** [mul_into ~dst a b] stores [a * b] in [dst].  [dst] must not alias [a] or
-    [b]. *)
+    [b].  The 4x4 product runs in a vectorized C kernel that keeps each
+    element's ascending-k sum, so it is bit-identical to the generic loop. *)
 
 val trace_of_product_into : dst:float array -> t -> t -> unit
 (** [trace_of_product] without the result record: writes the real part to

@@ -61,102 +61,16 @@ let[@inline] taylor_step ~term ~term' ~acc c =
     if !k < len then taylor_elem td sd ad c !k
   end
 
-(* One complex element of the Taylor update when the product value is already
-   in registers: term[i] = c * p; acc[i] += term[i].  Same expressions as
-   [taylor_elem], minus the load of the product from [term']. *)
-let[@inline] taylor_upd (td : Cmat.buffer) (ad : Cmat.buffer) c i pr pi =
-  let sre = (c *. pr) -. (0.0 *. pi) in
-  let sim = (c *. pi) +. (0.0 *. pr) in
-  BA.unsafe_set td i sre;
-  BA.unsafe_set td (i + 1) sim;
-  BA.unsafe_set ad i (BA.unsafe_get ad i +. ((1.0 *. sre) -. (0.0 *. sim)));
-  BA.unsafe_set ad (i + 1)
-    (BA.unsafe_get ad (i + 1) +. ((1.0 *. sim) +. (0.0 *. sre)))
-
-(* Fused n = 4 Taylor iteration: term = (term * scaled) / k, acc += term,
-   without materialising term'.  The product transcribes [Cmat.mul4]'s
-   summation chains exactly (B hoisted up front, rows of A streamed); a row
-   of the product is complete before that row of [term] is overwritten, so
-   eliminating the intermediate is bit-invisible.  [k] crosses the call
-   boundary as an int — a float argument would be boxed per call in vanilla
-   ocamlopt. *)
-let taylor_mul4 (td : Cmat.buffer) (sd : Cmat.buffer) (ad : Cmat.buffer) k =
-  let c = 1.0 /. float_of_int k in
-  let b00r = BA.unsafe_get sd 0 and b00i = BA.unsafe_get sd 1 in
-  let b01r = BA.unsafe_get sd 2 and b01i = BA.unsafe_get sd 3 in
-  let b02r = BA.unsafe_get sd 4 and b02i = BA.unsafe_get sd 5 in
-  let b03r = BA.unsafe_get sd 6 and b03i = BA.unsafe_get sd 7 in
-  let b10r = BA.unsafe_get sd 8 and b10i = BA.unsafe_get sd 9 in
-  let b11r = BA.unsafe_get sd 10 and b11i = BA.unsafe_get sd 11 in
-  let b12r = BA.unsafe_get sd 12 and b12i = BA.unsafe_get sd 13 in
-  let b13r = BA.unsafe_get sd 14 and b13i = BA.unsafe_get sd 15 in
-  let b20r = BA.unsafe_get sd 16 and b20i = BA.unsafe_get sd 17 in
-  let b21r = BA.unsafe_get sd 18 and b21i = BA.unsafe_get sd 19 in
-  let b22r = BA.unsafe_get sd 20 and b22i = BA.unsafe_get sd 21 in
-  let b23r = BA.unsafe_get sd 22 and b23i = BA.unsafe_get sd 23 in
-  let b30r = BA.unsafe_get sd 24 and b30i = BA.unsafe_get sd 25 in
-  let b31r = BA.unsafe_get sd 26 and b31i = BA.unsafe_get sd 27 in
-  let b32r = BA.unsafe_get sd 28 and b32i = BA.unsafe_get sd 29 in
-  let b33r = BA.unsafe_get sd 30 and b33i = BA.unsafe_get sd 31 in
-  for i = 0 to 3 do
-    let ai = 8 * i in
-    let a0r = BA.unsafe_get td ai and a0i = BA.unsafe_get td (ai + 1) in
-    let a1r = BA.unsafe_get td (ai + 2) and a1i = BA.unsafe_get td (ai + 3) in
-    let a2r = BA.unsafe_get td (ai + 4) and a2i = BA.unsafe_get td (ai + 5) in
-    let a3r = BA.unsafe_get td (ai + 6) and a3i = BA.unsafe_get td (ai + 7) in
-    let p0r =
-      (((0.0 +. ((a0r *. b00r) -. (a0i *. b00i)))
-        +. ((a1r *. b10r) -. (a1i *. b10i)))
-       +. ((a2r *. b20r) -. (a2i *. b20i)))
-      +. ((a3r *. b30r) -. (a3i *. b30i))
-    in
-    let p0i =
-      (((0.0 +. ((a0r *. b00i) +. (a0i *. b00r)))
-        +. ((a1r *. b10i) +. (a1i *. b10r)))
-       +. ((a2r *. b20i) +. (a2i *. b20r)))
-      +. ((a3r *. b30i) +. (a3i *. b30r))
-    in
-    let p1r =
-      (((0.0 +. ((a0r *. b01r) -. (a0i *. b01i)))
-        +. ((a1r *. b11r) -. (a1i *. b11i)))
-       +. ((a2r *. b21r) -. (a2i *. b21i)))
-      +. ((a3r *. b31r) -. (a3i *. b31i))
-    in
-    let p1i =
-      (((0.0 +. ((a0r *. b01i) +. (a0i *. b01r)))
-        +. ((a1r *. b11i) +. (a1i *. b11r)))
-       +. ((a2r *. b21i) +. (a2i *. b21r)))
-      +. ((a3r *. b31i) +. (a3i *. b31r))
-    in
-    let p2r =
-      (((0.0 +. ((a0r *. b02r) -. (a0i *. b02i)))
-        +. ((a1r *. b12r) -. (a1i *. b12i)))
-       +. ((a2r *. b22r) -. (a2i *. b22i)))
-      +. ((a3r *. b32r) -. (a3i *. b32i))
-    in
-    let p2i =
-      (((0.0 +. ((a0r *. b02i) +. (a0i *. b02r)))
-        +. ((a1r *. b12i) +. (a1i *. b12r)))
-       +. ((a2r *. b22i) +. (a2i *. b22r)))
-      +. ((a3r *. b32i) +. (a3i *. b32r))
-    in
-    let p3r =
-      (((0.0 +. ((a0r *. b03r) -. (a0i *. b03i)))
-        +. ((a1r *. b13r) -. (a1i *. b13i)))
-       +. ((a2r *. b23r) -. (a2i *. b23i)))
-      +. ((a3r *. b33r) -. (a3i *. b33i))
-    in
-    let p3i =
-      (((0.0 +. ((a0r *. b03i) +. (a0i *. b03r)))
-        +. ((a1r *. b13i) +. (a1i *. b13r)))
-       +. ((a2r *. b23i) +. (a2i *. b23r)))
-      +. ((a3r *. b33i) +. (a3i *. b33r))
-    in
-    taylor_upd td ad c ai p0r p0i;
-    taylor_upd td ad c (ai + 2) p1r p1i;
-    taylor_upd td ad c (ai + 4) p2r p2i;
-    taylor_upd td ad c (ai + 6) p3r p3i
-  done
+(* Squarings needed to bring the one-norm to at most 1/2.  A non-finite
+   ceiling (an infinite norm, from a diverged GRAPE run) gives 0, the value
+   amd64's [int_of_float] returned: OCaml leaves the conversion unspecified
+   there and C leaves it undefined, so every path, kernels4.c included,
+   tests first. *)
+let[@inline] scaling_exponent norm =
+  if norm <= 0.5 then 0
+  else
+    let c = ceil (log (norm /. 0.5) /. log 2.0) in
+    if Float.is_finite c then int_of_float c else 0
 
 (* Fully specialized n = 2 exponential: the single-qubit GRAPE slice regime,
    where buffer traffic and loop overhead rival the arithmetic.  The whole
@@ -181,10 +95,7 @@ let expm2_into ~dst a =
   in
   let best = if c0 > 0.0 then c0 else 0.0 in
   let norm = if c1 > best then c1 else best in
-  let s =
-    if norm <= 0.5 then 0
-    else int_of_float (ceil (log (norm /. 0.5) /. log 2.0))
-  in
+  let s = scaling_exponent norm in
   let inv = Float.ldexp 1.0 (-s) in
   (* scaled = inv * a (scale_ri_into with re = inv, im = 0). *)
   let y0r = (inv *. x0r) -. (0.0 *. x0i) and y0i = (inv *. x0i) +. (0.0 *. x0r) in
@@ -300,10 +211,16 @@ let expm2_into ~dst a =
   BA.unsafe_set dd 6 !q3r;
   BA.unsafe_set dd 7 !q3i
 
+(* The n = 4 exponential (the two-qubit gmon slice, nearly every call on the
+   bench workloads) runs in C: the generic algorithm below, vectorized over
+   split real/imaginary rows with the same float chain; see kernels4.c. *)
+external c_expm4 : Cmat.buffer -> Cmat.buffer -> unit = "pqc_expm4" [@@noalloc]
+
 let rec expm_into ws ~dst a =
   assert (Cmat.rows a = ws.n && Cmat.cols a = ws.n);
   assert (Cmat.rows dst = ws.n && Cmat.cols dst = ws.n);
   if ws.n = 2 then expm2_into ~dst a
+  else if ws.n = 4 then c_expm4 (Cmat.data a) (Cmat.data dst)
   else expm_generic_into ws ~dst a
 
 and expm_generic_into ws ~dst a =
@@ -326,10 +243,7 @@ and expm_generic_into ws ~dst a =
     done;
     !best
   in
-  let s =
-    if norm <= 0.5 then 0
-    else int_of_float (ceil (log (norm /. 0.5) /. log 2.0))
-  in
+  let s = scaling_exponent norm in
   let inv = Float.ldexp 1.0 (-s) in
   (* scaled = inv * a, transcribing [Cmat.scale_ri_into ~re:inv ~im:0.0]. *)
   (let sd = Cmat.data ws.scaled in
@@ -347,20 +261,11 @@ and expm_generic_into ws ~dst a =
   Cmat.blit ~src:ws.id ~dst:ws.term;
   (* Workspace matrices are all n x n and pairwise distinct, so the
      unchecked matmul entry is safe here and in the squaring loop. *)
-  if ws.n = 4 then begin
-    let td = Cmat.data ws.term
-    and sd = Cmat.data ws.scaled
-    and acd = Cmat.data ws.acc in
-    for k = 1 to taylor_order do
-      taylor_mul4 td sd acd k
-    done
-  end
-  else
-    for k = 1 to taylor_order do
-      Cmat.mul_into_unchecked ~dst:ws.term' ws.term ws.scaled;
-      taylor_step ~term:ws.term ~term':ws.term' ~acc:ws.acc
-        (1.0 /. float_of_int k)
-    done;
+  for k = 1 to taylor_order do
+    Cmat.mul_into_unchecked ~dst:ws.term' ws.term ws.scaled;
+    taylor_step ~term:ws.term ~term':ws.term' ~acc:ws.acc
+      (1.0 /. float_of_int k)
+  done;
   (* Undo the scaling: square s times, ping-ponging between [acc] and [sq]
      instead of copying after every squaring. *)
   let src = ref ws.acc and tmp = ref ws.sq in

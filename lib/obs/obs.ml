@@ -21,13 +21,18 @@ type event =
   | Gauge of { name : string; value : float; ts : float; tid : int }
   | Profile of { label : string; points : point list; ts : float; tid : int }
 
-(* ---- wall clock ------------------------------------------------------
-   Single indirection over Unix.gettimeofday.  Every span timestamp,
-   deadline check and bench timer in the tree reads the wall clock
-   through here, so swapping in a monotonic source (or a fake clock in a
-   test) is a one-line change instead of a sweep. *)
+(* ---- clock -----------------------------------------------------------
+   Single indirection over CLOCK_MONOTONIC.  Every span timestamp,
+   deadline check and bench timer in the tree reads time through here,
+   so a fake clock in a test is one line.  The source never steps under
+   NTP, and every reader takes only differences of two reads or compares
+   with a deadline built from a read. *)
+external monotonic : unit -> (float[@unboxed])
+  = "pqc_monotonic_now_byte" "pqc_monotonic_now"
+[@@noalloc]
+
 module Clock = struct
-  let default = Unix.gettimeofday
+  let default = monotonic
   let hook = ref default
   let now () = !hook ()
   let set f = hook := f
@@ -198,7 +203,7 @@ let set_worker w =
 module Flight = struct
   type entry = {
     f_seq : int;  (* monotonic per process; survives ring wrap *)
-    f_ts : float;  (* wall clock, Clock.now *)
+    f_ts : float;  (* wall clock, so a dump lines up with other logs *)
     f_kind : string;
     f_run_id : string;  (* "" when no ambient context *)
     f_detail : string;
@@ -240,7 +245,7 @@ module Flight = struct
     !kinds.(i) <- kind;
     !runs.(i) <- run_id;
     !details.(i) <- detail;
-    !tss.(i) <- Clock.now ();
+    !tss.(i) <- Unix.gettimeofday ();
     incr total
 
   let entries () =

@@ -48,23 +48,26 @@ type event =
   | Gauge of { name : string; value : float; ts : float; tid : int }
   | Profile of { label : string; points : point list; ts : float; tid : int }
 
-(** {2 Wall clock}
+(** {2 Clock}
 
-    Single indirection over [Unix.gettimeofday].  Every span timestamp,
-    deadline check and bench timer in the tree reads the wall clock
-    through {!Clock.now}, so a future monotonic-clock swap (or a fake
-    clock in a test) is one line, not a sweep. *)
+    Single indirection over [CLOCK_MONOTONIC].  Every span timestamp,
+    deadline check and bench timer in the tree reads time through
+    {!Clock.now}, so a test can install a fake clock in one line.  The
+    default never steps back under NTP or a manual clock change; its epoch
+    is arbitrary (typically boot), so readers use only differences of two
+    reads, or deadlines built from a read.  Flight-recorder timestamps are
+    the exception: they read the wall clock, so a dump lines up with other
+    logs. *)
 
 module Clock : sig
   val now : unit -> float
-  (** Current wall-clock seconds via the installed hook (default
-      [Unix.gettimeofday]). *)
+  (** Current seconds via the installed hook (default [CLOCK_MONOTONIC]). *)
 
   val set : (unit -> float) -> unit
   (** Install a clock hook (tests only). *)
 
   val reset : unit -> unit
-  (** Restore the default wall clock. *)
+  (** Restore the default monotonic clock. *)
 end
 
 (** {2 Correlation contexts}
@@ -176,7 +179,7 @@ val rollup : unit -> (string * int * float) list
 module Flight : sig
   type entry = {
     f_seq : int;  (** Monotonic per process; survives ring wrap. *)
-    f_ts : float;  (** Wall-clock seconds ({!Clock.now}). *)
+    f_ts : float;  (** Wall-clock seconds ([Unix.gettimeofday]). *)
     f_kind : string;
     f_run_id : string;  (** [""] when recorded outside any context. *)
     f_detail : string;

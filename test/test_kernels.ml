@@ -1,8 +1,9 @@
 (* Kernel-equivalence suite: pins the Bigarray kernels in Cmat/Expm to
    naive reference implementations, bit for bit.  The hot kernels (tiled
-   and unrolled products, fused Taylor steps, the dim-2/dim-4 expm
-   specializations) are all refactorings of these textbook loops under the
-   summation-order contract — every float is produced by the same chain of
+   and unrolled products, fused Taylor steps, the dim-2 expm
+   specialization, the vectorized C product and expm at dim 4) are all
+   refactorings of these textbook loops under the summation-order
+   contract — every float is produced by the same chain of
    operations in the same order — so equality here is exact IEEE-754
    equality on the bits, not approximate closeness.  A kernel change that
    reorders a sum fails this suite even when it is mathematically
@@ -12,6 +13,17 @@
 module Cmat = Pqc_linalg.Cmat
 module Expm = Pqc_linalg.Expm
 module Rng = Pqc_util.Rng
+
+(* The baseline-ISA builds of the dim-4 C kernels.  On x86-64 the loader
+   picks the AVX2 clone whenever the CPU has it, so without these entry
+   points the default clone would never run under test on such hosts. *)
+external mul4_default : Cmat.buffer -> Cmat.buffer -> Cmat.buffer -> unit
+  = "pqc_mul4_default"
+[@@noalloc]
+
+external expm4_default : Cmat.buffer -> Cmat.buffer -> unit
+  = "pqc_expm4_default"
+[@@noalloc]
 
 (* --- references: naive loops over Cmat.get/set, float chains spelled out --- *)
 
@@ -109,17 +121,21 @@ let ref_one_norm a =
   done;
   !best
 
+(* Squarings for a given one-norm; a non-finite ceiling (an infinite norm)
+   gives 0. *)
+let ref_scaling_exponent norm =
+  if norm <= 0.5 then 0
+  else
+    let c = ceil (log (norm /. 0.5) /. log 2.0) in
+    if Float.is_finite c then int_of_float c else 0
+
 (* The scaling-and-squaring Taylor exponential, rebuilt from the reference
    ops above: exactly Expm's algorithm (order 13, norm threshold 1/2,
    ldexp scaling), so both the generic path and the dim-2/dim-4
    specializations must reproduce it bit for bit. *)
 let ref_expm a =
   let n = Cmat.rows a in
-  let norm = ref_one_norm a in
-  let s =
-    if norm <= 0.5 then 0
-    else int_of_float (ceil (log (norm /. 0.5) /. log 2.0))
-  in
+  let s = ref_scaling_exponent (ref_one_norm a) in
   let inv = Float.ldexp 1.0 (-s) in
   let scaled = ref_scale { Complex.re = inv; im = 0.0 } a in
   let acc = ref (ref_identity n) in
@@ -137,21 +153,31 @@ let ref_expm a =
 
 (* --- exact-bits comparison --- *)
 
-let bits_eq_mat label a b =
+(* [same x y] decides each float pair, [y] from the reference. *)
+let mat_eq_by same label a b =
   if Cmat.rows a <> Cmat.rows b || Cmat.cols a <> Cmat.cols b then
     QCheck.Test.fail_reportf "%s: dimension mismatch" label;
   for i = 0 to Cmat.rows a - 1 do
     for j = 0 to Cmat.cols a - 1 do
       let x = Cmat.get a i j and y = Cmat.get b i j in
-      if
-        Int64.bits_of_float x.Complex.re <> Int64.bits_of_float y.Complex.re
-        || Int64.bits_of_float x.im <> Int64.bits_of_float y.im
-      then
+      if not (same x.Complex.re y.Complex.re && same x.im y.im) then
         QCheck.Test.fail_reportf "%s: entry (%d,%d) differs: (%h,%h) vs (%h,%h)"
           label i j x.Complex.re x.im y.Complex.re y.im
     done
   done;
   true
+
+let bits_eq_mat =
+  mat_eq_by (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+
+(* For inputs with non-finite entries: where the reference holds a NaN the
+   kernel must hold a NaN too, but its payload and sign may differ
+   (IEEE-754 leaves them to the implementation); every other float must
+   match bit for bit. *)
+let bits_eq_mat_nan =
+  mat_eq_by (fun x y ->
+      if Float.is_nan y then Float.is_nan x
+      else Int64.bits_of_float x = Int64.bits_of_float y)
 
 let bits_eq_c label (x : Complex.t) (y : Complex.t) =
   if
@@ -159,6 +185,16 @@ let bits_eq_c label (x : Complex.t) (y : Complex.t) =
     || Int64.bits_of_float x.im <> Int64.bits_of_float y.im
   then QCheck.Test.fail_reportf "%s: (%h,%h) vs (%h,%h)" label x.re x.im y.re y.im;
   true
+
+let mul_default a b =
+  let d = Cmat.create 4 4 in
+  mul4_default (Cmat.data a) (Cmat.data b) (Cmat.data d);
+  d
+
+let expm_default a =
+  let d = Cmat.create 4 4 in
+  expm4_default (Cmat.data a) (Cmat.data d);
+  d
 
 let dim_of_seed seed lo hi = lo + (seed mod (hi - lo + 1))
 
@@ -169,14 +205,25 @@ let prop_mul_equiv =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let n = dim_of_seed seed 1 16 in
-      let p = dim_of_seed (seed / 17) 1 16 in
-      let q = dim_of_seed (seed / 289) 1 16 in
+      (* Independent draws from 1..16 would hit the specialized square
+         shapes about once in 4096 cases: route a quarter of the cases to
+         2x2x2 and a quarter to 4x4x4 (the C kernel, both clones). *)
+      let n, p, q =
+        match seed mod 4 with
+        | 0 -> (2, 2, 2)
+        | 1 -> (4, 4, 4)
+        | _ ->
+          ( dim_of_seed (seed / 4) 1 16,
+            dim_of_seed (seed / 68) 1 16,
+            dim_of_seed (seed / 1156) 1 16 )
+      in
       let a = random_mat rng n p and b = random_mat rng p q in
       let d = Cmat.create n q in
       Cmat.mul_into ~dst:d a b;
       bits_eq_mat "mul_into" d (ref_mul a b)
-      && bits_eq_mat "mul" (Cmat.mul a b) (ref_mul a b))
+      && bits_eq_mat "mul" (Cmat.mul a b) (ref_mul a b)
+      && ((n, p, q) <> (4, 4, 4)
+         || bits_eq_mat "mul4_default" (mul_default a b) (ref_mul a b)))
 
 let prop_scale_equiv =
   QCheck.Test.make ~name:"scale = reference (bits)" ~count:200
@@ -237,8 +284,9 @@ let prop_expm_equiv =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      (* 1..16 but biased through the specialized dims: 2 and 4 take the
-         hand-unrolled paths, everything else the generic loop. *)
+      (* 1..16 but biased through the specialized dims: 2 takes the
+         unrolled OCaml path, 4 the C kernel, everything else the generic
+         loop. *)
       let n =
         match seed mod 4 with
         | 0 -> 2
@@ -250,7 +298,76 @@ let prop_expm_equiv =
       let d = Cmat.create n n in
       Expm.expm_into ws ~dst:d a;
       bits_eq_mat "expm_into" d (ref_expm a)
-      && bits_eq_mat "expm" (Expm.expm a) (ref_expm a))
+      && bits_eq_mat "expm" (Expm.expm a) (ref_expm a)
+      && (n <> 4 || bits_eq_mat "expm4_default" (expm_default a) (ref_expm a)))
+
+(* GRAPE's dim-4 slice generators are -i dt H for a Hermitian H.  The
+   random inputs above reach the dim-4 kernel about 15 times a run, with
+   scaling exponents up to 4, while GRAPE on the bench workloads reaches 5.
+   Here dt puts the one-norm inside the band of exponent [seed mod 8], so
+   the squaring count covers 0..7 evenly. *)
+let prop_expm4_grape_equiv =
+  QCheck.Test.make
+    ~name:"expm dim 4 on -i dt H, exponents 0..7 = reference (bits)"
+    ~count:600
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let s = seed mod 8 in
+      let h = Cmat.random_hermitian rng 4 in
+      let lo, hi =
+        if s = 0 then (0.01, 0.49)
+        else (0.5 *. Float.ldexp 1.05 (s - 1), 0.5 *. Float.ldexp 0.95 s)
+      in
+      let dt = Rng.uniform rng ~lo ~hi /. ref_one_norm h in
+      let g = Cmat.scale { Complex.re = 0.0; im = -.dt } h in
+      if ref_scaling_exponent (ref_one_norm g) <> s then
+        QCheck.Test.fail_reportf "generator missed exponent %d" s;
+      let d = Cmat.create 4 4 in
+      Expm.expm_into (Expm.make_ws 4) ~dst:d g;
+      let expect = ref_expm g in
+      bits_eq_mat "expm_into" d expect
+      && bits_eq_mat "expm4_default" (expm_default g) expect)
+
+(* A diverged GRAPE run feeds NaN and infinities to the kernels.  Entries
+   here are special a quarter of the time: NaN, +-inf, +-0, subnormals,
+   +-1e308 (whose squares overflow the one-norm) and 1e150 (a finite norm
+   with hundreds of squarings). *)
+let specials =
+  [| Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 4.9e-324;
+     -2.5e-310; 1e308; -1e308; 1e150 |]
+
+let special_mat rng n =
+  let entry () =
+    if Rng.int rng 4 = 0 then specials.(Rng.int rng (Array.length specials))
+    else Rng.uniform rng ~lo:(-2.0) ~hi:2.0
+  in
+  let m = Cmat.create n n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Cmat.set m i j { Complex.re = entry (); im = entry () }
+    done
+  done;
+  m
+
+let prop_nonfinite_equiv =
+  QCheck.Test.make
+    ~name:"expm and mul on NaN/inf/zero/subnormal/1e308 = reference"
+    ~count:400
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = match seed mod 4 with 0 -> 2 | 1 -> 3 | _ -> 4 in
+      let a = special_mat rng n and b = special_mat rng n in
+      let d = Cmat.create n n in
+      Expm.expm_into (Expm.make_ws n) ~dst:d a;
+      let expect = ref_expm a in
+      let prod = ref_mul a b in
+      bits_eq_mat_nan "expm_into" d expect
+      && bits_eq_mat_nan "mul" (Cmat.mul a b) prod
+      && (n <> 4
+         || bits_eq_mat_nan "expm4_default" (expm_default a) expect
+            && bits_eq_mat_nan "mul4_default" (mul_default a b) prod))
 
 (* --- aliasing preconditions: misuse must trip the asserts, not corrupt --- *)
 
@@ -310,7 +427,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_axpy_equiv;
           QCheck_alcotest.to_alcotest prop_trace_of_product_equiv;
           QCheck_alcotest.to_alcotest prop_dagger_equiv;
-          QCheck_alcotest.to_alcotest prop_expm_equiv ] );
+          QCheck_alcotest.to_alcotest prop_expm_equiv;
+          QCheck_alcotest.to_alcotest prop_expm4_grape_equiv;
+          QCheck_alcotest.to_alcotest prop_nonfinite_equiv ] );
       ( "preconditions",
         [ Alcotest.test_case "mul_into aliasing" `Quick test_mul_into_aliasing;
           Alcotest.test_case "dagger_into aliasing" `Quick

@@ -353,6 +353,18 @@ let test_clock_override () =
       2.5 s.dur
   | _ -> Alcotest.fail "expected exactly one span"
 
+(* The default source is CLOCK_MONOTONIC, which never steps back the way
+   the wall clock does under NTP. *)
+let test_clock_monotonic () =
+  Obs.Clock.reset ();
+  let prev = ref (Obs.Clock.now ()) and backwards = ref 0 in
+  for _ = 1 to 100_000 do
+    let t = Obs.Clock.now () in
+    if t < !prev then incr backwards;
+    prev := t
+  done;
+  Alcotest.(check int) "reads that went backwards" 0 !backwards
+
 (* --- Correlation contexts --- *)
 
 let test_ctx_mint_deterministic () =
@@ -508,7 +520,9 @@ let () =
             test_tracing_off_on_same_pulse ] );
       ( "clock",
         [ Alcotest.test_case "span durations follow the installed clock"
-            `Quick test_clock_override ] );
+            `Quick test_clock_override;
+          Alcotest.test_case "default clock never decreases" `Quick
+            test_clock_monotonic ] );
       ( "ctx",
         [ Alcotest.test_case "mint is deterministic" `Quick
             test_ctx_mint_deterministic;

@@ -141,8 +141,9 @@ let test_grape_rejects_step_explosion () =
 let test_grape_deadline_stops_early () =
   let sys = Hamiltonian.gmon 1 in
   let r =
-    Grape.optimize ~settings:quick ~deadline:(Unix.gettimeofday () -. 1.0) sys
-      ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0
+    Grape.optimize ~settings:quick
+      ~deadline:(Pqc_obs.Obs.Clock.now () -. 1.0)
+      sys ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0
   in
   Alcotest.(check bool) "deadline_hit" true r.Grape.deadline_hit;
   Alcotest.(check bool) "stopped immediately" true (r.Grape.iterations <= 1);
@@ -169,7 +170,7 @@ let test_minimal_time_deadline_returns_none () =
   let sys = Hamiltonian.gmon 1 in
   match
     Grape.minimal_time ~settings:quick
-      ~deadline:(Unix.gettimeofday () -. 1.0) ~upper_bound:2.0 sys
+      ~deadline:(Pqc_obs.Obs.Clock.now () -. 1.0) ~upper_bound:2.0 sys
       ~target:(gate_target 1 Gate.H [ 0 ])
   with
   | None -> ()
