@@ -134,6 +134,215 @@ let steps_of settings total_time =
          total_time settings.dt n_steps max_steps);
   n_steps
 
+(* The two sweeps of one ADAM iteration, over buffers a run allocates once.
+
+   [forward ~first] brings the slice propagators U_k = exp(-i dt H(u_k))
+   and the prefix products P_k = U_k ... U_0 up to date with the controls,
+   writes the overlap Tr(T† P_{N-1}) to [ov.(0)] (re) and [ov.(1)] (im),
+   and returns the number of steps it reused.  A step is reused when its
+   control column kept its exact IEEE-754 bits since the previous call
+   (clip-saturated tails, converged coordinates): exact bits are the only
+   "quantization" that cannot change pulses, which keeps this expm memo
+   invisible to the determinism suite.  [first] rebuilds every step.  The
+   prefix products are redone from the first rebuilt step on; earlier ones
+   depend only on reused steps.
+
+   [backward ()] writes the cost gradient -dF/du_jk plus the amplitude
+   penalty's term to [grad.(j).(k)], from the overlap in [ov]. *)
+type passes = { forward : first:bool -> int; backward : unit -> unit }
+
+(* The passes in OCaml, for every dimension but 4. *)
+let generic_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
+    ~n_steps ~u ~grad ~ov =
+  let dim = sys.dim in
+  let nc = Array.length sys.controls in
+  let ws = Expm.make_ws dim in
+  let gen_buf = Cmat.create dim dim in
+  let slice_u = Array.init n_steps (fun _ -> Cmat.create dim dim) in
+  let prefix = Array.init n_steps (fun _ -> Cmat.create dim dim) in
+  (* Memo keys: one float per control per step, bounded for the life of
+     the run. *)
+  let memo_key = Array.init n_steps (fun _ -> Array.make nc 0.0) in
+  let m_buf = ref (Cmat.create dim dim) in
+  let m_next = ref (Cmat.create dim dim) in
+  let w_buf = Cmat.create dim dim in
+  (* Scratch for the allocation-free fused traces in the gradient loop (one
+     accumulator pair per control), plus flat views of the buffers the two
+     fused hot loops below stream over.  [ctrl_data] hoists the per-control
+     bigarray pointers so neither loop re-reads them through the record. *)
+  let tr_re = Array.make nc 0.0 and tr_im = Array.make nc 0.0 in
+  let neg_dt = -.dt in
+  let drift_d = Cmat.data sys.drift in
+  let ctrl_data =
+    Array.map (fun c -> Cmat.data c.Hamiltonian.matrix) sys.controls
+  in
+  let gd = Cmat.data gen_buf and wd = Cmat.data w_buf in
+  let buf_len = BA.dim gd in
+  let target_dag = Cmat.dagger embedded in
+  let forward ~first =
+    let hits = ref 0 in
+    let first_dirty = ref n_steps in
+    for k = 0 to n_steps - 1 do
+      let key = memo_key.(k) in
+      let hit = ref (not first) in
+      if !hit then
+        for j = 0 to nc - 1 do
+          if not (same_bits key.(j) u.(j).(k)) then hit := false
+        done;
+      if !hit then incr hits
+      else begin
+        for j = 0 to nc - 1 do
+          key.(j) <- u.(j).(k)
+        done;
+        (* gen = -i dt (drift + sum_j u_jk H_j), fused into one pass per
+           element: per entry this performs the exact per-element chains of
+           [build_slice_hamiltonian] (drift value, then controls in
+           ascending j) followed by [Cmat.scale_ri_into ~re:0.0 ~im:neg_dt],
+           so the fusion is bit-invisible.  It saves the per-control
+           full-buffer passes over H plus the separate scale pass, and keeps
+           the coefficient an unboxed local.  [key] holds exactly u.(j).(k)
+           (just written above). *)
+        let ii = ref 0 in
+        while !ii < buf_len do
+          let p = !ii in
+          let hre = ref (BA.unsafe_get drift_d p)
+          and him = ref (BA.unsafe_get drift_d (p + 1)) in
+          for j = 0 to nc - 1 do
+            let zre = key.(j) in
+            let xd = ctrl_data.(j) in
+            let re = BA.unsafe_get xd p and im = BA.unsafe_get xd (p + 1) in
+            hre := !hre +. ((zre *. re) -. (0.0 *. im));
+            him := !him +. ((zre *. im) +. (0.0 *. re))
+          done;
+          let re = !hre and im = !him in
+          BA.unsafe_set gd p ((0.0 *. re) -. (neg_dt *. im));
+          BA.unsafe_set gd (p + 1) ((0.0 *. im) +. (neg_dt *. re));
+          ii := p + 2
+        done;
+        Expm.expm_into ws ~dst:slice_u.(k) gen_buf;
+        if !first_dirty = n_steps then first_dirty := k
+      end
+    done;
+    for k = !first_dirty to n_steps - 1 do
+      if k = 0 then Cmat.blit ~src:slice_u.(0) ~dst:prefix.(0)
+      else Cmat.mul_into_unchecked ~dst:prefix.(k) slice_u.(k) prefix.(k - 1)
+    done;
+    let o = Cmat.inner embedded prefix.(n_steps - 1) in
+    ov.(0) <- o.Complex.re;
+    ov.(1) <- o.Complex.im;
+    !hits
+  in
+  let backward () =
+    (* M_k = T† R_k with R_k = U_T ... U_{k+1}. *)
+    Cmat.blit ~src:target_dag ~dst:!m_buf;
+    (* conj(overlap), unpacked once: the gradient inner loop below works on
+       floats so it allocates no Complex.t records per control/step. *)
+    let ov_re = ov.(0) and ov_im = -.ov.(1) in
+    for k = n_steps - 1 downto 0 do
+      (* W = P_k M_k, so Tr(M_k H_j P_k) = Tr(W H_j). *)
+      Cmat.mul_into_unchecked ~dst:w_buf prefix.(k) !m_buf;
+      (* Fused traces: one pass over W computes Tr(W H_j) for every control
+         at once, loading each W entry once instead of nc times.  Each
+         control's accumulator runs through the same (i, jj) order as
+         [Cmat.trace_of_product_into] from the same 0.0 start, so the
+         fusion is bit-invisible. *)
+      for j = 0 to nc - 1 do
+        tr_re.(j) <- 0.0;
+        tr_im.(j) <- 0.0
+      done;
+      for i = 0 to dim - 1 do
+        for jj = 0 to dim - 1 do
+          let ka = 2 * ((i * dim) + jj) and kb = 2 * ((jj * dim) + i) in
+          let are = BA.unsafe_get wd ka and aim = BA.unsafe_get wd (ka + 1) in
+          for j = 0 to nc - 1 do
+            let xd = ctrl_data.(j) in
+            let bre = BA.unsafe_get xd kb and bim = BA.unsafe_get xd (kb + 1) in
+            tr_re.(j) <- tr_re.(j) +. ((are *. bre) -. (aim *. bim));
+            tr_im.(j) <- tr_im.(j) +. ((are *. bim) +. (aim *. bre))
+          done
+        done
+      done;
+      for j = 0 to nc - 1 do
+        let ctrl = sys.controls.(j) in
+        (* s = Tr(W H_j); gradient of |O|^2/d^2 via dO = -i dt s.  The float
+           formulas transcribe Complex.mul/conj exactly, on floats
+           throughout, so no Complex.t record (and no per-step closure) is
+           allocated in this loop. *)
+        let s_re = tr_re.(j) and s_im = tr_im.(j) in
+        let d_o_re = (0.0 *. s_re) -. (-.dt *. s_im) in
+        let d_o_im = (0.0 *. s_im) +. (-.dt *. s_re) in
+        let d_fid = 2.0 /. dsub2 *. ((ov_re *. d_o_re) -. (ov_im *. d_o_im)) in
+        (* Cost = 1 - F + penalties: descend -dF plus penalty grads. *)
+        let amp_grad =
+          2.0 *. amp_penalty *. u.(j).(k)
+          /. (ctrl.Hamiltonian.max_amp *. ctrl.Hamiltonian.max_amp)
+        in
+        grad.(j).(k) <- -.d_fid +. amp_grad
+      done;
+      if k > 0 then begin
+        Cmat.mul_into_unchecked ~dst:!m_next !m_buf slice_u.(k);
+        let tmp = !m_buf in
+        m_buf := !m_next;
+        m_next := tmp
+      end
+    done
+  in
+  { forward; backward }
+
+(* The passes in C at dim 4, the two-qubit gmon slice nearly every GRAPE
+   run on the bench workloads uses (kernels4.c).  They keep the float
+   chains of [generic_passes] element for element, so the two paths agree
+   bit for bit.  The run's matrices live in split-layout buffers: [sys4]
+   holds the embedded target, the drift and the controls, [slices] the
+   slice propagators and [prefix] the prefix products. *)
+external forward4 :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> bool ->
+  float array array -> Cmat.buffer -> Cmat.buffer -> Cmat.buffer ->
+  float array -> int = "pqc_grape4_forward_byte" "pqc_grape4_forward"
+[@@noalloc]
+
+external backward4 :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> Cmat.buffer ->
+  Cmat.buffer -> float array -> (float[@unboxed]) -> (float[@unboxed]) ->
+  float array -> float array array -> float array array -> unit
+  = "pqc_grape4_backward_byte" "pqc_grape4_backward"
+[@@noalloc]
+
+(* 4x4 matrices in kernels4.c's split layout: per matrix, the 16 real
+   parts and then the 16 imaginary parts, row-major. *)
+let split4 mats =
+  let b = BA.create Bigarray.Float64 Bigarray.C_layout (32 * Array.length mats) in
+  Array.iteri
+    (fun m x ->
+      assert (Cmat.rows x = 4 && Cmat.cols x = 4);
+      let d = Cmat.data x in
+      for p = 0 to 15 do
+        b.{(32 * m) + p} <- d.{2 * p};
+        b.{(32 * m) + 16 + p} <- d.{(2 * p) + 1}
+      done)
+    mats;
+  b
+
+let dim4_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
+    ~n_steps ~u ~grad ~ov =
+  let nc = Array.length sys.controls in
+  let matrices = Array.map (fun c -> c.Hamiltonian.matrix) sys.controls in
+  let sys4 = split4 (Array.append [| embedded; sys.drift |] matrices) in
+  let max_amp = Array.map (fun c -> c.Hamiltonian.max_amp) sys.controls in
+  (* Unfilled: the first forward pass writes every key and matrix before
+     any is read. *)
+  let buf n = BA.create Bigarray.Float64 Bigarray.C_layout n in
+  let keys = buf (nc * n_steps) in
+  let slices = buf (32 * n_steps) and prefix = buf (32 * n_steps) in
+  let neg_dt = -.dt in
+  { forward =
+      (fun ~first ->
+        forward4 sys4 nc n_steps neg_dt first u keys slices prefix ov);
+    backward =
+      (fun () ->
+        backward4 sys4 nc n_steps neg_dt slices prefix ov dsub2 amp_penalty
+          max_amp u grad) }
+
 let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
     ~target ~total_time =
   let n_steps = steps_of settings total_time in
@@ -165,37 +374,13 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
   let adam = Adam.create flat_dim in
   let flat_params = Array.make flat_dim 0.0 in
   let flat_grad = Array.make flat_dim 0.0 in
-  (* Workspaces reused across iterations. *)
-  let ws = Expm.make_ws dim in
-  let gen_buf = Cmat.create dim dim in
-  let slice_u = Array.init n_steps (fun _ -> Cmat.create dim dim) in
-  let prefix = Array.init n_steps (fun _ -> Cmat.create dim dim) in
-  (* Matrix-exponential memo: slice_u.(k) persists across ADAM iterations,
-     so a step whose control column is bit-for-bit unchanged (clip-saturated
-     tails, converged coordinates) can skip build + scale + expm entirely.
-     Keys are the exact IEEE-754 bits of the nc controls of that step —
-     exact bits are the only "quantization" that cannot change pulses, which
-     keeps the memo invisible to the determinism suite.  Memory is one
-     float per control per step, bounded for the life of the run. *)
-  let memo_key = Array.init n_steps (fun _ -> Array.make nc 0.0) in
-  let memo_valid = Array.make n_steps false in
-  let memo_hits = ref 0 in
-  let m_buf = ref (Cmat.create dim dim) in
-  let m_next = ref (Cmat.create dim dim) in
-  let w_buf = Cmat.create dim dim in
-  (* Scratch for the allocation-free fused traces in the gradient loop (one
-     accumulator pair per control), plus flat views of the buffers the two
-     fused hot loops below stream over.  [ctrl_data] hoists the per-control
-     bigarray pointers so neither loop re-reads them through the record. *)
-  let tr_re = Array.make nc 0.0 and tr_im = Array.make nc 0.0 in
-  let neg_dt = -.dt in
-  let drift_d = Cmat.data sys.drift in
-  let ctrl_data =
-    Array.map (fun c -> Cmat.data c.Hamiltonian.matrix) sys.controls
+  let ov = [| 0.0; 0.0 |] in
+  let passes =
+    (if dim = 4 then dim4_passes else generic_passes)
+      sys ~dt ~amp_penalty:settings.amp_penalty ~dsub2 ~embedded ~n_steps ~u
+      ~grad ~ov
   in
-  let gd = Cmat.data gen_buf and wd = Cmat.data w_buf in
-  let buf_len = BA.dim gd in
-  let target_dag = Cmat.dagger embedded in
+  let memo_hits = ref 0 in
   let best_fidelity = ref 0.0 in
   let best_u = Array.map Array.copy u in
   let iterations = ref 0 in
@@ -227,58 +412,9 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
          deadline_hit := true;
          raise Exit
        | _ -> ());
-       (* Forward pass: slice propagators and cumulative products.  A memo
-          hit leaves slice_u.(k) from the previous iteration in place; the
-          prefix products only need recomputing from the first changed
-          slice onward (earlier prefixes depend only on unchanged ones). *)
-       let first_dirty = ref n_steps in
-       for k = 0 to n_steps - 1 do
-         let key = memo_key.(k) in
-         let hit = ref memo_valid.(k) in
-         if !hit then
-           for j = 0 to nc - 1 do
-             if not (same_bits key.(j) u.(j).(k)) then hit := false
-           done;
-         if !hit then incr memo_hits
-         else begin
-           for j = 0 to nc - 1 do
-             key.(j) <- u.(j).(k)
-           done;
-           memo_valid.(k) <- true;
-           (* gen = -i dt (drift + sum_j u_jk H_j), fused into one pass per
-              element: per entry this performs the exact per-element chains
-              of [build_slice_hamiltonian] (drift value, then controls in
-              ascending j) followed by [Cmat.scale_ri_into ~re:0.0
-              ~im:neg_dt], so the fusion is bit-invisible.  It saves the
-              per-control full-buffer passes over H plus the separate scale
-              pass, and keeps the coefficient an unboxed local.  [key] holds
-              exactly u.(j).(k) (just written above). *)
-           let ii = ref 0 in
-           while !ii < buf_len do
-             let p = !ii in
-             let hre = ref (BA.unsafe_get drift_d p)
-             and him = ref (BA.unsafe_get drift_d (p + 1)) in
-             for j = 0 to nc - 1 do
-               let zre = key.(j) in
-               let xd = ctrl_data.(j) in
-               let re = BA.unsafe_get xd p and im = BA.unsafe_get xd (p + 1) in
-               hre := !hre +. ((zre *. re) -. (0.0 *. im));
-               him := !him +. ((zre *. im) +. (0.0 *. re))
-             done;
-             let re = !hre and im = !him in
-             BA.unsafe_set gd p ((0.0 *. re) -. (neg_dt *. im));
-             BA.unsafe_set gd (p + 1) ((0.0 *. im) +. (neg_dt *. re));
-             ii := p + 2
-           done;
-           Expm.expm_into ws ~dst:slice_u.(k) gen_buf;
-           if !first_dirty = n_steps then first_dirty := k
-         end
-       done;
-       for k = !first_dirty to n_steps - 1 do
-         if k = 0 then Cmat.blit ~src:slice_u.(0) ~dst:prefix.(0)
-         else Cmat.mul_into_unchecked ~dst:prefix.(k) slice_u.(k) prefix.(k - 1)
-       done;
-       let overlap, fid = subspace_overlap sys embedded prefix.(n_steps - 1) in
+       memo_hits := !memo_hits + passes.forward ~first:(iter = 1);
+       (* |O|^2 / d^2, as [subspace_overlap] computes it. *)
+       let fid = ((ov.(0) *. ov.(0)) +. (ov.(1) *. ov.(1))) /. dsub2 in
        (* Divergence guard: a NaN/inf fidelity means the propagators blew
           up (bad dt, corrupt Hamiltonian, exploding controls).  Abort the
           iteration here, before the gradient step, so neither the ADAM
@@ -295,61 +431,7 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
          converged := true;
          raise Exit
        end;
-       (* Backward pass: M_k = T† R_k with R_k = U_T ... U_{k+1}. *)
-       Cmat.blit ~src:target_dag ~dst:!m_buf;
-       (* conj(overlap), unpacked once: the gradient inner loop below works
-          on floats so it allocates no Complex.t records per control/step. *)
-       let ov_re = overlap.Complex.re and ov_im = -.overlap.Complex.im in
-       for k = n_steps - 1 downto 0 do
-         (* W = P_k M_k, so Tr(M_k H_j P_k) = Tr(W H_j). *)
-         Cmat.mul_into_unchecked ~dst:w_buf prefix.(k) !m_buf;
-         (* Fused traces: one pass over W computes Tr(W H_j) for every
-            control at once, loading each W entry once instead of nc times.
-            Each control's accumulator runs through the same (i, jj) order
-            as [Cmat.trace_of_product_into] from the same 0.0 start, so the
-            fusion is bit-invisible. *)
-         for j = 0 to nc - 1 do
-           tr_re.(j) <- 0.0;
-           tr_im.(j) <- 0.0
-         done;
-         for i = 0 to dim - 1 do
-           for jj = 0 to dim - 1 do
-             let ka = 2 * ((i * dim) + jj) and kb = 2 * ((jj * dim) + i) in
-             let are = BA.unsafe_get wd ka and aim = BA.unsafe_get wd (ka + 1) in
-             for j = 0 to nc - 1 do
-               let xd = ctrl_data.(j) in
-               let bre = BA.unsafe_get xd kb and bim = BA.unsafe_get xd (kb + 1) in
-               tr_re.(j) <- tr_re.(j) +. ((are *. bre) -. (aim *. bim));
-               tr_im.(j) <- tr_im.(j) +. ((are *. bim) +. (aim *. bre))
-             done
-           done
-         done;
-         for j = 0 to nc - 1 do
-           let ctrl = sys.controls.(j) in
-           (* s = Tr(W H_j); gradient of |O|^2/d^2 via dO = -i dt s.
-              The float formulas transcribe Complex.mul/conj exactly, on
-              floats throughout, so no Complex.t record (and no per-step
-              closure) is allocated in this loop. *)
-           let s_re = tr_re.(j) and s_im = tr_im.(j) in
-           let d_o_re = (0.0 *. s_re) -. (-.dt *. s_im) in
-           let d_o_im = (0.0 *. s_im) +. (-.dt *. s_re) in
-           let d_fid =
-             2.0 /. dsub2 *. ((ov_re *. d_o_re) -. (ov_im *. d_o_im))
-           in
-           (* Cost = 1 - F + penalties: descend -dF plus penalty grads. *)
-           let amp_grad =
-             2.0 *. settings.amp_penalty *. u.(j).(k)
-             /. (ctrl.Hamiltonian.max_amp *. ctrl.Hamiltonian.max_amp)
-           in
-           grad.(j).(k) <- -.d_fid +. amp_grad
-         done;
-         if k > 0 then begin
-           Cmat.mul_into_unchecked ~dst:!m_next !m_buf slice_u.(k);
-           let tmp = !m_buf in
-           m_buf := !m_next;
-           m_next := tmp
-         end
-       done;
+       passes.backward ();
        (* Smoothness / envelope regularization. *)
        if settings.smoothness_penalty > 0.0 then
          for j = 0 to nc - 1 do

@@ -11,7 +11,17 @@ module Cmat = Pqc_linalg.Cmat
     flexible partial compilation pre-tunes per subcircuit.
 
     {!minimal_time} performs the paper's binary search for the shortest
-    pulse duration that still reaches the target fidelity (Section 5.3). *)
+    pulse duration that still reaches the target fidelity (Section 5.3).
+
+    Each ADAM iteration of {!optimize} makes a forward pass (slice
+    propagators, prefix products, overlap) and a backward pass (control
+    traces, gradient).  At system dimension 4, the two-qubit gmon slice,
+    each pass is one call into C ([lib/linalg/kernels4.c]) over
+    split-layout buffers allocated once per run; every other dimension
+    runs them in OCaml.  ADAM, clipping, the penalties, the divergence
+    guards, the deadline and best-controls tracking are OCaml on both
+    paths, and the two paths compute the same floats in the same order,
+    so the dimension changes the speed, never the pulses. *)
 
 type hyperparams = { learning_rate : float; decay : float }
 (** Effective learning rate at iteration t is

@@ -1,15 +1,19 @@
-/* Dimension-4 kernels for GRAPE's hot loop: the 4x4 complex product and
-   the scaling-and-squaring Taylor exponential of a 4x4 generator.
+/* Dimension-4 kernels for GRAPE's hot loop: the 4x4 complex product, the
+   scaling-and-squaring Taylor exponential of a 4x4 generator, and the
+   forward and backward passes of one dim-4 GRAPE iteration.
 
-   Matrices arrive in Cmat's interleaved row-major layout and are split
-   into separate real and imaginary arrays, so the compiler can compute
-   an output row's four columns as one vector.  Every element still
-   follows the float chain of the generic OCaml kernels operation for
+   Matrices are held as separate real and imaginary arrays (the split
+   layout), so the compiler can compute an output row's four columns as
+   one vector.  pqc_mul4 and pqc_expm4 take Cmat's interleaved row-major
+   layout and convert; the two passes keep a whole run's slice propagators
+   and prefix products split, in buffers Grape allocates once per run.
+   Every element follows the float chain of the OCaml code operation for
    operation: a 0.0 seed, ascending k, the (c * re) - (0.0 * im) scalar
-   terms, the one-norm/ldexp scaling and the squaring count.  The results
-   are therefore bit-identical to them.  That holds only when the build
-   passes -ffp-contract=off: a fused multiply-add rounds once where the
-   OCaml code rounds twice.
+   terms, the one-norm/ldexp scaling and the squaring count of Expm, and
+   the generator, overlap, trace and gradient chains of Grape.optimize.
+   The results are therefore bit-identical to them.  That holds only when
+   the build passes -ffp-contract=off: a fused multiply-add rounds once
+   where the OCaml code rounds twice.
 
    With GCC on x86-64 ELF and glibc, the entry points are cloned for AVX2
    and the baseline ISA, and the loader picks one from CPUID.  The
@@ -31,75 +35,73 @@
 
 #define INLINE static inline __attribute__((always_inline))
 
+/* Entry (i, j) at index 4 * i + j of each part. */
 typedef struct {
-  double re[4][4];
-  double im[4][4];
+  double re[16];
+  double im[16];
 } m4;
 
 INLINE void load(m4 *m, const double *x) {
-  for (int i = 0; i < 4; i++)
-    for (int j = 0; j < 4; j++) {
-      m->re[i][j] = x[(8 * i) + (2 * j)];
-      m->im[i][j] = x[(8 * i) + (2 * j) + 1];
-    }
+  for (int p = 0; p < 16; p++) {
+    m->re[p] = x[2 * p];
+    m->im[p] = x[(2 * p) + 1];
+  }
 }
 
 INLINE void store(double *x, const m4 *m) {
-  for (int i = 0; i < 4; i++)
-    for (int j = 0; j < 4; j++) {
-      x[(8 * i) + (2 * j)] = m->re[i][j];
-      x[(8 * i) + (2 * j) + 1] = m->im[i][j];
-    }
+  for (int p = 0; p < 16; p++) {
+    x[2 * p] = m->re[p];
+    x[(2 * p) + 1] = m->im[p];
+  }
 }
 
-/* Row i of a * b: each element sums ascending k from a 0.0 seed. */
+/* Row i of a * b: each element sums ascending k from a 0.0 seed.  The sums
+   build in locals and are stored once, so they stay in registers instead
+   of going through pr and pi, which may point into a or b. */
 INLINE void mul_row(double pr[4], double pi[4], const m4 *a, const m4 *b,
                     int i) {
+  double sr[4], si[4];
   for (int j = 0; j < 4; j++) {
-    pr[j] = 0.0;
-    pi[j] = 0.0;
+    sr[j] = 0.0;
+    si[j] = 0.0;
   }
   for (int k = 0; k < 4; k++) {
-    double ar = a->re[i][k], ai = a->im[i][k];
+    double ar = a->re[(4 * i) + k], ai = a->im[(4 * i) + k];
     for (int j = 0; j < 4; j++) {
-      pr[j] = pr[j] + ((ar * b->re[k][j]) - (ai * b->im[k][j]));
-      pi[j] = pi[j] + ((ar * b->im[k][j]) + (ai * b->re[k][j]));
+      sr[j] = sr[j] + ((ar * b->re[(4 * k) + j]) - (ai * b->im[(4 * k) + j]));
+      si[j] = si[j] + ((ar * b->im[(4 * k) + j]) + (ai * b->re[(4 * k) + j]));
     }
+  }
+  for (int j = 0; j < 4; j++) {
+    pr[j] = sr[j];
+    pi[j] = si[j];
   }
 }
 
-/* d = a * b; d must not alias a or b. */
-INLINE void mul(m4 *d, const m4 *a, const m4 *b) {
-  for (int i = 0; i < 4; i++) mul_row(d->re[i], d->im[i], a, b, i);
+/* d = a * b; d must not alias a or b (a and b may be the same matrix). */
+INLINE void mul(m4 *restrict d, const m4 *a, const m4 *b) {
+  for (int i = 0; i < 4; i++) mul_row(&d->re[4 * i], &d->im[4 * i], a, b, i);
 }
 
 INLINE void identity(m4 *m) {
-  for (int i = 0; i < 4; i++)
-    for (int j = 0; j < 4; j++) {
-      m->re[i][j] = i == j ? 1.0 : 0.0;
-      m->im[i][j] = 0.0;
-    }
+  for (int p = 0; p < 16; p++) {
+    m->re[p] = p % 5 == 0 ? 1.0 : 0.0;
+    m->im[p] = 0.0;
+  }
 }
 
-INLINE void mul4(double *out, const double *x, const double *y) {
-  m4 a, b, d;
-  load(&a, x);
-  load(&b, y);
-  mul(&d, &a, &b);
-  store(out, &d);
-}
-
-INLINE void expm4(double *out, const double *x) {
+/* out = exp(x); out may alias x. */
+INLINE void expm4(m4 *out, const m4 *x) {
   m4 a, term, acc, sq;
-  load(&a, x);
   /* Cmat.one_norm: column sums over ascending rows, then the first strict
      maximum (a NaN column never wins). */
   double col[4], norm = 0.0;
   for (int j = 0; j < 4; j++) col[j] = 0.0;
   for (int i = 0; i < 4; i++)
-    for (int j = 0; j < 4; j++)
-      col[j] = col[j] + sqrt((a.re[i][j] * a.re[i][j])
-                             + (a.im[i][j] * a.im[i][j]));
+    for (int j = 0; j < 4; j++) {
+      double re = x->re[(4 * i) + j], im = x->im[(4 * i) + j];
+      col[j] = col[j] + sqrt((re * re) + (im * im));
+    }
   for (int j = 0; j < 4; j++)
     if (col[j] > norm) norm = col[j];
   /* A non-finite ceiling (an infinite norm) scales by 2^0, as in Expm. */
@@ -109,12 +111,11 @@ INLINE void expm4(double *out, const double *x) {
     if (isfinite(c)) s = (int)c;
   }
   double inv = ldexp(1.0, -s);
-  for (int i = 0; i < 4; i++)
-    for (int j = 0; j < 4; j++) {
-      double re = a.re[i][j], im = a.im[i][j];
-      a.re[i][j] = (inv * re) - (0.0 * im);
-      a.im[i][j] = (inv * im) + (0.0 * re);
-    }
+  for (int p = 0; p < 16; p++) {
+    double re = x->re[p], im = x->im[p];
+    a.re[p] = (inv * re) - (0.0 * im);
+    a.im[p] = (inv * im) + (0.0 * re);
+  }
   /* Taylor: term = term * a / k and acc += term, order 13.  Row i of the
      product reads only row i of term, so term is updated in place. */
   identity(&term);
@@ -125,12 +126,13 @@ INLINE void expm4(double *out, const double *x) {
       double pr[4], pi[4];
       mul_row(pr, pi, &term, &a, i);
       for (int j = 0; j < 4; j++) {
+        int p = (4 * i) + j;
         double tr = (c * pr[j]) - (0.0 * pi[j]);
         double ti = (c * pi[j]) + (0.0 * pr[j]);
-        term.re[i][j] = tr;
-        term.im[i][j] = ti;
-        acc.re[i][j] = acc.re[i][j] + ((1.0 * tr) - (0.0 * ti));
-        acc.im[i][j] = acc.im[i][j] + ((1.0 * ti) + (0.0 * tr));
+        term.re[p] = tr;
+        term.im[p] = ti;
+        acc.re[p] = acc.re[p] + ((1.0 * tr) - (0.0 * ti));
+        acc.im[p] = acc.im[p] + ((1.0 * ti) + (0.0 * tr));
       }
     }
   }
@@ -142,10 +144,172 @@ INLINE void expm4(double *out, const double *x) {
     src = tmp;
     tmp = t;
   }
-  store(out, src);
+  *out = *src;
 }
 
+INLINE void mul4(double *out, const double *x, const double *y) {
+  m4 a, b, d;
+  load(&a, x);
+  load(&b, y);
+  mul(&d, &a, &b);
+  store(out, &d);
+}
+
+INLINE void expm4_interleaved(double *out, const double *x) {
+  m4 a;
+  load(&a, x);
+  expm4(&a, &a);
+  store(out, &a);
+}
+
+/* --- One dim-4 GRAPE iteration ---
+
+   A run's fixed matrices arrive as one array of split matrices: the
+   embedded target, the drift, then the nc control Hamiltonians.  The
+   controls u.(j).(k) and the gradient grad.(j).(k) are OCaml float
+   arrays, read and written in place; the externals are noalloc, so
+   nothing moves them during a call. */
+
+enum { TARGET = 0, DRIFT = 1, CONTROLS = 2 };
+
+#define U(v, j, k) Double_flat_field(Field((v), (j)), (k))
+
+/* Grape.same_bits: NaN never matches, and +0.0 does not match -0.0. */
+INLINE int same_bits(double a, double b) {
+  return a == b && (a != 0.0 || 1.0 / a == 1.0 / b);
+}
+
+/* gen = -i dt (drift + sum_j z_j H_j).  Per element: the drift value, then
+   the controls in ascending j, then the scale by (0, -dt). */
+INLINE void generator(m4 *gen, const m4 *sys, long nc, const double *z,
+                      double neg_dt) {
+  double hr[16], hi[16];
+  for (int p = 0; p < 16; p++) {
+    hr[p] = sys[DRIFT].re[p];
+    hi[p] = sys[DRIFT].im[p];
+  }
+  for (long j = 0; j < nc; j++) {
+    double zr = z[j];
+    const m4 *h = &sys[CONTROLS + j];
+    for (int p = 0; p < 16; p++) {
+      double re = h->re[p], im = h->im[p];
+      hr[p] = hr[p] + ((zr * re) - (0.0 * im));
+      hi[p] = hi[p] + ((zr * im) + (0.0 * re));
+    }
+  }
+  for (int p = 0; p < 16; p++) {
+    gen->re[p] = (0.0 * hr[p]) - (neg_dt * hi[p]);
+    gen->im[p] = (0.0 * hi[p]) + (neg_dt * hr[p]);
+  }
+}
+
+/* Forward pass.  Rebuilds and exponentiates every step whose control
+   column changed bits since the last call (every step when [first]),
+   recording the column in keys[k * nc ..].  Then redoes the prefix
+   products P_k = U_k P_{k-1} from the first rebuilt step, and writes the
+   overlap Cmat.inner target P_{N-1} to ov.(0), ov.(1).  Returns the
+   number of steps reused. */
+INLINE long forward(const m4 *sys, long nc, long n_steps, double neg_dt,
+                    int first, value u, double *keys, m4 *slices,
+                    m4 *prefix, value ov) {
+  long hits = 0, dirty = n_steps;
+  for (long k = 0; k < n_steps; k++) {
+    double *key = keys + (k * nc);
+    int hit = !first;
+    for (long j = 0; hit && j < nc; j++)
+      hit = same_bits(key[j], U(u, j, k));
+    if (hit) {
+      hits++;
+      continue;
+    }
+    for (long j = 0; j < nc; j++) key[j] = U(u, j, k);
+    m4 gen;
+    generator(&gen, sys, nc, key, neg_dt);
+    expm4(&slices[k], &gen);
+    if (dirty == n_steps) dirty = k;
+  }
+  for (long k = dirty; k < n_steps; k++) {
+    if (k == 0)
+      prefix[0] = slices[0];
+    else
+      mul(&prefix[k], &slices[k], &prefix[k - 1]);
+  }
+  /* conj(target) * P over the flat row-major order, from 0.0. */
+  const m4 *t = &sys[TARGET], *pn = &prefix[n_steps - 1];
+  double re = 0.0, im = 0.0;
+  for (int p = 0; p < 16; p++) {
+    re = re + ((t->re[p] * pn->re[p]) + (t->im[p] * pn->im[p]));
+    im = im + ((t->re[p] * pn->im[p]) - (t->im[p] * pn->re[p]));
+  }
+  Store_double_flat_field(ov, 0, re);
+  Store_double_flat_field(ov, 1, im);
+  return hits;
+}
+
+/* Backward pass.  Starts from M = T^dagger; for k = N-1 down to 0 it forms
+   W = P_k M, every trace Tr(W H_j), the gradient entry
+   -dF + ((2 lambda) u) / (a_max a_max) into grad.(j).(k), and then
+   M <- M U_k.  [ov] holds the forward pass's overlap. */
+INLINE void backward(const m4 *sys, long nc, long n_steps, double neg_dt,
+                     const m4 *slices, const m4 *prefix, value ov,
+                     double dsub2, double amp_penalty, value max_amp,
+                     value u, value grad) {
+  m4 m, w, next;
+  const m4 *t = &sys[TARGET];
+  for (int i = 0; i < 4; i++)
+    for (int j = 0; j < 4; j++) {
+      m.re[(4 * i) + j] = t->re[(4 * j) + i];
+      m.im[(4 * i) + j] = -t->im[(4 * j) + i];
+    }
+  double ov_re = Double_flat_field(ov, 0), ov_im = -Double_flat_field(ov, 1);
+  double scale = 2.0 / dsub2, amp2 = 2.0 * amp_penalty;
+  for (long k = n_steps - 1; k >= 0; k--) {
+    mul(&w, &prefix[k], &m);
+    for (long j = 0; j < nc; j++) {
+      const m4 *h = &sys[CONTROLS + j];
+      /* Cmat.trace_of_product order: (i, jj) ascending from 0.0. */
+      double s_re = 0.0, s_im = 0.0;
+      for (int i = 0; i < 4; i++)
+        for (int jj = 0; jj < 4; jj++) {
+          double are = w.re[(4 * i) + jj], aim = w.im[(4 * i) + jj];
+          double bre = h->re[(4 * jj) + i], bim = h->im[(4 * jj) + i];
+          s_re = s_re + ((are * bre) - (aim * bim));
+          s_im = s_im + ((are * bim) + (aim * bre));
+        }
+      double d_o_re = (0.0 * s_re) - (neg_dt * s_im);
+      double d_o_im = (0.0 * s_im) + (neg_dt * s_re);
+      double d_fid = scale * ((ov_re * d_o_re) - (ov_im * d_o_im));
+      double a = Double_flat_field(max_amp, j);
+      double amp = (amp2 * U(u, j, k)) / (a * a);
+      Store_double_flat_field(Field(grad, j), k, -d_fid + amp);
+    }
+    if (k > 0) {
+      mul(&next, &m, &slices[k]);
+      m = next;
+    }
+  }
+}
+
+/* --- Entry points --- */
+
 #define DATA(v) ((double *)Caml_ba_data_val(v))
+#define M4(v) ((m4 *)Caml_ba_data_val(v))
+
+#define FORWARD_ARGS                                                    \
+  value sys, value nc, value n_steps, double neg_dt, value first,       \
+      value u, value keys, value slices, value prefix, value ov
+#define FORWARD_CALL                                                    \
+  Val_long(forward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt,    \
+                   Bool_val(first), u, DATA(keys), M4(slices),          \
+                   M4(prefix), ov))
+
+#define BACKWARD_ARGS                                                   \
+  value sys, value nc, value n_steps, double neg_dt, value slices,      \
+      value prefix, value ov, double dsub2, double amp_penalty,         \
+      value max_amp, value u, value grad
+#define BACKWARD_CALL                                                   \
+  backward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt, M4(slices), \
+           M4(prefix), ov, dsub2, amp_penalty, max_amp, u, grad)
 
 PQC_CLONES CAMLprim value pqc_mul4(value a, value b, value dst) {
   mul4(DATA(dst), DATA(a), DATA(b));
@@ -153,7 +317,16 @@ PQC_CLONES CAMLprim value pqc_mul4(value a, value b, value dst) {
 }
 
 PQC_CLONES CAMLprim value pqc_expm4(value a, value dst) {
-  expm4(DATA(dst), DATA(a));
+  expm4_interleaved(DATA(dst), DATA(a));
+  return Val_unit;
+}
+
+PQC_CLONES CAMLprim value pqc_grape4_forward(FORWARD_ARGS) {
+  return FORWARD_CALL;
+}
+
+PQC_CLONES CAMLprim value pqc_grape4_backward(BACKWARD_ARGS) {
+  BACKWARD_CALL;
   return Val_unit;
 }
 
@@ -163,6 +336,47 @@ CAMLprim value pqc_mul4_default(value a, value b, value dst) {
 }
 
 CAMLprim value pqc_expm4_default(value a, value dst) {
-  expm4(DATA(dst), DATA(a));
+  expm4_interleaved(DATA(dst), DATA(a));
   return Val_unit;
+}
+
+CAMLprim value pqc_grape4_forward_default(FORWARD_ARGS) {
+  return FORWARD_CALL;
+}
+
+CAMLprim value pqc_grape4_backward_default(BACKWARD_ARGS) {
+  BACKWARD_CALL;
+  return Val_unit;
+}
+
+/* Bytecode stubs: the passes take more than five arguments. */
+
+CAMLprim value pqc_grape4_forward_byte(value *argv, int argn) {
+  (void)argn;
+  return pqc_grape4_forward(argv[0], argv[1], argv[2], Double_val(argv[3]),
+                            argv[4], argv[5], argv[6], argv[7], argv[8],
+                            argv[9]);
+}
+
+CAMLprim value pqc_grape4_backward_byte(value *argv, int argn) {
+  (void)argn;
+  return pqc_grape4_backward(argv[0], argv[1], argv[2], Double_val(argv[3]),
+                             argv[4], argv[5], argv[6], Double_val(argv[7]),
+                             Double_val(argv[8]), argv[9], argv[10],
+                             argv[11]);
+}
+
+CAMLprim value pqc_grape4_forward_default_byte(value *argv, int argn) {
+  (void)argn;
+  return pqc_grape4_forward_default(argv[0], argv[1], argv[2],
+                                    Double_val(argv[3]), argv[4], argv[5],
+                                    argv[6], argv[7], argv[8], argv[9]);
+}
+
+CAMLprim value pqc_grape4_backward_default_byte(value *argv, int argn) {
+  (void)argn;
+  return pqc_grape4_backward_default(
+      argv[0], argv[1], argv[2], Double_val(argv[3]), argv[4], argv[5],
+      argv[6], Double_val(argv[7]), Double_val(argv[8]), argv[9], argv[10],
+      argv[11]);
 }

@@ -220,24 +220,15 @@ type worker = {
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Reap one child, preferring WNOHANG polls so a child that is slow to
-   transition never wedges shutdown behind a blocking wait; after the
-   poll budget a blocking wait is safe (the child is dead or dying: we
-   only reap after EOF or SIGKILL).  [None] when the child was already
-   reaped elsewhere. *)
-let reap_status pid =
-  let rec poll n =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if n <= 0 then snd (Unix.waitpid [] pid)
-      else begin
-        Unix.sleepf 0.002;
-        poll (n - 1)
-      end
-    | _, status -> status
-  in
-  match poll 100 with
-  | status -> Some status
+(* Reap one child with a blocking wait.  The parent reaps only after
+   SIGKILL or after EOF on the child's result pipe, whose only write end
+   the child closes by exiting, so the child is already dying and the wait
+   is short.  A signal landing on the parent mid-wait retries instead of
+   escaping [map].  [None] when the child was already reaped elsewhere. *)
+let rec reap_status pid =
+  match Unix.waitpid [] pid with
+  | _, status -> Some status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap_status pid
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
 
 let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f

@@ -22,10 +22,11 @@
     worker pipe through [select]:
 
     - A worker that {e dies} mid-item (segfault, OOM kill, nonzero exit)
-      truncates its stream; the parent reaps it (WNOHANG loop, abnormal
-      exits counted), charges a {e strike} to the item it held, puts that
-      item at the back of the queue, and — while the queue is not empty —
-      forks a replacement worker after a seeded exponential backoff.
+      truncates its stream; the parent reaps it (one blocking wait,
+      retried on EINTR; abnormal exits counted), charges a {e strike} to
+      the item it held, puts that item at the back of the queue, and —
+      while the queue is not empty — forks a replacement worker after a
+      seeded exponential backoff.
     - A worker that {e hangs} — no frame for a full item deadline while
       it holds an item — is SIGKILLed and handled the same way.
       Hang detection requires a deadline ([PQC_ITEM_DEADLINE_S] or

@@ -153,6 +153,225 @@ let test_propagate_matches_allocating_reference () =
       done)
     [ 1; 2 ]
 
+(* [Grape.optimize] rebuilt from allocating library calls: every iteration
+   builds each slice with [Cmat.axpy], [Cmat.scale] and [Expm.expm], chains
+   them with [Cmat.mul], takes each gradient trace with
+   [Cmat.trace_of_product], steps with [Adam.step] and clips with
+   [Float.max]/[Float.min].  It keeps no memo, so it also counts the steps
+   whose control column kept its bits from one iteration to the next: the
+   steps [optimize]'s expm memo may reuse. *)
+let ref_optimize (settings : Grape.settings) (sys : Hamiltonian.t) ~target
+    ~n_steps =
+  let nc = Array.length sys.controls and dt = settings.dt in
+  let dsub2 =
+    let d = float_of_int (Hamiltonian.subspace_dim sys) in
+    d *. d
+  in
+  let embedded = Hamiltonian.embed_target sys target in
+  let rng = Pqc_util.Rng.create settings.seed in
+  let u =
+    Array.map
+      (fun (c : Hamiltonian.control) ->
+        let amp = 0.1 *. c.max_amp in
+        Array.init n_steps (fun _ -> Pqc_util.Rng.uniform rng ~lo:(-.amp) ~hi:amp))
+      sys.controls
+  in
+  let adam = Adam.create (nc * n_steps) in
+  let best_fid = ref 0.0 and best_u = ref (Array.map Array.copy u) in
+  let iterations = ref 0 and converged = ref false and diverged = ref false in
+  let kept = ref 0 and prev = ref None in
+  let bits = Int64.bits_of_float in
+  (try
+     for iter = 1 to settings.max_iters do
+       iterations := iter;
+       Option.iter
+         (fun p ->
+           for k = 0 to n_steps - 1 do
+             if Array.for_all2 (fun pj uj -> bits pj.(k) = bits uj.(k)) p u then
+               incr kept
+           done)
+         !prev;
+       prev := Some (Array.map Array.copy u);
+       let slice k =
+         let h = Cmat.copy sys.drift in
+         Array.iteri
+           (fun j (c : Hamiltonian.control) ->
+             Cmat.axpy ~alpha:{ Complex.re = u.(j).(k); im = 0.0 } ~x:c.matrix
+               ~y:h)
+           sys.controls;
+         Pqc_linalg.Expm.expm (Cmat.scale { Complex.re = 0.0; im = -.dt } h)
+       in
+       let slices = Array.init n_steps slice in
+       let prefix = Array.copy slices in
+       for k = 1 to n_steps - 1 do
+         prefix.(k) <- Cmat.mul slices.(k) prefix.(k - 1)
+       done;
+       let o = Cmat.inner embedded prefix.(n_steps - 1) in
+       let fid = Complex.norm2 o /. dsub2 in
+       if not (Float.is_finite fid) then begin
+         diverged := true;
+         raise Exit
+       end;
+       if fid > !best_fid then begin
+         best_fid := fid;
+         best_u := Array.map Array.copy u
+       end;
+       if fid >= settings.target_fidelity then begin
+         converged := true;
+         raise Exit
+       end;
+       let grad = Array.make_matrix nc n_steps 0.0 in
+       let m = ref (Cmat.dagger embedded) in
+       for k = n_steps - 1 downto 0 do
+         let w = Cmat.mul prefix.(k) !m in
+         Array.iteri
+           (fun j (c : Hamiltonian.control) ->
+             let d_o =
+               Complex.mul { Complex.re = 0.0; im = -.dt }
+                 (Cmat.trace_of_product w c.matrix)
+             in
+             let d_fid = 2.0 /. dsub2 *. (Complex.mul (Complex.conj o) d_o).re in
+             grad.(j).(k) <-
+               -.d_fid
+               +. (2.0 *. settings.amp_penalty *. u.(j).(k)
+                  /. (c.max_amp *. c.max_amp)))
+           sys.controls;
+         if k > 0 then m := Cmat.mul !m slices.(k)
+       done;
+       let lambda = settings.smoothness_penalty in
+       if lambda > 0.0 then
+         Array.iteri
+           (fun j g ->
+             let row = u.(j) in
+             for k = 0 to n_steps - 2 do
+               let diff = row.(k + 1) -. row.(k) in
+               g.(k) <- g.(k) -. (2.0 *. lambda *. diff);
+               g.(k + 1) <- g.(k + 1) +. (2.0 *. lambda *. diff)
+             done;
+             if settings.envelope then begin
+               g.(0) <- g.(0) +. (2.0 *. lambda *. row.(0));
+               g.(n_steps - 1) <-
+                 g.(n_steps - 1) +. (2.0 *. lambda *. row.(n_steps - 1))
+             end)
+           grad;
+       let params = Array.concat (Array.to_list u)
+       and flat_grad = Array.concat (Array.to_list grad) in
+       if not (Array.for_all Float.is_finite flat_grad) then begin
+         diverged := true;
+         raise Exit
+       end;
+       let lr =
+         settings.hyperparams.learning_rate
+         *. (settings.hyperparams.decay ** float_of_int (iter - 1))
+       in
+       Adam.step adam ~learning_rate:lr ~params ~grad:flat_grad;
+       Array.iteri
+         (fun j (c : Hamiltonian.control) ->
+           for k = 0 to n_steps - 1 do
+             u.(j).(k) <-
+               Float.max (-.c.max_amp)
+                 (Float.min c.max_amp params.((j * n_steps) + k))
+           done)
+         sys.controls
+     done
+   with Exit -> ());
+  (!best_fid, !iterations, !converged, !diverged, !best_u, !kept)
+
+(* A dim-2 or dim-4 qubit system with [nc] random Hermitian controls and a
+   nonzero drift. *)
+let custom_system rng ~n_qubits ~nc =
+  let dim = 1 lsl n_qubits in
+  { Hamiltonian.n_qubits; level = Hamiltonian.Qubit; dim;
+    drift =
+      Cmat.scale { Complex.re = 0.3; im = 0.0 } (Cmat.random_hermitian rng dim);
+    controls =
+      Array.init nc (fun j ->
+          { Hamiltonian.label = Printf.sprintf "h%d" j;
+            matrix = Cmat.random_hermitian rng dim;
+            max_amp = Pqc_util.Rng.uniform rng ~lo:0.2 ~hi:3.0 }) }
+
+(* Runs [optimize] with tracing on and returns the result with the
+   [grape.expm.memo_hits] count of that run. *)
+let traced_optimize ~settings sys ~target ~total_time =
+  Pqc_obs.Obs.reset ();
+  Pqc_obs.Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Pqc_obs.Obs.disable ();
+      Pqc_obs.Obs.reset ())
+    (fun () ->
+      let r = Grape.optimize ~settings sys ~target ~total_time in
+      (r, Pqc_obs.Obs.counter_value "grape.expm.memo_hits"))
+
+let prop_optimize_matches_reference =
+  QCheck.Test.make ~name:"optimize = allocating reference (bits)" ~count:240
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let module Rng = Pqc_util.Rng in
+      let rng = Rng.create seed in
+      (* Dims 2 and 4: the gmon systems and custom ones, the dim-4 ones
+         with 0 to 8 controls. *)
+      let sys =
+        match seed mod 5 with
+        | 0 -> Hamiltonian.gmon 1
+        | 1 -> Hamiltonian.gmon 2
+        | 2 -> custom_system rng ~n_qubits:1 ~nc:(Rng.int rng 4)
+        | _ -> custom_system rng ~n_qubits:2 ~nc:(Rng.int rng 9)
+      in
+      if Rng.int rng 10 = 0 then
+        Cmat.set sys.drift 0 0 { Complex.re = Float.nan; im = 0.0 };
+      let target =
+        Pqc_linalg.Expm.expm
+          (Cmat.scale { Complex.re = 0.0; im = -1.0 }
+             (Cmat.random_hermitian rng sys.dim))
+      in
+      let coin () = Rng.int rng 2 = 0 in
+      let dt = Rng.uniform rng ~lo:0.05 ~hi:2.0 in
+      let n_steps = 2 + Rng.int rng 10 in
+      (* A third of the cases take learning rates far above the drive
+         bounds, so the clip saturates controls and the memo hits. *)
+      let learning_rate =
+        if Rng.int rng 3 = 0 then Rng.uniform rng ~lo:5.0 ~hi:50.0
+        else Rng.uniform rng ~lo:0.01 ~hi:0.5
+      in
+      let settings =
+        { Grape.dt; max_iters = 1 + Rng.int rng 30;
+          target_fidelity = Rng.uniform rng ~lo:0.5 ~hi:0.999;
+          hyperparams =
+            { Grape.learning_rate; decay = Rng.uniform rng ~lo:0.9 ~hi:1.0 };
+          amp_penalty = (if coin () then 0.0 else Rng.uniform rng ~lo:0.0 ~hi:0.1);
+          smoothness_penalty =
+            (if coin () then 0.0 else Rng.uniform rng ~lo:0.0 ~hi:0.05);
+          envelope = coin (); seed }
+      in
+      let r, hits =
+        traced_optimize ~settings sys ~target
+          ~total_time:(float_of_int n_steps *. dt)
+      in
+      let fid, iterations, converged, diverged, controls, kept =
+        ref_optimize settings sys ~target ~n_steps
+      in
+      let bits = Int64.bits_of_float in
+      if bits r.fidelity <> bits fid then
+        QCheck.Test.fail_reportf "fidelity %h vs reference %h" r.fidelity fid;
+      if (r.iterations, r.converged, r.diverged) <> (iterations, converged, diverged)
+      then
+        QCheck.Test.fail_reportf
+          "iterations/converged/diverged %d/%b/%b vs reference %d/%b/%b"
+          r.iterations r.converged r.diverged iterations converged diverged;
+      Array.iteri
+        (fun j row ->
+          Array.iteri
+            (fun k x ->
+              if bits x <> bits controls.(j).(k) then
+                QCheck.Test.fail_reportf "control (%d,%d): %h vs reference %h"
+                  j k x controls.(j).(k))
+            row)
+        r.controls;
+      if hits <> float_of_int kept then
+        QCheck.Test.fail_reportf "memo hits %g vs %d kept columns" hits kept;
+      true)
+
 let test_grape_respects_amp_bounds () =
   let sys = Hamiltonian.gmon 1 in
   let r = Grape.optimize ~settings:quick sys ~target:(gate_target 1 Gate.X [ 0 ]) ~total_time:3.0 in
@@ -408,6 +627,7 @@ let () =
           Alcotest.test_case "propagate consistency" `Quick test_grape_propagate_consistent;
           Alcotest.test_case "propagate = allocating reference" `Quick
             test_propagate_matches_allocating_reference;
+          QCheck_alcotest.to_alcotest prop_optimize_matches_reference;
           Alcotest.test_case "amplitude bounds" `Quick test_grape_respects_amp_bounds;
           Alcotest.test_case "CX" `Slow test_grape_cx;
           Alcotest.test_case "deterministic" `Quick test_grape_deterministic ] );

@@ -25,6 +25,35 @@ external expm4_default : Cmat.buffer -> Cmat.buffer -> unit
   = "pqc_expm4_default"
 [@@noalloc]
 
+(* The dim-4 GRAPE passes (see [Grape.optimize]), through the loader's
+   clone and through the baseline-ISA build. *)
+external grape4_forward :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> bool ->
+  float array array -> Cmat.buffer -> Cmat.buffer -> Cmat.buffer ->
+  float array -> int = "pqc_grape4_forward_byte" "pqc_grape4_forward"
+[@@noalloc]
+
+external grape4_forward_default :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> bool ->
+  float array array -> Cmat.buffer -> Cmat.buffer -> Cmat.buffer ->
+  float array -> int
+  = "pqc_grape4_forward_default_byte" "pqc_grape4_forward_default"
+[@@noalloc]
+
+external grape4_backward :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> Cmat.buffer ->
+  Cmat.buffer -> float array -> (float[@unboxed]) -> (float[@unboxed]) ->
+  float array -> float array array -> float array array -> unit
+  = "pqc_grape4_backward_byte" "pqc_grape4_backward"
+[@@noalloc]
+
+external grape4_backward_default :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> Cmat.buffer ->
+  Cmat.buffer -> float array -> (float[@unboxed]) -> (float[@unboxed]) ->
+  float array -> float array array -> float array array -> unit
+  = "pqc_grape4_backward_default_byte" "pqc_grape4_backward_default"
+[@@noalloc]
+
 (* --- references: naive loops over Cmat.get/set, float chains spelled out --- *)
 
 let random_mat rng r c =
@@ -369,6 +398,74 @@ let prop_nonfinite_equiv =
          || bits_eq_mat_nan "expm4_default" (expm_default a) expect
             && bits_eq_mat_nan "mul4_default" (mul_default a b) prod))
 
+(* Both clones of the GRAPE passes, on random split-layout inputs with 0 to
+   8 controls: a first forward pass, a second one after every other control
+   column changed (so the memo both hits and misses), then a backward pass.
+   The reference property in test_grape pins the loader's clone to a
+   textbook rebuild of [Grape.optimize]; this pins the baseline clone to
+   it. *)
+let prop_grape4_clones_equiv =
+  QCheck.Test.make
+    ~name:"GRAPE dim-4 passes: baseline clone = loader's clone (bits)"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nc = seed mod 9 and n_steps = 2 + Rng.int rng 10 in
+      let uniform lo hi = Rng.uniform rng ~lo ~hi in
+      let buf n f =
+        let b = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n in
+        for i = 0 to n - 1 do
+          b.{i} <- f ()
+        done;
+        b
+      in
+      let sys4 = buf (32 * (nc + 2)) (fun () -> uniform (-1.0) 1.0) in
+      let neg_dt = -.uniform 0.01 2.0 and amp_penalty = uniform 0.0 0.1 in
+      let u0 =
+        Array.init nc (fun _ -> Array.init n_steps (fun _ -> uniform (-2.0) 2.0))
+      in
+      let max_amp = Array.init nc (fun _ -> uniform 0.2 3.0) in
+      let run forward backward =
+        let keys = buf (nc * n_steps) (fun () -> 0.0) in
+        let slices = buf (32 * n_steps) (fun () -> 0.0) in
+        let prefix = buf (32 * n_steps) (fun () -> 0.0) in
+        let ov = [| 0.0; 0.0 |] and u = Array.map Array.copy u0 in
+        let grad = Array.make_matrix nc n_steps 0.0 in
+        let hits1 = forward sys4 nc n_steps neg_dt true u keys slices prefix ov in
+        Array.iter
+          (fun row ->
+            for k = 0 to n_steps - 1 do
+              if k mod 2 = 1 then row.(k) <- row.(k) *. 0.5
+            done)
+          u;
+        let hits2 = forward sys4 nc n_steps neg_dt false u keys slices prefix ov in
+        backward sys4 nc n_steps neg_dt slices prefix ov 16.0 amp_penalty max_amp
+          u grad;
+        ((hits1, hits2), [ slices; prefix ],
+         Array.append ov (Array.concat (Array.to_list grad)))
+      in
+      let hits, bufs, floats = run grape4_forward grape4_backward in
+      let hits', bufs', floats' =
+        run grape4_forward_default grape4_backward_default
+      in
+      let bits = Int64.bits_of_float in
+      if hits <> hits' then QCheck.Test.fail_report "memo hit counts differ";
+      List.iter2
+        (fun b b' ->
+          for i = 0 to Bigarray.Array1.dim b - 1 do
+            if bits b.{i} <> bits b'.{i} then
+              QCheck.Test.fail_reportf "buffer entry %d: %h vs %h" i b.{i} b'.{i}
+          done)
+        bufs bufs';
+      Array.iteri
+        (fun i x ->
+          if bits x <> bits floats'.(i) then
+            QCheck.Test.fail_reportf "overlap/gradient entry %d: %h vs %h" i x
+              floats'.(i))
+        floats;
+      true)
+
 (* --- aliasing preconditions: misuse must trip the asserts, not corrupt --- *)
 
 let raises_assert f =
@@ -429,7 +526,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_dagger_equiv;
           QCheck_alcotest.to_alcotest prop_expm_equiv;
           QCheck_alcotest.to_alcotest prop_expm4_grape_equiv;
-          QCheck_alcotest.to_alcotest prop_nonfinite_equiv ] );
+          QCheck_alcotest.to_alcotest prop_nonfinite_equiv;
+          QCheck_alcotest.to_alcotest prop_grape4_clones_equiv ] );
       ( "preconditions",
         [ Alcotest.test_case "mul_into aliasing" `Quick test_mul_into_aliasing;
           Alcotest.test_case "dagger_into aliasing" `Quick
