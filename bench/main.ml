@@ -33,7 +33,6 @@ module Molecule = Pqc_vqe.Molecule
 module Uccsd = Pqc_vqe.Uccsd
 module Graph = Pqc_qaoa.Graph
 module Qaoa = Pqc_qaoa.Qaoa
-module Obs = Pqc_obs.Obs
 open Pqc_core
 
 let full_mode =
@@ -731,113 +730,6 @@ let micro () =
       | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
     results
 
-(* --- Machine-readable bench: sequential vs parallel wall-clock --- *)
-
-let bench_json () =
-  section "json"
-    "machine-readable bench: sequential vs parallel compile (numeric GRAPE)";
-  let workers = Pqc_parallel.Pool.workers_from_env ~default:4 () in
-  let out =
-    Option.value
-      (Sys.getenv_opt "PQC_BENCH_JSON")
-      ~default:"BENCH_partial_compilation.json"
-  in
-  (* Deliberately no wall-clock deadline: a deadline firing in one run
-     but not the other would make the determinism check flaky.  The
-     iteration budget bounds the work instead. *)
-  let settings =
-    { Grape.fast_settings with
-      Grape.dt = 1.0;
-      max_iters = (if full_mode then 120 else 60);
-      target_fidelity = 0.98 }
-  in
-  let run_one (name, strategy, max_width, c) =
-    (* Deterministic per-experiment correlation id: a pure function of
-       the experiment name and strategy, so the report's run_id column
-       is byte-identical for any PQC_WORKERS. *)
-    let rid =
-      Printf.sprintf "bench:%s/%s" name (Compiler.strategy_name strategy)
-    in
-    Pqc_obs.Obs.Ctx.with_ctx (Some rid) @@ fun () ->
-    let theta = theta_for 7 c in
-    (* A fresh engine per run: neither run may warm the other's cache,
-       and forked children's CPU only shows up on the wall clock — hence
-       gettimeofday, not Sys.time. *)
-    let compile ~workers =
-      let engine = Engine.numeric ~settings () in
-      let t0 = Pqc_obs.Obs.Clock.now () in
-      let r = Compiler.compile ~workers ~max_width ~engine strategy c ~theta in
-      (r, Pqc_obs.Obs.Clock.now () -. t0)
-    in
-    let seq, sequential_s = compile ~workers:1 in
-    (* Trace the parallel run: its span rollup lands in the report's
-       "trace" array.  Tracing is scoped to this compile so rollups do
-       not bleed across experiments, and a fresh reset keeps the
-       counters per-experiment. *)
-    let was_enabled = Obs.enabled () in
-    Obs.reset ();
-    Obs.enable ();
-    let par, parallel_s = compile ~workers in
-    let trace =
-      List.map
-        (fun (span, count, total_s) -> { Bench_report.span; count; total_s })
-        (Obs.rollup ())
-    in
-    let metrics =
-      List.map
-        (fun name ->
-          let s = Option.get (Obs.Metrics.stats name) in
-          let p50, p90, p99 = Obs.Metrics.percentiles name in
-          let mean =
-            if s.Obs.Metrics.count = 0 then Float.nan
-            else s.Obs.Metrics.sum /. float_of_int s.Obs.Metrics.count
-          in
-          { Bench_report.metric = name; count = s.Obs.Metrics.count;
-            mean; p50; p90; p99; max = s.Obs.Metrics.max })
-        (Obs.Metrics.names ())
-    in
-    if not was_enabled then Obs.disable ();
-    let speedup = sequential_s /. parallel_s in
-    let equal_pulse =
-      Float.equal seq.Strategy.duration_ns par.Strategy.duration_ns
-    in
-    note "  %-12s %-15s seq %6.2f s  par %6.2f s  speedup %4.2fx  %s\n" name
-      (Compiler.strategy_name strategy)
-      sequential_s parallel_s speedup
-      (if equal_pulse then "pulses equal" else "PULSES DIFFER");
-    { Bench_report.name;
-      strategy = Compiler.strategy_name strategy;
-      engine = "numeric";
-      run_id = rid;
-      pulse_duration_ns = par.Strategy.duration_ns;
-      sequential_s;
-      parallel_s;
-      speedup;
-      cache_hits = par.Strategy.pool.Engine.cache_hits;
-      blocks_compiled = par.Strategy.pool.Engine.dispatched;
-      workers = par.Strategy.pool.Engine.workers;
-      equal_pulse;
-      trace;
-      metrics }
-  in
-  let experiments =
-    List.map run_one
-      [ ("uccsd-h2", Compiler.Strict_partial, 2, vqe_prepared Molecule.h2);
-        ("uccsd-lih", Compiler.Strict_partial, 2, vqe_prepared Molecule.lih) ]
-  in
-  (* Sorting before emit keeps experiment order a property of the report
-     schema rather than of execution order, so the document's bytes are
-     identical for any PQC_WORKERS (the run above is already
-     deterministic in the worker count; this pins the ordering too). *)
-  let report =
-    Bench_report.sorted
-      { Bench_report.mode = (if full_mode then "full" else "fast");
-        workers;
-        experiments }
-  in
-  Bench_report.write ~path:out report;
-  note "  wrote %s (schema v%d)\n" out Bench_report.schema_version
-
 (* ------------------------------------------------------------------ *)
 
 let experiments =
@@ -846,8 +738,7 @@ let experiments =
     ("table5", table5); ("aggregate", aggregate); ("noise", noise);
     ("ablation-blocking", ablation_blocking);
     ("ablation-slicing", ablation_slicing); ("qaoa-quality", qaoa_quality);
-    ("ablation-transpile", ablation_transpile); ("micro", micro);
-    ("json", bench_json) ]
+    ("ablation-transpile", ablation_transpile); ("micro", micro) ]
 
 let () =
   let requested =

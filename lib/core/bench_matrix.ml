@@ -106,11 +106,6 @@ let topology_for name n =
   | other ->
     Error (Printf.sprintf "unknown topology %S (line, grid, clique)" other)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let rec map_result f = function
   | [] -> Ok []
   | x :: rest ->
@@ -181,10 +176,14 @@ let manifest_of_json s =
     let* () =
       if max_width >= 1 then Ok () else Error "manifest: max_width must be >= 1"
     in
-    let item_deadline_s =
-      match Option.bind (J.member "item_deadline_s" doc) J.to_float with
-      | Some d when Float.is_finite d && d > 0.0 -> Some d
-      | Some _ | None -> None
+    let* item_deadline_s =
+      match J.member "item_deadline_s" doc with
+      | None -> Ok None
+      | Some j -> (
+        match J.to_float j with
+        | Some d when Float.is_finite d && d > 0.0 -> Ok (Some d)
+        | Some _ | None ->
+          Error "manifest: item_deadline_s must be a finite number > 0")
     in
     let* workloads =
       axis ~kind:"strings" "workloads" J.to_string ~default:None doc
@@ -221,18 +220,28 @@ let manifest_of_json s =
               Error (Printf.sprintf "manifest: fault plan %S: %s" spec e)))
         plan_specs
     in
+    let fires site =
+      List.exists
+        (function Some p -> Fault.rate p site > 0.0 | None -> false)
+        fault_plans
+    in
+    (* A cell compares a fault-free sequential compile with the faulted
+       parallel one, so a plan that changes pulses fails every cell. *)
+    let* () =
+      match List.find_opt fires Fault.[ Nan_fidelity; No_converge; Stall ] with
+      | Some site ->
+        Error
+          (Printf.sprintf
+             "manifest: fault plan site %s injects optimizer faults, which \
+              change pulses"
+             (Fault.site_to_string site))
+      | None -> Ok ()
+    in
     (* A hanging worker is only recoverable when the pool has an item
        deadline to kill it against; without one the matrix would block
        forever, so reject the combination up front. *)
     let* () =
-      let hangs =
-        List.exists
-          (function
-            | Some p -> contains_sub (Fault.to_string p) "hang="
-            | None -> false)
-          fault_plans
-      in
-      if hangs && item_deadline_s = None then
+      if fires Fault.Worker_hang && item_deadline_s = None then
         Error "manifest: fault plan hangs workers but no item_deadline_s set"
       else Ok ()
     in
@@ -359,8 +368,8 @@ let theta_for seed c =
   let n = Circuit.n_params c in
   Array.init n (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi))
 
-(* Mirrors the bench harness's numeric settings: no wall-clock deadline
-   (a deadline firing in one run but not another would break the
+(* The numeric engine's settings for every manifest: no wall-clock
+   deadline (a deadline firing in one run but not another would break the
    byte-identical determinism contract); the iteration budget bounds the
    work instead. *)
 let numeric_settings () =
@@ -450,7 +459,7 @@ let run_cell m ~out_dir cell =
     let theta = theta_for m.seed c in
     let compile ~workers =
       (* A fresh engine per compile: neither run may warm the other's
-         cache, matching the bench harness's contract. *)
+         cache. *)
       let engine = engine_for m in
       let t0 = Pqc_obs.Obs.Clock.now () in
       let r =
@@ -459,14 +468,21 @@ let run_cell m ~out_dir cell =
       in
       (r, Pqc_obs.Obs.Clock.now () -. t0)
     in
-    let seq, sequential_s = compile ~workers:1 in
-    (* Telemetry and the fault plan are both scoped to the parallel
-       compile + variational loop: the sequential compile above is the
-       fault-free reference, and global state is restored before this
-       function returns so driver-level pooling sees a quiet process. *)
+    (* The sequential compile is the fault-free reference, even under an
+       ambient plan whose optimizer sites would change its pulses. *)
+    let ambient_plan = Fault.current () in
+    Fault.set None;
+    let seq, sequential_s =
+      Fun.protect
+        ~finally:(fun () -> Fault.set ambient_plan)
+        (fun () -> compile ~workers:1)
+    in
+    (* Telemetry and the cell's fault plan are both scoped to the parallel
+       compile + variational loop, and global state is restored before
+       this function returns so the pool running the cells sees a quiet
+       process. *)
     Obs.reset ();
     Obs.enable ();
-    let ambient_plan = Fault.current () in
     let finish () =
       Fault.set ambient_plan;
       Obs.disable ();

@@ -24,17 +24,25 @@
     {v
     { "schema_version": 1,
       "name": "smoke",
-      "engine": "model",            // or "numeric"
+      "engine": "model",            // or "numeric" (GRAPE, see below)
       "seed": 7,                    // theta + variational-loop seed
       "iterations": 12,             // objective evaluations per cell; 0 = none
       "max_width": 4,               // GRAPE blocking width
-      "item_deadline_s": 5.0,       // required when a fault plan hangs workers
+      "item_deadline_s": 5.0,       // finite > 0; required when a fault plan
+                                    // hangs workers
       "workloads": ["h2", "lih", "3reg6p1"],
       "topologies": ["line"],       // line | grid | clique
       "strategies": ["strict", "flexible"],
       "workers": [1, 4],
       "fault_plans": ["none", "seed=5,partial-pipe=0.5"] }
-    v} *)
+    v}
+
+    The numeric engine runs GRAPE at dt 1 ns, 60 iterations, fidelity
+    target 0.98 and no wall-clock deadline, so pulses are a pure function
+    of the manifest.  This module holds the library's only copy of those
+    settings ([perfbench/bench.ml] mirrors them for its canary pins), and
+    the committed [bench/workloads/numeric.json] manifest is the
+    repository's numeric pulse baseline. *)
 
 module Circuit = Pqc_quantum.Circuit
 
@@ -71,8 +79,11 @@ type manifest = {
 val manifest_of_json : string -> (manifest, string) result
 (** Parse and validate a manifest document.  Validation is total:
     unknown workloads/topologies/strategies, malformed fault plans, an
-    empty axis, a grid topology over an odd-width workload, or a
-    hanging fault plan without [item_deadline_s] are all [Error] —
+    empty axis, a grid topology over an odd-width workload, an
+    [item_deadline_s] that is not a finite number > 0, a hanging fault
+    plan without [item_deadline_s], or a fault plan with an optimizer
+    site ([nan], [no-converge], [stall] — they change pulses, so the
+    cell's sequential/parallel comparison would fail) are all [Error] —
     every cell of an accepted manifest can execute. *)
 
 val load_manifest : path:string -> (manifest, string) result
@@ -105,10 +116,11 @@ type outcome = { cell : cell; status : (unit, string) result }
 
 val run_cell : manifest -> out_dir:string -> cell -> (unit, string) result
 (** Execute one cell in the current process: prepare the workload on the
-    cell topology, compile sequentially then in parallel under the
-    cell's fault plan with scoped telemetry, optionally run the
-    variational loop against a {!Pqc_obs.Run_log} recorder, and write
-    [report.json] / [metrics.reg] / [run.jsonl] under {!cell_dir}.
+    cell topology, compile sequentially with no fault plan, then in
+    parallel under the cell's fault plan with scoped telemetry,
+    optionally run the variational loop against a {!Pqc_obs.Run_log}
+    recorder, and write [report.json] / [metrics.reg] / [run.jsonl]
+    under {!cell_dir}.
     Leaves global telemetry disabled and the ambient fault plan
     restored.  Never raises on cell failure. *)
 

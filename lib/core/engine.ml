@@ -5,7 +5,6 @@ module Gate_times = Pqc_pulse.Gate_times
 module Grape = Pqc_grape.Grape
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Hyperopt = Pqc_hyperopt.Hyperopt
-module Rng = Pqc_util.Rng
 module Pool = Pqc_parallel.Pool
 module Obs = Pqc_obs.Obs
 module Latency_model = Pqc_analysis.Latency_model
@@ -48,18 +47,7 @@ type numeric_config = {
   mutable cache_salvaged : int;
 }
 
-type fault = Nan_fidelity | No_converge | Stall
-
-(* [fseed] keeps the original seed around so batch drivers can derive an
-   independent, position-keyed injection stream per item: a shared
-   mutable [frng] would make the injection pattern depend on execution
-   order, which forked workers do not preserve. *)
-type fault_plan = { frng : Rng.t; fseed : int; rate : float; kinds : fault array }
-
-type t =
-  | Model
-  | Numeric of numeric_config
-  | Faulty of fault_plan * t
+type t = Model | Numeric of numeric_config
 
 let model = Model
 
@@ -136,29 +124,11 @@ let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
   (match cache_file with Some path -> load_cache cfg path | None -> ());
   Numeric cfg
 
-let faulty ?(rate = 1.0) ?(kinds = [| Nan_fidelity; No_converge; Stall |])
-    ~seed inner =
-  if Array.length kinds = 0 then
-    invalid_arg "Engine.faulty: kinds must be non-empty";
-  Faulty ({ frng = Rng.create seed; fseed = seed; rate; kinds }, inner)
+let is_numeric = function Numeric _ -> true | Model -> false
 
-type base = Base_model | Base_numeric of numeric_config
-
-(* The outermost fault plan wins; inner wrappers are inert. *)
-let rec unwrap = function
-  | Faulty (p, b) ->
-    let _, base = unwrap b in
-    (Some p, base)
-  | Model -> (None, Base_model)
-  | Numeric cfg -> (None, Base_numeric cfg)
-
-let is_numeric t =
-  match unwrap t with _, Base_numeric _ -> true | _, Base_model -> false
-
-let persist_result t =
-  match unwrap t with
-  | _, Base_model -> Ok ()
-  | _, Base_numeric cfg ->
+let persist_result = function
+  | Model -> Ok ()
+  | Numeric cfg ->
     (match cfg.cache_file with
      | None -> Ok ()
      | Some path ->
@@ -194,25 +164,17 @@ let persist_result t =
 let persist t =
   match persist_result t with Ok () -> () | Error _ -> ()
 
-let cache_size t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> Hashtbl.length cfg.cache
+let cache_size = function
+  | Model -> 0
+  | Numeric cfg -> Hashtbl.length cfg.cache
 
-let hyperopt_memo_size t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> Hashtbl.length cfg.tunings
+let hyperopt_memo_size = function
+  | Model -> 0
+  | Numeric cfg -> Hashtbl.length cfg.tunings
 
-let cache_dropped t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> cfg.cache_dropped
+let cache_dropped = function Model -> 0 | Numeric cfg -> cfg.cache_dropped
 
-let cache_salvaged t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> cfg.cache_salvaged
+let cache_salvaged = function Model -> 0 | Numeric cfg -> cfg.cache_salvaged
 
 (* Width, then per instruction its gate name, rendered parameter and
    operand qubits. *)
@@ -299,10 +261,22 @@ let numeric_attempt cfg settings deadline c =
     else Error Resilience.Diverged
   | exception Invalid_argument _ -> Error Resilience.Non_finite
 
-let inject plan =
-  match plan with
-  | Some p when Rng.float p.frng 1.0 < p.rate -> Some (Rng.choice p.frng p.kinds)
-  | _ -> None
+(* The optimizer fault the active plan injects into this attempt, if
+   any.  The key hashes the block and the attempt, so a block's outcome
+   is the same through [search], [search_many] and [flex_many], at any
+   batch position and worker count, and a retry draws afresh.
+   [Hashtbl.hash] is deterministic: OCAMLRUNPARAM=R randomizes tables,
+   not this hash. *)
+let injected_failure c ~attempt =
+  match Fault.current () with
+  | None -> None
+  | Some _ ->
+    let key = Hashtbl.hash (block_key c, attempt) in
+    if Fault.fire Fault.Nan_fidelity ~key then Some Resilience.Non_finite
+    else if Fault.fire Fault.No_converge ~key then Some Resilience.Diverged
+    else if Fault.fire Fault.Stall ~key then
+      Some Resilience.Deadline_exceeded
+    else None
 
 (* Gate-based lookup duration: realizable by concatenation, always finite
    — the terminal rung of the degradation ladder. *)
@@ -324,21 +298,19 @@ let search_flagged t c =
        fallback = None; run_id = Obs.Ctx.current () },
      false)
   else
-    let plan, base = unwrap t in
     let policy, deadline =
-      match base with
-      | Base_numeric cfg ->
-        (cfg.policy, Resilience.of_seconds cfg.deadline_s)
-      | Base_model -> (Resilience.default_policy, Resilience.no_deadline)
+      match t with
+      | Numeric cfg -> (cfg.policy, Resilience.of_seconds cfg.deadline_s)
+      | Model -> (Resilience.default_policy, Resilience.no_deadline)
     in
     let cached_key =
-      match base with
-      | Base_numeric cfg ->
+      match t with
+      | Numeric cfg ->
         let key = block_key c in
         (match Hashtbl.find_opt cfg.cache key with
          | Some r -> Either.Left r
          | None -> Either.Right (Some (cfg, key)))
-      | Base_model -> Either.Right None
+      | Model -> Either.Right None
     in
     match cached_key with
     | Either.Left r ->
@@ -358,14 +330,12 @@ let search_flagged t c =
          time; surface at least the run count in the fallback's cost. *)
       let failed_runs = ref 0 in
       let attempt ~attempt =
-        match inject plan with
-        | Some Nan_fidelity -> injected := true; Error Resilience.Non_finite
-        | Some No_converge -> injected := true; Error Resilience.Diverged
-        | Some Stall -> injected := true; Error Resilience.Deadline_exceeded
+        match injected_failure c ~attempt with
+        | Some reason -> injected := true; Error reason
         | None ->
-          (match base with
-           | Base_model -> Ok (model_search c)
-           | Base_numeric cfg ->
+          (match t with
+           | Model -> Ok (model_search c)
+           | Numeric cfg ->
              let settings = Resilience.retune cfg.policy ~attempt cfg.settings in
              match numeric_attempt cfg settings deadline c with
              | Ok _ as ok -> ok
@@ -390,8 +360,8 @@ let search t c = fst (search_flagged t c)
 let tuned_run_cost ?hyperparams t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
-  match unwrap t with
-  | _, Base_model ->
+  match t with
+  | Model ->
     let iters =
       float_of_int (Latency_model.default_iterations width)
       /. Latency_model.tuning_speedup width
@@ -400,7 +370,7 @@ let tuned_run_cost ?hyperparams t c ~duration =
     { grape_runs = 1;
       grape_iterations = int_of_float iters;
       seconds = iters *. Latency_model.seconds_per_iteration ~width ~steps }
-  | _, Base_numeric cfg ->
+  | Numeric cfg ->
     let sys = cfg.system_for width in
     let target = Circuit.unitary c in
     let deadline = Resilience.of_seconds cfg.deadline_s in
@@ -446,8 +416,8 @@ let run_grid cfg c ~duration =
 let hyperopt_cost t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
-  match unwrap t with
-  | _, Base_model ->
+  match t with
+  | Model ->
     let iters =
       Latency_model.hyperopt_grid_evals * Latency_model.default_iterations width
     in
@@ -456,7 +426,7 @@ let hyperopt_cost t c ~duration =
       grape_iterations = iters;
       seconds =
         float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps }
-  | _, Base_numeric cfg -> snd (run_grid cfg c ~duration)
+  | Numeric cfg -> snd (run_grid cfg c ~duration)
 
 (* --- Batch compilation over the worker pool --- *)
 
@@ -543,25 +513,15 @@ let decode_winner s =
        | v -> Some v
        | exception _ -> None))
 
-(* Each batch item gets its own injection stream, keyed on the plan seed
-   and the item's input position: the pattern of injected faults is then
-   a pure function of the batch, identical whether items run in one
-   process or across any number of forked workers, in any order. *)
-let item_engine t plan idx =
-  match plan with
-  | None -> t
-  | Some p ->
-    Faulty ({ p with frng = Rng.create (p.fseed + ((idx + 1) * 0x2545f491)) }, t)
-
 (* Generic batch driver: dedup by block key, resolve memo hits in the
    parent, fan the rest out over the pool, verify each record landed on
    the key it was dispatched for, merge cacheable results back into the
    memo table, and reassemble per input order.  [compute] runs in forked
    children {e and} in the parent (sequential mode and recovery), so the
-   two paths stay behaviorally identical by construction; it also gets
-   the item's input position. *)
+   two paths stay behaviorally identical by construction; it gets the
+   item's input position. *)
 let run_batch (type r) ?workers t circuits
-    ~(compute : t -> int -> Pqc_quantum.Circuit.t -> r)
+    ~(compute : int -> Pqc_quantum.Circuit.t -> r)
     ~(encode : string -> r -> string)
     ~(decode : string -> (string * r) option)
     ~(cached : numeric_config -> string -> r option)
@@ -572,7 +532,6 @@ let run_batch (type r) ?workers t circuits
   Obs.Span.with_ ~name:"engine.batch"
     ~attrs:[ ("items", string_of_int (List.length circuits)) ]
   @@ fun () ->
-  let plan, base = unwrap t in
   let arr = Array.of_list circuits in
   let n = Array.length arr in
   let keys = Array.map block_key arr in
@@ -591,13 +550,9 @@ let run_batch (type r) ?workers t circuits
       else if Circuit.length arr.(i) = 0 then
         (* Empty blocks are free; computing them in-process keeps them
            out of the cache, exactly as the single-item path does. *)
-        results.(i) <- Some (compute t i arr.(i))
+        results.(i) <- Some (compute i arr.(i))
       else
-        let hit =
-          match base with
-          | Base_numeric cfg -> cached cfg k
-          | Base_model -> None
-        in
+        let hit = match t with Numeric cfg -> cached cfg k | Model -> None in
         match hit with
         | Some r ->
           incr cache_hits;
@@ -623,8 +578,7 @@ let run_batch (type r) ?workers t circuits
     | None -> Printf.sprintf "item#%d" idx
   in
   let f (idx, _k, c) =
-    Obs.Ctx.with_ctx (item_ctx idx) (fun () ->
-        compute (item_engine t plan idx) idx c)
+    Obs.Ctx.with_ctx (item_ctx idx) (fun () -> compute idx c)
   in
   (* Force the chaos plan (PQC_FAULT_PLAN) to parse and install its pool
      hook before any fork, so seeded worker faults apply to this batch. *)
@@ -637,9 +591,9 @@ let run_batch (type r) ?workers t circuits
     List.length
       (List.filter
          (fun (_, k, _) ->
-           match base with
-           | Base_numeric cfg -> not (Hashtbl.mem cfg.cache k)
-           | Base_model -> true)
+           match t with
+           | Numeric cfg -> not (Hashtbl.mem cfg.cache k)
+           | Model -> true)
          todo)
   in
   let workers = if misses < 2 then Some 1 else workers in
@@ -680,8 +634,8 @@ let run_batch (type r) ?workers t circuits
                 idx;
             run_id = item_ctx idx }
           :: !degs;
-      (match base with
-      | Base_numeric cfg when cacheable r -> store cfg k r
+      (match t with
+      | Numeric cfg when cacheable r -> store cfg k r
       | _ -> ());
       results.(idx) <- Some r)
     todo pool_out;
@@ -702,7 +656,7 @@ let run_batch (type r) ?workers t circuits
 let search_many ?workers t circuits =
   let rs, stats, degs =
     run_batch ?workers t circuits
-      ~compute:(fun t _ c -> search_flagged t c)
+      ~compute:(fun _ c -> search_flagged t c)
       ~encode:encode_search
       ~decode:decode_search
       ~cached:(fun cfg k ->
@@ -724,21 +678,20 @@ let flex_many ?workers t ~theta blocks =
   (* The numeric engine keys its hyperparameter memo on each unbound
      block; the model engine prices tuning analytically and has none. *)
   let memo =
-    match unwrap t with
-    | _, Base_numeric cfg ->
-      Some (cfg, Array.of_list (List.map slice_key blocks))
-    | _, Base_model -> None
+    match t with
+    | Numeric cfg -> Some (cfg, Array.of_list (List.map slice_key blocks))
+    | Model -> None
   in
   (* Reads the memo only: in sequential mode every item runs before the
      merge below writes, exactly as forked children see the memo they
      inherited, so results do not depend on the worker count. *)
-  let compute eng idx c =
-    let r, injected = search_flagged eng c in
+  let compute idx c =
+    let r, injected = search_flagged t c in
     let duration = r.duration_ns in
     match memo with
     | None ->
-      ( { search = r; hyperopt = hyperopt_cost eng c ~duration;
-          hyperparams = None; tuned = tuned_run_cost eng c ~duration },
+      ( { search = r; hyperopt = hyperopt_cost t c ~duration;
+          hyperparams = None; tuned = tuned_run_cost t c ~duration },
         injected, false )
     | Some (cfg, keys) ->
       let winner, grid_cost, fresh =
@@ -752,7 +705,7 @@ let flex_many ?workers t ~theta blocks =
           (s.Hyperopt.best.Hyperopt.hyperparams, grid_cost, s.Hyperopt.complete)
       in
       ( { search = r; hyperopt = grid_cost; hyperparams = Some winner;
-          tuned = tuned_run_cost ~hyperparams:winner eng c ~duration },
+          tuned = tuned_run_cost ~hyperparams:winner t c ~duration },
         injected, fresh )
   in
   let encode k ({ search = r; hyperopt; hyperparams; tuned }, injected, fresh) =

@@ -16,7 +16,14 @@ module Hamiltonian = Pqc_grape.Hamiltonian
     a halved learning rate), wall-clock deadlines bound each search, and
     when all attempts fail the engine degrades to the gate-based
     lookup-table duration — always realizable — tagging the result's
-    [fallback] field so nothing fails silently. *)
+    [fallback] field so nothing fails silently.
+
+    The optimizer sites of the active {!Fault} plan ([nan],
+    [no-converge], [stall]) fail search attempts on purpose, to exercise
+    that path.  Injected failures pass through the same retry and
+    degradation machinery as real ones, but results produced under them
+    never reach the memo table, the hyperparameter memo or the cache
+    file. *)
 
 type cost = { grape_runs : int; grape_iterations : int; seconds : float }
 (** Classical compilation work: optimize calls, total optimizer
@@ -64,18 +71,6 @@ val numeric :
     entries dropped, see {!cache_dropped} — and written by {!persist}. *)
 
 val is_numeric : t -> bool
-
-type fault = Nan_fidelity | No_converge | Stall
-
-val faulty : ?rate:float -> ?kinds:fault array -> seed:int -> t -> t
-(** Seeded fault-injection wrapper for resilience testing: each
-    {!search} on the wrapped engine fails with probability [rate]
-    (default 1.0) with a kind drawn from [kinds] (default: all three).
-    [Nan_fidelity] presents as {!Resilience.Non_finite}, [No_converge]
-    as [Diverged], [Stall] as [Deadline_exceeded].  Injected failures
-    pass through the same retry/degradation machinery as real ones, but
-    their results are never cached.  Raises [Invalid_argument] on empty
-    [kinds]. *)
 
 val block_key : Circuit.t -> string
 (** Canonical memoization key of a bound block: width, gate names, exact
@@ -142,9 +137,10 @@ val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
     ({!Pqc_parallel.Pool}) and reassembling results in input order.
     They are {e deterministic in the worker count}: for any [workers],
     the returned durations, fidelities, fallbacks and iteration counts
-    are identical to the sequential run — including under {!faulty}
-    injection, whose per-item streams are keyed on batch position rather
-    than execution order.  Only measured wall-clock [seconds] fields may
+    are identical to the sequential run — including under a {!Fault}
+    plan's optimizer sites, whose decisions hash the block and the
+    attempt, so each block gets what a single {!search} would give it, at
+    any batch position.  Only measured wall-clock [seconds] fields may
     differ between runs. *)
 
 type pool_stats = {

@@ -8,10 +8,13 @@ type site =
   | Partial_pipe
   | Cache_truncate
   | Enospc
+  | Nan_fidelity
+  | No_converge
+  | Stall
 
 let all_sites =
   [ Worker_hang; Worker_crash_pre; Worker_crash_mid; Partial_pipe;
-    Cache_truncate; Enospc ]
+    Cache_truncate; Enospc; Nan_fidelity; No_converge; Stall ]
 
 let site_to_string = function
   | Worker_hang -> "hang"
@@ -20,6 +23,9 @@ let site_to_string = function
   | Partial_pipe -> "partial-pipe"
   | Cache_truncate -> "truncate"
   | Enospc -> "enospc"
+  | Nan_fidelity -> "nan"
+  | No_converge -> "no-converge"
+  | Stall -> "stall"
 
 let site_of_string = function
   | "hang" -> Some Worker_hang
@@ -28,6 +34,9 @@ let site_of_string = function
   | "partial-pipe" -> Some Partial_pipe
   | "truncate" -> Some Cache_truncate
   | "enospc" -> Some Enospc
+  | "nan" -> Some Nan_fidelity
+  | "no-converge" -> Some No_converge
+  | "stall" -> Some Stall
   | _ -> None
 
 let site_index = function
@@ -37,8 +46,11 @@ let site_index = function
   | Partial_pipe -> 4
   | Cache_truncate -> 5
   | Enospc -> 6
+  | Nan_fidelity -> 7
+  | No_converge -> 8
+  | Stall -> 9
 
-type plan = { seed : int; rates : float array (* indexed by site_index *) }
+type plan = { seed : int; rates : float array (* by site_index, 0 unused *) }
 
 let rate plan site = plan.rates.(site_index site)
 
@@ -48,12 +60,12 @@ let to_string plan =
     :: List.filter_map
          (fun s ->
            let r = rate plan s in
-           if r > 0.0 then Some (Printf.sprintf "%s=%g" (site_to_string s) r)
+           if r > 0.0 then Some (Printf.sprintf "%s=%.17g" (site_to_string s) r)
            else None)
          all_sites)
 
 let parse spec =
-  let plan = { seed = 0; rates = Array.make 7 0.0 } in
+  let plan = { seed = 0; rates = Array.make (List.length all_sites + 1) 0.0 } in
   let fields =
     List.filter
       (fun f -> String.trim f <> "")
@@ -187,10 +199,11 @@ let fire site ~key =
     let hit = decide plan site ~key in
     if hit then begin
       Obs.count ("fault." ^ site_to_string site);
-      (* Parent-side storage faults (truncate/enospc) fire in the
-         process that owns the flight ring, so the last-events trail is
-         dumped at the moment of injection — the same forensic record an
-         abnormal worker exit leaves. *)
+      (* A firing lands in the flight ring of the process it fires in
+         (the parent for storage sites, the searching process for
+         optimizer sites), so the last-events trail is dumped at the
+         moment of injection — the same forensic record an abnormal
+         worker exit leaves. *)
       let detail =
         Printf.sprintf "fault %s fired (key %d)" (site_to_string site) key
       in

@@ -1,12 +1,14 @@
-(** Seeded chaos fault injection at the process and storage seams.
+(** Seeded fault injection at the optimizer, process and storage seams.
 
-    Where {!Engine.faulty} injects {e optimizer} failures (to exercise
-    retry/degradation), this module injects {e infrastructure} failures
-    — hung and crashing pool workers, torn pipe frames, truncated cache
-    files, a full disk — to prove that supervision
+    {e Optimizer} sites fail a block search attempt the way GRAPE can
+    fail — a NaN fidelity, no convergence, a stall — to exercise the
+    engine's retry and degradation path: they surface as [fallback]
+    results and degradations, never as a crash.  {e Infrastructure}
+    sites hang and crash pool workers, tear pipe frames, truncate cache
+    files and fill the disk, to prove that supervision
     ({!Pqc_parallel.Pool}) and crash-consistency ({!Pulse_cache}) mask
-    them completely: under any plan, batch results are bit-identical to
-    the fault-free sequential run and the cache always reloads.
+    them completely: under such a plan, batch results are bit-identical
+    to the fault-free sequential run and the cache always reloads.
 
     A {e plan} is a seed plus a per-site firing rate.  Whether a site
     fires for a given key is a pure hash of (seed, site, key) — never of
@@ -14,17 +16,22 @@
     exactly reproducible from its spec string.
 
     Spec syntax (the [PQC_FAULT_PLAN] environment variable, or {!parse}):
-    {v seed=42,hang=0.5,crash-pre=0.25,crash-mid=0.25,partial-pipe=0.5,truncate=1,enospc=1 v}
+    {v seed=42,hang=0.5,crash-mid=0.25,partial-pipe=0.5,enospc=1,nan=0.1,stall=0.05 v}
     Unknown sites, rates outside [0,1], or a plan whose every rate is 0
     are rejected; a malformed [PQC_FAULT_PLAN] warns once on stderr and
     injects nothing.
 
+    Optimizer sites ([nan], [no-converge], [stall]) are keyed by a hash
+    of the block key and the attempt number and consulted by
+    {!Engine.search} in the order listed, so a block's outcome depends
+    only on the plan, the block and the attempt — the same through
+    single searches and batches, at any batch position and worker count.
     Worker sites ([hang], [crash-pre], [crash-mid], [partial-pipe]) are
     keyed by the item's batch index and consulted only inside forked
     pool children (via {!Pqc_parallel.Pool.set_fault_hook}, installed by
     {!set}/{!current}).  Storage sites ([truncate], [enospc]) are keyed
     by a per-path operation counter and consulted by {!Pulse_cache}
-    inside the parent.  Each in-parent firing bumps a
+    inside the parent.  Each firing through {!fire} bumps a
     [fault.<site>] counter in {!Pqc_obs.Obs}. *)
 
 type site =
@@ -34,6 +41,10 @@ type site =
   | Partial_pipe  (** Worker frames a truncated record and carries on. *)
   | Cache_truncate  (** Cache journal append is torn mid-record. *)
   | Enospc  (** Cache persist fails as if the disk were full. *)
+  | Nan_fidelity
+      (** A search attempt fails as {!Resilience.Non_finite}. *)
+  | No_converge  (** A search attempt fails as [Diverged]. *)
+  | Stall  (** A search attempt fails as [Deadline_exceeded]. *)
 
 val all_sites : site list
 val site_to_string : site -> string
@@ -43,8 +54,12 @@ type plan
 
 val parse : string -> (plan, string) result
 val to_string : plan -> string
-(** Canonical spec of a plan ([seed=..] plus every nonzero rate);
-    [parse (to_string p)] reproduces [p]'s decisions. *)
+(** Canonical spec of a plan ([seed=..] plus every nonzero rate, printed
+    with 17 significant digits); [parse (to_string p)] reproduces [p]'s
+    rates bit for bit, and so its decisions. *)
+
+val rate : plan -> site -> float
+(** The firing rate of [site] under [plan] (0 when the plan omits it). *)
 
 val decide : plan -> site -> key:int -> bool
 (** Pure decision function: does [site] fire for [key] under [plan]?
@@ -66,4 +81,5 @@ val active : unit -> bool
 
 val fire : site -> key:int -> bool
 (** [decide] against the active plan (false when none), bumping the
-    [fault.<site>] counter on a hit.  The storage seams call this. *)
+    [fault.<site>] counter on a hit.  The search and storage seams call
+    this. *)

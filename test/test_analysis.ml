@@ -571,9 +571,12 @@ let test_cost_matches_model_compiler () =
       (Compiler.Full_grape, Rule.Full_grape) ]
 
 (* The advisor's predicted pulse-duration ordering must reproduce the
-   measured ordering in the committed numeric baseline. *)
+   measured ordering in the committed numeric baseline: the rollup of
+   bench/workloads/numeric.json. *)
 let test_ranking_matches_committed_baseline () =
-  match Pqc_core.Bench_report.read ~path:"../BENCH_partial_compilation.json" with
+  match
+    Pqc_core.Bench_report.read ~path:"../bench/workloads/numeric.rollup.json"
+  with
   | Error e -> Alcotest.fail e
   | Ok report ->
     let target_of = function
@@ -583,12 +586,12 @@ let test_ranking_matches_committed_baseline () =
       | "full-grape" -> Rule.Full_grape
       | s -> Alcotest.fail ("unknown strategy in baseline: " ^ s)
     in
+    (* A cell name starts with its workload spec: "h2+line+w2+fp0". *)
     let circuit_of name =
-      match name with
-      | "uccsd-h2" -> Compiler.prepare (Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.h2)
-      | "uccsd-lih" ->
-        Compiler.prepare (Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.lih)
-      | s -> Alcotest.fail ("unknown benchmark in baseline: " ^ s)
+      let spec = List.hd (String.split_on_char '+' name) in
+      match Pqc_core.Bench_matrix.circuit_of_spec spec with
+      | Ok c -> Compiler.prepare c
+      | Error e -> Alcotest.fail e
     in
     let rows =
       List.map

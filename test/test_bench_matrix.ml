@@ -11,6 +11,7 @@ module Bench_rollup = Pqc_core.Bench_rollup
 module Bench_report = Pqc_core.Bench_report
 module Bench_diff = Pqc_core.Bench_diff
 module Compiler = Pqc_core.Compiler
+module Fault = Pqc_core.Fault
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -83,6 +84,11 @@ let test_manifest_defaults () =
   checkb "default plan is fault-free" true
     (List.for_all Option.is_none m.Bench_matrix.fault_plans)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let expect_error what json =
   match Bench_matrix.manifest_of_json json with
   | Ok _ -> Alcotest.failf "%s: expected Error, got Ok" what
@@ -109,6 +115,30 @@ let test_manifest_rejects () =
         "fault_plans": ["seed=1,hang=0.5"] }|};
   expect_error "unsupported schema_version"
     {|{ "schema_version": 99, "workloads": ["h2"], "strategies": ["strict"] }|};
+  (* A deadline that is not a finite number > 0 is an error, not a silent
+     "no deadline". *)
+  List.iter
+    (fun d ->
+      expect_error ("item_deadline_s " ^ d)
+        (Printf.sprintf
+           {|{ "workloads": ["h2"], "strategies": ["strict"],
+               "item_deadline_s": %s }|}
+           d))
+    [ "0"; "-1"; {|"5"|}; "null" ];
+  (* Optimizer faults change pulses, so every cell's sequential/parallel
+     comparison would fail; the error names the site. *)
+  List.iter
+    (fun site ->
+      match
+        Bench_matrix.manifest_of_json
+          (Printf.sprintf
+             {|{ "workloads": ["h2"], "strategies": ["strict"],
+                 "fault_plans": ["seed=1,crash-pre=0.2,%s=0.5"] }|}
+             site)
+      with
+      | Ok _ -> Alcotest.failf "optimizer site %s: expected Error, got Ok" site
+      | Error e -> checkb ("error names " ^ site) true (contains e site))
+    [ "nan"; "no-converge"; "stall" ];
   expect_error "not json at all" "][";
   (* A hang plan WITH a deadline is accepted. *)
   ignore
@@ -201,6 +231,25 @@ let test_matrix_determinism_across_driver_workers () =
           let j1 = Bench_rollup.to_json (Bench_rollup.normalize (roll dir1)) in
           let j4 = Bench_rollup.to_json (Bench_rollup.normalize (roll dir4)) in
           checks "normalized rollups byte-identical" j1 j4))
+
+let test_ambient_optimizer_plan () =
+  (* Optimizer faults change pulses, so a cell's sequential reference
+     compile runs with no plan even under an ambient one; the parallel
+     compile runs under the cell's own (here fault-free) plan. *)
+  let m =
+    ok_or_fail "manifest"
+      (Bench_matrix.manifest_of_json
+         {|{ "name": "ambient", "workloads": ["h2"], "strategies": ["strict"] }|})
+  in
+  Fault.set (Some (ok_or_fail "plan" (Fault.parse "seed=1,nan=1")));
+  Fun.protect ~finally:Fault.clear (fun () ->
+      with_temp_dir (fun dir ->
+          List.iter
+            (fun cell ->
+              ok_or_fail cell.Bench_matrix.id
+                (Bench_matrix.run_cell m ~out_dir:dir cell))
+            (Bench_matrix.expand m));
+      checkb "ambient plan restored" true (Fault.active ()))
 
 let test_smoke_manifest_determinism_extended () =
   (* Extended determinism over the committed smoke manifest (the one the
@@ -530,11 +579,6 @@ let prop_reader_requires_core_fields =
       | Ok _ -> QCheck.Test.fail_reportf "accepted doc without %s" dropped
       | Error e ->
         (* The error must point at the missing field by name. *)
-        let contains s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
-        in
         contains e dropped)
 
 let test_writer_reader_roundtrip_hostile () =
@@ -593,6 +637,8 @@ let () =
         [ Alcotest.test_case "per-cell artifacts" `Quick test_matrix_artifacts;
           Alcotest.test_case "deterministic across driver workers" `Quick
             test_matrix_determinism_across_driver_workers;
+          Alcotest.test_case "ambient optimizer plan spares the reference"
+            `Quick test_ambient_optimizer_plan;
           Alcotest.test_case "smoke manifest determinism (extended)" `Slow
             test_smoke_manifest_determinism_extended ] );
       ( "rollup",

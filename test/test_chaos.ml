@@ -54,7 +54,12 @@ let leak_checked f =
 (* --- Fault plans: parse / canonical spec / pure decisions --- *)
 
 let test_plan_parse_round_trip () =
-  let spec = "seed=42,hang=0.5,crash-pre=0.25,truncate=1" in
+  (* 0.5000004 needs more than %g's six significant digits: printed as
+     0.5 it decides differently at some keys. *)
+  let spec =
+    "seed=42,hang=0.5,crash-pre=0.25,crash-mid=0.5000004,truncate=1,\
+     nan=0.1,no-converge=0.3,stall=0.7"
+  in
   match Fault.parse spec with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok p ->
@@ -65,6 +70,10 @@ let test_plan_parse_round_trip () =
        Alcotest.(check string) "to_string stable" canon (Fault.to_string p');
        List.iter
          (fun site ->
+           Alcotest.(check int64)
+             (Printf.sprintf "same rate bits at %s" (Fault.site_to_string site))
+             (Int64.bits_of_float (Fault.rate p site))
+             (Int64.bits_of_float (Fault.rate p' site));
            for key = 0 to 63 do
              Alcotest.(check bool)
                (Printf.sprintf "same decision at %s/%d"

@@ -36,6 +36,18 @@ let with_env key value f =
     ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
     f
 
+(* Run [f] with the fault plan [spec] active, cleared even on failure. *)
+let with_plan spec f =
+  (match Fault.parse spec with
+   | Ok p -> Fault.set (Some p)
+   | Error e -> Alcotest.failf "plan %S rejected: %s" spec e);
+  Fun.protect ~finally:Fault.clear f
+
+(* Optimizer faults at rate 0.3 per site.  H2 at width 2 is a single
+   block, so the vacuity guards below hold or not by the plan seed; seed
+   6 degrades some searches and injects into others. *)
+let optimizer_plan = "seed=6,nan=0.3,no-converge=0.3,stall=0.3"
+
 (* --- Pool primitives --- *)
 
 let test_pool_input_order () =
@@ -307,10 +319,9 @@ let test_search_many_faulty_invariant () =
      the same blocks under the same fault seed give the same pattern of
      fallbacks at any worker count. *)
   let blocks = h2_blocks () in
+  with_plan optimizer_plan @@ fun () ->
   let run workers =
-    let engine =
-      Engine.faulty ~rate:0.45 ~seed:99 (Engine.numeric ~settings:quick ())
-    in
+    let engine = Engine.numeric ~settings:quick () in
     let rs, _, _ = Engine.search_many ~workers engine blocks in
     rs
   in
@@ -322,6 +333,41 @@ let test_search_many_faulty_invariant () =
      if no block ever degraded. *)
   Alcotest.(check bool) "some block degraded" true
     (List.exists (fun r -> r.Engine.fallback <> None) seq)
+
+let test_faults_keyed_on_block () =
+  (* Optimizer faults hash the block and the attempt, never the batch
+     position: under one plan, each block gets bit-identical results
+     from a single search, from batches at 1 and 4 workers, and from the
+     reversed batch. *)
+  let blocks =
+    List.init 8 (fun i ->
+        Circuit.of_gates 1
+          [ (Gate.Rx (Param.const (0.15 +. (0.4 *. float_of_int i))), [ 0 ]) ])
+  in
+  with_plan optimizer_plan @@ fun () ->
+  let single =
+    let engine = Engine.numeric ~settings:quick () in
+    List.map (Engine.search engine) blocks
+  in
+  let batch ~workers blocks =
+    let rs, _, _ =
+      Engine.search_many ~workers (Engine.numeric ~settings:quick ()) blocks
+    in
+    rs
+  in
+  List.iter
+    (fun (name, rs) ->
+      List.iteri
+        (fun i (a, b) ->
+          check_same_result (Printf.sprintf "%s block %d" name i) a b)
+        (List.combine single rs))
+    [ ("workers:1", batch ~workers:1 blocks);
+      ("workers:4", batch ~workers:4 blocks);
+      ("reversed", List.rev (batch ~workers:4 (List.rev blocks))) ];
+  Alcotest.(check bool) "some block degraded" true
+    (List.exists (fun r -> r.Engine.fallback <> None) single);
+  Alcotest.(check bool) "some block did not" true
+    (List.exists (fun r -> r.Engine.fallback = None) single)
 
 let test_search_many_fault_plan_invariant () =
   (* The supervision contract under chaos: infrastructure faults (worker
@@ -356,10 +402,11 @@ let test_search_many_fault_plan_invariant () =
 
 let test_faulty_results_never_cached () =
   let blocks = h2_blocks () in
-  let engine =
-    Engine.faulty ~rate:1.0 ~seed:3 (Engine.numeric ~settings:quick ())
+  let engine = Engine.numeric ~settings:quick () in
+  let rs, _, _ =
+    with_plan "seed=3,nan=1" (fun () ->
+        Engine.search_many ~workers:4 engine blocks)
   in
-  let rs, _, _ = Engine.search_many ~workers:4 engine blocks in
   Alcotest.(check bool) "all results injected fallbacks" true
     (List.for_all (fun r -> r.Engine.fallback <> None) rs);
   Alcotest.(check int) "nothing cached" 0 (Engine.cache_size engine)
@@ -367,9 +414,11 @@ let test_faulty_results_never_cached () =
 let test_flex_many_worker_count_invariant () =
   let blocks = h2_blocks () in
   let run workers =
-    let engine = Engine.faulty ~rate:0.3 ~seed:17 Engine.model in
-    let rs, _, _ = Engine.flex_many ~workers engine ~theta:[||] blocks in
-    rs
+    with_plan "seed=17,nan=0.1,no-converge=0.1,stall=0.1" (fun () ->
+        let rs, _, _ =
+          Engine.flex_many ~workers Engine.model ~theta:[||] blocks
+        in
+        rs)
   in
   let seq = run 1 and par = run 4 in
   List.iteri
@@ -427,9 +476,11 @@ let prop_worker_count_invariant =
           (fun _ -> random_block rng (1 + Rng.int rng 2) (1 + Rng.int rng 6))
       in
       let run workers =
-        let engine = Engine.faulty ~rate:0.5 ~seed Engine.model in
-        let rs, _, _ = Engine.search_many ~workers engine blocks in
-        rs
+        with_plan
+          (Printf.sprintf "seed=%d,nan=0.2,no-converge=0.2,stall=0.2" seed)
+          (fun () ->
+            let rs, _, _ = Engine.search_many ~workers Engine.model blocks in
+            rs)
       in
       List.for_all2 same_result (run 1) (run (2 + extra_workers)))
 
@@ -571,10 +622,10 @@ let test_hyperopt_memo_worker_invariant () =
 let test_hyperopt_memo_faulty_invariant () =
   let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
   let thetas = h2_flex_thetas c in
-  let faulty ~rate =
-    Engine.faulty ~rate ~seed:1 (Engine.numeric ~settings:quick ())
+  let run workers =
+    with_plan optimizer_plan (fun () ->
+        flex_sequence ~workers (Engine.numeric ~settings:quick ()) c thetas)
   in
-  let run workers = flex_sequence ~workers (faulty ~rate:0.3) c thetas in
   let ((seq, memo) as sequential) = run 1 in
   check_same_sequence "faulty" sequential (run 4);
   (* Vacuity guard: the plan fires, so some block's search fell back. *)
@@ -585,8 +636,9 @@ let test_hyperopt_memo_faulty_invariant () =
   let blocks = (List.hd seq).Strategy.pool.Engine.dispatched in
   Alcotest.(check bool) "injected blocks left no memo entry" true
     (memo < blocks);
-  let all = faulty ~rate:1.0 in
-  ignore (flex_compile ~workers:4 all c (List.hd thetas));
+  let all = Engine.numeric ~settings:quick () in
+  with_plan "seed=1,nan=1" (fun () ->
+      ignore (flex_compile ~workers:4 all c (List.hd thetas)));
   Alcotest.(check int) "every search injected: memo stays empty" 0
     (Engine.hyperopt_memo_size all)
 
@@ -831,6 +883,8 @@ let () =
             test_search_many_faulty_invariant;
           Alcotest.test_case "fault-plan invariant" `Quick
             test_search_many_fault_plan_invariant;
+          Alcotest.test_case "faults keyed on block, not position" `Quick
+            test_faults_keyed_on_block;
           Alcotest.test_case "injected never cached" `Quick
             test_faulty_results_never_cached;
           Alcotest.test_case "flex invariant" `Quick

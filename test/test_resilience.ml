@@ -10,12 +10,20 @@ module Pulse_cache = Pqc_core.Pulse_cache
 module Engine = Pqc_core.Engine
 module Strategy = Pqc_core.Strategy
 module Compiler = Pqc_core.Compiler
+module Fault = Pqc_core.Fault
 module Molecule = Pqc_vqe.Molecule
 module Uccsd = Pqc_vqe.Uccsd
 
 let quick = { Grape.fast_settings with Grape.dt = 0.25; max_iters = 60 }
 
 let temp_path () = Filename.temp_file "pqc_resilience" ".cache"
+
+(* Run [f] with the fault plan [spec] active, cleared even on failure. *)
+let with_plan spec f =
+  (match Fault.parse spec with
+   | Ok p -> Fault.set (Some p)
+   | Error e -> Alcotest.failf "plan %S rejected: %s" spec e);
+  Fun.protect ~finally:Fault.clear f
 
 (* --- Resilience primitives --- *)
 
@@ -317,9 +325,11 @@ let test_block_key_distinguishes_operands () =
 let small_block =
   Circuit.of_gates 2 [ (Gate.H, [ 0 ]); (Gate.CX, [ 0; 1 ]) ]
 
-let check_fallback name kinds expected =
-  let engine = Engine.faulty ~rate:1.0 ~kinds ~seed:7 Engine.model in
-  let r = Engine.search engine small_block in
+let check_fallback name expected =
+  let r =
+    with_plan ("seed=7," ^ name ^ "=1") (fun () ->
+        Engine.search Engine.model small_block)
+  in
   Alcotest.(check bool) (name ^ " duration finite") true
     (Float.is_finite r.Engine.duration_ns);
   Alcotest.(check (float 1e-9)) (name ^ " falls back to lookup duration")
@@ -327,35 +337,42 @@ let check_fallback name kinds expected =
   Alcotest.(check bool) (name ^ " fallback recorded") true
     (r.Engine.fallback = Some expected)
 
-let test_faulty_nan () =
-  check_fallback "nan" [| Engine.Nan_fidelity |] Resilience.Non_finite
+let test_faulty_nan () = check_fallback "nan" Resilience.Non_finite
 
 let test_faulty_no_converge () =
-  check_fallback "no-converge" [| Engine.No_converge |] Resilience.Diverged
+  check_fallback "no-converge" Resilience.Diverged
 
-let test_faulty_stall () =
-  check_fallback "stall" [| Engine.Stall |] Resilience.Deadline_exceeded
+let test_faulty_stall () = check_fallback "stall" Resilience.Deadline_exceeded
 
 let test_faulty_zero_rate_is_transparent () =
   let plain = Engine.search Engine.model small_block in
+  (* An active plan whose optimizer rates are all 0: only the storage
+     site, which a search never consults, can fire. *)
   let wrapped =
-    Engine.search (Engine.faulty ~rate:0.0 ~seed:3 Engine.model) small_block
+    with_plan "seed=3,nan=0,no-converge=0,stall=0,enospc=1" (fun () ->
+        Engine.search Engine.model small_block)
   in
   Alcotest.(check (float 1e-12)) "same duration" plain.Engine.duration_ns
     wrapped.Engine.duration_ns;
   Alcotest.(check bool) "no fallback" true (wrapped.Engine.fallback = None)
 
 let test_faulty_results_not_cached () =
-  let inner = Engine.numeric ~settings:quick () in
-  let engine = Engine.faulty ~rate:1.0 ~seed:5 inner in
-  let r = Engine.search engine (rx_block 0.7) in
+  let engine = Engine.numeric ~settings:quick () in
+  let r =
+    with_plan "seed=5,nan=1" (fun () -> Engine.search engine (rx_block 0.7))
+  in
   Alcotest.(check bool) "degraded" true (r.Engine.fallback <> None);
-  Alcotest.(check int) "poisoned result not memoized" 0 (Engine.cache_size inner)
+  Alcotest.(check int) "poisoned result not memoized" 0 (Engine.cache_size engine)
 
-let test_faulty_rejects_empty_kinds () =
-  Alcotest.(check bool) "raises" true
-    (try ignore (Engine.faulty ~kinds:[||] ~seed:0 Engine.model); false
-     with Invalid_argument _ -> true)
+let test_empty_optimizer_plan_rejected () =
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ " rejected") true
+        (Result.is_error (Fault.parse spec)))
+    [ "seed=0,nan=0,no-converge=0,stall=0"; "nan=1.5"; "no-converge=-0.1";
+      "stall=nan" ];
+  Alcotest.(check bool) "one nonzero optimizer rate accepted" true
+    (Result.is_ok (Fault.parse "seed=0,nan=0,no-converge=0,stall=0.5"))
 
 let nan_system n =
   let sys = Hamiltonian.gmon n in
@@ -473,8 +490,9 @@ let h2_theta = [| 0.5; 1.0; 1.5 |]
 
 let test_all_strategies_survive_injected_faults () =
   List.iter
-    (fun kinds ->
-      let engine = Engine.faulty ~rate:1.0 ~kinds ~seed:11 Engine.model in
+    (fun spec ->
+      with_plan spec @@ fun () ->
+      let engine = Engine.model in
       let c = Lazy.force h2_prepared in
       List.iter
         (fun strat ->
@@ -489,17 +507,21 @@ let test_all_strategies_survive_injected_faults () =
               (Strategy.degraded r
               && String.length (Strategy.degradation_report r) > 0))
         Compiler.all_strategies)
-    [ [| Engine.Nan_fidelity |]; [| Engine.No_converge |]; [| Engine.Stall |];
-      [| Engine.Nan_fidelity; Engine.No_converge; Engine.Stall |] ]
+    (* Sites fire in a fixed order (nan, no-converge, stall), so the
+       last plan mixes all three kinds and still fails every attempt. *)
+    [ "seed=11,nan=1"; "seed=11,no-converge=1"; "seed=11,stall=1";
+      "seed=11,nan=0.34,no-converge=0.5,stall=1" ]
 
 let test_strict_fallback_branch_under_faults () =
   (* With every block search degraded, strict partial's schedule is built
      from lookup durations; the Float.min against the plain gate-based
      duration must keep "strict never worse" true. *)
-  let engine = Engine.faulty ~rate:1.0 ~seed:2 Engine.model in
   let c = Lazy.force h2_prepared in
   let g = Compiler.gate_based c ~theta:h2_theta in
-  let s = Compiler.strict_partial ~engine c ~theta:h2_theta in
+  let s =
+    with_plan "seed=2,nan=0.34,no-converge=0.5,stall=1" (fun () ->
+        Compiler.strict_partial ~engine:Engine.model c ~theta:h2_theta)
+  in
   Alcotest.(check bool) "strict <= gate under total fault" true
     (s.Strategy.duration_ns <= g.Strategy.duration_ns +. 1e-9);
   Alcotest.(check bool) "strict duration finite" true
@@ -601,7 +623,7 @@ let () =
           Alcotest.test_case "stall fault" `Quick test_faulty_stall;
           Alcotest.test_case "zero rate transparent" `Quick test_faulty_zero_rate_is_transparent;
           Alcotest.test_case "faults not cached" `Quick test_faulty_results_not_cached;
-          Alcotest.test_case "empty kinds rejected" `Quick test_faulty_rejects_empty_kinds;
+          Alcotest.test_case "empty optimizer plan rejected" `Quick test_empty_optimizer_plan_rejected;
           Alcotest.test_case "nan hamiltonian degrades" `Quick test_numeric_nan_hamiltonian_degrades;
           Alcotest.test_case "deadline degrades" `Quick test_numeric_deadline_degrades ] );
       ( "engine-cache",
