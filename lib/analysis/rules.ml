@@ -172,36 +172,32 @@ let monotonicity =
                   end);
             finish = (fun () -> []) }) }
 
-let instr_equal (a : Circuit.instr) (b : Circuit.instr) =
-  Gate.name a.gate = Gate.name b.gate
-  && (match Gate.param a.gate, Gate.param b.gate with
-     | Some p, Some q -> Param.equal p q
-     | None, None -> true
-     | Some _, None | None, Some _ -> false)
-  && a.qubits = b.qubits
-
-let instrs_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2 instr_equal a b
-
-let projection q instrs =
-  Array.to_list instrs
-  |> List.filter (fun (i : Circuit.instr) -> Array.mem q i.qubits)
+(* Every instruction touching each qubit, in one pass over the stream:
+   entry q lists them in reverse order. *)
+let lanes n instrs =
+  let lanes = Array.make n [] in
+  Array.iter
+    (fun (i : Circuit.instr) ->
+      Array.iter (fun q -> lanes.(q) <- i :: lanes.(q)) i.qubits)
+    instrs;
+  lanes
 
 let slice_reconciles ~linear original slices =
   let n = Circuit.n_qubits original in
   let rebuilt = Circuit.instrs (Slice.concat_all ~n slices) in
   let orig = Circuit.instrs original in
-  if linear then instrs_equal orig rebuilt
+  Array.length orig = Array.length rebuilt
+  &&
+  if linear then Array.for_all2 Dataflow.instr_equal orig rebuilt
   else
     (* Region slicing may reorder across qubits; the invariant it promises
        is per-qubit instruction order (which implies circuit equivalence)
-       plus conservation of the instruction multiset. *)
-    Array.length orig = Array.length rebuilt
-    && List.for_all
-         (fun q ->
-           List.for_all2 instr_equal (projection q orig) (projection q rebuilt))
-         (List.init n Fun.id)
+       plus conservation of the instruction multiset.  [List.equal]
+       compares lengths too, so a qubit that lost or gained a gate is a
+       mismatch, not a crash. *)
+    Array.for_all2
+      (List.equal Dataflow.instr_equal)
+      (lanes n orig) (lanes n rebuilt)
 
 let strict_slice =
   { id = "PQC021"; title = "strict-slice";
@@ -291,18 +287,23 @@ let block_width =
                 ~hint:"Block.partition requires max_width >= 2"
                 (Printf.sprintf "blocking budget %d is below the minimum of 2"
                    ctx.max_width) ]
+          else if ctx.max_width <= grape_width_cap then
+            (* Block.partition never returns a block wider than max_width:
+               a fresh block holds one gate of arity <= 2, and extend and
+               merge keep the union within max_width.  At or below the cap
+               there is nothing to find, so skip the whole-circuit
+               partition. *)
+            []
           else begin
             let budget_warning =
-              if ctx.max_width <= grape_width_cap then []
-              else
-                [ Diagnostic.warning ~rule:"PQC030"
-                    ~hint:
-                      (Printf.sprintf
-                         "GRAPE convergence is exponential in width; keep \
-                          blocks at %d qubits or fewer" grape_width_cap)
-                    (Printf.sprintf
-                       "blocking budget %d exceeds the GRAPE tractability \
-                        cap of %d" ctx.max_width grape_width_cap) ]
+              Diagnostic.warning ~rule:"PQC030"
+                ~hint:
+                  (Printf.sprintf
+                     "GRAPE convergence is exponential in width; keep \
+                      blocks at %d qubits or fewer" grape_width_cap)
+                (Printf.sprintf
+                   "blocking budget %d exceeds the GRAPE tractability \
+                    cap of %d" ctx.max_width grape_width_cap)
             in
             let oversized =
               Block.partition_with_indices ~max_width:ctx.max_width c
@@ -326,7 +327,7 @@ let block_width =
                                   (List.map string_of_int b.qubits))
                                width grape_width_cap)))
             in
-            budget_warning @ oversized
+            budget_warning :: oversized
           end) }
 
 let connectivity =
@@ -583,6 +584,14 @@ let all =
     block_beats_grape; cache_audit ]
 
 let () = assert_unique all
+
+(* Rules whose every finding is Info.  The compile gate drops Info, so
+   it skips them; PQC062 alone partitions and prices the whole circuit. *)
+let advisories =
+  [ adjacent_inverse; mergeable_rotation; commutation_reslice;
+    block_beats_grape ]
+
+let gate = List.filter (fun r -> not (List.memq r advisories)) all
 
 let find id =
   List.find_opt (fun (r : Rule.t) -> r.id = id || r.title = id) all

@@ -30,6 +30,16 @@ val monotonicity : Rule.t
 
 val strict_slice : Rule.t
 val flexible_slice : Rule.t
+
+val slice_reconciles :
+  linear:bool -> Pqc_quantum.Circuit.t -> Pqc_transpile.Slice.slice list ->
+  bool
+(** The reconcatenation check of {!strict_slice} and {!flexible_slice}.
+    [~linear:true]: the slices concatenate to the circuit's exact
+    instruction sequence.  [~linear:false] (region slicing): the same
+    number of instructions, and on every qubit the same instructions in
+    the same order.  Linear in the circuit length. *)
+
 val block_width : Rule.t
 val connectivity : Rule.t
 (** Runs only when the context carries a topology. *)
@@ -59,6 +69,13 @@ val assert_unique : Rule.t list -> unit
 
 val all : Rule.t list
 (** Every built-in rule, in id order. *)
+
+val gate : Rule.t list
+(** The rules {!Pqc_core.Compiler.compile}'s gate runs: {!all} without
+    the Info-only advisories {!adjacent_inverse}, {!mergeable_rotation},
+    {!commutation_reslice} and {!block_beats_grape}, in catalog order.
+    The gate rejects on errors, records warnings and drops infos, so
+    those four would only cost time; lint and analyze keep {!all}. *)
 
 val find : string -> Rule.t option
 (** Look up by id (["PQC020"]) or title (["param-monotonicity"]). *)

@@ -91,18 +91,14 @@ let warnings r =
 (* A rule must never take the pipeline down: a crashing check is itself
    reported as an internal-error finding (PQC999, outside the catalog so
    it can never be confused with a real finding of the crashed rule),
-   carrying the exception and a backtrace when the runtime recorded one. *)
+   carrying the exception and a backtrace.  It relies on {!run} keeping
+   backtrace recording on for the whole run. *)
 let guarded id f =
-  let recording = Printexc.backtrace_status () in
-  if not recording then Printexc.record_backtrace true;
-  let restore () = if not recording then Printexc.record_backtrace false in
   match f () with
-  | diags -> restore (); diags
+  | diags -> diags
   | exception e ->
-    let bt = Printexc.get_backtrace () in
-    restore ();
     let bt =
-      match String.trim bt with
+      match String.trim (Printexc.get_backtrace ()) with
       | "" -> "backtrace unavailable"
       | s -> s
     in
@@ -113,6 +109,12 @@ let guarded id f =
 
 let run ?(rules = Rules.all) ?(overrides = []) ctx =
   Rules.assert_unique rules;
+  (* One toggle per run, not one per rule call: the stream pass calls
+     [guarded] once per rule and instruction. *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
   let stream_rules, structural_rules, external_rules =
     List.fold_left
       (fun (s, t, e) (r : Rule.t) ->

@@ -39,8 +39,10 @@ val parse_overrides : string -> ((string * override) list, string) result
 
 val run : ?rules:Rule.t list -> ?overrides:(string * override) list ->
   Rule.ctx -> report
-(** Execute [rules] (default {!Rules.all}) over the context.  Raises
-    [Invalid_argument] when [rules] contains a duplicate id. *)
+(** Execute [rules] (default {!Rules.all}) over the context.  Backtrace
+    recording is on while the rules run, and the caller's setting is
+    restored on return.  Raises [Invalid_argument] when [rules] contains a
+    duplicate id. *)
 
 val analyze :
   ?rules:Rule.t list ->

@@ -266,11 +266,14 @@ let strategy_of_target = function
 (* Fail-fast gate: no GRAPE time is spent on a circuit that violates the
    invariants the strategies rely on.  Errors abort (Runner.Rejected);
    warnings become degradation records so the accounting that already
-   tracks engine fallbacks also shows what the analyzer flagged. *)
+   tracks engine fallbacks also shows what the analyzer flagged.  Infos
+   are dropped, so the Info-only advisories are not run at all
+   (Rules.gate). *)
 let analysis_gate ~max_width strategy c ~theta =
   Pqc_obs.Obs.Span.with_ ~name:"compiler.analysis" @@ fun () ->
   let report =
-    Pqc_analysis.Runner.analyze ~theta_len:(Array.length theta) ~max_width
+    Pqc_analysis.Runner.analyze ~rules:Pqc_analysis.Rules.gate
+      ~theta_len:(Array.length theta) ~max_width
       ~target:(analysis_target strategy) c
   in
   if Pqc_analysis.Runner.has_errors report then

@@ -81,10 +81,11 @@ val compile :
     silent.
 
     Unless [analysis] is [false], the static analyzer
-    ({!Pqc_analysis.Runner}) gates the whole pipeline first: any [Error]
-    diagnostic raises {!Pqc_analysis.Runner.Rejected} before a single
-    GRAPE search starts, and [Warning] diagnostics are recorded as
-    [Resilience.Lint] degradations in the result.
+    ({!Pqc_analysis.Runner}, over {!Pqc_analysis.Rules.gate}) gates the
+    whole pipeline first: any [Error] diagnostic raises
+    {!Pqc_analysis.Runner.Rejected} before a single GRAPE search starts,
+    and [Warning] diagnostics are recorded as [Resilience.Lint]
+    degradations in the result.  The Info-only advisories do not run.
 
     When [advice] (from {!Pqc_analysis.Runner.advise}) is given and its
     recommendation differs from [strategy], the recommended strategy is

@@ -124,8 +124,6 @@ let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
   (match cache_file with Some path -> load_cache cfg path | None -> ());
   Numeric cfg
 
-let is_numeric = function Numeric _ -> true | Model -> false
-
 let persist_result = function
   | Model -> Ok ()
   | Numeric cfg ->

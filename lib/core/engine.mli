@@ -70,8 +70,6 @@ val numeric :
     [PQC_PULSE_CACHE] variable when set); it is loaded eagerly — corrupt
     entries dropped, see {!cache_dropped} — and written by {!persist}. *)
 
-val is_numeric : t -> bool
-
 val block_key : Circuit.t -> string
 (** Canonical memoization key of a bound block: width, gate names, exact
     IEEE-754 angle bits, operand qubits.  Distinct bindings — however

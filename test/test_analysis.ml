@@ -2,6 +2,7 @@ module Param = Pqc_quantum.Param
 module Gate = Pqc_quantum.Gate
 module Circuit = Pqc_quantum.Circuit
 module Topology = Pqc_transpile.Topology
+module Slice = Pqc_transpile.Slice
 module Diagnostic = Pqc_analysis.Diagnostic
 module Rule = Pqc_analysis.Rule
 module Rules = Pqc_analysis.Rules
@@ -12,6 +13,7 @@ module Resilience = Pqc_core.Resilience
 module Strategy = Pqc_core.Strategy
 module Engine = Pqc_core.Engine
 module Compiler = Pqc_core.Compiler
+module Cost = Pqc_analysis.Cost
 
 let diags_of id (report : Runner.report) =
   List.filter (fun (d : Diagnostic.t) -> d.rule = id) report.diagnostics
@@ -131,6 +133,75 @@ let test_slice_rules_pass_on_benchmarks () =
       Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.lih;
       Pqc_qaoa.Qaoa.circuit (Pqc_qaoa.Graph.clique 4) ~p:2 ]
 
+let slice_of n gates = { Slice.var = None; circuit = Circuit.of_gates n gates }
+
+let test_reconcile_predicate () =
+  let c = Circuit.of_gates 2 [ (Gate.H, [ 0 ]); (Gate.X, [ 1 ]) ] in
+  (* Same total count, but q0 gained a gate and q1 lost one: a mismatch
+     to report, not a crash of the rule. *)
+  let lost_and_gained = [ slice_of 2 [ (Gate.H, [ 0 ]); (Gate.H, [ 0 ]) ] ] in
+  List.iter
+    (fun linear ->
+      Alcotest.(check bool)
+        (Printf.sprintf "linear %b: shifted gate rejected" linear)
+        false
+        (Rules.slice_reconciles ~linear c lost_and_gained))
+    [ false; true ];
+  (* Across qubits the order may change; on each qubit it may not. *)
+  let reordered =
+    [ slice_of 2 [ (Gate.X, [ 1 ]) ]; slice_of 2 [ (Gate.H, [ 0 ]) ] ]
+  in
+  Alcotest.(check bool) "region: per-qubit order kept" true
+    (Rules.slice_reconciles ~linear:false c reordered);
+  Alcotest.(check bool) "linear: reordering rejected" false
+    (Rules.slice_reconciles ~linear:true c reordered);
+  Alcotest.(check bool) "region: missing gate rejected" false
+    (Rules.slice_reconciles ~linear:false c [ slice_of 2 [ (Gate.H, [ 0 ]) ] ])
+
+(* Random circuits over widths 1..[max_qubits], with a small parameter
+   pool so runs collide and break monotonicity often, and constant
+   rotations (zero and pi) for the lint rules. *)
+let gen_circuit ~max_qubits ~max_len =
+  QCheck.Gen.(
+    int_range 1 max_qubits >>= fun n ->
+    int_range 0 max_len >>= fun len ->
+    let qubit = int_range 0 (n - 1) in
+    let gate_1q =
+      oneof
+        [ return Gate.H; return Gate.X; return Gate.T; return Gate.S;
+          map (fun v -> Gate.Rz (Param.var v)) (int_range 0 3);
+          map (fun v -> Gate.Rx (Param.var v)) (int_range 0 3);
+          map (fun v -> Gate.Ry (Param.var v)) (int_range 0 3);
+          map
+            (fun a -> Gate.Rz (Param.const a))
+            (oneofl [ 0.0; Float.pi; 0.3 ]) ]
+    in
+    let instr =
+      if n = 1 then map2 (fun g q -> (g, [ q ])) gate_1q qubit
+      else
+        frequency
+          [ (3, map2 (fun g q -> (g, [ q ])) gate_1q qubit);
+            ( 2,
+              qubit >>= fun a ->
+              int_range 0 (n - 2) >>= fun b' ->
+              let b = if b' >= a then b' + 1 else b' in
+              oneofl [ Gate.CX; Gate.CZ; Gate.Swap ] >>= fun g ->
+              return (g, [ a; b ]) ) ]
+    in
+    list_size (return len) instr >>= fun gates ->
+    return (Circuit.of_gates n gates))
+
+let print_circuit c = Format.asprintf "%a" Circuit.pp c
+
+let prop_slicings_reconcile =
+  QCheck.Test.make ~count:200 ~name:"strict and linear slicings reconcile"
+    (QCheck.make ~print:print_circuit (gen_circuit ~max_qubits:6 ~max_len:24))
+    (fun c ->
+      Rules.slice_reconciles ~linear:false c (Slice.strict c)
+      && Rules.slice_reconciles ~linear:true c (Slice.strict_linear c)
+      && ((not (Slice.is_monotone c))
+         || Rules.slice_reconciles ~linear:true c (Slice.flexible c)))
+
 (* --- blocking and connectivity --- *)
 
 let entangling_chain n =
@@ -229,6 +300,68 @@ let test_crashing_rule_is_contained () =
     Alcotest.(check bool) "message is multi-line" true
       (contains ~sub:"\n" d.Diagnostic.message)
   | _ -> Alcotest.fail "crash must surface as exactly one PQC999 diagnostic"
+
+(* The stream pass calls every stream rule once per instruction; a crash
+   on one instruction must cost exactly one PQC999 and leave every other
+   rule's findings alone. *)
+let crash_on_second =
+  { Rule.id = "TST998"; title = "crash-on-second";
+    doc = "crashes on instruction 1";
+    check =
+      Rule.Stream
+        (fun _ctx ->
+          Rule.pure_stream (fun idx _ ->
+              if idx = 1 then failwith "stream boom" else [])) }
+
+(* H H is a PQC040 finding, so the clean run has something to compare. *)
+let h_h_cx =
+  Circuit.of_gates 2 [ (Gate.H, [ 0 ]); (Gate.H, [ 0 ]); (Gate.CX, [ 0; 1 ]) ]
+
+let test_crashing_stream_rule_is_contained () =
+  let clean = Runner.run (Rule.of_circuit h_h_cx) in
+  let crashed =
+    Runner.run ~rules:(Rules.all @ [ crash_on_second ]) (Rule.of_circuit h_h_cx)
+  in
+  (match diags_of "PQC999" crashed with
+  | [ d ] ->
+    Alcotest.(check bool) "names the crashed rule" true
+      (contains ~sub:"TST998" d.Diagnostic.message);
+    Alcotest.(check bool) "carries the exception" true
+      (contains ~sub:"stream boom" d.Diagnostic.message);
+    Alcotest.(check bool) "message is multi-line" true
+      (contains ~sub:"\n" d.Diagnostic.message)
+  | ds ->
+    Alcotest.fail
+      (Printf.sprintf "expected exactly one PQC999, got %d" (List.length ds)));
+  let others (r : Runner.report) =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if d.rule = "PQC999" then None else Some (Diagnostic.to_string d))
+      r.diagnostics
+  in
+  Alcotest.(check bool) "the clean run has findings" true (others clean <> []);
+  Alcotest.(check (list string)) "other rules' findings unchanged"
+    (others clean) (others crashed)
+
+(* Runner.run turns backtrace recording on for the run and must hand the
+   caller's setting back, whether or not a rule crashed. *)
+let test_backtrace_status_restored () =
+  let initial = Printexc.backtrace_status () in
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace initial)
+  @@ fun () ->
+  List.iter
+    (fun (recording, crash) ->
+      Printexc.record_backtrace recording;
+      let rules =
+        if crash then Rules.all @ [ crash_on_second ] else Rules.all
+      in
+      let report = Runner.run ~rules (Rule.of_circuit h_h_cx) in
+      let what = Printf.sprintf "recording %b, crash %b" recording crash in
+      Alcotest.(check bool) (what ^ ": restored") recording
+        (Printexc.backtrace_status ());
+      Alcotest.(check bool) (what ^ ": PQC999 iff a rule crashed") crash
+        (has_rule "PQC999" report))
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 let test_duplicate_rule_rejected () =
   let dup =
@@ -439,9 +572,114 @@ let test_compile_rejects_unbound_param () =
          (fun (d : Diagnostic.t) -> d.rule = "PQC011")
          report.Runner.diagnostics)
 
-(* --- dataflow/cost rules (PQC06x) --- *)
+(* The gate skips the rules outside Rules.gate.  That is sound only if
+   those rules never report above Info and the gate's errors and warnings
+   are exactly what the full catalog reports. *)
+let gate_decides_as_all ~theta_len ~max_width ~target c =
+  let gate_ids = List.map (fun (r : Rule.t) -> r.id) Rules.gate in
+  let full = Runner.analyze ~theta_len ~max_width ~target c in
+  let gated =
+    Runner.analyze ~rules:Rules.gate ~theta_len ~max_width ~target c
+  in
+  let blocking (r : Runner.report) =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if d.severity = Diagnostic.Info then None
+        else Some (Diagnostic.to_string d))
+      r.diagnostics
+  in
+  List.for_all
+    (fun (d : Diagnostic.t) ->
+      List.mem d.rule gate_ids || d.severity = Diagnostic.Info)
+    full.Runner.diagnostics
+  && blocking full = blocking gated
 
-module Cost = Pqc_analysis.Cost
+let targets =
+  [ Rule.Gate_based; Rule.Strict_partial; Rule.Flexible_partial;
+    Rule.Full_grape ]
+
+let prop_gate_decides_as_all =
+  let gen =
+    QCheck.Gen.(
+      gen_circuit ~max_qubits:6 ~max_len:20 >>= fun c ->
+      bool >>= fun short ->
+      int_range 2 6 >>= fun max_width ->
+      oneofl targets >>= fun target ->
+      let theta_len = max 0 (Circuit.n_params c - if short then 1 else 0) in
+      return (c, theta_len, max_width, target))
+  in
+  let print (c, theta_len, max_width, target) =
+    Printf.sprintf "%s\ntheta_len %d, max_width %d, target %s"
+      (print_circuit c) theta_len max_width (Rule.target_to_string target)
+  in
+  QCheck.Test.make ~count:300 ~name:"gate rules decide as all rules"
+    (QCheck.make ~print gen)
+    (fun (c, theta_len, max_width, target) ->
+      gate_decides_as_all ~theta_len ~max_width ~target c)
+
+let test_gate_decides_as_all_on_fixtures () =
+  let dir = "../examples/fixtures" in
+  let circuits =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter_map (fun f ->
+           if not (Filename.check_suffix f ".qasm") then None
+           else
+             let ic = open_in (Filename.concat dir f) in
+             let src = really_input_string ic (in_channel_length ic) in
+             close_in ic;
+             match Pqc_quantum.Qasm.of_qasm src with
+             | c -> Some (f, c)
+             | exception Pqc_quantum.Qasm.Parse_error _ -> None)
+  in
+  Alcotest.(check bool) "several fixtures parse" true
+    (List.length circuits >= 4);
+  List.iter
+    (fun (f, c) ->
+      let n_params = Circuit.n_params c in
+      List.iter
+        (fun theta_len ->
+          for max_width = 2 to 6 do
+            List.iter
+              (fun target ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s theta_len %d max_width %d %s" f theta_len
+                     max_width (Rule.target_to_string target))
+                  true
+                  (gate_decides_as_all ~theta_len ~max_width ~target c))
+              targets
+          done)
+        (List.sort_uniq compare [ n_params; max 0 (n_params - 1) ]))
+    circuits
+
+(* Neither the gate-based strategy nor the gate at the default width
+   partitions the circuit: PQC030 has nothing to find at or below the
+   GRAPE cap, and PQC062 is not a gate rule. *)
+let test_gate_skips_partition_at_cap () =
+  let module Obs = Pqc_obs.Obs in
+  let c = Compiler.prepare (Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.lih) in
+  let theta = Cost.canonical_theta c in
+  Obs.reset ();
+  Obs.enable ();
+  let rollup =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        ignore
+          (Compiler.compile ~max_width:4 ~engine:Engine.model
+             Compiler.Gate_based c ~theta);
+        Obs.rollup ())
+  in
+  let calls name =
+    List.fold_left
+      (fun acc (n, k, _) -> if n = name then acc + k else acc)
+      0 rollup
+  in
+  Alcotest.(check int) "the gate ran" 1 (calls "compiler.analysis");
+  Alcotest.(check int) "no block.partition span" 0 (calls "block.partition")
+
+(* --- dataflow/cost rules (PQC06x) --- *)
 
 let test_commutation_reslice_rule () =
   (* non_monotone is all-Rz, hence fully commuting: reslicable. *)
@@ -639,7 +877,10 @@ let () =
           Alcotest.test_case "severity by target" `Quick
             test_monotonicity_severity_by_target;
           Alcotest.test_case "benchmarks pass" `Quick
-            test_slice_rules_pass_on_benchmarks ] );
+            test_slice_rules_pass_on_benchmarks;
+          Alcotest.test_case "reconcile predicate" `Quick
+            test_reconcile_predicate;
+          QCheck_alcotest.to_alcotest prop_slicings_reconcile ] );
       ( "blocking",
         [ Alcotest.test_case "oversized block" `Quick test_block_width_oversized;
           Alcotest.test_case "within cap" `Quick test_block_width_within_cap;
@@ -653,6 +894,10 @@ let () =
       ( "runner",
         [ Alcotest.test_case "crashing rule contained" `Quick
             test_crashing_rule_is_contained;
+          Alcotest.test_case "crashing stream rule contained" `Quick
+            test_crashing_stream_rule_is_contained;
+          Alcotest.test_case "backtrace status restored" `Quick
+            test_backtrace_status_restored;
           Alcotest.test_case "duplicate rule rejected" `Quick
             test_duplicate_rule_rejected;
           Alcotest.test_case "overrides" `Quick test_overrides;
@@ -677,7 +922,12 @@ let () =
           Alcotest.test_case "analysis opt-out" `Quick
             test_compile_analysis_opt_out;
           Alcotest.test_case "rejects unbound param" `Quick
-            test_compile_rejects_unbound_param ] );
+            test_compile_rejects_unbound_param;
+          QCheck_alcotest.to_alcotest prop_gate_decides_as_all;
+          Alcotest.test_case "gate rules on fixtures" `Quick
+            test_gate_decides_as_all_on_fixtures;
+          Alcotest.test_case "no partition at the cap" `Quick
+            test_gate_skips_partition_at_cap ] );
       ( "dataflow-rules",
         [ Alcotest.test_case "commutation reslice" `Quick
             test_commutation_reslice_rule;
