@@ -7,7 +7,8 @@
      REPRO_MODE=full dune exec bench/main.exe # larger numeric-GRAPE budgets
 
    Experiments: table1 table2 table3 table4 table5 fig2 fig4 fig6 fig7
-   ablation-blocking ablation-transpile micro.  (Figure 5 is the speedup
+   aggregate noise ablation-blocking ablation-slicing qaoa-quality
+   ablation-transpile.  (Figure 5 is the speedup
    view of Table 4's VQE rows and is printed by table4.)
 
    Fast mode (default) prices blocks with the calibrated Pulse_model engine
@@ -25,6 +26,7 @@ module Topology = Pqc_transpile.Topology
 module Slice = Pqc_transpile.Slice
 module Route = Pqc_transpile.Route
 module Gate_times = Pqc_pulse.Gate_times
+module Pulse = Pqc_pulse.Pulse
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Grape = Pqc_grape.Grape
 module Hyperopt = Pqc_hyperopt.Hyperopt
@@ -623,16 +625,19 @@ let ablation_slicing () =
               let r = Engine.search engine (Pqc_transpile.Block.extract b) in
               cost := Engine.add_cost !cost r.Engine.search_cost;
               jobs :=
-                { Strategy.label = "blk"; qubits = b.Pqc_transpile.Block.qubits;
-                  duration = r.Engine.duration_ns }
+                { Strategy.qubits = b.Pqc_transpile.Block.qubits;
+                  segment =
+                    Pulse.Optimized
+                      { label = "blk"; duration = r.Engine.duration_ns;
+                        samples = None } }
                 :: !jobs)
             (Pqc_transpile.Block.partition ~max_width:4 s.Slice.circuit)
         | Some _ ->
           Circuit.iter
             (fun (i : Circuit.instr) ->
               jobs :=
-                { Strategy.label = "theta"; qubits = Array.to_list i.qubits;
-                  duration = Gate_times.instr_duration i }
+                { Strategy.qubits = Array.to_list i.qubits;
+                  segment = Pulse.lookup_gate i }
                 :: !jobs)
             (Circuit.bind s.Slice.circuit theta))
       (slicer c);
@@ -696,41 +701,6 @@ let qaoa_quality () =
   note "Paper (citing Farhi et al.): p=1 guarantees >= 0.69; quality grows with p.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: compile-call latency per strategy         *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "micro" "bechamel micro-benchmarks of compile calls (model engine)";
-  let open Bechamel in
-  let c = vqe_prepared Molecule.lih in
-  let theta = theta_for 42 c in
-  let engine = Engine.model in
-  let mk strategy =
-    Test.make
-      ~name:(Compiler.strategy_name strategy)
-      (Staged.stage (fun () -> ignore (Compiler.compile ~engine strategy c ~theta)))
-  in
-  let test =
-    Test.make_grouped ~name:"compile-lih" ~fmt:"%s %s"
-      (List.map mk Compiler.all_strategies)
-  in
-  let benchmark () =
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-34s %12.1f ns/call\n" name est
-      | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("table1", table1); ("table2", table2); ("table3", table3); ("fig2", figure2);
@@ -738,7 +708,7 @@ let experiments =
     ("table5", table5); ("aggregate", aggregate); ("noise", noise);
     ("ablation-blocking", ablation_blocking);
     ("ablation-slicing", ablation_slicing); ("qaoa-quality", qaoa_quality);
-    ("ablation-transpile", ablation_transpile); ("micro", micro) ]
+    ("ablation-transpile", ablation_transpile) ]
 
 let () =
   let requested =

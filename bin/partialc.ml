@@ -440,7 +440,7 @@ let run_analyze file benchmark cache max_width json disable promote
           A.Runner.analyze ~overrides ?cache_file:cache ~max_width c
         in
         let advice =
-          A.Runner.advise ~max_width ~latency_budget_s:latency_budget c
+          Compiler.advise ~max_width ~latency_budget_s:latency_budget c
         in
         if json then
           Printf.printf "{\"report\":%s,\"advice\":%s}\n"
@@ -531,15 +531,13 @@ let run_bench_rollup dir out =
 
 open Cmdliner
 
+let strategy_of_string s =
+  Result.map_error (fun e -> `Msg e) (Compiler.strategy_of_string s)
+
 let strategy_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "gate" | "gate-based" -> Ok (Some Compiler.Gate_based)
-    | "strict" | "strict-partial" -> Ok (Some Compiler.Strict_partial)
-    | "flexible" | "flexible-partial" -> Ok (Some Compiler.Flexible_partial)
-    | "grape" | "full-grape" -> Ok (Some Compiler.Full_grape)
-    | "all" -> Ok None
-    | _ -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
+    if String.lowercase_ascii s = "all" then Ok None
+    else Result.map Option.some (strategy_of_string s)
   in
   let print fmt = function
     | None -> Format.pp_print_string fmt "all"
@@ -548,16 +546,8 @@ let strategy_conv =
   Arg.conv (parse, print)
 
 let strategy_one_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "gate" | "gate-based" -> Ok Compiler.Gate_based
-    | "strict" | "strict-partial" -> Ok Compiler.Strict_partial
-    | "flexible" | "flexible-partial" -> Ok Compiler.Flexible_partial
-    | "grape" | "full-grape" -> Ok Compiler.Full_grape
-    | _ -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
-  in
   let print fmt s = Format.pp_print_string fmt (Compiler.strategy_name s) in
-  Arg.conv (parse, print)
+  Arg.conv (strategy_of_string, print)
 
 let run_log_arg =
   Arg.(

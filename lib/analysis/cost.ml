@@ -2,16 +2,10 @@ module Circuit = Pqc_quantum.Circuit
 module Block = Pqc_transpile.Block
 module Slice = Pqc_transpile.Slice
 module Gate_times = Pqc_pulse.Gate_times
-module Grape = Pqc_grape.Grape
-
-(* The model engine discretizes a pulse of the predicted duration at the
-   fast-settings sample period; the cost model must use the very same
-   constant or its latency predictions drift from Engine.model's. *)
-let model_dt = Grape.fast_settings.Grape.dt
 
 type estimate = {
   target : Rule.target;
-  feasible : bool;
+  infeasible : string option;
   pulse_ns : float;
   precompute_s : float;
   per_iteration_s : float;
@@ -41,192 +35,9 @@ type advice = {
 let canonical_theta c =
   Array.make (Circuit.n_params c) (Float.pi /. 2.0)
 
-(* Mirrors Engine.model_steps at Grape.fast_settings. *)
-let model_steps duration =
-  max 2 (int_of_float (Float.max duration 1.0 /. model_dt))
-
-(* Mirrors Engine.model_search: modelled minimal duration plus the
-   modelled seconds of the minimal-time binary search (probes x default
-   iterations, each priced per time slice).  Empty blocks are free, as in
-   Engine.search. *)
-let search_estimate c =
-  if Circuit.length c = 0 then (0.0, 0.0)
-  else if Circuit.n_qubits c > Rule.grape_width_cap then
-    (* GRAPE cannot compile the block at all (PQC030 reports it); the
-       model prices it as unattainable rather than raising. *)
-    (Float.infinity, Float.infinity)
-  else
-    let width = Circuit.n_qubits c in
-    let duration = Pulse_model.block_duration c in
-    let steps = model_steps duration in
-    let iters =
-      Latency_model.probes_per_search * Latency_model.default_iterations width
-    in
-    ( duration,
-      float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps )
-
-(* Mirrors Engine.hyperopt_cost on the model engine. *)
-let hyperopt_seconds ~width ~duration =
-  let iters =
-    Latency_model.hyperopt_grid_evals * Latency_model.default_iterations width
-  in
-  let steps = model_steps duration in
-  float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps
-
-(* Mirrors Engine.tuned_run_cost on the model engine. *)
-let tuned_seconds ~width ~duration =
-  let iters =
-    float_of_int (Latency_model.default_iterations width)
-    /. Latency_model.tuning_speedup width
-  in
-  let steps = model_steps duration in
-  iters *. Latency_model.seconds_per_iteration ~width ~steps
-
-(* Mirrors Strategy.makespan: per-qubit occupancy scheduling of block
-   jobs (reimplemented here because the analysis layer sits below
-   pqc_core). *)
-let makespan ~n jobs =
-  let free = Array.make n 0.0 in
-  List.fold_left
-    (fun acc (qubits, duration) ->
-      let start =
-        List.fold_left (fun t q -> Float.max t free.(q)) 0.0 qubits
-      in
-      let finish = start +. duration in
-      List.iter (fun q -> free.(q) <- finish) qubits;
-      Float.max acc finish)
-    0.0 jobs
-
-let block_jobs ~max_width bound =
-  Block.partition ~max_width bound
-  |> List.map (fun (b : Block.block) ->
-         let d, s = search_estimate (Block.extract b) in
-         (b.qubits, d, s))
-
-let gate_estimate c ~theta =
-  { target = Rule.Gate_based;
-    feasible = true;
-    pulse_ns = Gate_times.circuit_duration (Circuit.bind c theta);
-    precompute_s = 0.0;
-    per_iteration_s = 0.0;
-    blocks = 0 }
-
-let full_grape_estimate ~max_width c ~theta =
-  let bound = Circuit.bind c theta in
-  let jobs = block_jobs ~max_width bound in
-  let per_iteration = List.fold_left (fun acc (_, _, s) -> acc +. s) 0.0 jobs in
-  { target = Rule.Full_grape;
-    feasible = true;
-    pulse_ns =
-      makespan ~n:(Circuit.n_qubits c)
-        (List.map (fun (q, d, _) -> (q, d)) jobs);
-    precompute_s = 0.0;
-    per_iteration_s = per_iteration;
-    blocks = List.length jobs }
-
-(* Mirrors Compiler.strict_jobs for one slicing: Fixed slices are blocked
-   and priced by the search model, parametrized gates by the lookup
-   table. *)
-let strict_slicing_jobs ~max_width ~theta slices =
-  let cost = ref 0.0 in
-  let nblocks = ref 0 in
-  let jobs =
-    List.concat_map
-      (fun (s : Slice.slice) ->
-        match s.var with
-        | None ->
-          Block.partition ~max_width s.circuit
-          |> List.map (fun (b : Block.block) ->
-                 let d, sec = search_estimate (Block.extract b) in
-                 cost := !cost +. sec;
-                 incr nblocks;
-                 (b.qubits, d))
-        | Some _ ->
-          Array.to_list (Circuit.instrs (Circuit.bind s.circuit theta))
-          |> List.map (fun (i : Circuit.instr) ->
-                 (Array.to_list i.qubits, Gate_times.instr_duration i)))
-      slices
-  in
-  (jobs, !cost, !nblocks)
-
-let strict_estimate ~max_width c ~theta =
-  let n = Circuit.n_qubits c in
-  let region_jobs, region_cost, region_blocks =
-    strict_slicing_jobs ~max_width ~theta (Slice.strict c)
-  in
-  let linear_jobs, linear_cost, linear_blocks =
-    strict_slicing_jobs ~max_width ~theta (Slice.strict_linear c)
-  in
-  let region_span = makespan ~n region_jobs in
-  let linear_span = makespan ~n linear_jobs in
-  let raw, precompute, blocks =
-    if region_span <= linear_span then
-      (region_span, region_cost, region_blocks)
-    else (linear_span, linear_cost, linear_blocks)
-  in
-  let fallback = Gate_times.circuit_duration (Circuit.bind c theta) in
-  { target = Rule.Strict_partial;
-    feasible = true;
-    pulse_ns = Float.min raw fallback;
-    (* Both slicings are compiled offline (the shorter schedule wins), so
-       both batches' search time is paid — mirror Compiler.strict_partial,
-       which reports only the surviving slicing's cost in [precompute] but
-       runs both.  We price the surviving slicing, matching the compiled
-       result's accounting. *)
-    precompute_s = precompute;
-    per_iteration_s = 0.0;
-    blocks }
-
-let flexible_estimate ~max_width c ~theta =
-  if not (Slice.is_monotone c) then
-    { target = Rule.Flexible_partial;
-      feasible = false;
-      pulse_ns = Float.infinity;
-      precompute_s = 0.0;
-      per_iteration_s = 0.0;
-      blocks = 0 }
-  else
-    let n = Circuit.n_qubits c in
-    let items =
-      List.concat_map
-        (fun (s : Slice.slice) ->
-          Block.partition ~max_width s.circuit
-          |> List.map (fun (b : Block.block) ->
-                 (b, Circuit.bind (Block.extract b) theta)))
-        (Slice.flexible c)
-    in
-    let precompute = ref 0.0 in
-    let per_iteration = ref 0.0 in
-    let jobs =
-      List.map
-        (fun ((b : Block.block), bound) ->
-          let d, search_s = search_estimate bound in
-          let width = Circuit.n_qubits bound in
-          if Circuit.length bound > 0 then begin
-            precompute :=
-              !precompute +. search_s +. hyperopt_seconds ~width ~duration:d;
-            per_iteration :=
-              !per_iteration +. tuned_seconds ~width ~duration:d
-          end;
-          (b.qubits, d))
-        items
-    in
-    { target = Rule.Flexible_partial;
-      feasible = true;
-      pulse_ns = makespan ~n jobs;
-      precompute_s = !precompute;
-      per_iteration_s = !per_iteration;
-      blocks = List.length items }
-
-let estimate ?(max_width = Rule.grape_width_cap) ?theta c target =
-  let theta =
-    match theta with Some t -> t | None -> canonical_theta c
-  in
-  match target with
-  | Rule.Gate_based -> gate_estimate c ~theta
-  | Rule.Strict_partial -> strict_estimate ~max_width c ~theta
-  | Rule.Flexible_partial -> flexible_estimate ~max_width c ~theta
-  | Rule.Full_grape -> full_grape_estimate ~max_width c ~theta
+let infeasible target reason =
+  { target; infeasible = Some reason; pulse_ns = Float.infinity;
+    precompute_s = 0.0; per_iteration_s = 0.0; blocks = 0 }
 
 let block_advices ?(max_width = Rule.grape_width_cap) ?theta c =
   let theta =
@@ -261,14 +72,24 @@ let all_targets =
    presentation order.  Gate-based is always admissible (zero latency),
    so a recommendation always exists. *)
 let advise ?(max_width = Rule.grape_width_cap) ?(latency_budget_s = 1.0)
-    ?theta c =
+    ?theta ~price c =
   let theta =
     match theta with Some t -> t | None -> canonical_theta c
   in
-  let estimates = List.map (estimate ~max_width ~theta c) all_targets in
   let monotone = Slice.is_monotone c in
+  let estimates =
+    List.map
+      (fun target ->
+        (* The slicer refuses a non-monotone circuit outright. *)
+        if target = Rule.Flexible_partial && not monotone then
+          infeasible target "non-monotone circuit"
+        else price ~max_width ~theta c target)
+      all_targets
+  in
   let resliceable = (not monotone) && Dataflow.reslice c <> None in
-  let admissible e = e.feasible && e.per_iteration_s <= latency_budget_s in
+  let admissible e =
+    e.infeasible = None && e.per_iteration_s <= latency_budget_s
+  in
   let better a b =
     (* true when [a] beats [b] *)
     if a.pulse_ns <> b.pulse_ns then a.pulse_ns < b.pulse_ns
@@ -300,10 +121,11 @@ let advise ?(max_width = Rule.grape_width_cap) ?(latency_budget_s = 1.0)
 (* --- rendering --- *)
 
 let estimate_to_string e =
-  if not e.feasible then
-    Printf.sprintf "%-16s infeasible (non-monotone circuit)"
-      (Rule.target_to_string e.target)
-  else
+  match e.infeasible with
+  | Some reason ->
+    Printf.sprintf "%-16s infeasible (%s)" (Rule.target_to_string e.target)
+      reason
+  | None ->
     Printf.sprintf
       "%-16s pulse %8.1f ns   precompute %10.3f s   per-iter %10.3f s   \
        blocks %d"
@@ -335,7 +157,7 @@ let estimate_to_json e =
     "{\"strategy\":\"%s\",\"feasible\":%b,\"pulse_ns\":%s,\
      \"precompute_s\":%s,\"per_iteration_s\":%s,\"blocks\":%d}"
     (Rule.target_to_string e.target)
-    e.feasible (json_float e.pulse_ns) (json_float e.precompute_s)
+    (e.infeasible = None) (json_float e.pulse_ns) (json_float e.precompute_s)
     (json_float e.per_iteration_s)
     e.blocks
 

@@ -1,27 +1,24 @@
 module Circuit = Pqc_quantum.Circuit
-(** Static per-strategy cost model: predicted pulse duration and compile
-    latency for each compilation strategy, without running GRAPE.
+(** The strategy advisor: per-strategy estimates of pulse duration and
+    compile latency, a recommendation among them, and the per-block
+    gate-versus-pulse decision bits.
 
-    The predictions mirror the calibrated model engine exactly — the same
-    {!Pulse_model} block pricing, the same {!Latency_model} iteration
-    counts, the same step discretization at {!model_dt} — so an estimate
-    here equals what [Compiler.compile ~engine:Engine.model] reports
-    (held by test); against the numeric engine they are the documented
-    calibrated approximation (EXPERIMENTS.md). *)
-
-val model_dt : float
-(** Sample period (ns) the latency model discretizes pulses at; equal to
-    [Grape.fast_settings.dt], which the model engine uses. *)
+    This module does not price strategies itself.  {!advise} takes the
+    pricing function; [Compiler.advise] passes one that compiles each
+    strategy on the model engine, so an estimate is what
+    [Compiler.compile ~engine:Engine.model] reports (held by test). *)
 
 type estimate = {
   target : Rule.target;
-  feasible : bool;
-      (** False only for flexible partial compilation on a non-monotone
-          circuit (the slicer would refuse). *)
+  infeasible : string option;
+      (** Why the strategy cannot compile the circuit, or [None] when it
+          can: flexible partial compilation of a non-monotone circuit
+          (the slicer would refuse), or a compile that raised
+          [Invalid_argument] (a block over the GRAPE cap). *)
   pulse_ns : float;  (** Predicted pulse duration ([infinity] if infeasible). *)
   precompute_s : float;  (** One-off offline compilation seconds. *)
   per_iteration_s : float;  (** Compilation seconds per variational iteration. *)
-  blocks : int;  (** GRAPE blocks the strategy would compile. *)
+  blocks : int;  (** GRAPE segments in the compiled pulse. *)
 }
 
 type block_advice = {
@@ -49,24 +46,28 @@ val canonical_theta : Circuit.t -> float array
 (** The binding used when none is supplied: pi/2 for every parameter
     (avoids zero-angle degeneracies). *)
 
-val estimate : ?max_width:int -> ?theta:float array -> Circuit.t ->
-  Rule.target -> estimate
-(** Predict one strategy.  [max_width] defaults to
-    {!Rule.grape_width_cap}; [theta] to {!canonical_theta}. *)
+val infeasible : Rule.target -> string -> estimate
+(** The estimate of a strategy that cannot compile the circuit, with the
+    reason. *)
 
 val block_advices : ?max_width:int -> ?theta:float array -> Circuit.t ->
   block_advice list
 (** Per-block gate-vs-pulse pricing of the whole circuit's blocking. *)
 
-val advise : ?max_width:int -> ?latency_budget_s:float ->
-  ?theta:float array -> Circuit.t -> advice
-(** Full advisory: all four estimates, the per-block decisions, and a
+val advise :
+  ?max_width:int -> ?latency_budget_s:float -> ?theta:float array ->
+  price:(max_width:int -> theta:float array -> Circuit.t -> Rule.target ->
+         estimate) ->
+  Circuit.t -> advice
+(** Full advisory: [price] estimates each strategy except flexible
+    partial compilation on a non-monotone circuit, which is infeasible
+    without being priced.  Then the per-block decisions and a
     recommendation — the shortest predicted pulse among feasible
     strategies whose per-iteration latency fits [latency_budget_s]
     (default 1 s); ties break toward lower latency, then lower
     precompute.  Gate-based always fits, so a recommendation always
-    exists.  Deterministic: no randomness, no wall clock. *)
+    exists.  [max_width] defaults to {!Rule.grape_width_cap}; [theta] to
+    {!canonical_theta}. *)
 
-val estimate_to_string : estimate -> string
 val advice_to_string : advice -> string
 val advice_to_json : advice -> string

@@ -205,8 +205,6 @@ let check ?rules ?overrides ?theta_len ?max_width ?topology ?cache_file
   if has_errors report then raise (Rejected report);
   report
 
-let advise = Cost.advise
-
 let summary r =
   Printf.sprintf "%d error%s, %d warning%s, %d info%s" r.errors
     (if r.errors = 1 then "" else "s")

@@ -69,11 +69,6 @@ val check :
 (** Like {!analyze} but raises {!Rejected} when the report has errors —
     the fail-fast gate used before spending GRAPE time. *)
 
-val advise : ?max_width:int -> ?latency_budget_s:float ->
-  ?theta:float array -> Circuit.t -> Cost.advice
-(** {!Cost.advise}, re-exported as the analysis entry point used by
-    [Compiler.compile ?advice] and [partialc analyze]. *)
-
 val has_errors : report -> bool
 val errors : report -> Diagnostic.t list
 val warnings : report -> Diagnostic.t list

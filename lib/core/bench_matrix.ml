@@ -82,17 +82,6 @@ type manifest = {
 
 let manifest_schema_version = 1
 
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "gate" | "gate-based" -> Ok Compiler.Gate_based
-  | "strict" | "strict-partial" -> Ok Compiler.Strict_partial
-  | "flexible" | "flexible-partial" -> Ok Compiler.Flexible_partial
-  | "grape" | "full-grape" -> Ok Compiler.Full_grape
-  | other ->
-    Error
-      (Printf.sprintf
-         "unknown strategy %S (gate, strict, flexible, grape)" other)
-
 let topology_for name n =
   match name with
   | "line" -> Ok (Topology.line n)
@@ -196,7 +185,7 @@ let manifest_of_json s =
     let* strategy_names =
       axis ~kind:"strings" "strategies" J.to_string ~default:None doc
     in
-    let* strategies = map_result strategy_of_string strategy_names in
+    let* strategies = map_result Compiler.strategy_of_string strategy_names in
     let* workers =
       axis ~kind:"integers" "workers" J.to_int ~default:(Some [ 1 ]) doc
     in

@@ -18,9 +18,13 @@ let prepare ?topology c =
 let lookup_jobs c =
   Array.to_list (Circuit.instrs c)
   |> List.map (fun (i : Circuit.instr) ->
-         { Strategy.label = Pqc_quantum.Gate.name i.gate;
-           qubits = Array.to_list i.qubits;
-           duration = Gate_times.instr_duration i })
+         { Strategy.qubits = Array.to_list i.qubits;
+           segment = Pulse.lookup_gate i })
+
+(* A GRAPE-compiled block as a schedulable job. *)
+let optimized_job ~label qubits duration =
+  { Strategy.qubits;
+    segment = Pulse.Optimized { label; duration; samples = None } }
 
 let gate_based c ~theta =
   let bound = Circuit.bind c theta in
@@ -50,7 +54,7 @@ let job_of_result ~cost ~degs (b : Block.block) (r : Engine.block_result) =
         run_id = Pqc_obs.Obs.Ctx.current () }
       :: !degs
   | None -> ());
-  { Strategy.label; qubits = b.qubits; duration = r.Engine.duration_ns }
+  optimized_job ~label b.qubits r.Engine.duration_ns
 
 (* Blocks of a (bound) circuit as schedulable jobs with engine durations —
    searched as one batch over the worker pool — plus the accumulated
@@ -66,11 +70,7 @@ let block_jobs ?workers ~max_width ~engine bound =
   (jobs, !cost, List.rev !degs @ pool_degs, pstats)
 
 let pulse_of_jobs jobs =
-  Pulse.of_segments
-    (List.map
-       (fun (j : Strategy.job) ->
-         Pulse.Optimized { label = j.label; duration = j.duration; samples = None })
-       jobs)
+  Pulse.of_segments (List.map (fun (j : Strategy.job) -> j.segment) jobs)
 
 let full_grape ?workers ?(max_width = 4) ~engine c ~theta =
   let bound = Circuit.bind c theta in
@@ -209,7 +209,7 @@ let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
             (Engine.add_cost r.Engine.search_cost fr.Engine.hyperopt);
         (* Online: one tuned GRAPE run at the known duration. *)
         per_iteration := Engine.add_cost !per_iteration fr.Engine.tuned;
-        { Strategy.label; qubits = b.qubits; duration = r.Engine.duration_ns })
+        optimized_job ~label b.qubits r.Engine.duration_ns)
       items results
   in
   { Strategy.strategy = "flexible-partial";
@@ -220,15 +220,26 @@ let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
     degradations = List.rev !degs @ pool_degs;
     pool = pstats }
 
-type strategy = Gate_based | Strict_partial | Flexible_partial | Full_grape
+type strategy = Pqc_analysis.Rule.target =
+  | Gate_based
+  | Strict_partial
+  | Flexible_partial
+  | Full_grape
 
 let all_strategies = [ Gate_based; Strict_partial; Flexible_partial; Full_grape ]
 
-let strategy_name = function
-  | Gate_based -> "gate-based"
-  | Strict_partial -> "strict-partial"
-  | Flexible_partial -> "flexible-partial"
-  | Full_grape -> "full-grape"
+let strategy_name = Pqc_analysis.Rule.target_to_string
+
+let strategy_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "gate" | "gate-based" -> Ok Gate_based
+  | "strict" | "strict-partial" -> Ok Strict_partial
+  | "flexible" | "flexible-partial" -> Ok Flexible_partial
+  | "grape" | "full-grape" -> Ok Full_grape
+  | other ->
+    Error
+      (Printf.sprintf
+         "unknown strategy %S (gate, strict, flexible, grape)" other)
 
 let run_strategy ?workers ~max_width ~engine strategy c ~theta =
   Pqc_obs.Obs.Span.with_ ~name:"compiler.strategy"
@@ -251,18 +262,6 @@ let degrade_chain = function
 let usable (r : Strategy.compiled) =
   Float.is_finite r.Strategy.duration_ns && r.Strategy.duration_ns >= 0.0
 
-let analysis_target = function
-  | Gate_based -> Pqc_analysis.Rule.Gate_based
-  | Strict_partial -> Pqc_analysis.Rule.Strict_partial
-  | Flexible_partial -> Pqc_analysis.Rule.Flexible_partial
-  | Full_grape -> Pqc_analysis.Rule.Full_grape
-
-let strategy_of_target = function
-  | Pqc_analysis.Rule.Gate_based -> Gate_based
-  | Pqc_analysis.Rule.Strict_partial -> Strict_partial
-  | Pqc_analysis.Rule.Flexible_partial -> Flexible_partial
-  | Pqc_analysis.Rule.Full_grape -> Full_grape
-
 (* Fail-fast gate: no GRAPE time is spent on a circuit that violates the
    invariants the strategies rely on.  Errors abort (Runner.Rejected);
    warnings become degradation records so the accounting that already
@@ -274,7 +273,7 @@ let analysis_gate ~max_width strategy c ~theta =
   let report =
     Pqc_analysis.Runner.analyze ~rules:Pqc_analysis.Rules.gate
       ~theta_len:(Array.length theta) ~max_width
-      ~target:(analysis_target strategy) c
+      ~target:strategy c
   in
   if Pqc_analysis.Runner.has_errors report then
     raise (Pqc_analysis.Runner.Rejected report);
@@ -285,8 +284,7 @@ let analysis_gate ~max_width strategy c ~theta =
         run_id = Pqc_obs.Obs.Ctx.current () })
     (Pqc_analysis.Runner.warnings report)
 
-let compile ?workers ?(max_width = 4) ?(analysis = true) ?advice ~engine
-    strategy c ~theta =
+let compile ?workers ?(max_width = 4) ~engine strategy c ~theta =
   (* Every top-level compile gets a correlation id.  An ambient context
      (set by a batch driver like the bench matrix) wins; otherwise a
      fresh deterministic id is minted from the strategy name.  Direct
@@ -300,35 +298,13 @@ let compile ?workers ?(max_width = 4) ?(analysis = true) ?advice ~engine
     | None -> Some (Ctx.mint ("compile:" ^ strategy_name strategy))
   in
   Ctx.with_ctx ctx @@ fun () ->
-  (* When the static advisor recommends exactly the requested strategy,
-     this is a no-op: same strategy, no extra degradation record, so the
-     compiled result is bit-identical to the unadvised call (held by
-     test).  Only a differing recommendation switches the strategy, and
-     that switch is recorded like every other degradation. *)
-  let strategy, advisor_degs =
-    match advice with
-    | None -> (strategy, [])
-    | Some (a : Pqc_analysis.Cost.advice) ->
-      let recommended = strategy_of_target a.Pqc_analysis.Cost.recommended in
-      if recommended = strategy then (strategy, [])
-      else
-        ( recommended,
-          [ { Resilience.stage = "advisor"; reason = Resilience.Lint;
-              detail =
-                Printf.sprintf "advisor switched %s to %s"
-                  (strategy_name strategy) (strategy_name recommended);
-              run_id = Pqc_obs.Obs.Ctx.current () } ] )
-  in
   Pqc_obs.Obs.Span.with_ ~name:"compiler.compile"
     ~attrs:
       [ ("strategy", strategy_name strategy);
         ("qubits", string_of_int (Circuit.n_qubits c));
         ("gates", string_of_int (Circuit.length c)) ]
   @@ fun () ->
-  let lint_degs =
-    advisor_degs
-    @ (if analysis then analysis_gate ~max_width strategy c ~theta else [])
-  in
+  let lint_degs = analysis_gate ~max_width strategy c ~theta in
   let rec go degs = function
     | [] -> assert false (* chains always end in Gate_based *)
     | [ last ] ->
@@ -358,3 +334,34 @@ let compile ?workers ?(max_width = 4) ?(analysis = true) ?advice ~engine
           rest)
   in
   go lint_degs (degrade_chain strategy)
+
+(* One strategy priced by compiling it on the model engine, in process.
+   A strategy refuses a circuit it cannot compile (a block over the GRAPE
+   cap) with Invalid_argument, which the advice reports as infeasible. *)
+let model_estimate ~max_width ~theta c strategy =
+  let module Cost = Pqc_analysis.Cost in
+  match
+    run_strategy ~workers:1 ~max_width ~engine:Engine.model strategy c ~theta
+  with
+  | exception Invalid_argument reason -> Cost.infeasible strategy reason
+  | r ->
+    { Cost.target = strategy;
+      infeasible = None;
+      pulse_ns = r.Strategy.duration_ns;
+      precompute_s = r.Strategy.precompute.Engine.seconds;
+      per_iteration_s = r.Strategy.per_iteration.Engine.seconds;
+      blocks =
+        List.length
+          (List.filter
+             (function Pulse.Optimized _ -> true | Pulse.Lookup _ -> false)
+             (Pulse.segments r.Strategy.pulse)) }
+
+(* The advice depends on the circuit alone: no worker pool, and the
+   ambient fault plan is lifted for the pricing compiles, as the bench
+   matrix does for its reference compile. *)
+let advise ?max_width ?latency_budget_s ?theta c =
+  let ambient_plan = Fault.current () in
+  Fault.set None;
+  Fun.protect ~finally:(fun () -> Fault.set ambient_plan) @@ fun () ->
+  Pqc_analysis.Cost.advise ?max_width ?latency_budget_s ?theta
+    ~price:model_estimate c

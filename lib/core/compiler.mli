@@ -52,12 +52,26 @@ val flexible_partial :
 (** Requires parameter monotonicity (guaranteed for {!Pqc_vqe.Uccsd} and
     {!Pqc_qaoa.Qaoa} circuits). *)
 
-type strategy = Gate_based | Strict_partial | Flexible_partial | Full_grape
+type strategy = Pqc_analysis.Rule.target =
+  | Gate_based
+  | Strict_partial
+  | Flexible_partial
+  | Full_grape
+(** The analyzer's target type, so a strategy is what the analysis gate
+    and the advisor speak about without conversion. *)
 
 val all_strategies : strategy list
 (** In the paper's presentation order. *)
 
 val strategy_name : strategy -> string
+(** {!Pqc_analysis.Rule.target_to_string}: ["gate-based"],
+    ["strict-partial"], ["flexible-partial"], ["full-grape"]. *)
+
+val strategy_of_string : string -> (strategy, string) result
+(** Parse a strategy name, case-insensitively and ignoring surrounding
+    blanks: {!strategy_name}'s spellings or the short names [gate],
+    [strict], [flexible], [grape].  The error names the accepted
+    spellings. *)
 
 val degrade_chain : strategy -> strategy list
 (** The graceful-degradation ladder {!compile} walks, requested strategy
@@ -65,12 +79,8 @@ val degrade_chain : strategy -> strategy list
     strict too).  Gate-based is the terminal rung — pure table lookups
     that cannot fail. *)
 
-val strategy_of_target : Pqc_analysis.Rule.target -> strategy
-(** Inverse of the strategy-to-analysis-target mapping. *)
-
 val compile :
-  ?workers:int -> ?max_width:int -> ?analysis:bool ->
-  ?advice:Pqc_analysis.Cost.advice -> engine:Engine.t ->
+  ?workers:int -> ?max_width:int -> engine:Engine.t ->
   strategy -> Circuit.t -> theta:float array -> Strategy.compiled
 (** Fault-tolerant compilation entry point: runs the requested strategy
     and, if it raises or yields a non-finite duration, walks
@@ -80,15 +90,23 @@ val compile :
     {!Strategy.compiled.degradations} — degradation is explicit, never
     silent.
 
-    Unless [analysis] is [false], the static analyzer
-    ({!Pqc_analysis.Runner}, over {!Pqc_analysis.Rules.gate}) gates the
-    whole pipeline first: any [Error] diagnostic raises
-    {!Pqc_analysis.Runner.Rejected} before a single GRAPE search starts,
-    and [Warning] diagnostics are recorded as [Resilience.Lint]
-    degradations in the result.  The Info-only advisories do not run.
+    The static analyzer ({!Pqc_analysis.Runner}, over
+    {!Pqc_analysis.Rules.gate}) gates the whole pipeline first: any
+    [Error] diagnostic raises {!Pqc_analysis.Runner.Rejected} before a
+    single GRAPE search starts, and [Warning] diagnostics are recorded as
+    [Resilience.Lint] degradations in the result.  The Info-only
+    advisories do not run. *)
 
-    When [advice] (from {!Pqc_analysis.Runner.advise}) is given and its
-    recommendation differs from [strategy], the recommended strategy is
-    compiled instead and the switch is recorded as an ["advisor"]
-    degradation.  When the recommendation equals [strategy], the call is
-    bit-identical to the unadvised one (held by test). *)
+val advise :
+  ?max_width:int -> ?latency_budget_s:float -> ?theta:float array ->
+  Circuit.t -> Pqc_analysis.Cost.advice
+(** The strategy advisor behind [partialc analyze]: prices each strategy
+    by compiling it on {!Engine.model} with one worker, at [theta]
+    (default {!Pqc_analysis.Cost.canonical_theta}) and [max_width]
+    (default {!Pqc_analysis.Rule.grape_width_cap}), then recommends one
+    ({!Pqc_analysis.Cost.advise}).  An estimate is the compiled result's
+    duration, precompute and per-iteration seconds, and its number of
+    [Pulse.Optimized] segments; a strategy whose compile raises
+    [Invalid_argument] is infeasible with that message.  The ambient
+    {!Fault} plan is inactive while it prices and restored afterwards, so
+    the advice does not depend on [PQC_WORKERS] or [PQC_FAULT_PLAN]. *)

@@ -3,9 +3,9 @@ module Pulse = Pqc_pulse.Pulse
     strategies. *)
 
 type job = {
-  label : string;
   qubits : int list;  (** Original-register qubits the job occupies. *)
-  duration : float;  (** Pulse duration, ns. *)
+  segment : Pulse.segment;
+      (** The job's pulse: a GRAPE block or a lookup-table gate. *)
 }
 
 val makespan : n:int -> job list -> float

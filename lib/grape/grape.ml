@@ -508,31 +508,6 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
     total_time = float_of_int n_steps *. dt; n_steps; controls = best_u;
     wall_time_s = now () -. t0 }
 
-let optimize_multistart ?(settings = default_settings) ?(starts = 3) ?deadline
-    sys ~target ~total_time =
-  if starts <= 0 then invalid_arg "Grape.optimize_multistart: starts must be positive";
-  let rec go k best =
-    if k >= starts then best
-    else begin
-      let r =
-        optimize ~settings:{ settings with seed = settings.seed + k } ?deadline
-          sys ~target ~total_time
-      in
-      let merged =
-        let keep = if r.fidelity >= best.fidelity then r else best in
-        { keep with
-          iterations = best.iterations + r.iterations;
-          wall_time_s = best.wall_time_s +. r.wall_time_s;
-          deadline_hit = best.deadline_hit || r.deadline_hit }
-      in
-      if merged.converged || merged.deadline_hit then merged else go (k + 1) merged
-    end
-  in
-  let first =
-    optimize ~settings ?deadline sys ~target ~total_time
-  in
-  if first.converged || first.deadline_hit then first else go 1 first
-
 let to_pulse ?(label = "grape") r =
   let dt = if r.n_steps = 0 then 0.0 else r.total_time /. float_of_int r.n_steps in
   Pqc_pulse.Pulse.of_segments

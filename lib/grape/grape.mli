@@ -90,15 +90,6 @@ val optimize :
     [dt], non-finite [total_time], or a discretization beyond
     {!max_steps}. *)
 
-val optimize_multistart :
-  ?settings:settings -> ?starts:int -> ?deadline:float -> Hamiltonian.t ->
-  target:Cmat.t -> total_time:float -> result
-(** Run {!optimize} from [starts] (default 3) different random pulse
-    initializations and keep the best — the paper's Section 10 notes that
-    GRAPE convergence on wide circuits is unreliable; restarts are the
-    standard mitigation.  Stops early once a start converges.  Iterations
-    and wall time accumulate across starts. *)
-
 val propagate : Hamiltonian.t -> dt:float -> float array array -> Cmat.t
 (** Forward-simulate given controls; returns the realized full-dimension
     unitary (for verifying results independently of the optimizer). *)

@@ -12,7 +12,7 @@ type result = {
   history : float list;
 }
 
-let run ?(max_evals = 1500) ?(seed = 11) ?(optimizer = `Nelder_mead) ?recorder
+let run ?(max_evals = 1500) ?(seed = 11) ?recorder
     ~hamiltonian ~ansatz () =
   if Pauli.(hamiltonian.n_qubits) <> Circuit.n_qubits ansatz then
     invalid_arg "Vqe.run: Hamiltonian/ansatz width mismatch";
@@ -42,17 +42,8 @@ let run ?(max_evals = 1500) ?(seed = 11) ?(optimizer = `Nelder_mead) ?recorder
   if n_params = 0 then
     { energy = energy [||]; theta = [||]; evaluations = 1; history = [] }
   else
-    match optimizer with
-    | `Nelder_mead ->
-      let options =
-        { Nelder_mead.default_options with max_evals; initial_step = 0.15 }
-      in
-      let r = Nelder_mead.minimize ~options ~f:energy ~x0 () in
-      { energy = r.f; theta = r.x; evaluations = r.evals; history = r.history }
-    | `Spsa ->
-      let options =
-        { Pqc_util.Spsa.default_options with max_iters = max_evals / 2; seed }
-      in
-      let r = Pqc_util.Spsa.minimize ~options ~f:energy ~x0 () in
-      { energy = r.f; theta = r.best_x; evaluations = r.evals;
-        history = r.history }
+    let options =
+      { Nelder_mead.default_options with max_evals; initial_step = 0.15 }
+    in
+    let r = Nelder_mead.minimize ~options ~f:energy ~x0 () in
+    { energy = r.f; theta = r.x; evaluations = r.evals; history = r.history }

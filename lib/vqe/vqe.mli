@@ -16,12 +16,10 @@ type result = {
 }
 
 val run :
-  ?max_evals:int -> ?seed:int -> ?optimizer:[ `Nelder_mead | `Spsa ] ->
-  ?recorder:Pqc_obs.Run_log.t ->
+  ?max_evals:int -> ?seed:int -> ?recorder:Pqc_obs.Run_log.t ->
   hamiltonian:Pauli.t -> ansatz:Circuit.t -> unit -> result
-(** Minimize the ansatz energy from a seeded random start ([optimizer]
-    defaults to [`Nelder_mead]; [`Spsa] trades precision for robustness to
-    measurement noise).  The ansatz width must match the Hamiltonian's.
+(** Minimize the ansatz energy with Nelder-Mead from a seeded random
+    start.  The ansatz width must match the Hamiltonian's.
 
     [recorder]: stream one {!Pqc_obs.Run_log} record per objective
     evaluation (iteration index, energy, wall-clock) as the run

@@ -552,14 +552,6 @@ let test_compile_records_lint_warnings () =
          d.Resilience.stage = "analysis" && d.Resilience.reason = Resilience.Lint)
        r.Strategy.degradations)
 
-let test_compile_analysis_opt_out () =
-  let r =
-    Compiler.compile ~analysis:false ~engine:Engine.model
-      Compiler.Flexible_partial non_monotone ~theta:[| 0.1; 0.2 |]
-  in
-  Alcotest.(check bool) "still produces a pulse via degradation" true
-    (Float.is_finite r.Strategy.duration_ns)
-
 let test_compile_rejects_unbound_param () =
   let c = Circuit.of_gates 1 [ (Gate.Rz (Param.var 5), [ 0 ]) ] in
   match
@@ -741,72 +733,87 @@ let test_block_beats_grape_rule () =
 
 let prepared_h2 = Compiler.prepare (Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.h2)
 
-let test_advice_noop_is_bit_identical () =
-  let advice = Runner.advise prepared_h2 in
-  let strategy = Compiler.strategy_of_target advice.Cost.recommended in
-  let theta = Cost.canonical_theta prepared_h2 in
-  let plain = Compiler.compile ~engine:Engine.model strategy prepared_h2 ~theta in
-  let advised =
-    Compiler.compile ~advice ~engine:Engine.model strategy prepared_h2 ~theta
-  in
-  Alcotest.(check string) "same strategy" plain.Strategy.strategy
-    advised.Strategy.strategy;
-  Alcotest.(check (float 0.0)) "same duration" plain.Strategy.duration_ns
-    advised.Strategy.duration_ns;
-  Alcotest.(check bool) "bit-identical pulse" true
-    (plain.Strategy.pulse = advised.Strategy.pulse);
-  Alcotest.(check int) "no extra degradations"
-    (List.length plain.Strategy.degradations)
-    (List.length advised.Strategy.degradations)
-
-let test_advice_switch_is_recorded () =
-  (* Force a switch: request full GRAPE while the advisor, given a tiny
-     latency budget, must pick a zero-per-iteration strategy. *)
-  let advice = Runner.advise ~latency_budget_s:1e-9 prepared_h2 in
-  let recommended = Compiler.strategy_of_target advice.Cost.recommended in
-  if recommended <> Compiler.Full_grape then begin
-    let theta = Cost.canonical_theta prepared_h2 in
-    let r =
-      Compiler.compile ~advice ~engine:Engine.model Compiler.Full_grape
-        prepared_h2 ~theta
-    in
-    Alcotest.(check string) "compiled the recommendation"
-      (Compiler.strategy_name recommended) r.Strategy.strategy;
-    Alcotest.(check bool) "advisor switch recorded" true
-      (List.exists
-         (fun (d : Resilience.degradation) -> d.Resilience.stage = "advisor")
-         r.Strategy.degradations)
-  end
-  else Alcotest.fail "tiny budget cannot admit full GRAPE"
-
-(* The static cost model must agree with what actually compiling under the
-   calibrated model engine reports (the claim in Cost's docstring). *)
+(* The advisor compiles each strategy on the model engine, so its
+   estimates are exactly what a model compile reports, bit for bit. *)
 let test_cost_matches_model_compiler () =
-  let theta = Cost.canonical_theta prepared_h2 in
-  let close what a b =
-    let tol = 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %.9g ~ %.9g" what a b)
-      true
-      (Float.abs (a -. b) <= tol)
-  in
+  let bits = Int64.bits_of_float in
   List.iter
-    (fun (strategy, target) ->
-      let e = Cost.estimate ~theta prepared_h2 target in
-      let r =
-        Compiler.compile ~analysis:false ~engine:Engine.model strategy
-          prepared_h2 ~theta
+    (fun spec ->
+      let c =
+        match Pqc_core.Bench_matrix.circuit_of_spec spec with
+        | Ok c -> Compiler.prepare c
+        | Error e -> Alcotest.fail e
       in
-      let name = Compiler.strategy_name strategy in
-      close (name ^ " pulse") r.Strategy.duration_ns e.Cost.pulse_ns;
-      close (name ^ " precompute") r.Strategy.precompute.Engine.seconds
-        e.Cost.precompute_s;
-      close (name ^ " per-iteration") r.Strategy.per_iteration.Engine.seconds
-        e.Cost.per_iteration_s)
-    [ (Compiler.Gate_based, Rule.Gate_based);
-      (Compiler.Strict_partial, Rule.Strict_partial);
-      (Compiler.Flexible_partial, Rule.Flexible_partial);
-      (Compiler.Full_grape, Rule.Full_grape) ]
+      let theta = Cost.canonical_theta c in
+      let advice = Compiler.advise c in
+      List.iter
+        (fun (e : Cost.estimate) ->
+          let r = Compiler.compile ~engine:Engine.model e.target c ~theta in
+          let name = spec ^ " " ^ Compiler.strategy_name e.target in
+          Alcotest.(check (option string)) (name ^ " feasible") None
+            e.infeasible;
+          Alcotest.(check int64) (name ^ " pulse")
+            (bits r.Strategy.duration_ns) (bits e.pulse_ns);
+          Alcotest.(check int64) (name ^ " precompute")
+            (bits r.Strategy.precompute.Engine.seconds) (bits e.precompute_s);
+          Alcotest.(check int64) (name ^ " per-iteration")
+            (bits r.Strategy.per_iteration.Engine.seconds)
+            (bits e.per_iteration_s);
+          Alcotest.(check int) (name ^ " blocks")
+            (List.length
+               (List.filter
+                  (function
+                    | Pqc_pulse.Pulse.Optimized _ -> true
+                    | Pqc_pulse.Pulse.Lookup _ -> false)
+                  (Pqc_pulse.Pulse.segments r.Strategy.pulse)))
+            e.blocks)
+        advice.Cost.estimates)
+    [ "h2"; "lih"; "3reg6p1" ]
+
+(* Neither the worker count nor an active fault plan reaches the advice,
+   and the caller's plan is back in place afterwards. *)
+let test_advise_ignores_workers_and_faults () =
+  let advice () = Cost.advice_to_json (Compiler.advise prepared_h2) in
+  let reference = advice () in
+  let old = Sys.getenv_opt "PQC_WORKERS" in
+  Unix.putenv "PQC_WORKERS" "4";
+  let under_workers =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "PQC_WORKERS" (Option.value old ~default:""))
+      advice
+  in
+  Alcotest.(check string) "PQC_WORKERS=4" reference under_workers;
+  let spec = "seed=1,nan=1,no-converge=1,stall=1" in
+  let plan =
+    match Pqc_core.Fault.parse spec with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Pqc_core.Fault.set (Some plan);
+  Fun.protect ~finally:Pqc_core.Fault.clear (fun () ->
+      Alcotest.(check string) "under an active fault plan" reference
+        (advice ());
+      Alcotest.(check (option string)) "plan still active"
+        (Some (Pqc_core.Fault.to_string plan))
+        (Option.map Pqc_core.Fault.to_string (Pqc_core.Fault.current ())))
+
+(* A block over the GRAPE cap: every strategy that would run GRAPE on it
+   refuses, so only gate-based is feasible. *)
+let test_advise_wide_block_infeasible () =
+  let path = "../examples/fixtures/bad_wide_block.qasm" in
+  let c =
+    Pqc_quantum.Qasm.of_qasm (In_channel.with_open_text path In_channel.input_all)
+  in
+  let advice = Compiler.advise ~max_width:6 c in
+  List.iter
+    (fun (e : Cost.estimate) ->
+      Alcotest.(check bool)
+        (Compiler.strategy_name e.target ^ " infeasible")
+        (e.target <> Compiler.Gate_based) (e.infeasible <> None))
+    advice.Cost.estimates;
+  Alcotest.(check string) "recommends gate-based" "gate-based"
+    (Compiler.strategy_name advice.Cost.recommended)
 
 (* The advisor's predicted pulse-duration ordering must reproduce the
    measured ordering in the committed numeric baseline: the rollup of
@@ -835,7 +842,11 @@ let test_ranking_matches_committed_baseline () =
       List.map
         (fun (x : Pqc_core.Bench_report.experiment) ->
           let c = circuit_of x.name in
-          let e = Cost.estimate c (target_of x.strategy) in
+          let e =
+            List.find
+              (fun (e : Cost.estimate) -> e.target = target_of x.strategy)
+              (Compiler.advise c).Cost.estimates
+          in
           (x.name, e.Cost.pulse_ns, x.pulse_duration_ns))
         report.Pqc_core.Bench_report.experiments
     in
@@ -854,8 +865,8 @@ let test_ranking_matches_committed_baseline () =
       rows
 
 let test_advise_deterministic () =
-  let a = Cost.advice_to_json (Runner.advise prepared_h2) in
-  let b = Cost.advice_to_json (Runner.advise prepared_h2) in
+  let a = Cost.advice_to_json (Compiler.advise prepared_h2) in
+  let b = Cost.advice_to_json (Compiler.advise prepared_h2) in
   Alcotest.(check string) "two runs, same advice" a b
 
 let () =
@@ -919,8 +930,6 @@ let () =
             test_compile_rejects_flexible_on_non_monotone;
           Alcotest.test_case "records lint warnings" `Quick
             test_compile_records_lint_warnings;
-          Alcotest.test_case "analysis opt-out" `Quick
-            test_compile_analysis_opt_out;
           Alcotest.test_case "rejects unbound param" `Quick
             test_compile_rejects_unbound_param;
           QCheck_alcotest.to_alcotest prop_gate_decides_as_all;
@@ -935,12 +944,12 @@ let () =
           Alcotest.test_case "block beats grape" `Quick
             test_block_beats_grape_rule ] );
       ( "advisor",
-        [ Alcotest.test_case "no-op advice bit-identical" `Quick
-            test_advice_noop_is_bit_identical;
-          Alcotest.test_case "switch recorded" `Quick
-            test_advice_switch_is_recorded;
-          Alcotest.test_case "cost matches model compiler" `Quick
+        [ Alcotest.test_case "cost matches model compiler" `Quick
             test_cost_matches_model_compiler;
+          Alcotest.test_case "ignores workers and faults" `Quick
+            test_advise_ignores_workers_and_faults;
+          Alcotest.test_case "wide block infeasible" `Quick
+            test_advise_wide_block_infeasible;
           Alcotest.test_case "ranking matches baseline" `Quick
             test_ranking_matches_committed_baseline;
           Alcotest.test_case "deterministic" `Quick

@@ -3,6 +3,7 @@ module Param = Pqc_quantum.Param
 module Gate = Pqc_quantum.Gate
 module Circuit = Pqc_quantum.Circuit
 module Gate_times = Pqc_pulse.Gate_times
+module Pulse = Pqc_pulse.Pulse
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Grape = Pqc_grape.Grape
 module Pulse_model = Pqc_analysis.Pulse_model
@@ -316,18 +317,16 @@ let test_tuned_run_cheaper_than_search () =
 
 (* --- Strategy scheduling --- *)
 
+let job label qubits duration =
+  { Strategy.qubits;
+    segment = Pulse.Optimized { label; duration; samples = None } }
+
 let test_makespan_parallel () =
-  let jobs =
-    [ { Strategy.label = "a"; qubits = [ 0; 1 ]; duration = 10.0 };
-      { Strategy.label = "b"; qubits = [ 2; 3 ]; duration = 7.0 } ]
-  in
+  let jobs = [ job "a" [ 0; 1 ] 10.0; job "b" [ 2; 3 ] 7.0 ] in
   Alcotest.(check (float 1e-12)) "disjoint jobs overlap" 10.0 (Strategy.makespan ~n:4 jobs)
 
 let test_makespan_serial () =
-  let jobs =
-    [ { Strategy.label = "a"; qubits = [ 0; 1 ]; duration = 10.0 };
-      { Strategy.label = "b"; qubits = [ 1; 2 ]; duration = 7.0 } ]
-  in
+  let jobs = [ job "a" [ 0; 1 ] 10.0; job "b" [ 1; 2 ] 7.0 ] in
   Alcotest.(check (float 1e-12)) "overlapping jobs serialize" 17.0
     (Strategy.makespan ~n:3 jobs)
 
@@ -404,6 +403,40 @@ let test_strict_theta_independent_of_binding () =
   let b = Compiler.strict_partial ~engine c ~theta:[| 2.1; 1.2; 0.9 |] in
   Alcotest.(check (float 1e-9)) "same duration" a.Strategy.duration_ns b.Strategy.duration_ns
 
+(* Strict partial compilation looks the theta gates up at runtime: each
+   parametrized instruction is one lookup segment named for its gate, and
+   every other segment is a GRAPE block. *)
+let test_strict_theta_gates_are_lookups () =
+  List.iter
+    (fun m ->
+      let c = Compiler.prepare (Uccsd.ansatz m) in
+      let theta = Array.make (Circuit.n_params c) 0.7 in
+      let r =
+        Compiler.compile ~engine:Engine.model Compiler.Strict_partial c ~theta
+      in
+      let lookups, optimized =
+        List.partition_map
+          (function
+            | Pulse.Lookup { gate_name; duration } ->
+              Either.Left (gate_name, duration)
+            | Pulse.Optimized _ as s -> Either.Right s)
+          (Pulse.segments r.Strategy.pulse)
+      in
+      let expected =
+        Array.to_list (Circuit.instrs (Circuit.bind c theta))
+        |> List.filteri (fun k _ ->
+               Gate.is_parametrized (Circuit.instrs c).(k).gate)
+        |> List.map (fun (i : Circuit.instr) ->
+               (Gate.name i.gate, Gate_times.instr_duration i))
+      in
+      Alcotest.(check (list (pair string (float 0.0))))
+        (m.Molecule.name ^ ": one lookup per parametrized instruction")
+        expected lookups;
+      Alcotest.(check bool)
+        (m.Molecule.name ^ ": GRAPE blocks for the rest") true
+        (optimized <> []))
+    [ Molecule.h2; Molecule.lih ]
+
 let test_compile_dispatch () =
   let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
   let theta = [| 0.5; 1.0; 1.5 |] in
@@ -412,7 +445,20 @@ let test_compile_dispatch () =
       let r = Compiler.compile ~engine:Engine.model strat c ~theta in
       Alcotest.(check string) "name matches" (Compiler.strategy_name strat)
         r.Strategy.strategy)
+    Compiler.all_strategies;
+  (* Every name and short name parses back to its strategy. *)
+  List.iter2
+    (fun strat short ->
+      List.iter
+        (fun spelling ->
+          Alcotest.(check bool) ("parses " ^ spelling) true
+            (Compiler.strategy_of_string spelling = Ok strat))
+        [ Compiler.strategy_name strat; short;
+          String.uppercase_ascii short ])
     Compiler.all_strategies
+    [ "gate"; "strict"; "flexible"; "grape" ];
+  Alcotest.(check bool) "rejects an unknown name" true
+    (Result.is_error (Compiler.strategy_of_string "all"))
 
 let test_prepare_legalizes () =
   let c = Circuit.of_gates 4 [ (Gate.CX, [0;3]) ] in
@@ -512,6 +558,8 @@ let () =
           Alcotest.test_case "grape speedup" `Quick test_grape_buys_speedup;
           Alcotest.test_case "latency ordering" `Quick test_latency_ordering;
           Alcotest.test_case "strict binding-independent" `Quick test_strict_theta_independent_of_binding;
+          Alcotest.test_case "strict theta gates are lookups" `Quick
+            test_strict_theta_gates_are_lookups;
           Alcotest.test_case "dispatch" `Quick test_compile_dispatch;
           Alcotest.test_case "prepare legalizes" `Quick test_prepare_legalizes;
           Alcotest.test_case "figure-2 asymptote" `Quick test_figure2_asymptote;

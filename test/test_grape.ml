@@ -547,42 +547,6 @@ let test_minimal_time_degenerate_precision () =
         s.grape_iterations_total)
     [ 0.0; -1.0; Float.nan ]
 
-let test_multistart_stops_on_convergence () =
-  let sys = Hamiltonian.gmon 1 in
-  let single = Grape.optimize ~settings:quick sys ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0 in
-  let multi =
-    Grape.optimize_multistart ~settings:quick ~starts:5 sys
-      ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0
-  in
-  Alcotest.(check bool) "converged" true multi.Grape.converged;
-  (* First start converges, so no extra iterations are spent. *)
-  Alcotest.(check int) "single start used" single.Grape.iterations multi.Grape.iterations
-
-let test_multistart_accumulates () =
-  (* An unreachable target forces all starts to run. *)
-  let sys = Hamiltonian.gmon ~topology:(Pqc_transpile.Topology.of_edges 2 []) 2 in
-  let settings = { quick with Grape.max_iters = 30 } in
-  let single = Grape.optimize ~settings sys ~target:(gate_target 2 Gate.CX [ 0; 1 ]) ~total_time:4.0 in
-  let multi =
-    Grape.optimize_multistart ~settings ~starts:3 sys
-      ~target:(gate_target 2 Gate.CX [ 0; 1 ]) ~total_time:4.0
-  in
-  Alcotest.(check bool) "not converged" false multi.Grape.converged;
-  Alcotest.(check int) "iterations accumulate across starts"
-    (3 * single.Grape.iterations) multi.Grape.iterations;
-  Alcotest.(check bool) "best fidelity at least single's" true
-    (multi.Grape.fidelity >= single.Grape.fidelity -. 1e-12)
-
-let test_multistart_validation () =
-  let sys = Hamiltonian.gmon 1 in
-  Alcotest.(check bool) "starts = 0 rejected" true
-    (try
-       ignore
-         (Grape.optimize_multistart ~starts:0 sys
-            ~target:(gate_target 1 Gate.X [ 0 ]) ~total_time:2.0);
-       false
-     with Invalid_argument _ -> true)
-
 let test_to_pulse () =
   let sys = Hamiltonian.gmon 1 in
   let r = Grape.optimize ~settings:quick sys ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0 in
@@ -641,7 +605,4 @@ let () =
           Alcotest.test_case "precision 0 or NaN returns" `Quick
             test_minimal_time_degenerate_precision;
           Alcotest.test_case "to_pulse" `Quick test_to_pulse;
-          Alcotest.test_case "multistart early stop" `Quick test_multistart_stops_on_convergence;
-          Alcotest.test_case "multistart accumulates" `Quick test_multistart_accumulates;
-          Alcotest.test_case "multistart validation" `Quick test_multistart_validation;
           Alcotest.test_case "realistic settings" `Slow test_realistic_settings_run ] ) ]

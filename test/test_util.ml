@@ -190,55 +190,6 @@ let test_nm_empty_rejected () =
   Alcotest.check_raises "empty x0" (Invalid_argument "Nelder_mead.minimize: empty initial point")
     (fun () -> ignore (Nelder_mead.minimize ~f:(fun _ -> 0.0) ~x0:[||] ()))
 
-(* --- SPSA --- *)
-
-module Spsa = Pqc_util.Spsa
-
-let test_spsa_quadratic () =
-  let f x = ((x.(0) -. 2.0) ** 2.0) +. ((x.(1) +. 1.0) ** 2.0) in
-  let options = { Spsa.default_options with max_iters = 2000; a = 0.5 } in
-  let r = Spsa.minimize ~options ~f ~x0:[| 0.0; 0.0 |] () in
-  Alcotest.(check bool) (Printf.sprintf "f=%.4f near 0" r.f) true (r.f < 1e-2)
-
-let test_spsa_noisy_objective () =
-  (* SPSA's selling point: tolerate evaluation noise. *)
-  let noise = Rng.create 3 in
-  let f x =
-    Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x
-    +. (0.01 *. Rng.gaussian noise)
-  in
-  let options = { Spsa.default_options with max_iters = 1500 } in
-  let r = Spsa.minimize ~options ~f ~x0:[| 1.5; -1.0; 0.5 |] () in
-  Alcotest.(check bool) "gets close despite noise" true (r.f < 0.05)
-
-let test_spsa_eval_budget () =
-  let count = ref 0 in
-  let f x = incr count; x.(0) *. x.(0) in
-  let options = { Spsa.default_options with max_iters = 50 } in
-  let r = Spsa.minimize ~options ~f ~x0:[| 3.0 |] () in
-  Alcotest.(check int) "1 + 2 per iteration" 101 !count;
-  Alcotest.(check int) "reported" 101 r.evals
-
-let test_spsa_deterministic () =
-  let f x = x.(0) *. x.(0) in
-  let a = Spsa.minimize ~f ~x0:[| 2.0 |] () in
-  let b = Spsa.minimize ~f ~x0:[| 2.0 |] () in
-  Alcotest.(check (float 1e-12)) "same result" a.f b.f
-
-let test_spsa_history_monotone () =
-  let f x = x.(0) *. x.(0) in
-  let r = Spsa.minimize ~f ~x0:[| 4.0 |] () in
-  let rec decreasing = function
-    | a :: (b :: _ as rest) -> a >= b -. 1e-12 && decreasing rest
-    | [ _ ] | [] -> true
-  in
-  Alcotest.(check bool) "best-so-far monotone" true (decreasing r.history)
-
-let test_spsa_empty_rejected () =
-  Alcotest.(check bool) "empty x0" true
-    (try ignore (Spsa.minimize ~f:(fun _ -> 0.0) ~x0:[||] ()); false
-     with Invalid_argument _ -> true)
-
 (* --- Table --- *)
 
 let contains haystack needle =
@@ -299,13 +250,6 @@ let () =
           Alcotest.test_case "eval budget" `Quick test_nm_budget;
           Alcotest.test_case "history monotone" `Quick test_nm_history_monotone;
           Alcotest.test_case "empty x0 rejected" `Quick test_nm_empty_rejected ] );
-      ( "spsa",
-        [ Alcotest.test_case "quadratic" `Quick test_spsa_quadratic;
-          Alcotest.test_case "noisy objective" `Quick test_spsa_noisy_objective;
-          Alcotest.test_case "eval budget" `Quick test_spsa_eval_budget;
-          Alcotest.test_case "deterministic" `Quick test_spsa_deterministic;
-          Alcotest.test_case "history monotone" `Quick test_spsa_history_monotone;
-          Alcotest.test_case "empty x0 rejected" `Quick test_spsa_empty_rejected ] );
       ( "table",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "cells" `Quick test_table_cells;

@@ -197,15 +197,6 @@ let test_vqe_width_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-let test_vqe_spsa_optimizer () =
-  let prep = Circuit.of_gates 2 [ (Gate.X, [ 0 ]) ] in
-  let ansatz = Circuit.concat prep (Uccsd.ansatz Molecule.h2) in
-  let hf = Pauli.expectation Chemistry.h2 (Pqc_quantum.Statevec.run prep) in
-  let r = Vqe.run ~max_evals:1200 ~optimizer:`Spsa ~hamiltonian:Chemistry.h2 ~ansatz () in
-  Alcotest.(check bool)
-    (Printf.sprintf "SPSA improves over HF (%.4f < %.4f)" r.energy hf)
-    true (r.energy < hf)
-
 let test_vqe_iterations_counted () =
   let prep = Circuit.of_gates 2 [ (Gate.X, [ 0 ]) ] in
   let ansatz = Circuit.concat prep (Uccsd.ansatz Molecule.h2) in
@@ -239,7 +230,6 @@ let () =
           Alcotest.test_case "ground energy bound" `Quick test_ground_energy_is_lower_bound ] );
       ( "end-to-end",
         [ Alcotest.test_case "H2 reaches exact energy" `Quick test_vqe_h2_end_to_end;
-          Alcotest.test_case "SPSA optimizer" `Quick test_vqe_spsa_optimizer;
           Alcotest.test_case "improves over HF" `Quick test_vqe_improves_over_hf;
           Alcotest.test_case "width mismatch" `Quick test_vqe_width_mismatch;
           Alcotest.test_case "iterations counted" `Quick test_vqe_iterations_counted ] ) ]
