@@ -615,33 +615,7 @@ let ablation_slicing () =
   let engine = Engine.model in
   let t = Table.create [ "benchmark"; "gate"; "region slicing"; "linear slicing" ] in
   let strict_with slicer c theta =
-    let jobs = ref [] and cost = ref Engine.zero_cost in
-    List.iter
-      (fun (s : Slice.slice) ->
-        match s.Slice.var with
-        | None ->
-          List.iter
-            (fun (b : Pqc_transpile.Block.block) ->
-              let r = Engine.search engine (Pqc_transpile.Block.extract b) in
-              cost := Engine.add_cost !cost r.Engine.search_cost;
-              jobs :=
-                { Strategy.qubits = b.Pqc_transpile.Block.qubits;
-                  segment =
-                    Pulse.Optimized
-                      { label = "blk"; duration = r.Engine.duration_ns;
-                        samples = None } }
-                :: !jobs)
-            (Pqc_transpile.Block.partition ~max_width:4 s.Slice.circuit)
-        | Some _ ->
-          Circuit.iter
-            (fun (i : Circuit.instr) ->
-              jobs :=
-                { Strategy.qubits = Array.to_list i.qubits;
-                  segment = Pulse.lookup_gate i }
-                :: !jobs)
-            (Circuit.bind s.Slice.circuit theta))
-      (slicer c);
-    Strategy.makespan ~n:(Circuit.n_qubits c) (List.rev !jobs)
+    Pulse.duration (Compiler.strict_slicing ~workers:1 ~engine slicer c ~theta)
   in
   let add name c =
     let theta = theta_for 42 c in

@@ -364,13 +364,15 @@ let parse_error_report (line, col, message) =
     suppressed = 0; rules_run = []; skipped_structural = false }
 
 (* FILE or --benchmark, for lint and analyze: an unknown benchmark is a
-   usage error like an unreadable file. *)
+   usage error like an unreadable file.  A benchmark is prepared, so lint
+   and analyze check the circuit compile compiles; a FILE stays as
+   written, because its diagnostics point at source positions. *)
 let input_circuit file benchmark =
   match (file, benchmark) with
   | Some f, _ -> Result.map Option.some (read_qasm f)
   | None, Some bench -> (
     match benchmark_circuit bench with
-    | Ok c -> Ok (Some c)
+    | Ok c -> Ok (Some (Compiler.prepare c))
     | Error e -> Error (`Io e))
   | None, None -> Ok None
 

@@ -35,9 +35,6 @@ type t = {
 
 val of_circuit : Circuit.t -> t
 
-val of_instrs : n:int -> Circuit.instr array -> t
-(** Stream variant for contexts that never became a valid circuit. *)
-
 val find_def_use : t -> int -> def_use option
 
 val instr_equal : Circuit.instr -> Circuit.instr -> bool
@@ -51,11 +48,6 @@ val commutes : Circuit.instr -> Circuit.instr -> bool
     Rz-family vs CX controls, X-family vs CX targets, and all mutually
     diagonal pairs).  [false] means "not known to commute". *)
 
-val dependency_edges : Circuit.instr array -> (int * int) list
-(** Non-commutation edges [(i, j)] with [i < j]: the partial order any
-    sound reordering must respect.  Any linear extension implements the
-    original unitary (it differs only by adjacent commuting swaps). *)
-
 val reslice : Circuit.t -> Circuit.t option
 (** Greedy linear extension of the non-commutation DAG that tries to make
     every parameter's run contiguous.  [Some c'] is always
@@ -64,13 +56,9 @@ val reslice : Circuit.t -> Circuit.t option
     not achieve monotonicity (the transformation never guesses).
     Deterministic: all ties break on the smallest original index. *)
 
-val measurement_irrelevant : Circuit.instr array -> int -> bool
-(** True when the instruction is diagonal and every later instruction
-    sharing one of its qubits is diagonal too — the gate commutes to the
-    end of the circuit, where a diagonal factor cannot change any
-    computational-basis measurement probability. *)
-
 val dead_params : Circuit.t -> (int * int list) list
-(** Parameters whose every gate is {!measurement_irrelevant}: varying
-    them cannot move any measured expectation value.  Pairs of parameter
-    index and the offending instruction indices. *)
+(** Parameters whose every gate is measurement-irrelevant: diagonal, and
+    followed only by diagonal gates on its qubits, so it commutes to the
+    end of the circuit, where it cannot change a computational-basis
+    probability.  Varying them cannot move any measured expectation value.
+    Pairs of parameter index and the offending instruction indices. *)

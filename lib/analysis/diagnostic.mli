@@ -11,10 +11,6 @@ type severity = Error | Warning | Info
     recorded alongside {!Pqc_core.Strategy} degradations; [Info] is advisory
     lint output only. *)
 
-val severity_to_string : severity -> string
-val severity_rank : severity -> int
-(** 0 for [Error], 1 for [Warning], 2 for [Info]. *)
-
 type span = { first : int; last : int }
 (** Inclusive index range into the analyzed stream. *)
 

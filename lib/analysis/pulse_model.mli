@@ -36,9 +36,3 @@ val block_duration : Circuit.t -> float
 (** Modelled minimal GRAPE pulse duration (ns) for a parameter-free block
     of width <= 4.  Raises [Invalid_argument] on parametrized input (bind
     first) and asserts width <= 4. *)
-
-val zz_rate : float
-(** ns per radian of recognized fractional ZZ interaction. *)
-
-val cx_interaction_time : float
-(** Interaction price of one unrecognized CX (ns). *)

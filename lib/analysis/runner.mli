@@ -73,9 +73,6 @@ val has_errors : report -> bool
 val errors : report -> Diagnostic.t list
 val warnings : report -> Diagnostic.t list
 
-val summary : report -> string
-(** E.g. ["2 errors, 1 warning, 0 infos"]. *)
-
 val to_string : report -> string
 (** Human-readable: one line per diagnostic plus the summary. *)
 

@@ -18,9 +18,6 @@ type t = {
   regressions : string list;
 }
 
-let key_of (e : Bench_report.experiment) =
-  String.concat "/" [ e.name; e.strategy; e.engine ]
-
 let pct ~old_value ~new_value =
   if old_value = 0. then Float.nan
   else (new_value -. old_value) /. old_value *. 100.
@@ -41,11 +38,11 @@ let diff ?(threshold_pct = 20.) ?time_threshold_pct ~old_report ~new_report ()
     =
   let olds = (old_report : Bench_report.t).experiments in
   let news = (new_report : Bench_report.t).experiments in
-  let find es k = List.find_opt (fun e -> key_of e = k) es in
+  let find es k = List.find_opt (fun e -> Bench_report.experiment_key e = k) es in
   let rows = ref [] and missing = ref [] and broken = ref [] in
   List.iter
     (fun (o : Bench_report.experiment) ->
-      let k = key_of o in
+      let k = Bench_report.experiment_key o in
       match find news k with
       | None -> missing := k :: !missing
       | Some n ->
@@ -61,7 +58,7 @@ let diff ?(threshold_pct = 20.) ?time_threshold_pct ~old_report ~new_report ()
   let added =
     List.filter_map
       (fun n ->
-        let k = key_of n in
+        let k = Bench_report.experiment_key n in
         if find olds k = None then Some k else None)
       news
   in

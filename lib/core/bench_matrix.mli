@@ -46,6 +46,10 @@
 
 module Circuit = Pqc_quantum.Circuit
 
+val numeric_settings : unit -> Pqc_grape.Grape.settings
+(** The GRAPE settings of a numeric manifest's engine: dt 1 ns, 60
+    iterations, fidelity target 0.98. *)
+
 type workload =
   | Mol of Pqc_vqe.Molecule.t
   | Qaoa of { graph : Pqc_qaoa.Graph.t; p : int }
@@ -59,8 +63,6 @@ val workload_of_spec : string -> (workload, string) result
 val circuit_of_spec : string -> (Circuit.t, string) result
 (** The unprepared ansatz of a workload spec (UCCSD for molecules, the
     QAOA circuit for graph specs). *)
-
-val workload_width : workload -> int
 
 type manifest = {
   name : string;

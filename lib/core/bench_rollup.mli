@@ -37,12 +37,7 @@ val of_results_dir : dir:string -> (t, string) result
 
 val to_json : t -> string
 (** Deterministic JSON (fixed key order, 2-space indent, trailing
-    newline); parseable by both {!of_json} and {!Bench_report.of_json}. *)
-
-val of_json : string -> (t, string) result
-(** Tolerant inverse of {!to_json}: the report core is required, the
-    rollup extras degrade ([cells] to the experiment count,
-    [missing_cells]/[fleet_metrics] to empty). *)
+    newline); parseable by {!read} and {!Bench_report.of_json}. *)
 
 val write : path:string -> t -> unit
 (** Atomic write of {!to_json} (temp file + rename). *)

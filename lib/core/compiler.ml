@@ -15,31 +15,33 @@ let prepare ?topology c =
   let routed = (Route.route topo optimized).routed in
   Pass.optimize routed
 
-let lookup_jobs c =
-  Array.to_list (Circuit.instrs c)
-  |> List.map (fun (i : Circuit.instr) ->
-         { Strategy.qubits = Array.to_list i.qubits;
-           segment = Pulse.lookup_gate i })
+(* A strategy's jobs are (segment, qubits) pairs in a dependency-respecting
+   order; Pulse.schedule places them, and the strategy reports the end of
+   that schedule as its duration. *)
+let lookup_jobs bound =
+  Array.to_list (Circuit.instrs bound)
+  |> List.map (fun (i : Circuit.instr) -> (Pulse.lookup_gate i, i.qubits))
 
-(* A GRAPE-compiled block as a schedulable job. *)
-let optimized_job ~label qubits duration =
-  { Strategy.qubits;
-    segment = Pulse.Optimized { label; duration; samples = None } }
+let gate_pulse bound =
+  Pulse.schedule ~n:(Circuit.n_qubits bound) (lookup_jobs bound)
+
+let compiled ~strategy ?(precompute = Engine.zero_cost)
+    ?(per_iteration = Engine.zero_cost) ?(degradations = [])
+    ?(pool = Engine.zero_pool_stats) pulse =
+  { Strategy.strategy; duration_ns = Pulse.duration pulse; precompute;
+    per_iteration; pulse; degradations; pool }
 
 let gate_based c ~theta =
-  let bound = Circuit.bind c theta in
-  let duration = Gate_times.circuit_duration bound in
-  let segments =
-    Array.to_list (Circuit.instrs bound) |> List.map Pulse.lookup_gate
-  in
-  { Strategy.strategy = "gate-based"; duration_ns = duration;
-    precompute = Engine.zero_cost; per_iteration = Engine.zero_cost;
-    pulse = Pulse.of_segments segments; degradations = [];
-    pool = Engine.zero_pool_stats }
+  compiled ~strategy:"gate-based" (gate_pulse (Circuit.bind c theta))
 
 let block_label (b : Block.block) =
   Printf.sprintf "block[%s]"
     (String.concat "," (List.map string_of_int b.qubits))
+
+(* A GRAPE-compiled block as a schedulable job. *)
+let optimized_job ~label (b : Block.block) duration =
+  ( Pulse.Optimized { label; duration; samples = None },
+    Array.of_list b.qubits )
 
 (* One block's schedulable job from its engine result, accumulating the
    search cost and any per-block fallback into the caller's refs. *)
@@ -54,7 +56,7 @@ let job_of_result ~cost ~degs (b : Block.block) (r : Engine.block_result) =
         run_id = Pqc_obs.Obs.Ctx.current () }
       :: !degs
   | None -> ());
-  optimized_job ~label b.qubits r.Engine.duration_ns
+  optimized_job ~label b r.Engine.duration_ns
 
 (* Blocks of a (bound) circuit as schedulable jobs with engine durations —
    searched as one batch over the worker pool — plus the accumulated
@@ -69,22 +71,16 @@ let block_jobs ?workers ~max_width ~engine bound =
   let jobs = List.map2 (job_of_result ~cost ~degs) blocks results in
   (jobs, !cost, List.rev !degs @ pool_degs, pstats)
 
-let pulse_of_jobs jobs =
-  Pulse.of_segments (List.map (fun (j : Strategy.job) -> j.segment) jobs)
-
 let full_grape ?workers ?(max_width = 4) ~engine c ~theta =
   let bound = Circuit.bind c theta in
-  let jobs, cost, degs, pstats = block_jobs ?workers ~max_width ~engine bound in
-  { Strategy.strategy = "full-grape";
-    duration_ns = Strategy.makespan ~n:(Circuit.n_qubits c) jobs;
-    precompute = Engine.zero_cost;
-    (* The binding changes every iteration, so the whole search repeats
-       every iteration: this is the latency that makes out-of-the-box
-       GRAPE untenable (Section 1). *)
-    per_iteration = cost;
-    pulse = pulse_of_jobs jobs;
-    degradations = degs;
-    pool = pstats }
+  let jobs, cost, degradations, pool =
+    block_jobs ?workers ~max_width ~engine bound
+  in
+  (* The binding changes every iteration, so the whole search repeats
+     every iteration: this is the latency that makes out-of-the-box
+     GRAPE untenable (Section 1). *)
+  compiled ~strategy:"full-grape" ~per_iteration:cost ~degradations ~pool
+    (Pulse.schedule ~n:(Circuit.n_qubits c) jobs)
 
 let strict_jobs ?workers ~max_width ~engine ~theta slices =
   (* Fixed blocks from every slice are gathered into one engine batch, so
@@ -130,6 +126,12 @@ let strict_jobs ?workers ~max_width ~engine ~theta slices =
   in
   (jobs, !precompute, List.rev !degs @ pool_degs, pstats)
 
+let strict_slicing ?workers ?(max_width = 4) ~engine slicer c ~theta =
+  let jobs, _, _, _ =
+    strict_jobs ?workers ~max_width ~engine ~theta (slicer c)
+  in
+  Pulse.schedule ~n:(Circuit.n_qubits c) jobs
+
 let strict_partial ?workers ?(max_width = 4) ~engine c ~theta =
   let n = Circuit.n_qubits c in
   (* Both slicings are zero-latency at runtime, so the compiler
@@ -142,9 +144,9 @@ let strict_partial ?workers ?(max_width = 4) ~engine c ~theta =
   let linear_jobs, linear_cost, linear_degs, linear_pool =
     strict_jobs ?workers ~max_width ~engine ~theta (Slice.strict_linear c)
   in
-  let region_span = Strategy.makespan ~n region_jobs in
-  let linear_span = Strategy.makespan ~n linear_jobs in
-  let jobs, precompute, raw, degs =
+  let region_span = Pulse.makespan ~n region_jobs in
+  let linear_span = Pulse.makespan ~n linear_jobs in
+  let jobs, precompute, span, degradations =
     if region_span <= linear_span then
       (region_jobs, region_cost, region_span, region_degs)
     else (linear_jobs, linear_cost, linear_span, linear_degs)
@@ -152,20 +154,19 @@ let strict_partial ?workers ?(max_width = 4) ~engine c ~theta =
   (* Strict partial compilation is never worse than gate-based: both have
      zero runtime latency, so the compiler keeps whichever schedule is
      shorter (relevant only when blocking serializes an unusually parallel
-     circuit). *)
-  let fallback = Gate_times.circuit_duration (Circuit.bind c theta) in
-  { Strategy.strategy = "strict-partial";
-    duration_ns = Float.min raw fallback;
-    precompute;
-    per_iteration = Engine.zero_cost;
-    pulse = pulse_of_jobs jobs;
-    degradations = degs;
-    (* Both slicings were compiled, so both batches' work is reported
-       even though only one schedule survives. *)
-    pool = Engine.add_pool_stats region_pool linear_pool }
+     circuit).  Only the schedule it keeps is built. *)
+  let bound = Circuit.bind c theta in
+  let pulse =
+    if Gate_times.circuit_duration bound < span then gate_pulse bound
+    else Pulse.schedule ~n jobs
+  in
+  (* Both slicings were compiled, so both batches' work is reported even
+     though only one schedule survives. *)
+  compiled ~strategy:"strict-partial" ~precompute ~degradations
+    ~pool:(Engine.add_pool_stats region_pool linear_pool)
+    pulse
 
 let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
-  let n = Circuit.n_qubits c in
   let slices = Slice.flexible c in
   let items =
     List.concat_map
@@ -179,7 +180,7 @@ let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
      unbound: the engine binds them itself and keys its per-slice
      hyperparameter memo on the unbound form, so the grid runs once per
      slice block, not once per iteration. *)
-  let results, pstats, pool_degs =
+  let results, pool, pool_degs =
     Engine.flex_many ?workers engine ~theta
       (List.map (fun (_, b) -> Block.extract b) items)
   in
@@ -209,16 +210,14 @@ let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
             (Engine.add_cost r.Engine.search_cost fr.Engine.hyperopt);
         (* Online: one tuned GRAPE run at the known duration. *)
         per_iteration := Engine.add_cost !per_iteration fr.Engine.tuned;
-        optimized_job ~label b.qubits r.Engine.duration_ns)
+        optimized_job ~label b r.Engine.duration_ns)
       items results
   in
-  { Strategy.strategy = "flexible-partial";
-    duration_ns = Strategy.makespan ~n jobs;
-    precompute = !precompute;
-    per_iteration = !per_iteration;
-    pulse = pulse_of_jobs jobs;
-    degradations = List.rev !degs @ pool_degs;
-    pool = pstats }
+  compiled ~strategy:"flexible-partial" ~precompute:!precompute
+    ~per_iteration:!per_iteration
+    ~degradations:(List.rev !degs @ pool_degs)
+    ~pool
+    (Pulse.schedule ~n:(Circuit.n_qubits c) jobs)
 
 type strategy = Pqc_analysis.Rule.target =
   | Gate_based

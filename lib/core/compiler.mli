@@ -1,22 +1,26 @@
 module Circuit = Pqc_quantum.Circuit
 module Topology = Pqc_transpile.Topology
+module Slice = Pqc_transpile.Slice
+module Pulse = Pqc_pulse.Pulse
 (** The four compilation strategies (paper Sections 2.3, 5, 6, 7).
 
     All strategies consume a {e prepared} variational circuit (already
     optimized and routed — use {!prepare}) plus a concrete parameter
     binding, and report the compiled pulse duration together with the
     classical compilation cost split into one-off precompute and
-    per-variational-iteration work:
+    per-variational-iteration work.  Each returns its timed schedule
+    ({!Pulse.schedule}) and reports the end of that schedule as its
+    duration:
 
-    - {!gate_based}: per-gate lookup-table pulses, concatenated along the
-      parallel schedule.  Zero compilation latency, longest pulses.
+    - {!gate_based}: per-gate lookup-table pulses along the parallel
+      schedule.  Zero compilation latency, longest pulses.
     - {!full_grape}: block into <= [max_width]-qubit subcircuits and run a
       full minimal-time GRAPE search per block, {e every iteration}
       (the binding changes every iteration).  Shortest pulses, untenable
       latency.
     - {!strict_partial}: GRAPE-precompile the parametrization-independent
-      Fixed blocks once; at runtime concatenate them with lookup pulses
-      for the theta gates.  Zero per-iteration latency, pulse speedup
+      Fixed blocks once; at runtime schedule them with lookup pulses for
+      the theta gates.  Zero per-iteration latency, pulse speedup
       governed by Fixed-block depth.
     - {!flexible_partial}: slice by parameter monotonicity into
       single-parameter subcircuits, precompute per-slice GRAPE
@@ -45,6 +49,18 @@ val full_grape :
 val strict_partial :
   ?workers:int -> ?max_width:int -> engine:Engine.t -> Circuit.t ->
   theta:float array -> Strategy.compiled
+(** Assembles both strict slicings ({!strict_slicing}), keeps the shorter
+    schedule, and returns the gate-based schedule instead whenever that
+    one is shorter still. *)
+
+val strict_slicing :
+  ?workers:int -> ?max_width:int -> engine:Engine.t ->
+  (Circuit.t -> Slice.slice list) -> Circuit.t -> theta:float array ->
+  Pulse.t
+(** The schedule strict partial compilation assembles from one slicing
+    ([Slice.strict] or [Slice.strict_linear]): each Fixed slice blocked to
+    [max_width] (default 4) and searched on [engine], each theta gate a
+    lookup pulse. *)
 
 val flexible_partial :
   ?workers:int -> ?max_width:int -> engine:Engine.t -> Circuit.t ->
@@ -78,6 +94,11 @@ val degrade_chain : strategy -> strategy list
     first: flexible -> strict -> gate-based (full GRAPE degrades through
     strict too).  Gate-based is the terminal rung — pure table lookups
     that cannot fail. *)
+
+val usable : Strategy.compiled -> bool
+(** Whether a strategy's result is realizable: a finite, non-negative
+    duration.  {!compile} walks down the ladder past any result that is
+    not. *)
 
 val compile :
   ?workers:int -> ?max_width:int -> engine:Engine.t ->

@@ -48,7 +48,6 @@ type site =
 
 val all_sites : site list
 val site_to_string : site -> string
-val site_of_string : string -> site option
 
 type plan
 

@@ -52,7 +52,6 @@ type entry = {
           request context and for vintage 7-field records. *)
 }
 
-val version : int
 val header : string
 
 val journal_path : string -> string

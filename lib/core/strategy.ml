@@ -1,17 +1,5 @@
 module Pulse = Pqc_pulse.Pulse
 
-type job = { qubits : int list; segment : Pulse.segment }
-
-let makespan ~n jobs =
-  let free = Array.make n 0.0 in
-  List.fold_left
-    (fun acc job ->
-      let start = List.fold_left (fun t q -> Float.max t free.(q)) 0.0 job.qubits in
-      let finish = start +. Pulse.segment_duration job.segment in
-      List.iter (fun q -> free.(q) <- finish) job.qubits;
-      Float.max acc finish)
-    0.0 jobs
-
 type compiled = {
   strategy : string;
   duration_ns : float;

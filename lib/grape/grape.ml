@@ -508,13 +508,6 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
     total_time = float_of_int n_steps *. dt; n_steps; controls = best_u;
     wall_time_s = now () -. t0 }
 
-let to_pulse ?(label = "grape") r =
-  let dt = if r.n_steps = 0 then 0.0 else r.total_time /. float_of_int r.n_steps in
-  Pqc_pulse.Pulse.of_segments
-    [ Pqc_pulse.Pulse.Optimized
-        { label; duration = r.total_time;
-          samples = Some { Pqc_pulse.Pulse.dt; controls = r.controls } } ]
-
 type search = {
   minimal : result;
   probes : (float * bool) list;

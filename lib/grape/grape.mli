@@ -42,12 +42,8 @@ type settings = {
   seed : int;  (** Seed for the random initial controls. *)
 }
 
-val default_settings : settings
-(** The paper's standard mode: dt = 0.05 ns (20 GSa/s), fidelity 0.999,
-    light regularization. *)
-
 val fast_settings : settings
-(** Coarser time step and fidelity 0.99 — used by tests and the fast
+(** Coarser time step (0.25 ns), 300 iterations and fidelity 0.99 — used by tests and the fast
     benchmark mode to keep single-CPU runtimes tractable (a documented
     substitution for the paper's 200k CPU-hours; see DESIGN.md). *)
 
@@ -82,7 +78,9 @@ val optimize :
   total_time:float -> result
 (** Optimize controls for a fixed pulse duration.  [target] is the
     2^n-dimensional computational-subspace unitary; qutrit systems embed it
-    and evaluate subspace fidelity.
+    and evaluate subspace fidelity.  [settings] defaults to the paper's
+    standard mode: dt = 0.05 ns (20 GSa/s), 600 iterations, fidelity 0.999
+    and light regularization.
 
     [deadline] is an absolute instant on the {!Pqc_obs.Obs.Clock.now}
     scale; the run stops at the first iteration boundary past it and
@@ -96,11 +94,6 @@ val propagate : Hamiltonian.t -> dt:float -> float array array -> Cmat.t
 
 val fidelity_of_controls :
   Hamiltonian.t -> target:Cmat.t -> dt:float -> float array array -> float
-
-val to_pulse : ?label:string -> result -> Pqc_pulse.Pulse.t
-(** Package an optimized result as a single-segment pulse schedule carrying
-    the piecewise-constant control samples (exportable with
-    {!Pqc_pulse.Pulse.to_json}). *)
 
 type search = {
   minimal : result;  (** Result at the shortest converged duration. *)

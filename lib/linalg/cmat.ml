@@ -365,12 +365,3 @@ let random_hermitian rng n =
     done
   done;
   m
-
-let pp fmt m =
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      let z = get m i j in
-      Format.fprintf fmt "%+.3f%+.3fi " z.re z.im
-    done;
-    Format.pp_print_newline fmt ()
-  done

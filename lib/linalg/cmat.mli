@@ -52,19 +52,12 @@ val dims_equal : t -> t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 
-val add_into : dst:t -> t -> t -> unit
-(** [add_into ~dst a b] stores [a + b] in [dst]; aliasing with [a]/[b] is
-    allowed. *)
-
 val scale : Complex.t -> t -> t
 
-val scale_into : dst:t -> Complex.t -> t -> unit
-(** [scale_into ~dst z a] stores [z * a] in [dst]; [dst == a] is allowed. *)
-
 val scale_ri_into : dst:t -> re:float -> im:float -> t -> unit
-(** [scale_into] with the scalar passed as two floats, so hot callers avoid
-    allocating a [Complex.t] record per call.  Same arithmetic, same
-    aliasing rule. *)
+(** [scale_ri_into ~dst ~re ~im a] stores [(re + i im) * a] in [dst];
+    [dst == a] is allowed.  The scalar comes as two floats, so hot callers
+    avoid allocating a [Complex.t] record per call. *)
 
 val axpy : alpha:Complex.t -> x:t -> y:t -> unit
 (** [axpy ~alpha ~x ~y] accumulates [y <- y + alpha * x]. *)
@@ -134,5 +127,3 @@ val apply : t -> Cvec.t -> Cvec.t
 val random_hermitian : Pqc_util.Rng.t -> int -> t
 (** Random Hermitian matrix with independent Gaussian entries; handy for
     property tests of the exponential. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,8 +35,6 @@ let of_array a =
   Array.iteri (fun k z -> set v k z) a;
   v
 
-let to_array v = Array.init v.n (get v)
-
 let dot a b =
   assert (a.n = b.n);
   let re = ref 0.0 and im = ref 0.0 in
@@ -61,14 +59,6 @@ let normalize v =
   let n = norm v in
   if n = 0.0 then invalid_arg "Cvec.normalize: zero vector";
   scale { Complex.re = 1.0 /. n; im = 0.0 } v
-
-let add a b =
-  assert (a.n = b.n);
-  let out = create a.n in
-  for k = 0 to BA.dim a.d - 1 do
-    BA.unsafe_set out.d k (BA.unsafe_get a.d k +. BA.unsafe_get b.d k)
-  done;
-  out
 
 let max_abs_diff a b =
   assert (a.n = b.n);

@@ -20,7 +20,6 @@ val get : t -> int -> Complex.t
 val set : t -> int -> Complex.t -> unit
 
 val of_array : Complex.t array -> t
-val to_array : t -> Complex.t array
 
 val dot : t -> t -> Complex.t
 (** [dot a b] is <a|b> (conjugate-linear in the first argument). *)
@@ -31,8 +30,6 @@ val normalize : t -> t
 (** Unit-norm copy; raises [Invalid_argument] on the zero vector. *)
 
 val scale : Complex.t -> t -> t
-
-val add : t -> t -> t
 
 val max_abs_diff : t -> t -> float
 

@@ -101,20 +101,6 @@ val workers_from_env : ?default:int -> unit -> int
     warning (once per distinct value) and a [pool.env.invalid] trace
     counter; an unset or empty variable falls back silently. *)
 
-val item_deadline_from_env : unit -> float option
-(** Per-item wall-clock deadline in seconds from [PQC_ITEM_DEADLINE_S]
-    (finite, > 0; anything else reads as [None] — no hang detection). *)
-
-val item_retries_from_env : ?default:int -> unit -> int
-(** Strikes before quarantine from [PQC_POOL_ITEM_RETRIES] ([default]
-    — itself defaulting to 2 — when unset or invalid; integers >= 1). *)
-
-val backoff_base_from_env : ?default:float -> unit -> float
-(** Respawn backoff base in seconds from [PQC_POOL_BACKOFF_S] ([default]
-    — itself defaulting to 0.02 — when unset or invalid; finite > 0).
-    Respawn [k] sleeps [base * 2^k * jitter], capped at 0.5 s, with
-    jitter drawn from a seeded {!Pqc_util.Rng} (deterministic per map). *)
-
 val map :
   ?workers:int ->
   ?item_deadline_s:float ->
@@ -130,8 +116,13 @@ val map :
     shared queue, and returns the results in input order, each flagged
     [true] when it had to be recovered by recomputing in the parent.
     [workers] defaults to {!workers_from_env}; [item_deadline_s]
-    defaults to {!item_deadline_from_env} (values <= 0 disable the
-    deadline); [item_retries] defaults to {!item_retries_from_env}.
+    defaults to [PQC_ITEM_DEADLINE_S] (finite, > 0; anything else means
+    no deadline, and so no hang detection; values <= 0 disable it);
+    [item_retries], the worker deaths an item may cause before it is
+    quarantined, defaults to [PQC_POOL_ITEM_RETRIES] (an integer >= 1,
+    else 2).  Respawn [k] sleeps [base * 2^k * jitter], capped at 0.5 s,
+    with [base] from [PQC_POOL_BACKOFF_S] (finite > 0, else 0.02 s) and
+    jitter drawn from a seeded {!Pqc_util.Rng} (deterministic per map).
     With [workers <= 1] or fewer than two items the whole batch runs
     sequentially in-process ([f x, false] per item, no fork); otherwise
     [min workers (List.length items)] workers are forked.  SIGPIPE is

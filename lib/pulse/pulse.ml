@@ -1,5 +1,6 @@
 module Gate = Pqc_quantum.Gate
 module Circuit = Pqc_quantum.Circuit
+module Schedule = Pqc_transpile.Schedule
 
 type samples = { dt : float; controls : float array array }
 
@@ -7,32 +8,33 @@ type segment =
   | Lookup of { gate_name : string; duration : float }
   | Optimized of { label : string; duration : float; samples : samples option }
 
-(* Segments are stored newest-first so [append] is an O(1) cons; the
-   paper's strict-partial assembly appends one segment per gate or block
-   and the old [segments @ [s]] made deep-circuit compilation O(n²).
-   The representation is canonical (same logical schedule ⇒ same value),
-   so structural equality on [t] still compares schedules. *)
-type t = { rev_segments : segment list; duration : float }
+type event = { segment : segment; qubits : int array; start : float }
 
-let empty = { rev_segments = []; duration = 0.0 }
-let duration t = t.duration
-let segments t = List.rev t.rev_segments
-let length t = List.length t.rev_segments
+type t = { events : event list; duration : float }
 
 let segment_duration = function
   | Lookup { duration; _ } | Optimized { duration; _ } -> duration
 
-let of_segments segments =
-  { rev_segments = List.rev segments;
-    duration = List.fold_left (fun acc s -> acc +. segment_duration s) 0.0 segments }
+let asap ~n ?emit jobs =
+  Schedule.asap ~n ~qubits:snd
+    ~duration:(fun (segment, _) -> segment_duration segment)
+    ?emit
+    (fun f -> List.iter f jobs)
 
-let append t s =
-  { rev_segments = s :: t.rev_segments;
-    duration = t.duration +. segment_duration s }
+let schedule ~n jobs =
+  let rev = ref [] in
+  let duration =
+    asap ~n jobs ~emit:(fun (segment, qubits) start _ ->
+        rev := { segment; qubits; start } :: !rev)
+  in
+  { events = List.rev !rev; duration }
 
-let concat a b =
-  { rev_segments = b.rev_segments @ a.rev_segments;
-    duration = a.duration +. b.duration }
+let makespan ~n jobs = asap ~n jobs
+
+let duration t = t.duration
+let events t = t.events
+let segments t = List.map (fun e -> e.segment) t.events
+let length t = List.length t.events
 
 let lookup_gate (i : Circuit.instr) =
   Lookup { gate_name = Gate.name i.gate; duration = Gate_times.instr_duration i }
@@ -49,21 +51,25 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let qubit_list qubits =
+  String.concat "," (Array.to_list (Array.map string_of_int qubits))
+
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schedule\":[";
-  let t0 = ref 0.0 in
   List.iteri
-    (fun i s ->
+    (fun i { segment; qubits; start } ->
       if i > 0 then Buffer.add_char buf ',';
-      let name, duration, samples =
-        match s with
-        | Lookup { gate_name; duration } -> (gate_name, duration, None)
-        | Optimized { label; duration; samples } -> (label, duration, samples)
+      let name, kind, samples =
+        match segment with
+        | Lookup { gate_name; _ } -> (gate_name, "lookup", None)
+        | Optimized { label; samples; _ } -> (label, "grape", samples)
       in
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"t0\":%.3f,\"duration\":%.3f"
-           (json_escape name) !t0 duration);
+        (Printf.sprintf
+           "{\"name\":\"%s\",\"kind\":\"%s\",\"qubits\":[%s],\"t0\":%.3f,\"duration\":%.3f"
+           (json_escape name) kind (qubit_list qubits) start
+           (segment_duration segment));
       (match samples with
       | None -> ()
       | Some { dt; controls } ->
@@ -80,19 +86,20 @@ let to_json t =
             Buffer.add_char buf ']')
           controls;
         Buffer.add_char buf ']');
-      Buffer.add_char buf '}';
-      t0 := !t0 +. duration)
-    (segments t);
+      Buffer.add_char buf '}')
+    t.events;
   Buffer.add_string buf (Printf.sprintf "],\"total_duration\":%.3f}" t.duration);
   Buffer.contents buf
 
 let pp fmt t =
   Format.fprintf fmt "pulse[%.1f ns, %d segments]@." t.duration (length t);
   List.iter
-    (fun s ->
-      match s with
-      | Lookup { gate_name; duration } ->
-        Format.fprintf fmt "  lookup %-6s %5.1f ns@." gate_name duration
-      | Optimized { label; duration; _ } ->
-        Format.fprintf fmt "  grape  %-6s %5.1f ns@." label duration)
-    (segments t)
+    (fun { segment; qubits; start } ->
+      let kind, name =
+        match segment with
+        | Lookup { gate_name; _ } -> ("lookup", gate_name)
+        | Optimized { label; _ } -> ("grape ", label)
+      in
+      Format.fprintf fmt "  %s %-10s %5.1f ns at %6.1f on {%s}@." kind name
+        (segment_duration segment) start (qubit_list qubits))
+    t.events

@@ -48,8 +48,6 @@ val concat : t -> t -> t
 
 val iter : (instr -> unit) -> t -> unit
 
-val map_gates : (Gate.t -> Gate.t) -> t -> t
-
 val bind : t -> float array -> t
 (** Substitute a concrete parameter vector: every gate angle becomes a
     constant. *)
@@ -68,8 +66,6 @@ val parametrized_gate_count : t -> int
 
 val gate_counts : t -> (string * int) list
 (** Gate-name histogram, sorted by name. *)
-
-val count : t -> f:(instr -> bool) -> int
 
 val two_qubit_count : t -> int
 

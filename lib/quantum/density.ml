@@ -27,8 +27,6 @@ let of_statevec psi =
   done;
   { n; rho }
 
-let n_qubits t = t.n
-
 let matrix t = Cmat.copy t.rho
 
 let trace t = (Cmat.trace t.rho).re

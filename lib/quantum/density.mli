@@ -22,8 +22,6 @@ val init : int -> t
 val of_statevec : Cvec.t -> t
 (** Pure-state density matrix |psi><psi|. *)
 
-val n_qubits : t -> int
-
 val matrix : t -> Cmat.t
 (** A copy of the current density matrix. *)
 
@@ -36,13 +34,6 @@ val purity : t -> float
 
 val fidelity_to : t -> Cvec.t -> float
 (** <psi| rho |psi>, the overlap with a pure reference state. *)
-
-val apply_unitary : t -> Cmat.t -> int array -> unit
-(** Conjugate by a gate unitary lifted to the full register. *)
-
-val apply_kraus : t -> Cmat.t list -> int array -> unit
-(** Apply a channel given by Kraus operators on the listed qubits:
-    rho <- sum_k K rho K†. *)
 
 val amplitude_damping : gamma:float -> Cmat.t list
 (** Single-qubit T1 decay channel with decay probability [gamma]. *)

@@ -68,12 +68,3 @@ let expectation h psi =
     end
   in
   List.fold_left (fun acc t -> acc +. term_value t) 0.0 h.terms
-
-let op_char = function I -> 'I' | X -> 'X' | Y -> 'Y' | Z -> 'Z'
-
-let pp fmt h =
-  List.iter
-    (fun t ->
-      Format.fprintf fmt "%+.6f %s@." t.coeff
-        (String.init (Array.length t.ops) (fun i -> op_char t.ops.(i))))
-    h.terms

@@ -24,14 +24,9 @@ val of_strings : int -> (float * string) list -> t
 val identity_coefficient : t -> float
 (** Sum of coefficients of all-identity terms (the constant energy shift). *)
 
-val term_matrix : term -> Cmat.t
-(** Dense 2^n matrix of one term (small n only). *)
-
 val matrix : t -> Cmat.t
 (** Dense matrix of the whole operator (small n only). *)
 
 val expectation : t -> Cvec.t -> float
 (** <psi|H|psi>, computed term-by-term with simulator kernels (no dense
     matrix), so it scales to every width the simulator supports. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,15 +11,10 @@ module Cvec = Pqc_linalg.Cvec
     Indexing follows {!Circuit}: qubit 0 is the most significant bit of a
     basis-state index. *)
 
-val init : int -> Cvec.t
-(** [init n] is |0...0> on [n] qubits. *)
-
 val apply_matrix : Cvec.t -> Cmat.t -> int array -> unit
 (** [apply_matrix psi g qubits] applies the 2^k-dimensional unitary [g] to
     the listed qubits of [psi], in place.  Specialized kernels cover k = 1
     and k = 2; wider gates go through {!Circuit.embed}. *)
-
-val apply_gate : Cvec.t -> Gate.t -> theta:float array -> int array -> unit
 
 val run : ?theta:float array -> ?init_state:Cvec.t -> Circuit.t -> Cvec.t
 (** Execute a circuit from |0...0> (or [init_state]) and return the final

@@ -126,9 +126,6 @@ let fixpoint pass ?(max_rounds = 20) c =
   in
   go c max_rounds
 
-let merge_rotations c = fixpoint sweep c
-let cancel_inverses c = fixpoint sweep c
-
 let drop_identities c =
   let keep (i : Circuit.instr) =
     match Gate.param i.gate with

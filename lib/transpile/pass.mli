@@ -13,16 +13,10 @@ module Circuit = Pqc_quantum.Circuit
     intermediate gates it commutes with (e.g. Rz past the control of a CX,
     Rx past the target). *)
 
-val merge_rotations : Circuit.t -> Circuit.t
-(** Merge same-axis single-qubit rotations whose angles add symbolically
-    (see {!Param.add}), dropping rotations that merge to zero. *)
-
-val cancel_inverses : Circuit.t -> Circuit.t
-(** Remove adjacent gate/inverse pairs (H H, CX CX, Swap Swap, S Sdg, ...) on
-    identical operands, commutation-aware. *)
-
-val drop_identities : Circuit.t -> Circuit.t
-(** Remove constant rotations with angle 0 (mod 4 pi). *)
-
 val optimize : ?max_rounds:int -> Circuit.t -> Circuit.t
-(** Run all passes to a fixpoint (at most [max_rounds] sweeps, default 20). *)
+(** Drop constant rotations with angle 0 (mod 4 pi), then sweep to a
+    fixpoint (at most [max_rounds] sweeps, default 20), each sweep merging
+    same-axis single-qubit rotations whose angles add symbolically (see
+    {!Param.add}; rotations that merge to zero drop) and removing
+    gate/inverse pairs (H H, CX CX, Swap Swap, S Sdg, ...) on identical
+    operands. *)

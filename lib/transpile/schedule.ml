@@ -1,25 +1,36 @@
 module Circuit = Pqc_quantum.Circuit
 
+let asap ~n ~qubits ~duration ?(emit = fun _ _ _ -> ()) iter =
+  let free = Array.make n 0.0 in
+  let makespan = ref 0.0 in
+  iter (fun job ->
+      let qs = qubits job in
+      let start = Array.fold_left (fun t q -> Float.max t free.(q)) 0.0 qs in
+      let finish = start +. duration job in
+      Array.iter (fun q -> free.(q) <- finish) qs;
+      makespan := Float.max !makespan finish;
+      emit job start finish);
+  !makespan
+
 type entry = { instr : Circuit.instr; start_time : float; finish_time : float }
 
 type t = { entries : entry array; makespan : float }
 
-let schedule ~duration c =
-  let free = Array.make (Circuit.n_qubits c) 0.0 in
-  let makespan = ref 0.0 in
-  let entries =
-    Array.map
-      (fun (i : Circuit.instr) ->
-        let start_time = Array.fold_left (fun acc q -> max acc free.(q)) 0.0 i.qubits in
-        let finish_time = start_time +. duration i in
-        Array.iter (fun q -> free.(q) <- finish_time) i.qubits;
-        if finish_time > !makespan then makespan := finish_time;
-        { instr = i; start_time; finish_time })
-      (Circuit.instrs c)
-  in
-  { entries; makespan = !makespan }
+let instr_qubits (i : Circuit.instr) = i.qubits
 
-let critical_path ~duration c = (schedule ~duration c).makespan
+let schedule ~duration c =
+  let entries = ref [] in
+  let makespan =
+    asap ~n:(Circuit.n_qubits c) ~qubits:instr_qubits ~duration
+      ~emit:(fun instr start_time finish_time ->
+        entries := { instr; start_time; finish_time } :: !entries)
+      (fun f -> Circuit.iter f c)
+  in
+  { entries = Array.of_list (List.rev !entries); makespan }
+
+let critical_path ~duration c =
+  asap ~n:(Circuit.n_qubits c) ~qubits:instr_qubits ~duration (fun f ->
+      Circuit.iter f c)
 
 let depth c =
   int_of_float (critical_path ~duration:(fun _ -> 1.0) c)

@@ -251,12 +251,56 @@ let test_ambient_optimizer_plan () =
             (Bench_matrix.expand m));
       checkb "ambient plan restored" true (Fault.active ()))
 
+(* The rollup document's shape: its top-level keys, the report schema
+   version, every cell present with one experiment each, the keys of each
+   experiment, and equal sequential and parallel pulses in every cell. *)
+let check_rollup_document ~min_cells json =
+  let module J = Pqc_util.Jsonx in
+  let doc = ok_or_fail "rollup JSON" (J.parse json) in
+  let keys = function
+    | J.Obj members -> List.sort String.compare (List.map fst members)
+    | _ -> Alcotest.fail "not a JSON object"
+  in
+  let field name j =
+    match J.member name j with
+    | Some v -> v
+    | None -> Alcotest.failf "rollup lacks %s" name
+  in
+  let int_field name j =
+    match J.to_int (field name j) with
+    | Some i -> i
+    | None -> Alcotest.failf "%s is not an integer" name
+  in
+  check (Alcotest.list Alcotest.string) "top-level keys"
+    [ "cells"; "experiments"; "fleet_metrics"; "missing_cells"; "mode";
+      "schema_version"; "workers" ]
+    (keys doc);
+  checki "schema version" Bench_report.schema_version
+    (int_field "schema_version" doc);
+  check (Alcotest.option (Alcotest.list Alcotest.string)) "no missing cells"
+    (Some []) (Option.map (List.filter_map J.to_string) (J.to_list (field "missing_cells" doc)));
+  let cells = int_field "cells" doc in
+  checkb (Printf.sprintf "%d cells >= %d" cells min_cells) true
+    (cells >= min_cells);
+  let experiments = Option.get (J.to_list (field "experiments" doc)) in
+  checki "one experiment per cell" cells (List.length experiments);
+  List.iter
+    (fun e ->
+      check (Alcotest.list Alcotest.string) "experiment keys"
+        [ "blocks_compiled"; "cache_hits"; "engine"; "equal_pulse";
+          "metrics"; "name"; "parallel_s"; "pulse_duration_ns"; "run_id";
+          "sequential_s"; "speedup"; "strategy"; "trace"; "workers" ]
+        (keys e);
+      check (Alcotest.option Alcotest.bool) "equal_pulse" (Some true)
+        (J.to_bool (field "equal_pulse" e)))
+    experiments
+
 let test_smoke_manifest_determinism_extended () =
-  (* Extended determinism over the committed smoke manifest (the one the
-     matrix CI job sweeps): a third worker count, on the full 24-cell
-     matrix rather than the 4-cell mini manifest above.  Any
-     summation-order drift in the numeric kernels, or order-dependence in
-     the driver, shows up as a rollup byte diff here. *)
+  (* Extended determinism over the committed smoke manifest: a third
+     worker count, on the full 24-cell matrix rather than the 4-cell mini
+     manifest above.  Any summation-order drift in the numeric kernels, or
+     order-dependence in [Bench_matrix.run], shows up as a rollup byte
+     diff here.  Both rollups must also have the documented shape. *)
   let m =
     ok_or_fail "smoke manifest"
       (Bench_matrix.load_manifest ~path:"../bench/workloads/smoke.json")
@@ -278,8 +322,11 @@ let test_smoke_manifest_determinism_extended () =
           let roll dir =
             ok_or_fail "rollup" (Bench_rollup.of_results_dir ~dir)
           in
-          let j1 = Bench_rollup.to_json (Bench_rollup.normalize (roll dir1)) in
-          let j3 = Bench_rollup.to_json (Bench_rollup.normalize (roll dir3)) in
+          let r1 = roll dir1 and r3 = roll dir3 in
+          check_rollup_document ~min_cells:12 (Bench_rollup.to_json r1);
+          check_rollup_document ~min_cells:12 (Bench_rollup.to_json r3);
+          let j1 = Bench_rollup.to_json (Bench_rollup.normalize r1) in
+          let j3 = Bench_rollup.to_json (Bench_rollup.normalize r3) in
           checks "smoke rollups byte-identical at workers 1 vs 3" j1 j3))
 
 let test_rollup_aggregation () =

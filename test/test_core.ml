@@ -318,23 +318,41 @@ let test_tuned_run_cheaper_than_search () =
 (* --- Strategy scheduling --- *)
 
 let job label qubits duration =
-  { Strategy.qubits;
-    segment = Pulse.Optimized { label; duration; samples = None } }
+  (Pulse.Optimized { label; duration; samples = None }, Array.of_list qubits)
 
 let test_makespan_parallel () =
   let jobs = [ job "a" [ 0; 1 ] 10.0; job "b" [ 2; 3 ] 7.0 ] in
-  Alcotest.(check (float 1e-12)) "disjoint jobs overlap" 10.0 (Strategy.makespan ~n:4 jobs)
+  Alcotest.(check (float 1e-12)) "disjoint jobs overlap" 10.0
+    (Pulse.duration (Pulse.schedule ~n:4 jobs))
 
 let test_makespan_serial () =
   let jobs = [ job "a" [ 0; 1 ] 10.0; job "b" [ 1; 2 ] 7.0 ] in
   Alcotest.(check (float 1e-12)) "overlapping jobs serialize" 17.0
-    (Strategy.makespan ~n:3 jobs)
+    (Pulse.duration (Pulse.schedule ~n:3 jobs))
+
+let compiled_of_pulse pulse =
+  { Strategy.strategy = ""; duration_ns = Pulse.duration pulse;
+    precompute = Engine.zero_cost; per_iteration = Engine.zero_cost; pulse;
+    degradations = []; pool = Engine.zero_pool_stats }
 
 let test_speedup () =
-  let mk d = { Strategy.strategy = ""; duration_ns = d; precompute = Engine.zero_cost;
-               per_iteration = Engine.zero_cost; pulse = Pqc_pulse.Pulse.empty;
-               degradations = []; pool = Engine.zero_pool_stats } in
+  let mk d = compiled_of_pulse (Pulse.schedule ~n:1 [ job "b" [ 0 ] d ]) in
   Alcotest.(check (float 1e-12)) "2x" 2.0 (Strategy.speedup ~baseline:(mk 10.0) (mk 5.0))
+
+let test_nan_schedule_unusable () =
+  (* A NaN block duration survives the scheduler even when a finite block
+     on other qubits ends later, so the compile ladder sees a non-finite
+     duration and walks down to the next strategy. *)
+  let pulse =
+    Pulse.schedule ~n:3
+      [ job "a" [ 0 ] 1.0; job "nan" [ 0; 1 ] Float.nan; job "late" [ 2 ] 50.0 ]
+  in
+  Alcotest.(check bool) "duration is NaN" true
+    (Float.is_nan (Pulse.duration pulse));
+  Alcotest.(check bool) "rejected" false
+    (Compiler.usable (compiled_of_pulse pulse));
+  Alcotest.(check bool) "a finite schedule is usable" true
+    (Compiler.usable (compiled_of_pulse (Pulse.schedule ~n:1 [ job "a" [ 0 ] 1.0 ])))
 
 (* --- Compiler: the paper's headline relationships --- *)
 
@@ -483,6 +501,107 @@ let test_figure2_asymptote () =
   Alcotest.(check bool) "grape asymptotes below 50 ns" true (f6 <= 50.0 +. 1e-9);
   Alcotest.(check bool) "ratio widens with p" true (g6 /. f6 > g1 /. f1)
 
+(* The duration every strategy reports is the end of the schedule it
+   returns, bit for bit. *)
+let check_duration_is_pulse what (r : Strategy.compiled) =
+  Alcotest.(check int64)
+    (Printf.sprintf "%s %s" what r.Strategy.strategy)
+    (Int64.bits_of_float r.Strategy.duration_ns)
+    (Int64.bits_of_float (Pulse.duration r.Strategy.pulse))
+
+let prepared_spec spec =
+  match Pqc_core.Bench_matrix.circuit_of_spec spec with
+  | Ok c -> Compiler.prepare c
+  | Error e -> Alcotest.fail e
+
+let paper_circuits =
+  [ "h2"; "lih"; "beh2"; "nah"; "h2o"; "3reg6p1"; "3reg6p5"; "3reg8p1";
+    "3reg8p5"; "er6p1"; "er6p5"; "er8p1"; "er8p5" ]
+
+let test_duration_is_pulse_model () =
+  List.iter
+    (fun spec ->
+      let c = prepared_spec spec in
+      let theta = theta_for (Rng.create 42) c in
+      List.iter
+        (fun max_width ->
+          List.iter
+            (fun s ->
+              check_duration_is_pulse
+                (Printf.sprintf "%s k=%d" spec max_width)
+                (Compiler.compile ~max_width ~engine:Engine.model s c ~theta))
+            Compiler.all_strategies)
+        [ 2; 3; 4 ])
+    paper_circuits
+
+let test_duration_is_pulse_numeric () =
+  List.iter
+    (fun spec ->
+      let c = prepared_spec spec in
+      let theta = theta_for (Rng.create 7) c in
+      let engine =
+        Engine.numeric ~settings:(Pqc_core.Bench_matrix.numeric_settings ()) ()
+      in
+      List.iter
+        (fun s ->
+          let r = Compiler.compile ~workers:1 ~max_width:2 ~engine s c ~theta in
+          check_duration_is_pulse spec r;
+          (* At these settings every strict slicing of LiH is longer than
+             its gate-based schedule, so strict returns that schedule. *)
+          if spec = "lih" && s = Compiler.Strict_partial then begin
+            let g = Compiler.gate_based c ~theta in
+            Alcotest.(check int64) "lih strict falls back to gate-based"
+              (Int64.bits_of_float g.Strategy.duration_ns)
+              (Int64.bits_of_float r.Strategy.duration_ns);
+            Alcotest.(check bool) "lih strict returns the lookup schedule" true
+              (List.for_all
+                 (function Pulse.Lookup _ -> true | Pulse.Optimized _ -> false)
+                 (Pulse.segments r.Strategy.pulse))
+          end)
+        Compiler.all_strategies)
+    [ "h2"; "lih"; "3reg6p1" ]
+
+(* What [partialc export] writes: the JSON of the schedule the compiler
+   returned, whose total is the duration the compile reports. *)
+let test_export_is_the_schedule () =
+  let module J = Pqc_util.Jsonx in
+  List.iter
+    (fun spec ->
+      let c = prepared_spec spec in
+      let theta = theta_for (Rng.create 42) c in
+      List.iter
+        (fun s ->
+          let r = Compiler.compile ~engine:Engine.model s c ~theta in
+          let what = spec ^ " " ^ r.Strategy.strategy in
+          let doc =
+            match J.parse (Pulse.to_json r.Strategy.pulse) with
+            | Ok d -> d
+            | Error e -> Alcotest.failf "%s: %s" what e
+          in
+          let num key j = Option.bind (J.member key j) J.to_float in
+          Alcotest.(check (option string)) (what ^ " total_duration")
+            (Some (Printf.sprintf "%.3f" r.Strategy.duration_ns))
+            (Option.map (Printf.sprintf "%.3f") (num "total_duration" doc));
+          let events =
+            Option.value ~default:[] (Option.bind (J.member "schedule" doc) J.to_list)
+          in
+          Alcotest.(check int) (what ^ " one event per segment")
+            (Pulse.length r.Strategy.pulse) (List.length events);
+          List.iter
+            (fun e ->
+              Alcotest.(check bool) (what ^ " kind") true
+                (match Option.bind (J.member "kind" e) J.to_string with
+                | Some ("lookup" | "grape") -> true
+                | _ -> false);
+              Alcotest.(check bool) (what ^ " qubits") true
+                (match Option.bind (J.member "qubits" e) J.to_list with
+                | Some (_ :: _ as qs) -> List.for_all (fun q -> J.to_int q <> None) qs
+                | _ -> false);
+              Alcotest.(check bool) (what ^ " t0") true (num "t0" e <> None))
+            events)
+        Compiler.all_strategies)
+    [ "h2"; "3reg6p1" ]
+
 (* Integration: the whole compiler stack over the real numeric GRAPE engine
    on a small 2-qubit variational circuit. *)
 let test_numeric_engine_end_to_end () =
@@ -551,7 +670,9 @@ let () =
       ( "strategy",
         [ Alcotest.test_case "makespan parallel" `Quick test_makespan_parallel;
           Alcotest.test_case "makespan serial" `Quick test_makespan_serial;
-          Alcotest.test_case "speedup" `Quick test_speedup ] );
+          Alcotest.test_case "speedup" `Quick test_speedup;
+          Alcotest.test_case "nan schedule unusable" `Quick
+            test_nan_schedule_unusable ] );
       ( "compiler",
         [ Alcotest.test_case "strict never worse" `Quick test_strict_never_worse;
           Alcotest.test_case "flexible speedup" `Quick test_flexible_buys_speedup;
@@ -563,4 +684,10 @@ let () =
           Alcotest.test_case "dispatch" `Quick test_compile_dispatch;
           Alcotest.test_case "prepare legalizes" `Quick test_prepare_legalizes;
           Alcotest.test_case "figure-2 asymptote" `Quick test_figure2_asymptote;
-          Alcotest.test_case "numeric engine end-to-end" `Slow test_numeric_engine_end_to_end ] ) ]
+          Alcotest.test_case "numeric engine end-to-end" `Slow test_numeric_engine_end_to_end;
+          Alcotest.test_case "duration is the pulse's end (model)" `Slow
+            test_duration_is_pulse_model;
+          Alcotest.test_case "duration is the pulse's end (numeric)" `Slow
+            test_duration_is_pulse_numeric;
+          Alcotest.test_case "export is the schedule" `Quick
+            test_export_is_the_schedule ] ) ]

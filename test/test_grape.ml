@@ -547,21 +547,6 @@ let test_minimal_time_degenerate_precision () =
         s.grape_iterations_total)
     [ 0.0; -1.0; Float.nan ]
 
-let test_to_pulse () =
-  let sys = Hamiltonian.gmon 1 in
-  let r = Grape.optimize ~settings:quick sys ~target:(gate_target 1 Gate.H [ 0 ]) ~total_time:2.0 in
-  let p = Grape.to_pulse ~label:"h" r in
-  Alcotest.(check (float 1e-9)) "duration preserved" r.Grape.total_time
-    (Pqc_pulse.Pulse.duration p);
-  match Pqc_pulse.Pulse.segments p with
-  | [ Pqc_pulse.Pulse.Optimized { samples = Some s; _ } ] ->
-    Alcotest.(check int) "all control channels exported"
-      (Array.length sys.Hamiltonian.controls)
-      (Array.length s.Pqc_pulse.Pulse.controls);
-    Alcotest.(check int) "sample count" r.Grape.n_steps
-      (Array.length s.Pqc_pulse.Pulse.controls.(0))
-  | _ -> Alcotest.fail "expected one optimized segment with samples"
-
 let test_realistic_settings_run () =
   let sys = Hamiltonian.gmon ~level:Hamiltonian.Qutrit 1 in
   let settings = { Grape.realistic_settings with Grape.max_iters = 200 } in
@@ -604,5 +589,4 @@ let () =
             test_minimal_time_reuses_runs_invisibly;
           Alcotest.test_case "precision 0 or NaN returns" `Quick
             test_minimal_time_degenerate_precision;
-          Alcotest.test_case "to_pulse" `Quick test_to_pulse;
           Alcotest.test_case "realistic settings" `Slow test_realistic_settings_run ] ) ]

@@ -44,17 +44,6 @@ let test_table_rows () =
   Alcotest.(check bool) "has swap row" true
     (List.mem_assoc "SWAP" Gate_times.table)
 
-let test_pulse_concat () =
-  let s1 = Pulse.Lookup { gate_name = "h"; duration = 1.4 } in
-  let s2 = Pulse.Optimized { label = "blk"; duration = 10.0; samples = None } in
-  let p = Pulse.concat (Pulse.of_segments [ s1 ]) (Pulse.of_segments [ s2 ]) in
-  check_float "duration" 11.4 (Pulse.duration p);
-  Alcotest.(check int) "segments" 2 (Pulse.length p)
-
-let test_pulse_append () =
-  let p = Pulse.append Pulse.empty (Pulse.Lookup { gate_name = "cx"; duration = 3.8 }) in
-  check_float "append" 3.8 (Pulse.duration p)
-
 let test_lookup_gate_segment () =
   let i = { Circuit.gate = Gate.CX; qubits = [| 0; 1 |] } in
   match Pulse.lookup_gate i with
@@ -69,52 +58,109 @@ let test_segment_duration () =
     (Pulse.segment_duration (Pulse.Optimized { label = "x"; duration = 5.0; samples = None }))
 
 let test_empty_pulse () =
-  check_float "empty" 0.0 (Pulse.duration Pulse.empty);
-  Alcotest.(check int) "no segments" 0 (Pulse.length Pulse.empty)
+  let p = Pulse.schedule ~n:2 [] in
+  check_float "empty" 0.0 (Pulse.duration p);
+  Alcotest.(check int) "no segments" 0 (Pulse.length p)
 
-let test_append_matches_of_segments () =
-  (* Building a pulse one segment at a time is the hot path in strategy
-     assembly; it must agree exactly (structural equality included) with
-     building it wholesale. *)
-  let segs =
-    List.init 257 (fun i ->
-        if i mod 3 = 0 then
-          Pulse.Optimized
-            { label = Printf.sprintf "blk%d" i;
-              duration = float_of_int i *. 0.5;
-              samples = None }
-        else Pulse.Lookup { gate_name = "h"; duration = 1.4 })
+(* --- The one scheduler --- *)
+
+let optimized label duration =
+  Pulse.Optimized { label; duration; samples = None }
+
+(* The block scheduler the compiler used before Pulse.schedule existed:
+   a reference for the makespan, bit for bit. *)
+let reference_makespan ~n jobs =
+  let free = Array.make n 0.0 in
+  List.fold_left
+    (fun acc (segment, qubits) ->
+      let start =
+        List.fold_left (fun t q -> Float.max t free.(q)) 0.0 (Array.to_list qubits)
+      in
+      let finish = start +. Pulse.segment_duration segment in
+      Array.iter (fun q -> free.(q) <- finish) qubits;
+      Float.max acc finish)
+    0.0 jobs
+
+(* Random job lists over 1-8 qubits: each job occupies 1-3 distinct
+   qubits for a duration that is sometimes 0. *)
+let gen_jobs =
+  let open QCheck.Gen in
+  int_range 1 8 >>= fun n ->
+  let job =
+    int_range 1 (min 3 n) >>= fun width ->
+    shuffle_l (List.init n Fun.id) >>= fun qs ->
+    oneof [ return 0.0; float_bound_inclusive 20.0 ] >>= fun d ->
+    bool >|= fun lookup ->
+    let qubits = Array.of_list (List.filteri (fun k _ -> k < width) qs) in
+    let segment =
+      if lookup then Pulse.Lookup { gate_name = "g"; duration = d }
+      else optimized "b" d
+    in
+    (segment, qubits)
   in
-  let appended = List.fold_left Pulse.append Pulse.empty segs in
-  let wholesale = Pulse.of_segments segs in
-  Alcotest.(check bool) "structurally equal" true (appended = wholesale);
-  Alcotest.(check int) "segment order preserved" 257
-    (List.length (Pulse.segments appended));
-  Alcotest.(check bool) "same schedule" true
-    (Pulse.segments appended = segs);
-  check_float "same duration" (Pulse.duration wholesale)
-    (Pulse.duration appended)
+  list_size (int_range 0 40) job >|= fun jobs -> (n, jobs)
 
-let test_append_linear_time () =
-  (* Regression: append used to rebuild the whole segment list on every
-     call ([segments @ [s]]), making an n-segment build O(n^2) — tens of
-     seconds at this size.  The O(1) append finishes in milliseconds;
-     the bound is deliberately loose so only the quadratic behavior can
-     trip it. *)
-  let n = 20_000 in
-  let seg = Pulse.Lookup { gate_name = "cx"; duration = 3.8 } in
-  let t0 = Unix.gettimeofday () in
-  let p = ref Pulse.empty in
-  for _ = 1 to n do
-    p := Pulse.append !p seg
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Alcotest.(check int) "all segments present" n (Pulse.length !p);
-  Alcotest.(check (float 1e-3)) "duration accumulated"
-    (float_of_int n *. 3.8) (Pulse.duration !p);
-  Alcotest.(check bool)
-    (Printf.sprintf "%d appends under 1s (took %.3fs)" n elapsed)
-    true (elapsed < 1.0)
+let arb_jobs =
+  QCheck.make gen_jobs ~print:(fun (n, jobs) ->
+      Printf.sprintf "n=%d: %s" n
+        (String.concat "; "
+           (List.map
+              (fun (s, qs) ->
+                Printf.sprintf "%h on [%s]" (Pulse.segment_duration s)
+                  (String.concat ","
+                     (Array.to_list (Array.map string_of_int qs))))
+              jobs)))
+
+let prop_schedule_reference =
+  QCheck.Test.make ~name:"schedule = reference fold, and legal" ~count:300
+    arb_jobs (fun (n, jobs) ->
+      let p = Pulse.schedule ~n jobs in
+      let events = Pulse.events p in
+      let finish (e : Pulse.event) = e.start +. Pulse.segment_duration e.segment in
+      let shares (a : Pulse.event) (b : Pulse.event) =
+        Array.exists (fun q -> Array.mem q b.qubits) a.qubits
+      in
+      (* Each event starts at the latest finish among earlier events on
+         its qubits, or at 0. *)
+      let rec asap earlier = function
+        | [] -> true
+        | (e : Pulse.event) :: rest ->
+          let expected =
+            List.fold_left
+              (fun t (d : Pulse.event) -> if shares e d then Float.max t (finish d) else t)
+              0.0 earlier
+          in
+          Int64.equal (Int64.bits_of_float e.start) (Int64.bits_of_float expected)
+          && asap (e :: earlier) rest
+      in
+      let rec disjoint = function
+        | [] -> true
+        | (e : Pulse.event) :: rest ->
+          List.for_all
+            (fun (d : Pulse.event) ->
+              (not (shares e d)) || finish e <= d.start || finish d <= e.start)
+            rest
+          && disjoint rest
+      in
+      Int64.equal
+        (Int64.bits_of_float (Pulse.duration p))
+        (Int64.bits_of_float (reference_makespan ~n jobs))
+      && Int64.equal
+           (Int64.bits_of_float (Pulse.makespan ~n jobs))
+           (Int64.bits_of_float (Pulse.duration p))
+      && List.map (fun (e : Pulse.event) -> (e.segment, e.qubits)) events = jobs
+      && asap [] events && disjoint events)
+
+let test_schedule_overlaps_disjoint () =
+  let p =
+    Pulse.schedule ~n:3
+      [ (Pulse.Lookup { gate_name = "h"; duration = 1.4 }, [| 0 |]);
+        (optimized "blk" 2.0, [| 1; 2 |]);
+        (Pulse.Lookup { gate_name = "cx"; duration = 3.8 }, [| 0; 1 |]) ]
+  in
+  check_float "makespan" 5.8 (Pulse.duration p);
+  Alcotest.(check (list (float 1e-12))) "starts" [ 0.0; 0.0; 2.0 ]
+    (List.map (fun (e : Pulse.event) -> e.start) (Pulse.events p))
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -123,21 +169,29 @@ let contains haystack needle =
 
 let test_json_export () =
   let p =
-    Pulse.of_segments
-      [ Pulse.Lookup { gate_name = "h"; duration = 1.4 };
-        Pulse.Optimized
-          { label = "blk"; duration = 2.0;
-            samples = Some { Pulse.dt = 1.0; controls = [| [| 0.5; -0.25 |] |] } } ]
+    Pulse.schedule ~n:2
+      [ (Pulse.Lookup { gate_name = "h"; duration = 1.4 }, [| 0 |]);
+        ( Pulse.Optimized
+            { label = "blk"; duration = 2.0;
+              samples = Some { Pulse.dt = 1.0; controls = [| [| 0.5; -0.25 |] |] } },
+          [| 0; 1 |] );
+        (Pulse.Lookup { gate_name = "x"; duration = 2.5 }, [| 1 |]) ]
   in
   let json = Pulse.to_json p in
   Alcotest.(check bool) "schedule key" true (contains json "\"schedule\"");
-  Alcotest.(check bool) "names present" true (contains json "\"name\":\"h\"");
-  Alcotest.(check bool) "t0 accumulates" true (contains json "\"t0\":1.400");
+  Alcotest.(check bool) "lookup event" true
+    (contains json
+       {|{"name":"h","kind":"lookup","qubits":[0],"t0":0.000,"duration":1.400}|});
+  Alcotest.(check bool) "grape event starts when qubit 0 is free" true
+    (contains json
+       {|{"name":"blk","kind":"grape","qubits":[0,1],"t0":1.400,"duration":2.000|});
   Alcotest.(check bool) "samples present" true (contains json "[0.50000,-0.25000]");
-  Alcotest.(check bool) "total duration" true (contains json "\"total_duration\":3.400")
+  Alcotest.(check bool) "t0 follows the qubit" true
+    (contains json {|"qubits":[1],"t0":3.400|});
+  Alcotest.(check bool) "total duration" true (contains json "\"total_duration\":5.900")
 
 let test_json_escaping () =
-  let p = Pulse.of_segments [ Pulse.Lookup { gate_name = "a\"b"; duration = 1.0 } ] in
+  let p = Pulse.schedule ~n:1 [ (Pulse.Lookup { gate_name = "a\"b"; duration = 1.0 }, [| 0 |]) ] in
   Alcotest.(check bool) "quotes escaped" true (contains (Pulse.to_json p) "a\\\"b")
 
 (* --- Decoherence --- *)
@@ -192,14 +246,12 @@ let () =
           Alcotest.test_case "parallel circuit" `Quick test_circuit_duration_parallel;
           Alcotest.test_case "table rows" `Quick test_table_rows ] );
       ( "pulse",
-        [ Alcotest.test_case "concat" `Quick test_pulse_concat;
-          Alcotest.test_case "append" `Quick test_pulse_append;
-          Alcotest.test_case "lookup segment" `Quick test_lookup_gate_segment;
+        [ Alcotest.test_case "lookup segment" `Quick test_lookup_gate_segment;
           Alcotest.test_case "segment duration" `Quick test_segment_duration;
           Alcotest.test_case "empty" `Quick test_empty_pulse;
-          Alcotest.test_case "append = of_segments" `Quick
-            test_append_matches_of_segments;
-          Alcotest.test_case "append is O(1)" `Quick test_append_linear_time;
+          QCheck_alcotest.to_alcotest prop_schedule_reference;
+          Alcotest.test_case "disjoint segments overlap" `Quick
+            test_schedule_overlaps_disjoint;
           Alcotest.test_case "json export" `Quick test_json_export;
           Alcotest.test_case "json escaping" `Quick test_json_escaping ] );
       ( "decoherence",
