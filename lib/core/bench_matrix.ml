@@ -530,51 +530,6 @@ let run_cell m ~out_dir cell =
 
 type outcome = { cell : cell; status : (unit, string) result }
 
-(* Pool payloads must be single-line; cell results live on disk, so only
-   a status travels back (and in-parent recovery just re-runs the cell,
-   which is idempotent: every file write is atomic). *)
-let esc_line s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unesc_line s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '\\' && !i + 1 < n then begin
-       (match s.[!i + 1] with
-       | '\\' -> Buffer.add_char buf '\\'
-       | 'n' -> Buffer.add_char buf '\n'
-       | 't' -> Buffer.add_char buf '\t'
-       | c ->
-         Buffer.add_char buf '\\';
-         Buffer.add_char buf c);
-       incr i
-     end
-     else Buffer.add_char buf s.[!i]);
-    incr i
-  done;
-  Buffer.contents buf
-
-let encode_status = function
-  | Ok () -> "ok"
-  | Error m -> "err:" ^ esc_line m
-
-let decode_status s =
-  if s = "ok" then Some (Ok ())
-  else if String.length s >= 4 && String.sub s 0 4 = "err:" then
-    Some (Error (unesc_line (String.sub s 4 (String.length s - 4))))
-  else None
-
 let run ?workers m ~out_dir =
   let workers =
     match workers with Some w -> w | None -> Pool.workers_from_env ()
@@ -596,11 +551,11 @@ let run ?workers m ~out_dir =
       | Some _, Some v -> Unix.putenv "PQC_ITEM_DEADLINE_S" v
       | Some _, None -> Unix.putenv "PQC_ITEM_DEADLINE_S" "")
     (fun () ->
+      (* Cell results live on disk, so only a status travels back, and
+         in-parent recovery just re-runs the cell, which is idempotent:
+         every file write is atomic. *)
       let results, _stats =
-        Pool.map ~workers ~encode:encode_status
-          ~decode:decode_status
-          (fun cell -> run_cell m ~out_dir cell)
-          cells
+        Pool.map ~workers (fun cell -> run_cell m ~out_dir cell) cells
       in
       List.map2
         (fun cell (status, _recovered) -> { cell; status })

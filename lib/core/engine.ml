@@ -40,7 +40,6 @@ type numeric_config = {
   tunings : (string, tuning) Hashtbl.t;
       (* per-engine only: never persisted, written only by the parent's
          merge step in [flex_many] *)
-  policy : Resilience.policy;
   deadline_s : float option;
   cache_file : string option;
   mutable cache_dropped : int;
@@ -98,13 +97,10 @@ let load_cache cfg path =
   cfg.cache_dropped <- dropped + !unknown;
   cfg.cache_salvaged <- salvaged
 
-let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
+let numeric ?(settings = Grape.fast_settings) ?system_for ?deadline_s
     ?cache_file () =
   let system_for =
     match system_for with Some f -> f | None -> fun n -> Hamiltonian.gmon n
-  in
-  let policy =
-    match policy with Some p -> p | None -> Resilience.policy_from_env ()
   in
   let deadline_s =
     match deadline_s with
@@ -118,7 +114,7 @@ let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
   in
   let cfg =
     { settings; system_for; cache = Hashtbl.create 64;
-      tunings = Hashtbl.create 16; policy; deadline_s; cache_file;
+      tunings = Hashtbl.create 16; deadline_s; cache_file;
       cache_dropped = 0; cache_salvaged = 0 }
   in
   (match cache_file with Some path -> load_cache cfg path | None -> ());
@@ -287,8 +283,9 @@ let fallback_result c reason spent =
 
 (* [search] plus a flag telling whether the result was produced under an
    injected fault (and therefore must never be cached or persisted) —
-   the batch drivers ship this flag over the worker pipe so the parent's
-   merge step applies the same no-poison rule as the in-process path. *)
+   the batch drivers bring this flag back from the workers so the
+   parent's merge step applies the same no-poison rule as the in-process
+   path. *)
 let search_flagged t c =
   require_bound c;
   if Circuit.length c = 0 then
@@ -296,10 +293,11 @@ let search_flagged t c =
        fallback = None; run_id = Obs.Ctx.current () },
      false)
   else
-    let policy, deadline =
+    let policy = Resilience.default_policy in
+    let deadline =
       match t with
-      | Numeric cfg -> (cfg.policy, Resilience.of_seconds cfg.deadline_s)
-      | Model -> (Resilience.default_policy, Resilience.no_deadline)
+      | Numeric cfg -> Resilience.of_seconds cfg.deadline_s
+      | Model -> Resilience.no_deadline
     in
     let cached_key =
       match t with
@@ -334,7 +332,7 @@ let search_flagged t c =
           (match t with
            | Model -> Ok (model_search c)
            | Numeric cfg ->
-             let settings = Resilience.retune cfg.policy ~attempt cfg.settings in
+             let settings = Resilience.retune policy ~attempt cfg.settings in
              match numeric_attempt cfg settings deadline c with
              | Ok _ as ok -> ok
              | Error _ as e -> incr failed_runs; e)
@@ -443,85 +441,15 @@ let add_pool_stats a b =
     cache_hits = a.cache_hits + b.cache_hits;
     recovered = a.recovered + b.recovered }
 
-(* Block results travel over the worker pipe in the pulse-cache record
-   format, so they carry the same FNV-1a checksum on the wire as on
-   disk.  A leading flag char marks results produced under an injected
-   fault — those must never reach the cache. *)
-let encode_search key (r, injected) =
-  (if injected then "!" else "=")
-  ^ Pulse_cache.encode_entry (entry_of_result key r)
-
-let decode_search s =
-  if String.length s < 2 then None
-  else
-    let injected =
-      match s.[0] with '!' -> Some true | '=' -> Some false | _ -> None
-    in
-    Option.bind injected (fun injected ->
-        Option.bind
-          (Pulse_cache.decode_entry (String.sub s 1 (String.length s - 1)))
-          (fun (e : Pulse_cache.entry) ->
-            Option.map
-              (fun r -> (e.key, (r, injected)))
-              (result_of_entry e)))
-
-(* Flexible-partial records ride the wire behind the same FNV-1a checksum
-   as the pulse-cache record they follow. *)
-let seal p = Pulse_cache.checksum p ^ "\t" ^ p
-
-let unseal s =
-  match String.index_opt s '\t' with
-  | None -> None
-  | Some i ->
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    if String.equal (Pulse_cache.checksum rest) (String.sub s 0 i) then
-      Some rest
-    else None
-
-let encode_cost (c : cost) =
-  seal (Printf.sprintf "%d\t%d\t%h" c.grape_runs c.grape_iterations c.seconds)
-
-let decode_cost s =
-  Option.bind (unseal s) (fun rest ->
-      match
-        Scanf.sscanf rest "%d\t%d\t%h" (fun gr gi sec -> (gr, gi, sec))
-      with
-      | gr, gi, sec when Float.is_finite sec ->
-        Some { grape_runs = gr; grape_iterations = gi; seconds = sec }
-      | _ -> None
-      | exception _ -> None)
-
-(* The grid winner the tuned run used ("-" for the model engine, which
-   has none) and whether it is a fresh, memoizable grid result. *)
-let encode_winner (winner, fresh) =
-  seal
-    (match winner with
-     | None -> "-"
-     | Some (hp : Grape.hyperparams) ->
-       Printf.sprintf "%h\t%h\t%B" hp.learning_rate hp.decay fresh)
-
-let decode_winner s =
-  Option.bind (unseal s) (function
-    | "-" -> Some (None, false)
-    | p ->
-      (match
-         Scanf.sscanf p "%h\t%h\t%B%!" (fun learning_rate decay fresh ->
-             (Some { Grape.learning_rate; decay }, fresh))
-       with
-       | v -> Some v
-       | exception _ -> None))
-
 (* Generic batch driver: dedup by block key, resolve memo hits in the
-   parent, fan the rest out over the pool, verify each record landed on
-   the key it was dispatched for, merge cacheable results back into the
-   memo table, and reassemble per input order.  [compute] runs in forked
+   parent, fan the rest out over the pool, verify each result came back
+   with the key it was dispatched for, merge cacheable results back into
+   the memo table, and reassemble per input order.  [compute] runs in forked
    children {e and} in the parent (sequential mode and recovery), so the
    two paths stay behaviorally identical by construction; it gets the
    item's input position. *)
 let run_batch (type r) ?workers t circuits
     ~(compute : int -> Pqc_quantum.Circuit.t -> r)
-    ~(encode : string -> r -> string)
-    ~(decode : string -> (string * r) option)
     ~(cached : numeric_config -> string -> r option)
     ~(cacheable : r -> bool)
     ~(store : numeric_config -> string -> r -> unit) :
@@ -603,8 +531,6 @@ let run_batch (type r) ?workers t circuits
         else
           let idx, _, _ = todo_arr.(i) in
           item_rid idx)
-      ~encode:(fun (k, r) -> encode k r)
-      ~decode
       (fun ((_, k, _) as item) -> (k, f item))
       todo
   in
@@ -615,9 +541,8 @@ let run_batch (type r) ?workers t circuits
       let r, recovered =
         if String.equal rk k then (r, pool_recovered)
         else begin
-          (* The record checksums fine but answers a different key: the
-             index framing was corrupted in transit.  Recompute rather
-             than trust it. *)
+          (* The frame passed its digest but answers a different key.
+             Recompute rather than trust it. *)
           incr mismatched;
           (f item, true)
         end
@@ -655,8 +580,6 @@ let search_many ?workers t circuits =
   let rs, stats, degs =
     run_batch ?workers t circuits
       ~compute:(fun _ c -> search_flagged t c)
-      ~encode:encode_search
-      ~decode:decode_search
       ~cached:(fun cfg k ->
         Option.map (fun r -> (r, false)) (Hashtbl.find_opt cfg.cache k))
       ~cacheable:(fun (_, injected) -> not injected)
@@ -706,25 +629,8 @@ let flex_many ?workers t ~theta blocks =
           tuned = tuned_run_cost ~hyperparams:winner t c ~duration },
         injected, fresh )
   in
-  let encode k ({ search = r; hyperopt; hyperparams; tuned }, injected, fresh) =
-    String.concat "\x1f"
-      [ encode_search k (r, injected); encode_cost hyperopt;
-        encode_cost tuned; encode_winner (hyperparams, fresh) ]
-  in
-  let decode s =
-    match String.split_on_char '\x1f' s with
-    | [ se; he; te; we ] ->
-      (match
-         (decode_search se, decode_cost he, decode_cost te, decode_winner we)
-       with
-       | Some (k, (r, injected)), Some hyperopt, Some tuned,
-         Some (hyperparams, fresh) ->
-         Some (k, ({ search = r; hyperopt; hyperparams; tuned }, injected, fresh))
-       | _ -> None)
-    | _ -> None
-  in
   let rs, stats, degs =
-    run_batch ?workers t bound ~compute ~encode ~decode
+    run_batch ?workers t bound ~compute
       (* Tuned runs are never memoized, so every unique block dispatches;
          the search inside still hits the memo table the child inherited
          at fork time. *)

@@ -54,7 +54,6 @@ val model : t
 val numeric :
   ?settings:Grape.settings ->
   ?system_for:(int -> Hamiltonian.t) ->
-  ?policy:Resilience.policy ->
   ?deadline_s:float ->
   ?cache_file:string ->
   unit -> t
@@ -62,10 +61,10 @@ val numeric :
     [system_for] maps block width to a system Hamiltonian (default: gmon
     on a line).
 
-    [policy] governs divergence retries (default: environment-aware
-    {!Resilience.policy_from_env}).  [deadline_s] is the wall-clock
-    budget of one block search, retries included (default: the
-    [PQC_SEARCH_DEADLINE_S] variable when set, else unbounded).
+    Divergence retries follow {!Resilience.default_policy}.  [deadline_s]
+    is the wall-clock budget of one block search, retries included
+    (default: the [PQC_SEARCH_DEADLINE_S] variable when set, else
+    unbounded).
     [cache_file] names a persistent pulse cache (default: the
     [PQC_PULSE_CACHE] variable when set); it is loaded eagerly — corrupt
     entries dropped, see {!cache_dropped} — and written by {!persist}. *)
@@ -168,10 +167,11 @@ val search_many :
     of its dispatched items miss the pulse memo (here every dispatched
     item is a miss; the model engine has no memo, so every item counts),
     so a cache-hot batch, or one with a single new block, never pays
-    fork overhead.  Results travel back in the checksummed
-    {!Pulse_cache} record format; any lost or corrupt record is
-    recomputed in the parent and recorded as a [Worker_lost]
-    degradation.  Genuine (non-injected) results are merged into the
+    fork overhead.  Each result travels back with its block key in a
+    digest-sealed pool frame ({!Pqc_parallel.Pool.map}), so it arrives
+    bit for bit as the worker computed it, [run_id] included; a lost or
+    damaged result, or one that answers another key, is recomputed in
+    the parent and recorded as a [Worker_lost] degradation.  Genuine (non-injected) results are merged into the
     engine's memo table exactly as {!search} would. *)
 
 type flex_result = {

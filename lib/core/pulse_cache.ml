@@ -62,28 +62,26 @@ let mk_entry key duration_ns grape_runs grape_iterations seconds fid fb rid =
              run_id = (if rid = "-" then None else Some rid) }
     else None
 
-(* The current 8-field format is tried first; a 7-field vintage line
-   fails it (no tab after the fallback field) and falls through to the
-   old shape with [run_id = None].  The order matters: a plain [%s]
-   stops at the tab, so an 8-field line would *silently* satisfy the old
-   pattern and lose its run_id if tried first. *)
+(* The run_id is the last field and runs to the end of the record: a
+   bench-matrix id ("<manifest name>/<cell id>") may hold spaces.  A
+   7-field vintage record has no tab after its fallback field, and reads
+   with no run_id. *)
 let parse_payload s =
   match
-    Scanf.sscanf s "%S\t%h\t%d\t%d\t%h\t%s@\t%s@\t%s"
-      (fun key duration_ns grape_runs grape_iterations seconds fid fb rid ->
+    Scanf.sscanf s "%S\t%h\t%d\t%d\t%h\t%s@\t%[^\n]%!"
+      (fun key duration_ns grape_runs grape_iterations seconds fid rest ->
+        let fb, rid =
+          match String.index_opt rest '\t' with
+          | Some i ->
+            (String.sub rest 0 i,
+             String.sub rest (i + 1) (String.length rest - i - 1))
+          | None -> (rest, "-")
+        in
         mk_entry key duration_ns grape_runs grape_iterations seconds fid fb
           rid)
   with
   | r -> r
-  | exception _ -> (
-    match
-      Scanf.sscanf s "%S\t%h\t%d\t%d\t%h\t%s@\t%s"
-        (fun key duration_ns grape_runs grape_iterations seconds fid fb ->
-          mk_entry key duration_ns grape_runs grape_iterations seconds fid fb
-            "-")
-    with
-    | r -> r
-    | exception _ -> None)
+  | exception _ -> None
 
 let parse_line line =
   match String.index_opt line '\t' with

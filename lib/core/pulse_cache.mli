@@ -62,10 +62,8 @@ val checksum : string -> string
     tests and external validators). *)
 
 val encode_entry : entry -> string
-(** One checksummed record line (no trailing newline) — the exact wire
-    format of a cache file record.  Also used by the worker pool to ship
-    block results over a pipe, so a bit flip in transit is caught by the
-    same FNV-1a check that guards the file. *)
+(** One checksummed record line (no trailing newline) — the exact format
+    of a cache file record. *)
 
 val decode_entry : string -> entry option
 (** Inverse of {!encode_entry}: [None] on checksum mismatch, truncation,

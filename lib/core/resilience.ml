@@ -47,28 +47,6 @@ let default_policy =
   { max_attempts = 3; lr_shrink = 0.5; iter_backoff = 1.5;
     reseed_stride = 7919 }
 
-let env_int key fallback =
-  match Sys.getenv_opt key with
-  | Some s -> (match int_of_string_opt (String.trim s) with
-               | Some v when v > 0 -> v
-               | _ -> fallback)
-  | None -> fallback
-
-let env_float key fallback =
-  match Sys.getenv_opt key with
-  | Some s -> (match float_of_string_opt (String.trim s) with
-               | Some v when Float.is_finite v && v > 0.0 -> Some v
-               | _ -> fallback)
-  | None -> fallback
-
-let policy_from_env () =
-  { default_policy with
-    max_attempts = env_int "PQC_RETRY_ATTEMPTS" default_policy.max_attempts;
-    lr_shrink =
-      Option.value
-        (env_float "PQC_RETRY_LR_SHRINK" (Some default_policy.lr_shrink))
-        ~default:default_policy.lr_shrink }
-
 let retune policy ~attempt (s : Grape.settings) =
   if attempt <= 0 then s
   else
@@ -100,7 +78,12 @@ let remaining_s = function
   | None -> None
   | Some d -> Some (Float.max 0.0 (d -. now ()))
 
-let deadline_seconds_from_env () = env_float "PQC_SEARCH_DEADLINE_S" None
+let deadline_seconds_from_env () =
+  match Sys.getenv_opt "PQC_SEARCH_DEADLINE_S" with
+  | Some s -> (match float_of_string_opt (String.trim s) with
+               | Some v when Float.is_finite v && v > 0.0 -> Some v
+               | _ -> None)
+  | None -> None
 
 (* --- Degradation accounting --- *)
 

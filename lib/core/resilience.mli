@@ -43,11 +43,7 @@ type policy = {
 
 val default_policy : policy
 (** 3 attempts, halve the learning rate, 1.5x the iteration budget,
-    reseed by 7919 per retry. *)
-
-val policy_from_env : unit -> policy
-(** {!default_policy} overridden by [PQC_RETRY_ATTEMPTS] and
-    [PQC_RETRY_LR_SHRINK] when set (invalid values are ignored). *)
+    reseed by 7919 per retry.  {!Engine} searches use it. *)
 
 val retune : policy -> attempt:int -> Grape.settings -> Grape.settings
 (** Settings for retry number [attempt] (0 = first try, returned

@@ -51,25 +51,6 @@ let better a b =
   | true, true -> if a.iterations <= b.iterations then a else b
   | false, false -> if a.mean_fidelity >= b.mean_fidelity then a else b
 
-(* Grid cells ship back from workers as one checksum-free but strictly
-   parsed line; a cell that fails to round-trip is simply re-evaluated
-   in the parent by the pool's recovery path. *)
-let encode_score s =
-  Printf.sprintf "%h\t%h\t%h\t%B\t%h\t%d" s.hyperparams.Grape.learning_rate
-    s.hyperparams.Grape.decay s.iterations s.converged_all s.mean_fidelity
-    s.total_iterations
-
-let decode_score line =
-  match
-    Scanf.sscanf line "%h\t%h\t%h\t%B\t%h\t%d%!"
-      (fun learning_rate decay iterations converged_all mean_fidelity
-           total_iterations ->
-        { hyperparams = { Grape.learning_rate; decay }; iterations;
-          converged_all; mean_fidelity; total_iterations })
-  with
-  | s -> Some s
-  | exception _ -> None
-
 type search = {
   best : score;
   grape_runs : int;
@@ -77,9 +58,8 @@ type search = {
   complete : bool;
 }
 
-let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
-    ?(decay_grid = default_decay_grid) ?(angles = default_angles) ?deadline
-    obj =
+let grid_search ?(lr_grid = default_lr_grid) ?(decay_grid = default_decay_grid)
+    ?(angles = default_angles) ?deadline obj =
   let expired () =
     match deadline with Some d -> Pqc_obs.Obs.Clock.now () > d | None -> false
   in
@@ -89,33 +69,23 @@ let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
            Array.to_list decay_grid
            |> List.map (fun decay -> { Grape.learning_rate; decay }))
   in
+  (* Always score at least one candidate so callers get a usable
+     hyperparameter set even with an already-expired deadline; the
+     remaining grid is skipped once the budget runs out. *)
   let scored =
-    if workers <= 1 then
-      (* Always score at least one candidate so callers get a usable
-         hyperparameter set even with an already-expired deadline; the
-         remaining grid is skipped once the budget runs out. *)
-      List.fold_left
-        (fun acc hp ->
-          if acc = [] || not (expired ()) then
-            evaluate ?deadline obj ~angles hp :: acc
-          else acc)
-        [] cells
-      |> List.rev
-    else
-      (* Parallel mode scores the whole grid (each GRAPE run still honours
-         [deadline] individually). *)
-      List.map fst
-        (fst
-           (Pqc_parallel.Pool.map ~workers ~encode:encode_score
-              ~decode:decode_score
-              (fun hp -> evaluate ?deadline obj ~angles hp)
-              cells))
+    List.fold_left
+      (fun acc hp ->
+        if acc = [] || not (expired ()) then
+          evaluate ?deadline obj ~angles hp :: acc
+        else acc)
+      [] cells
+    |> List.rev
   in
   match scored with
   | [] -> invalid_arg "Hyperopt.grid_search: empty hyperparameter grid"
   | s :: rest ->
     (* Fold in grid order as [better candidate incumbent], letting a later
-       cell win exact ties, so both modes crown the same winner. *)
+       cell win exact ties. *)
     { best = List.fold_left (fun acc s -> better s acc) s rest;
       grape_runs = List.length scored * Array.length angles;
       grape_iterations =

@@ -7,9 +7,9 @@ module Hamiltonian = Pqc_grape.Hamiltonian
     subcircuit, an (ADAM learning rate, decay) pair that makes GRAPE
     converge in as few iterations as possible.  Because there is no closed
     form relating hyperparameters to convergence, the search is
-    derivative-free: a coarse logarithmic grid refined around the best
-    cell, scored by iterations-to-target-fidelity (failures score as the
-    iteration cap plus an infidelity tie-breaker).
+    derivative-free: an exhaustive grid over learning rate and decay,
+    scored by mean iterations-to-target-fidelity among cells that
+    converge at every probe angle, and by mean fidelity when none does.
 
     The paper's key empirical observation (Figure 4) — that the
     best-performing learning-rate region is {e robust to the concrete
@@ -48,8 +48,8 @@ type search = {
 }
 
 val grid_search :
-  ?workers:int -> ?lr_grid:float array -> ?decay_grid:float array ->
-  ?angles:float array -> ?deadline:float -> objective -> search
+  ?lr_grid:float array -> ?decay_grid:float array -> ?angles:float array ->
+  ?deadline:float -> objective -> search
 (** Exhaustive search over the hyperparameter grid (defaults: 6 logarithmic
     learning rates in [0.03, 3], decays {0.995, 0.999, 1.0}; probe angles
     {0.5, 2.0}).  The winner is the fewest mean iterations among
@@ -61,13 +61,9 @@ val grid_search :
     expires, so a bounded search still returns usable hyperparameters
     (with [complete] false).
 
-    [workers] (default 1, deliberately {e not} [PQC_WORKERS]: this runs
-    inside pool workers during flexible-partial precompute, and nested
-    forking should be explicit) scores grid cells on forked
-    {!Pqc_parallel.Pool} workers when > 1.  The winner is identical to
-    the sequential search, except that an expired deadline skips no cell
-    — each GRAPE run is still individually deadline-bounded.  Raises
-    [Invalid_argument] on an empty grid. *)
+    The grid runs in-process: the engine calls it inside a flexible
+    partial batch item, which the worker pool already runs in parallel.
+    Raises [Invalid_argument] on an empty grid. *)
 
 type robustness_point = {
   angle : float;

@@ -75,7 +75,7 @@ end
 
 (* Global, process-local trace state.  Forked pool children inherit a
    copy-on-write snapshot; everything they record past the fork point is
-   shipped back explicitly via encode_since/absorb, so the parent never
+   shipped back explicitly via events_since/absorb, so the parent never
    sees duplicates. *)
 let enabled_flag = ref false
 let t0 = ref 0.0
@@ -209,17 +209,7 @@ module Flight = struct
     f_detail : string;
   }
 
-  let default_capacity = 256
-
-  let env_capacity () =
-    match Sys.getenv_opt "PQC_FLIGHT_EVENTS" with
-    | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n > 0 -> n
-      | _ -> default_capacity)
-    | None -> default_capacity
-
-  let capacity = ref (env_capacity ())
+  let capacity = ref 256
   let kinds = ref (Array.make !capacity "")
   let runs = ref (Array.make !capacity "")
   let details = ref (Array.make !capacity "")
@@ -397,11 +387,11 @@ let rollup () =
                 | c -> c)
          | c -> c)
 
-(* ---- pipe codec -------------------------------------------------------
-   Events serialized for the pool pipe: records joined by '\x1e', fields
-   by '\x1f', list elements by '\x1d', pair halves by '\x1c'.  Strings
-   are escaped so no separator, newline or tab survives (the pool frames
-   lines and splits at the first tab). *)
+(* ---- metrics text format --------------------------------------------
+   Strings in a serialized histogram registry (metrics.reg files and the
+   pool's Metrics frames) are escaped so no separator or newline
+   survives: records are joined by '\x1e', fields by '\x1f', list
+   elements by '\x1d', pair halves by '\x1c'. *)
 
 let esc s =
   let buf = Buffer.create (String.length s) in
@@ -443,135 +433,24 @@ let unesc s =
   done;
   Buffer.contents buf
 
-let encode_event e =
-  let f = Printf.sprintf "%h" in
-  match e with
-  | Span s ->
-    let attrs =
-      String.concat "\x1d"
-        (List.map (fun (k, v) -> esc k ^ "\x1c" ^ esc v) s.attrs)
-    in
-    String.concat "\x1f"
-      [ "S"; string_of_int s.id; string_of_int s.parent; esc s.name;
-        f s.ts; f s.dur; string_of_int s.tid; attrs ]
-  | Count c ->
-    String.concat "\x1f"
-      [ "C"; esc c.name; f c.by; f c.ts; string_of_int c.tid ]
-  | Gauge g ->
-    String.concat "\x1f"
-      [ "G"; esc g.name; f g.value; f g.ts; string_of_int g.tid ]
-  | Profile p ->
-    let pts =
-      String.concat "\x1d"
-        (List.map
-           (fun pt ->
-             String.concat "\x1c"
-               [ string_of_int pt.iteration; f pt.infidelity;
-                 f pt.learning_rate; f pt.grad_norm ])
-           p.points)
-    in
-    String.concat "\x1f"
-      [ "P"; esc p.label; f p.ts; string_of_int p.tid; pts ]
+(* ---- fork plumbing ---------------------------------------------------- *)
 
-let decode_event s =
-  let fields = String.split_on_char '\x1f' s in
-  match fields with
-  | [ "S"; id; parent; name; ts; dur; tid; attrs ] ->
-    let attrs =
-      if attrs = "" then []
-      else
-        String.split_on_char '\x1d' attrs
-        |> List.filter_map (fun pair ->
-               match String.index_opt pair '\x1c' with
-               | Some i ->
-                 Some
-                   ( unesc (String.sub pair 0 i),
-                     unesc
-                       (String.sub pair (i + 1) (String.length pair - i - 1))
-                   )
-               | None -> None)
-    in
-    Some
-      (Span
-         {
-           id = int_of_string id;
-           parent = int_of_string parent;
-           name = unesc name;
-           attrs;
-           ts = float_of_string ts;
-           dur = float_of_string dur;
-           tid = int_of_string tid;
-         })
-  | [ "C"; name; by; ts; tid ] ->
-    Some
-      (Count
-         {
-           name = unesc name;
-           by = float_of_string by;
-           ts = float_of_string ts;
-           tid = int_of_string tid;
-         })
-  | [ "G"; name; value; ts; tid ] ->
-    Some
-      (Gauge
-         {
-           name = unesc name;
-           value = float_of_string value;
-           ts = float_of_string ts;
-           tid = int_of_string tid;
-         })
-  | [ "P"; label; ts; tid; pts ] ->
-    let points =
-      if pts = "" then []
-      else
-        String.split_on_char '\x1d' pts
-        |> List.filter_map (fun pt ->
-               match String.split_on_char '\x1c' pt with
-               | [ it; inf; lr; gn ] ->
-                 Some
-                   {
-                     iteration = int_of_string it;
-                     infidelity = float_of_string inf;
-                     learning_rate = float_of_string lr;
-                     grad_norm = float_of_string gn;
-                   }
-               | _ -> None)
-    in
-    Some
-      (Profile
-         {
-           label = unesc label;
-           points;
-           ts = float_of_string ts;
-           tid = int_of_string tid;
-         })
-  | _ -> None
+let events_since m =
+  let rec take n l acc =
+    if n <= 0 then acc
+    else match l with [] -> acc | x :: rest -> take (n - 1) rest (x :: acc)
+  in
+  take (!n_events - m) !events_rev []
 
-let encode_since m =
-  let fresh = !n_events - m in
-  if fresh <= 0 then ""
-  else begin
-    let rec take n l acc =
-      if n = 0 then acc
-      else match l with [] -> acc | x :: rest -> take (n - 1) rest (x :: acc)
-    in
-    let recent = take fresh !events_rev [] in
-    String.concat "\x1e" (List.map encode_event recent)
-  end
-
-let absorb line =
-  if line <> "" then
-    String.split_on_char '\x1e' line
-    |> List.iter (fun s ->
-           match (try decode_event s with _ -> None) with
-           | None -> ()
-           | Some e ->
-             (match e with
-             | Count c ->
-               Hashtbl.replace counters c.name (counter_value c.name +. c.by)
-             | Span sp -> absorbed_max := max !absorbed_max sp.id
-             | _ -> ());
-             push e)
+let absorb evs =
+  List.iter
+    (fun e ->
+      (match e with
+       | Count c -> Hashtbl.replace counters c.name (counter_value c.name +. c.by)
+       | Span sp -> absorbed_max := max !absorbed_max sp.id
+       | Gauge _ | Profile _ -> ());
+      push e)
+    evs
 
 (* One shared escaper for every JSON writer in the tree — see
    {!Pqc_util.Jsonx.escape_string}. *)
@@ -635,11 +514,11 @@ module Metrics = struct
 
   let percentiles name = percentiles_in hists name
 
-  (* Pipe codec for the fork pool, same escaping discipline as the event
-     codec: records '\x1e', fields '\x1f', bucket list '\x1d', bucket
-     pair '\x1c'.  A forked child resets its (copy-on-write) registry
-     right after the fork, so encode_all ships exactly the child's own
-     observations and absorb can merge them additively. *)
+  (* The registry as one line of text (see esc above): what metrics.reg
+     files hold and what a pool worker ships.  A forked child resets its
+     (copy-on-write) registry right after the fork, so encode_all holds
+     exactly the child's own observations and absorb can merge them
+     additively. *)
   let encode_in (tbl : hist_table) =
     if Hashtbl.length tbl = 0 then ""
     else
@@ -695,7 +574,7 @@ module Metrics = struct
       String.split_on_char '\x1e' line
       |> List.iter (fun s ->
              match (try decode_hist s with _ -> None) with
-             | None -> ()  (* best-effort, like the event codec *)
+             | None -> ()  (* best-effort: a damaged record is dropped *)
              | Some (name, count, sum, vmin, vmax, nonpos, buckets) ->
                let h = hist_in tbl name in
                h.h_count <- h.h_count + count;

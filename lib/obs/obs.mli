@@ -7,14 +7,15 @@
     variable is set, see below).  Tracing never changes compilation
     results: trace records carry timestamps, but pulse outputs are
     bit-for-bit identical with tracing on or off, and trace data is
-    excluded from pulse-cache keys, checksums and the worker-pool result
-    protocol (trace records travel on their own frames).
+    excluded from pulse-cache keys, checksums and the worker-pool results
+    (trace events travel in their own pool frame).
 
     State is global to the process.  Forked worker-pool children inherit
     the enabled flag and the open span stack, record into their own
-    (copy-on-write) buffer, and ship their events back to the parent over
-    the pool pipe ({!encode_since}/{!absorb}); inherited span ids stay
-    valid, so reassembled child spans keep their correct parents.
+    (copy-on-write) buffer, and hand the pool their events
+    ({!events_since}), which the parent appends to its own ({!absorb});
+    inherited span ids stay valid, so reassembled child spans keep their
+    correct parents.
 
     [PQC_TRACE] semantics: unset/empty/["0"] — disabled; ["1"], ["true"]
     or ["summary"] — enabled, text summary printed to stderr at exit;
@@ -172,9 +173,9 @@ val rollup : unit -> (string * int * float) list
     {!Pqc_core.Fault} dumps when a fault plan fires — so a chaos failure
     leaves a replayable event tail instead of "worker 3 died".
 
-    Capacity comes from [PQC_FLIGHT_EVENTS] (default 256); dumps are
-    written only when [PQC_FLIGHT_DIR] (or an explicit [dir]) is
-    configured, so normal runs never leave files behind. *)
+    The ring holds the last 256 entries; dumps are written only when
+    [PQC_FLIGHT_DIR] (or an explicit [dir]) is configured, so normal runs
+    never leave files behind. *)
 
 module Flight : sig
   type entry = {
@@ -245,8 +246,9 @@ module Metrics : sig
       observations. *)
 
   val encode_all : unit -> string
-  (** Single-line (newline-free) serialization of the whole registry
-      for the pool pipe; [""] when the registry is empty. *)
+  (** Single-line (newline-free) text of the whole registry — the
+      format of a bench-matrix cell's [metrics.reg], and what a pool
+      worker ships home; [""] when the registry is empty. *)
 
   val absorb : string -> unit
   (** Merge a registry serialized by {!encode_all} in another process
@@ -272,7 +274,7 @@ module Metrics : sig
     val absorb : t -> string -> unit
     (** Merge one {!encode_all}-format line additively (bucket counts,
         counts and sums add; min/max combine).  Undecodable records are
-        dropped, like the event codec. *)
+        dropped. *)
 
     val names : t -> string list
     (** Histogram names, sorted. *)
@@ -308,8 +310,8 @@ val summary : unit -> string
 (** {2 Worker-pool plumbing} *)
 
 val mark : unit -> int
-(** Current event count; pass to {!encode_since} to serialize only the
-    events recorded after this point (e.g. since a fork). *)
+(** Current event count; pass to {!events_since} to take only the events
+    recorded after this point (e.g. since a fork). *)
 
 val set_worker : int -> unit
 (** Tag this process as pool worker [w] (1-based): subsequent events get
@@ -317,13 +319,12 @@ val set_worker : int -> unit
     collide with the parent's, a sibling's, or those of any worker whose
     spans the parent {!absorb}ed from an earlier pool map. *)
 
-val encode_since : int -> string
-(** Single-line (newline-free) serialization of the events recorded
-    after the given {!mark}; [""] when there are none or tracing is
-    disabled. *)
+val events_since : int -> event list
+(** The events recorded after the given {!mark}, in emission order; [[]]
+    when there are none or tracing is disabled.  {!Pqc_parallel.Pool}
+    ships them home from a worker. *)
 
-val absorb : string -> unit
-(** Append events serialized by {!encode_since} in another process to
-    this process's buffer (and fold their counter increments into the
-    totals).  Undecodable records are dropped — trace data is
-    best-effort by design. *)
+val absorb : event list -> unit
+(** Append events recorded in another process ({!events_since}) to this
+    process's buffer, fold their counter increments into the totals, and
+    number later workers' spans above theirs (see {!set_worker}). *)

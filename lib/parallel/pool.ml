@@ -52,21 +52,10 @@ let item_deadline_from_env () =
      | Some d when Float.is_finite d && d > 0.0 -> Some d
      | Some _ | None -> None)
 
-let item_retries_from_env ?(default = 2) () =
-  match Sys.getenv_opt "PQC_POOL_ITEM_RETRIES" with
-  | None -> default
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | Some _ | None -> default)
-
-let backoff_base_from_env ?(default = 0.02) () =
-  match Sys.getenv_opt "PQC_POOL_BACKOFF_S" with
-  | None -> default
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some b when Float.is_finite b && b > 0.0 -> b
-     | Some _ | None -> default)
+(* Worker deaths an item may cause before it is quarantined, and the
+   base of the respawn backoff. *)
+let default_item_retries = 2
+let backoff_base = 0.02
 
 let item_span f x = Obs.Span.with_ ~name:"pool.item" (fun () -> f x)
 
@@ -82,24 +71,88 @@ let sequential f items =
    The parent feeds each worker item indices, one per line, on the
    worker's feed pipe.  The worker answers on its result pipe, one frame
    per line:
-     H\t<idx>           heartbeat: the worker is starting item idx
-     <idx>\t<payload>   a result for item idx (payload is codec output)
-     R\t<idx>           ready: item idx is done, delivered or not
-     T\t<payload>       trace events recorded since the fork
-     M\t<payload>       histogram registry snapshot
+     H\t<idx>                heartbeat: the worker is starting item idx
+     P\t<digest><hex bytes>  a sealed [frame] (below)
+     R\t<idx>                ready: item idx is done, delivered or not
    The parent answers each ready frame with the next queued index, or by
-   closing the feed once the queue is empty; the worker then ships its T
-   and M frames and exits.  Frames are flushed eagerly so the parent's
-   liveness view is current: a worker that goes silent past the item
-   deadline while it holds an item is presumed hung. *)
+   closing the feed once the queue is empty; the worker then seals its
+   trace events and histogram registry and exits.  Frames are flushed
+   eagerly so the parent's liveness view is current: a worker that goes
+   silent past the item deadline while it holds an item is presumed
+   hung. *)
 
-let child_loop ~encode ~f ~items ~feed ~wr wid =
+(* Everything a worker ships besides its H and R frames is one value of
+   this type. *)
+type 'b frame =
+  | Result of int * 'b
+  | Trace of Obs.event list
+  | Metrics of string  (* {!Obs.Metrics.encode_all} of the worker *)
+
+let hex_digit = "0123456789abcdef"
+
+let to_hex s =
+  let b = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      let c = Char.code c in
+      Bytes.unsafe_set b (2 * i) hex_digit.[c lsr 4];
+      Bytes.unsafe_set b ((2 * i) + 1) hex_digit.[c land 15])
+    s;
+  Bytes.unsafe_to_string b
+
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | _ -> raise Exit
+
+(* [None] on an odd length or a byte that is not a lowercase hex digit. *)
+let of_hex s pos =
+  let len = String.length s - pos in
+  if len land 1 = 1 then None
+  else
+    let b = Bytes.create (len / 2) in
+    match
+      for i = 0 to (len / 2) - 1 do
+        let j = pos + (2 * i) in
+        Bytes.unsafe_set b i
+          (Char.unsafe_chr ((nibble s.[j] lsl 4) lor nibble s.[j + 1]))
+      done
+    with
+    | () -> Some (Bytes.unsafe_to_string b)
+    | exception Exit -> None
+
+let digest_hex_len = 32
+
+(* The frame, marshalled, hex-encoded onto one line behind the digest of
+   the marshalled bytes.  Raises when the value cannot be marshalled (it
+   holds a closure): the item is then recomputed in the parent. *)
+let seal (frame : 'b frame) =
+  let bytes = Marshal.to_string frame [] in
+  String.concat "" [ "P\t"; Digest.to_hex (Digest.string bytes); to_hex bytes ]
+
+(* The only place the pool unmarshals, and only bytes whose digest
+   matches: the constructor and the item index are inside the digested
+   bytes, so a torn or damaged frame is dropped, never read as another
+   item or another kind of frame. *)
+let unseal line : 'b frame option =
+  let body = 2 + digest_hex_len in
+  if String.length line < body then None
+  else
+    match of_hex line body with
+    | Some bytes
+      when String.equal
+             (Digest.to_hex (Digest.string bytes))
+             (String.sub line 2 digest_hex_len) ->
+      Some (Marshal.from_string bytes 0)
+    | Some _ | None -> None
+
+let child_loop ~f ~items ~feed ~wr wid =
   let ic = Unix.in_channel_of_descr feed in
   let oc = Unix.out_channel_of_descr wr in
   (* Events recorded before the fork belong to the parent; only ship
      what this child adds past this point.  The histogram registry is
-     copy-on-write too: reset this child's copy so encode_all below
-     ships exactly the observations made inside this worker (the parent
+     copy-on-write too: reset this child's copy so the Metrics frame below
+     holds exactly the observations made inside this worker (the parent
      still owns everything recorded before the fork).  The flight ring
      resets for the same reason: a worker dump must replay this worker's
      tail, not inherited parent history. *)
@@ -107,6 +160,10 @@ let child_loop ~encode ~f ~items ~feed ~wr wid =
   Obs.set_worker wid;
   Obs.Metrics.reset ();
   Obs.Flight.reset ();
+  let send line =
+    output_string oc line;
+    output_char oc '\n'
+  in
   let next () =
     Option.bind (In_channel.input_line ic) (fun l ->
         match int_of_string_opt l with
@@ -127,31 +184,22 @@ let child_loop ~encode ~f ~items ~feed ~wr wid =
        done
      | Some Crash_pre -> Unix._exit 70
      | (Some (Crash_mid | Partial_write) | None) as fault ->
-       (match encode (item_span f items.(i)) with
-        | s ->
-          (* A payload with a newline would desynchronize the line
-             framing; drop it and let the parent recompute. *)
-          if not (String.contains s '\n') then begin
-            let line = Printf.sprintf "%d\t%s" i s in
-            match fault with
-            | Some Crash_mid ->
-              (* Torn frame: half a line, no newline, then die — the
-                 parent must discard the fragment. *)
-              output_string oc
-                (String.sub line 0 ((String.length line + 1) / 2));
-              flush oc;
-              Unix._exit 71
-            | Some Partial_write ->
-              (* Short write that still terminates the line: a
-                 framed-but-corrupt record the codec must reject. *)
-              output_string oc
-                (String.sub line 0 ((String.length line + 1) / 2));
-              output_char oc '\n'
-            | _ ->
-              output_string oc line;
-              output_char oc '\n'
-          end
-        | exception _ -> ()));
+       (match seal (Result (i, item_span f items.(i))) with
+        | exception _ -> ()
+        | line ->
+          let half () = String.sub line 0 ((String.length line + 1) / 2) in
+          (match fault with
+           | Some Crash_mid ->
+             (* Torn frame: half a line, no newline, then die — the
+                parent must discard the fragment. *)
+             output_string oc (half ());
+             flush oc;
+             Unix._exit 71
+           | Some Partial_write ->
+             (* Half a frame as a whole line: the digest must reject
+                it. *)
+             send (half ())
+           | _ -> send line)));
     (* The result and the ready frame leave in one write. *)
     Printf.fprintf oc "R\t%d\n" i;
     flush oc
@@ -168,42 +216,20 @@ let child_loop ~encode ~f ~items ~feed ~wr wid =
            | None -> ()
          in
          loop ());
-     (* Trace frames ride the same pipe under a "T" pseudo-index that
-        result parsing ignores, so untraced parents stay compatible;
-        histogram registries travel likewise under "M". *)
-     (match Obs.encode_since m with
-      | "" -> ()
-      | payload ->
-        if not (String.contains payload '\n') then
-          Printf.fprintf oc "T\t%s\n" payload);
+     (match Obs.events_since m with
+      | [] -> ()
+      | evs -> send (seal (Trace evs)));
      (match Obs.Metrics.encode_all () with
       | "" -> ()
-      | payload ->
-        if not (String.contains payload '\n') then
-          Printf.fprintf oc "M\t%s\n" payload);
+      | reg -> send (seal (Metrics reg)));
      flush oc
    with _ -> ());
   (try flush oc with _ -> ())
-
-let parse_line ~decode ~n line =
-  match String.index_opt line '\t' with
-  | None -> None
-  | Some t ->
-    (match int_of_string_opt (String.sub line 0 t) with
-     | Some i when i >= 0 && i < n ->
-       let payload = String.sub line (t + 1) (String.length line - t - 1) in
-       Option.map (fun v -> (i, v)) (decode payload)
-     | Some _ | None -> None)
 
 let framed c line =
   String.length line >= 2 && line.[0] = c && line.[1] = '\t'
 
 let frame_payload line = String.sub line 2 (String.length line - 2)
-
-let is_trace_line = framed 'T'
-let is_metrics_line = framed 'M'
-let is_heartbeat_line = framed 'H'
-let is_ready_line = framed 'R'
 
 (* --- Parent-side supervision --- *)
 
@@ -231,8 +257,7 @@ let rec reap_status pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap_status pid
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
 
-let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
-    items =
+let map ?workers ?item_deadline_s ?item_retries ?item_label f items =
   let requested =
     match workers with Some w -> max 1 w | None -> workers_from_env ()
   in
@@ -245,7 +270,7 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
   let retries =
     match item_retries with
     | Some k -> max 1 k
-    | None -> item_retries_from_env ()
+    | None -> default_item_retries
   in
   let n = List.length items in
   if requested <= 1 || n <= 1 then sequential f items
@@ -286,7 +311,6 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
         (* Deterministic backoff jitter: seeded per map call, so a chaos
            run's sleep pattern is reproducible. *)
         let rng = Rng.create 0x5eed1 in
-        let backoff_base = backoff_base_from_env () in
         (* A runaway poison batch must converge: after the cap, anything
            still undelivered falls through to in-parent recovery. *)
         let respawn_cap = max 16 (4 * w) in
@@ -338,7 +362,7 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
                 close_quietly wk.fd;
                 Option.iter close_quietly wk.feed)
               !live;
-            child_loop ~encode ~f ~items ~feed:feed_r ~wr wid;
+            child_loop ~f ~items ~feed:feed_r ~wr wid;
             Unix._exit 0
           | pid ->
             close_quietly wr;
@@ -354,10 +378,15 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
           spawn j
         done;
         let process_line wk line =
-          if is_trace_line line then Obs.absorb (frame_payload line)
-          else if is_metrics_line line then
-            Obs.Metrics.absorb (frame_payload line)
-          else if is_heartbeat_line line then begin
+          if framed 'P' line then begin
+            match unseal line with
+            | Some (Result (i, v)) when i >= 0 && i < n ->
+              results.(i) <- Some v
+            | Some (Trace evs) -> Obs.absorb evs
+            | Some (Metrics reg) -> Obs.Metrics.absorb reg
+            | Some (Result _) | None -> ()
+          end
+          else if framed 'H' line then begin
             match int_of_string_opt (frame_payload line) with
             | Some i when i >= 0 && i < n ->
               (* The claim trail is what makes a later kill attributable:
@@ -368,42 +397,34 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
                    wk.pid i)
             | Some _ | None -> ()
           end
-          else if is_ready_line line then begin
+          else if framed 'R' line then begin
             if int_of_string_opt (frame_payload line) = Some wk.current
             then begin
               wk.current <- -1;
               feed wk
             end
           end
-          else
-            match parse_line ~decode ~n line with
-            | Some (i, v) -> results.(i) <- Some v
-            | None -> ()
-        in
-        let split_lines wk =
-          let s = Buffer.contents wk.buf in
-          Buffer.clear wk.buf;
-          let len = String.length s in
-          let rec go start =
-            if start >= len then ()
-            else
-              match String.index_from_opt s start '\n' with
-              | Some e ->
-                process_line wk (String.sub s start (e - start));
-                go (e + 1)
-              | None -> Buffer.add_substring wk.buf s start (len - start)
-          in
-          go 0
         in
         let chunk = Bytes.create 65536 in
-        (* [true] on EOF. *)
+        (* [true] on EOF.  Only the bytes just read can end a line, so a
+           frame costs time linear in its length however many reads it
+           spans. *)
         let read_once wk =
           match Unix.read wk.fd chunk 0 (Bytes.length chunk) with
           | 0 -> true
           | k ->
-            Buffer.add_subbytes wk.buf chunk 0 k;
             wk.last_seen <- Obs.Clock.now ();
-            split_lines wk;
+            let start = ref 0 in
+            for j = 0 to k - 1 do
+              if Bytes.get chunk j = '\n' then begin
+                Buffer.add_subbytes wk.buf chunk !start (j - !start);
+                let line = Buffer.contents wk.buf in
+                Buffer.clear wk.buf;
+                start := j + 1;
+                process_line wk line
+              end
+            done;
+            Buffer.add_subbytes wk.buf chunk !start (k - !start);
             false
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
         in
@@ -545,9 +566,9 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label ~encode ~decode f
                !live)
         done;
         (* Fan-in recovery: anything a worker failed to deliver — death,
-           corrupt record, encode failure, quarantine — is recomputed
-           here.  Exceptions from [f] now surface in the parent, exactly
-           as they would have sequentially. *)
+           damaged frame, a result that cannot be marshalled, quarantine —
+           is recomputed here.  Exceptions from [f] now surface in the
+           parent, exactly as they would have sequentially. *)
         let recovered = ref 0 in
         let out =
           List.init n (fun i ->

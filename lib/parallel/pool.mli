@@ -41,26 +41,31 @@
       converges to the in-parent path.
 
     After the fan-in the parent recomputes every item still missing —
-    lost, corrupt, quarantined, or over the respawn budget — so faults
+    lost, damaged, quarantined, or over the respawn budget — so faults
     can slow a batch down but can never lose it, corrupt it, or change
     its results relative to the sequential run.
 
-    Payload integrity is the codec's concern: [decode] should reject
-    truncated or bit-flipped payloads (the engine's codec reuses the
-    checksummed {!Pqc_core.Pulse_cache} record format), and any payload
-    [decode] rejects is treated exactly like a lost worker.
+    The pool owns the wire format; callers pass no codec.  A worker
+    ships each result, its trace events and its histogram registry as
+    one sealed frame per line: the value, marshalled, hex-encoded behind
+    the MD5 {!Digest} of the marshalled bytes.  The parent unmarshals a
+    frame only after its digest matches, and the item index and the kind
+    of frame are inside the digested bytes, so a torn or bit-flipped
+    frame is dropped (and its item recomputed), never read as another
+    item.  Results therefore come back bit for bit as the worker computed
+    them: strings with any byte, NaN payloads, signed zeros.
 
     When tracing is enabled ({!Pqc_obs.Obs}), each [map] records a
     [pool.map] span, per-item [pool.item] spans, and — in forked
     children — a [pool.worker] span per worker.  Child events travel
-    back over the same pipe on a dedicated ["T"]-indexed frame and are
-    reassembled in the parent with their original parent-span ids, so a
-    trace shows which worker ran which block.  Histogram registries
-    ({!Pqc_obs.Obs.Metrics}) travel the same way on an ["M"] frame.
-    Supervision events surface as [pool.worker.hung], [pool.respawn],
-    [pool.quarantine] and [pool.worker.abnormal_exit] counters plus a
+    back over the same pipe in their own frame and are reassembled in
+    the parent with their original parent-span ids, so a trace shows
+    which worker ran which block.  Histogram registries
+    ({!Pqc_obs.Obs.Metrics}) travel the same way.  Supervision events
+    surface as [pool.worker.hung], [pool.respawn], [pool.quarantine] and
+    [pool.worker.abnormal_exit] counters plus a
     [pool.respawn.backoff_s] histogram.  Trace and metrics frames never
-    touch result payloads and tracing never changes results. *)
+    touch results and tracing never changes results. *)
 
 type stats = {
   workers : int;  (** Workers actually forked (1 = ran sequentially). *)
@@ -80,8 +85,8 @@ type stats = {
 type injected_fault = Hang | Crash_pre | Crash_mid | Partial_write
 (** Faults the chaos harness can inject at the child seams: sleep
     forever after claiming an item; die before computing it; die halfway
-    through writing its result frame; or write a framed-but-truncated
-    record and carry on. *)
+    through writing its result frame; or write the first half of that
+    frame as a whole line and carry on. *)
 
 val set_fault_hook : (int -> injected_fault option) -> unit
 (** Install the chaos decision function.  It is consulted {e only in
@@ -106,12 +111,10 @@ val map :
   ?item_deadline_s:float ->
   ?item_retries:int ->
   ?item_label:(int -> string) ->
-  encode:('b -> string) ->
-  decode:(string -> 'b option) ->
   ('a -> 'b) ->
   'a list ->
   ('b * bool) list * stats
-(** [map ~workers ~encode ~decode f items] computes [f] over [items] on
+(** [map ~workers f items] computes [f] over [items] on
     [workers] forked processes, each pulling one item at a time from a
     shared queue, and returns the results in input order, each flagged
     [true] when it had to be recovered by recomputing in the parent.
@@ -119,20 +122,19 @@ val map :
     defaults to [PQC_ITEM_DEADLINE_S] (finite, > 0; anything else means
     no deadline, and so no hang detection; values <= 0 disable it);
     [item_retries], the worker deaths an item may cause before it is
-    quarantined, defaults to [PQC_POOL_ITEM_RETRIES] (an integer >= 1,
-    else 2).  Respawn [k] sleeps [base * 2^k * jitter], capped at 0.5 s,
-    with [base] from [PQC_POOL_BACKOFF_S] (finite > 0, else 0.02 s) and
-    jitter drawn from a seeded {!Pqc_util.Rng} (deterministic per map).
+    quarantined, defaults to 2 (values below 1 read as 1).  Respawn [k]
+    sleeps [0.02 s * 2^k * jitter], capped at 0.5 s, with jitter drawn
+    from a seeded {!Pqc_util.Rng} (deterministic per map).
     With [workers <= 1] or fewer than two items the whole batch runs
     sequentially in-process ([f x, false] per item, no fork); otherwise
     [min workers (List.length items)] workers are forked.  SIGPIPE is
     ignored while the workers run, so a feed write to a dead worker
     fails with [EPIPE] instead of killing the parent.
 
-    [encode] must produce a single line (no newline); a payload that
-    fails to encode, decode, or checksum is recomputed in the parent
-    rather than trusted.  [f] runs in the forked children {e and} in the
-    parent for recovered items, so it must be safe to call in both.
+    A result that cannot be marshalled (it holds a closure), and one
+    whose frame fails its digest, is recomputed in the parent rather
+    than trusted.  [f] runs in the forked children {e and} in the parent
+    for recovered items, so it must be safe to call in both.
 
     [item_label] maps an item's batch index to its correlation run_id
     for the parent's flight-recorder trail ({!Pqc_obs.Obs.Flight}): the

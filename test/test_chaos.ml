@@ -332,22 +332,18 @@ let test_engine_persist_unwritable_path () =
 
 (* --- Pool: supervision under injected faults --- *)
 
-let int_codec = (string_of_int, fun s -> int_of_string_opt s)
-
 let with_hook hook f =
   Pool.set_fault_hook hook;
   Fun.protect ~finally:Pool.clear_fault_hook f
 
 let test_hung_batch_completes_within_two_deadlines () =
   leak_checked (fun () ->
-      let enc, dec = int_codec in
       let items = [ 0; 1; 2; 3 ] in
       let deadline = 0.75 in
       with_hook (fun _ -> Some Pool.Hang) (fun () ->
           let t0 = Unix.gettimeofday () in
           let out, stats =
-            Pool.map ~workers:4 ~item_deadline_s:deadline
-              ~item_retries:1 ~encode:enc ~decode:dec
+            Pool.map ~workers:4 ~item_deadline_s:deadline ~item_retries:1
               (fun x -> x * x) items
           in
           let elapsed = Unix.gettimeofday () -. t0 in
@@ -369,13 +365,10 @@ let test_hung_batch_completes_within_two_deadlines () =
 
 let test_poison_batch_quarantines_and_converges () =
   leak_checked (fun () ->
-      let enc, dec = int_codec in
       let items = [ 0; 1; 2; 3 ] in
       with_hook (fun _ -> Some Pool.Crash_pre) (fun () ->
           let out, stats =
-            Pool.map ~workers:2 ~item_retries:1 ~encode:enc
-              ~decode:dec
-              (fun x -> x + 100) items
+            Pool.map ~workers:2 ~item_retries:1 (fun x -> x + 100) items
           in
           Alcotest.(check (list int)) "results correct despite every crash"
             (List.map (fun x -> x + 100) items)
@@ -391,20 +384,16 @@ let test_poison_batch_quarantines_and_converges () =
 
 let test_crash_mid_and_partial_write_recovered () =
   leak_checked (fun () ->
-      let enc, dec = int_codec in
       let items = List.init 9 (fun i -> i) in
-      (* Even items die mid-frame, odd items frame a torn record and
-         carry on; either way the parent must discard the damage and
-         recompute. *)
+      (* Even items die mid-frame, odd items write half a frame as a
+         whole line and carry on; either way the parent must discard the
+         damage and recompute. *)
       let hook i =
         if i mod 2 = 0 then Some Pool.Crash_mid else Some Pool.Partial_write
       in
       with_hook hook (fun () ->
           let out, stats =
-            Pool.map ~workers:3 ~item_retries:1 ~encode:enc
-              ~decode:dec
-              (fun x -> (x * 7) + 1)
-              items
+            Pool.map ~workers:3 ~item_retries:1 (fun x -> (x * 7) + 1) items
           in
           Alcotest.(check (list int)) "all results correct"
             (List.map (fun x -> (x * 7) + 1) items)
@@ -416,11 +405,10 @@ let test_crash_mid_and_partial_write_recovered () =
    worker: twenty maps in a row leave the descriptor count unchanged. *)
 let test_healthy_maps_leak_nothing () =
   leak_checked (fun () ->
-      let enc, dec = int_codec in
       let items = List.init 5 Fun.id in
       for k = 1 to 20 do
         let out, stats =
-          Pool.map ~workers:2 ~encode:enc ~decode:dec (fun x -> x + k) items
+          Pool.map ~workers:2 (fun x -> x + k) items
         in
         Alcotest.(check (list int)) "results" (List.map (fun x -> x + k) items)
           (List.map fst out);
@@ -452,7 +440,6 @@ let contains haystack needle =
 
 let test_flight_child_ring_reset_post_fork () =
   leak_checked (fun () ->
-      let enc, dec = int_codec in
       (* Plant a sentinel in the parent's ring; if a forked worker's ring
          still replays parent history, its dump would misattribute the
          crash, so the child must start empty. *)
@@ -466,8 +453,7 @@ let test_flight_child_ring_reset_post_fork () =
         else 0
       in
       let out, _ =
-        Pool.map ~workers:2 ~encode:enc ~decode:dec
-          sees_parent_history [ 0; 1; 2; 3 ]
+        Pool.map ~workers:2 sees_parent_history [ 0; 1; 2; 3 ]
       in
       Alcotest.(check (list int)) "child rings empty post-fork"
         [ 0; 0; 0; 0 ] (List.map fst out))
@@ -514,12 +500,10 @@ let test_flight_dump_on_chaos_crash () =
   let dir = temp_flight_dir () in
   with_env "PQC_FLIGHT_DIR" dir (fun () ->
       leak_checked (fun () ->
-          let enc, dec = int_codec in
           with_hook (fun _ -> Some Pool.Crash_pre) (fun () ->
               let out, stats =
                 Pool.map ~workers:2 ~item_retries:1
                   ~item_label:(fun i -> Printf.sprintf "r042-deadbeef#%d" i)
-                  ~encode:enc ~decode:dec
                   (fun x -> x + 1)
                   [ 0; 1; 2; 3 ]
               in

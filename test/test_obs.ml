@@ -218,15 +218,14 @@ let prop_hist_quantile_within_bucket =
           && est <= exact *. gamma *. (1.0 +. 1e-9))
         [ 0.5; 0.9; 0.99 ])
 
-(* --- Pipe codec (fork plumbing) --- *)
+(* --- Fork plumbing --- *)
 
 let test_encode_absorb_roundtrip () =
   with_obs @@ fun () ->
   Fun.protect ~finally:(fun () -> Obs.set_worker 0) @@ fun () ->
   Obs.Span.with_ ~name:"parent.span" (fun () -> ());
   let m = Obs.mark () in
-  (* Simulate a forked worker: tagged tid, disjoint span ids, hostile
-     attribute bytes that must survive the line-framed pipe. *)
+  (* Simulate a forked worker: tagged tid, disjoint span ids. *)
   Obs.set_worker 2;
   Obs.Span.with_ ~name:"child.span"
     ~attrs:[ ("k", "tab\there\nand\x1e\x1frecord seps") ]
@@ -235,19 +234,18 @@ let test_encode_absorb_roundtrip () =
   Obs.profile ~label:"child.profile"
     [ { Obs.iteration = 4; infidelity = 0.25; learning_rate = 0.1;
         grad_norm = 2.0 } ];
-  let payload = Obs.encode_since m in
-  Alcotest.(check bool) "payload non-empty" true (payload <> "");
-  Alcotest.(check bool) "single line (pool framing)" false
-    (String.contains payload '\n' || String.contains payload '\t');
-  Alcotest.(check string) "nothing fresh encodes to nothing" ""
-    (Obs.encode_since (Obs.mark ()));
+  let shipped = Obs.events_since m in
+  Alcotest.(check int) "span, counter and profile since the mark" 3
+    (List.length shipped);
+  Alcotest.(check int) "nothing fresh, nothing shipped" 0
+    (List.length (Obs.events_since (Obs.mark ())));
   (* Receiving side: a fresh parent that already has its own counter
      increments; absorb must append events and merge totals additively. *)
   Obs.reset ();
   Obs.enable ();
   Obs.set_worker 0;
   Obs.count "shared.counter";
-  Obs.absorb payload;
+  Obs.absorb shipped;
   Alcotest.(check (float 1e-9)) "counter totals merge" 4.0
     (Obs.counter_value "shared.counter");
   let spans =
@@ -274,13 +272,6 @@ let test_encode_absorb_roundtrip () =
     Alcotest.(check (float 1e-12)) "infidelity" 0.25 pt.Obs.infidelity;
     Alcotest.(check (float 1e-12)) "grad norm" 2.0 pt.Obs.grad_norm
   | _ -> Alcotest.fail "expected exactly the child profile"
-
-let test_absorb_garbage_dropped () =
-  with_obs @@ fun () ->
-  Obs.absorb "not\x1fa\x1evalid\x1erecord at all";
-  Obs.absorb "";
-  Alcotest.(check int) "undecodable records dropped silently" 0
-    (List.length (Obs.events ()))
 
 (* --- Chrome export --- *)
 
@@ -507,9 +498,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hist_quantile_within_bucket ] );
       ( "pipe-codec",
         [ Alcotest.test_case "encode/absorb round-trip" `Quick
-            test_encode_absorb_roundtrip;
-          Alcotest.test_case "garbage dropped" `Quick
-            test_absorb_garbage_dropped ] );
+            test_encode_absorb_roundtrip ] );
       ( "export",
         [ Alcotest.test_case "chrome json shape" `Quick
             test_chrome_json_shape;

@@ -25,9 +25,6 @@ module Qaoa = Pqc_qaoa.Qaoa
 let quick = { Grape.fast_settings with Grape.dt = 1.0; max_iters = 40;
               target_fidelity = 0.95 }
 
-let int_codec =
-  (string_of_int, fun s -> int_of_string_opt s)
-
 (* Scoped environment override (restored even on failure). *)
 let with_env key value f =
   let old = Sys.getenv_opt key in
@@ -51,10 +48,9 @@ let optimizer_plan = "seed=6,nan=0.3,no-converge=0.3,stall=0.3"
 (* --- Pool primitives --- *)
 
 let test_pool_input_order () =
-  let enc, dec = int_codec in
   let items = List.init 23 (fun i -> i) in
   let out, stats =
-    Pool.map ~workers:4 ~encode:enc ~decode:dec (fun x -> x * x) items
+    Pool.map ~workers:4 (fun x -> x * x) items
   in
   Alcotest.(check (list int)) "results in input order"
     (List.map (fun x -> x * x) items)
@@ -63,11 +59,10 @@ let test_pool_input_order () =
   Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered
 
 let test_pool_sequential_mode () =
-  let enc, dec = int_codec in
   let forked = ref false in
   let parent = Unix.getpid () in
   let out, stats =
-    Pool.map ~workers:1 ~encode:enc ~decode:dec
+    Pool.map ~workers:1
       (fun x ->
         if Unix.getpid () <> parent then forked := true;
         x + 1)
@@ -80,10 +75,9 @@ let test_pool_sequential_mode () =
     (List.for_all (fun (_, r) -> not r) out)
 
 let test_pool_lost_worker_recovered () =
-  let enc, dec = int_codec in
   let parent = Unix.getpid () in
   let out, stats =
-    Pool.map ~workers:3 ~encode:enc ~decode:dec
+    Pool.map ~workers:3
       (fun x ->
         (* Kill the worker that reaches item 4 mid-batch; the parent must
            recompute everything that worker never delivered. *)
@@ -99,18 +93,14 @@ let test_pool_lost_worker_recovered () =
   Alcotest.(check bool) "item 4 flagged" true (snd (List.nth out 4))
 
 let test_pool_corrupt_payload_recovered () =
-  let enc = string_of_int in
-  (* A decoder that rejects odd payloads: those items must be recomputed
-     in the parent and flagged, exactly like a lost worker. *)
-  let dec s =
-    match int_of_string_opt s with
-    | Some v when v mod 2 = 0 -> Some v
-    | _ -> None
-  in
+  (* Odd items write the first half of their result frame as a whole
+     line: the digest rejects it, and those items must be recomputed in
+     the parent and flagged, exactly like a lost worker's. *)
+  Pool.set_fault_hook (fun i ->
+      if i mod 2 = 1 then Some Pool.Partial_write else None);
   let out, stats =
-    Pool.map ~workers:2 ~encode:enc ~decode:dec
-      (fun x -> x)
-      (List.init 8 (fun i -> i))
+    Fun.protect ~finally:Pool.clear_fault_hook (fun () ->
+        Pool.map ~workers:2 (fun x -> x) (List.init 8 (fun i -> i)))
   in
   Alcotest.(check (list int)) "odd values recovered correctly"
     (List.init 8 (fun i -> i))
@@ -121,11 +111,50 @@ let test_pool_corrupt_payload_recovered () =
       Alcotest.(check bool) (Printf.sprintf "flag %d" i) (i mod 2 = 1) r)
     out
 
+(* The pool's frame carries any value bit for bit: strings holding the
+   bytes a line or field codec trips on, and floats a decimal or hex
+   round trip can lose (NaN payload bits, the sign of zero, the smallest
+   subnormal, infinities).  The 1 MiB string's frame spans many pipe
+   reads. *)
+let test_pool_hostile_values_roundtrip () =
+  let strings =
+    [ "line\nbreak"; "tab\there"; "nul\000byte"; "\x1c\x1d\x1e\x1f";
+      "back\\slash\\"; String.init 256 Char.chr; "" ]
+  in
+  let floats =
+    [ Int64.float_of_bits 0x7ff8_0000_dead_beefL; -0.0; 4.9e-324; infinity;
+      neg_infinity ]
+  in
+  let items =
+    (String.init (1 lsl 20) (fun i -> Char.chr (i land 255)), 0.5)
+    :: List.concat_map (fun s -> List.map (fun f -> (s, f)) floats) strings
+  in
+  let out, stats = Pool.map ~workers:2 Fun.id items in
+  Alcotest.(check int) "forked" 2 stats.Pool.workers;
+  Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered;
+  List.iter2
+    (fun (s, f) ((s', f'), recovered) ->
+      Alcotest.(check bool) "not recomputed" false recovered;
+      Alcotest.(check string) "string bytes" s s';
+      Alcotest.(check int64) "float bits" (Int64.bits_of_float f)
+        (Int64.bits_of_float f'))
+    items out
+
+(* A closure cannot be marshalled: the worker ships no frame for it, so
+   the parent recomputes and flags every item, and the map returns. *)
+let test_pool_unmarshallable_result_recovered () =
+  let out, stats =
+    Pool.map ~workers:2 (fun x () -> x * 3) [ 1; 2; 3; 4 ]
+  in
+  Alcotest.(check (list int)) "recomputed closures" [ 3; 6; 9; 12 ]
+    (List.map (fun (g, _) -> g ()) out);
+  Alcotest.(check bool) "every item flagged" true (List.for_all snd out);
+  Alcotest.(check int) "every item recovered" 4 stats.Pool.recovered
+
 (* Regression: a forked worker numbered its spans from the parent's
    counter plus a fixed per-worker offset, so worker [w] of a later map
    reused the ids worker [w] had handed out in an earlier one. *)
 let test_traced_maps_unique_span_ids () =
-  let enc, dec = int_codec in
   Obs.reset ();
   Obs.enable ();
   let spans =
@@ -136,7 +165,7 @@ let test_traced_maps_unique_span_ids () =
       (fun () ->
         for _ = 1 to 2 do
           ignore
-            (Pool.map ~workers:3 ~encode:enc ~decode:dec
+            (Pool.map ~workers:3
                (fun x -> Obs.Span.with_ ~name:"test.item" (fun () -> x + 1))
                (List.init 6 Fun.id))
         done;
@@ -165,12 +194,9 @@ let test_traced_maps_unique_span_ids () =
 
 (* The smallest batch that forks: one item per child. *)
 let test_pool_two_items_fork () =
-  let enc, dec = int_codec in
   let parent = Unix.getpid () in
   let out, stats =
-    Pool.map ~workers:2 ~encode:enc ~decode:dec
-      (fun _ -> Unix.getpid ())
-      [ 1; 2 ]
+    Pool.map ~workers:2 (fun _ -> Unix.getpid ()) [ 1; 2 ]
   in
   let pids = List.map fst out in
   Alcotest.(check int) "two workers" 2 stats.Pool.workers;
@@ -184,10 +210,8 @@ let test_pool_two_items_fork () =
    runs every quick item; a round-robin split would hand the slow worker
    items 0, 2 and 4. *)
 let test_pool_pull_balance () =
-  let enc (pid, x) = Printf.sprintf "%d,%d" pid x in
-  let dec s = Scanf.sscanf_opt s "%d,%d%!" (fun pid x -> (pid, x)) in
   let out, stats =
-    Pool.map ~workers:2 ~encode:enc ~decode:dec
+    Pool.map ~workers:2
       (fun x ->
         if x = 0 then Unix.sleepf 0.3;
         (Unix.getpid (), x))
@@ -399,6 +423,33 @@ let test_search_many_fault_plan_invariant () =
       List.iteri
         (fun i (a, b) -> check_same_result (Printf.sprintf "block %d" i) a b)
         (List.combine seq par))
+
+(* Bench-matrix run ids are "<manifest name>/<cell id>", and a manifest
+   name is free text.  Regression: a forked worker's result came back
+   through a record reader that stopped the run id at its first space, so
+   under this context the forked ids read "my" while the sequential ones
+   kept "my bench/cell 1#<idx>". *)
+let test_search_many_run_ids_survive_fork () =
+  let blocks =
+    List.init 4 (fun i ->
+        Circuit.of_gates 1
+          [ (Gate.Rx (Param.const (0.3 +. (0.5 *. float_of_int i))), [ 0 ]) ])
+  in
+  let run workers =
+    Obs.Ctx.with_ctx (Some "my bench/cell 1") (fun () ->
+        let rs, stats, _ =
+          Engine.search_many ~workers (Engine.numeric ~settings:quick ())
+            blocks
+        in
+        Alcotest.(check int) "worker count used" workers stats.Engine.workers;
+        List.map (fun r -> r.Engine.run_id) rs)
+  in
+  let expected =
+    List.init 4 (fun i -> Some (Printf.sprintf "my bench/cell 1#%d" i))
+  in
+  Alcotest.(check (list (option string))) "sequential run ids" expected
+    (run 1);
+  Alcotest.(check (list (option string))) "forked run ids" expected (run 2)
 
 let test_faulty_results_never_cached () =
   let blocks = h2_blocks () in
@@ -729,7 +780,6 @@ let test_metrics_merge_matches_sequential () =
      a sequential run observation-for-observation.  Values are dyadic
      (x * 0.125), so even the float sum is exact regardless of the
      order the workers' frames arrive in. *)
-  let enc, dec = int_codec in
   let items = List.init 41 (fun i -> i + 1) in
   let observe x =
     Obs.Metrics.observe "pool.metric" (float_of_int x *. 0.125);
@@ -749,9 +799,7 @@ let test_metrics_merge_matches_sequential () =
       List.iter (fun x -> ignore (observe x)) items;
       let expected = capture () in
       Obs.Metrics.reset ();
-      let out, stats =
-        Pool.map ~workers:4 ~encode:enc ~decode:dec observe items
-      in
+      let out, stats = Pool.map ~workers:4 observe items in
       Alcotest.(check (list int)) "results intact" items (List.map fst out);
       Alcotest.(check int) "genuinely forked" 4 stats.Pool.workers;
       let got_stats, got_pcts = capture () in
@@ -834,6 +882,39 @@ let test_merge_concurrent_pools () =
       Alcotest.(check (list string)) "audit finds nothing (PQC050)" []
         (List.map Diagnostic.to_string (Cache_audit.audit ~path)))
 
+(* The run id is the record's last field and may hold spaces.  The
+   reader used to stop it at the first one, so "my bench/cell 1#0" came
+   back from disk as "my".  A 7-field record from before the field
+   existed still reads with no run id. *)
+let test_run_id_with_spaces_survives_disk () =
+  let e = { (mk_entry "k") with Pulse_cache.run_id = Some "my bench/cell 1#0" } in
+  Alcotest.(check (option (option string))) "decode (encode e)"
+    (Some e.Pulse_cache.run_id)
+    (Option.map
+       (fun (d : Pulse_cache.entry) -> d.Pulse_cache.run_id)
+       (Pulse_cache.decode_entry (Pulse_cache.encode_entry e)));
+  let vintage =
+    Printf.sprintf "%S\t%h\t%d\t%d\t%h\t-\t-" "k" 1.0 1 10 0.1
+  in
+  Alcotest.(check (option (option string))) "7-field record" (Some None)
+    (Option.map
+       (fun (d : Pulse_cache.entry) -> d.Pulse_cache.run_id)
+       (Pulse_cache.decode_entry (Pulse_cache.checksum vintage ^ "\t" ^ vintage)));
+  with_temp_cache (fun path ->
+      let c = Circuit.of_gates 1 [ (Gate.H, [ 0 ]) ] in
+      let engine = Engine.numeric ~settings:quick ~cache_file:path () in
+      let rs, _, _ =
+        Obs.Ctx.with_ctx (Some "my bench/cell 1") (fun () ->
+            Engine.search_many ~workers:1 engine [ c ])
+      in
+      Alcotest.(check (option string)) "computed under the context"
+        (Some "my bench/cell 1#0") (List.hd rs).Engine.run_id;
+      Engine.persist engine;
+      let reloaded = Engine.numeric ~settings:quick ~cache_file:path () in
+      Alcotest.(check (option string)) "reloaded from disk"
+        (Some "my bench/cell 1#0")
+        (Engine.search reloaded c).Engine.run_id)
+
 let test_persist_merges_across_engines () =
   with_temp_cache (fun path ->
       let c1 = Circuit.of_gates 1 [ (Gate.H, [ 0 ]) ] in
@@ -862,6 +943,10 @@ let () =
             test_pool_lost_worker_recovered;
           Alcotest.test_case "corrupt payload" `Quick
             test_pool_corrupt_payload_recovered;
+          Alcotest.test_case "hostile values round-trip bit for bit" `Quick
+            test_pool_hostile_values_roundtrip;
+          Alcotest.test_case "unmarshallable result recomputed" `Quick
+            test_pool_unmarshallable_result_recovered;
           Alcotest.test_case "two-item batch uses two children" `Quick
             test_pool_two_items_fork;
           Alcotest.test_case "pull dispatch balances a slow item" `Quick
@@ -887,6 +972,8 @@ let () =
             test_faults_keyed_on_block;
           Alcotest.test_case "injected never cached" `Quick
             test_faulty_results_never_cached;
+          Alcotest.test_case "run ids with spaces survive the fork" `Quick
+            test_search_many_run_ids_survive_fork;
           Alcotest.test_case "flex invariant" `Quick
             test_flex_many_worker_count_invariant;
           Alcotest.test_case "forks only on two misses" `Quick
@@ -913,4 +1000,6 @@ let () =
           Alcotest.test_case "concurrent merges" `Quick
             test_merge_concurrent_pools;
           Alcotest.test_case "persist merges" `Quick
-            test_persist_merges_across_engines ] ) ]
+            test_persist_merges_across_engines;
+          Alcotest.test_case "run id with spaces survives disk" `Quick
+            test_run_id_with_spaces_survives_disk ] ) ]
