@@ -29,8 +29,7 @@ type t = {
   monotone : bool;
 }
 
-let instr_var (i : Circuit.instr) =
-  Option.bind (Gate.param i.gate) Param.depends_on
+let instr_var (i : Circuit.instr) = Gate.depends_on i.gate
 
 (* One forward pass over the stream computes every fact at once; the
    per-qubit and per-parameter maps are join-semilattices (extend-only
@@ -103,13 +102,19 @@ let find_def_use t v = List.find_opt (fun d -> d.var = v) t.def_uses
 (* Commutation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let rec same_qubits (a : int array) b k =
+  k >= Array.length a || (a.(k) = b.(k) && same_qubits a b (k + 1))
+
+(* The same gate (constructor and angle) on the same operands.  Gates
+   without an angle are constant constructors, so [==] compares them. *)
 let instr_equal (a : Circuit.instr) (b : Circuit.instr) =
-  Gate.name a.gate = Gate.name b.gate
-  && (match (Gate.param a.gate, Gate.param b.gate) with
-     | Some p, Some q -> Param.equal p q
-     | None, None -> true
-     | Some _, None | None, Some _ -> false)
-  && a.qubits = b.qubits
+  (match (a.gate, b.gate) with
+  | Gate.Rx p, Gate.Rx q | Gate.Ry p, Gate.Ry q | Gate.Rz p, Gate.Rz q ->
+    Param.equal p q
+  | Gate.(Rx _ | Ry _ | Rz _), _ | _, Gate.(Rx _ | Ry _ | Rz _) -> false
+  | g, h -> g == h)
+  && Array.length a.qubits = Array.length b.qubits
+  && same_qubits a.qubits b.qubits 0
 
 (* How a gate acts on one of its operand qubits.  [Diag]: the operator
    decomposes over that qubit's computational basis (Z-family, CZ, the
@@ -264,33 +269,44 @@ let reslice c =
 (* A diagonal gate is measurement-irrelevant when every later instruction
    sharing one of its qubits is also diagonal: the gate then commutes all
    the way to the end of the circuit, where a diagonal factor cannot
-   change any computational-basis measurement probability. *)
-let measurement_irrelevant instrs idx =
-  let i = instrs.(idx) in
-  Gate.is_diagonal i.Circuit.gate
-  &&
-  let len = Array.length instrs in
-  let rec scan j =
-    j >= len
-    ||
-    let o = instrs.(j) in
-    (if Array.exists (fun q -> Array.mem q i.Circuit.qubits) o.Circuit.qubits
-     then Gate.is_diagonal o.Circuit.gate
-     else true)
-    && scan (j + 1)
-  in
-  scan (idx + 1)
+   change any computational-basis measurement probability.  One backward
+   pass decides it for every gate: [diagonal_after.(q)] holds while every
+   instruction after the current one on qubit q is diagonal. *)
+let measurement_irrelevant c =
+  let len = Circuit.length c in
+  let diagonal_after = Array.make (Circuit.n_qubits c) true in
+  let irrelevant = Array.make len false in
+  for idx = len - 1 downto 0 do
+    let i = Circuit.instr c idx in
+    let diagonal = Gate.is_diagonal i.gate in
+    let qs = i.qubits in
+    let ok = ref diagonal in
+    for j = 0 to Array.length qs - 1 do
+      if not diagonal_after.(qs.(j)) then ok := false;
+      if not diagonal then diagonal_after.(qs.(j)) <- false
+    done;
+    irrelevant.(idx) <- !ok
+  done;
+  irrelevant
 
 (* Parameters whose every gate is measurement-irrelevant: the whole
    parameter axis cannot move any measured expectation value. *)
 let dead_params c =
-  let instrs = Circuit.instrs c in
-  let t = of_instrs ~n:(Circuit.n_qubits c) instrs in
-  List.filter_map
-    (fun d ->
-      if
-        d.gates <> []
-        && List.for_all (fun idx -> measurement_irrelevant instrs idx) d.gates
-      then Some (d.var, d.gates)
-      else None)
-    t.def_uses
+  let irrelevant = measurement_irrelevant c in
+  (* Per parameter: its gates, latest first, and whether all of them are
+     irrelevant. *)
+  let uses : (int, int list * bool) Hashtbl.t = Hashtbl.create 8 in
+  for idx = 0 to Circuit.length c - 1 do
+    match instr_var (Circuit.instr c idx) with
+    | None -> ()
+    | Some v ->
+      let gates, dead =
+        Option.value (Hashtbl.find_opt uses v) ~default:([], true)
+      in
+      Hashtbl.replace uses v (idx :: gates, dead && irrelevant.(idx))
+  done;
+  Hashtbl.fold
+    (fun v (gates, dead) acc ->
+      if dead then (v, List.rev gates) :: acc else acc)
+    uses []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

@@ -23,16 +23,19 @@ type ctx = {
   target : target option;
 }
 
-let of_instrs ?theta_len ?(max_width = grape_width_cap) ?topology ?cache_file
+let make ?theta_len ?(max_width = grape_width_cap) ?topology ?cache_file
     ?target ~n instrs =
   if n <= 0 then invalid_arg "Rule.of_instrs: width must be positive";
-  { n; instrs = Array.of_list instrs; theta_len; max_width; topology;
-    cache_file; target }
+  { n; instrs; theta_len; max_width; topology; cache_file; target }
 
+let of_instrs ?theta_len ?max_width ?topology ?cache_file ?target ~n instrs =
+  make ?theta_len ?max_width ?topology ?cache_file ?target ~n
+    (Array.of_list instrs)
+
+(* [Circuit.instrs] is already a fresh copy. *)
 let of_circuit ?theta_len ?max_width ?topology ?cache_file ?target c =
-  of_instrs ?theta_len ?max_width ?topology ?cache_file ?target
-    ~n:(Circuit.n_qubits c)
-    (Array.to_list (Circuit.instrs c))
+  make ?theta_len ?max_width ?topology ?cache_file ?target
+    ~n:(Circuit.n_qubits c) (Circuit.instrs c)
 
 (* A stream checker observes each instruction once, in order; [finish]
    yields whatever it found.  The runner drives every stream rule through

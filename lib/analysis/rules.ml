@@ -19,20 +19,27 @@ let qubit_bounds =
     check =
       Stream
         (fun ctx ->
+          let n = ctx.n in
+          let rec in_range (qs : int array) k =
+            k >= Array.length qs
+            || (qs.(k) >= 0 && qs.(k) < n && in_range qs (k + 1))
+          in
           pure_stream (fun idx i ->
-              Array.to_list i.Circuit.qubits
-              |> List.filter_map (fun q ->
-                     if q >= 0 && q < ctx.n then None
-                     else
-                       Some
-                         (Diagnostic.error ~rule:"PQC001"
-                            ~span:(Diagnostic.point idx)
-                            ~hint:
+              if in_range i.Circuit.qubits 0 then []
+              else
+                Array.to_list i.Circuit.qubits
+                |> List.filter_map (fun q ->
+                       if q >= 0 && q < ctx.n then None
+                       else
+                         Some
+                           (Diagnostic.error ~rule:"PQC001"
+                              ~span:(Diagnostic.point idx)
+                              ~hint:
+                                (Printf.sprintf
+                                   "register has qubits 0..%d" (ctx.n - 1))
                               (Printf.sprintf
-                                 "register has qubits 0..%d" (ctx.n - 1))
-                            (Printf.sprintf
-                               "gate %s addresses qubit %d outside [0,%d)"
-                               (Gate.name i.Circuit.gate) q ctx.n))))) }
+                                 "gate %s addresses qubit %d outside [0,%d)"
+                                 (Gate.name i.Circuit.gate) q ctx.n))))) }
 
 let arity =
   { id = "PQC002"; title = "arity";
@@ -82,9 +89,10 @@ let non_finite_angle =
       Stream
         (fun _ctx ->
           pure_stream (fun idx i ->
-              match Gate.param i.Circuit.gate with
-              | None -> []
-              | Some p ->
+              match i.Circuit.gate with
+              | Gate.(X | Y | Z | H | S | Sdg | T | Tdg) -> []
+              | Gate.(CX | CZ | Swap | ISwap) -> []
+              | Gate.(Rx p | Ry p | Rz p) ->
                 if
                   Float.is_finite p.Param.scale
                   && Float.is_finite p.Param.offset
@@ -103,7 +111,7 @@ let unbound_param =
       Stream
         (fun ctx ->
           pure_stream (fun idx i ->
-              match Option.bind (Gate.param i.Circuit.gate) Param.depends_on with
+              match Gate.depends_on i.Circuit.gate with
               | None -> []
               | Some v when v < 0 ->
                 [ Diagnostic.error ~rule:"PQC011"
@@ -145,11 +153,12 @@ let monotonicity =
           let current = ref None in
           { on_instr =
               (fun idx i ->
-                match Option.bind (Gate.param i.Circuit.gate) Param.depends_on with
+                match Gate.depends_on i.Circuit.gate with
                 | None -> []
                 | Some v ->
-                  if !current = Some v then []
-                  else begin
+                  match !current with
+                  | Some w when w = v -> []
+                  | Some _ | None ->
                     let diags =
                       match Hashtbl.find_opt closed v with
                       | Some last ->
@@ -168,36 +177,102 @@ let monotonicity =
                     | Some w -> Hashtbl.replace closed w idx
                     | None -> ());
                     current := Some v;
-                    diags
-                  end);
+                    diags);
             finish = (fun () -> []) }) }
 
-(* Every instruction touching each qubit, in one pass over the stream:
-   entry q lists them in reverse order. *)
-let lanes n instrs =
-  let lanes = Array.make n [] in
-  Array.iter
-    (fun (i : Circuit.instr) ->
-      Array.iter (fun q -> lanes.(q) <- i :: lanes.(q)) i.qubits)
-    instrs;
+(* Every instruction touching each qubit, in order: entry q is qubit q's
+   lane.  Two passes, counting then filling, so each lane is one array. *)
+let lanes c =
+  let n = Circuit.n_qubits c and len = Circuit.length c in
+  let size = Array.make n 0 in
+  for k = 0 to len - 1 do
+    let qs = (Circuit.instr c k).qubits in
+    for j = 0 to Array.length qs - 1 do
+      size.(qs.(j)) <- size.(qs.(j)) + 1
+    done
+  done;
+  let lanes =
+    Array.map
+      (fun m -> if m = 0 then [||] else Array.make m (Circuit.instr c 0))
+      size
+  in
+  let fill = Array.make n 0 in
+  for k = 0 to len - 1 do
+    let i = Circuit.instr c k in
+    for j = 0 to Array.length i.qubits - 1 do
+      let q = i.qubits.(j) in
+      lanes.(q).(fill.(q)) <- i;
+      fill.(q) <- fill.(q) + 1
+    done
+  done;
   lanes
 
+exception Mismatch
+
+(* One walk over the slices in concatenation order, without rebuilding
+   the concatenated circuit.  Linear: one cursor over the original's
+   instructions.  Region: one cursor per qubit lane, and every slice
+   instruction must be next on each of its qubits' lanes. *)
 let slice_reconciles ~linear original slices =
   let n = Circuit.n_qubits original in
-  let rebuilt = Circuit.instrs (Slice.concat_all ~n slices) in
-  let orig = Circuit.instrs original in
-  Array.length orig = Array.length rebuilt
+  let total =
+    List.fold_left
+      (fun acc (s : Slice.slice) ->
+        if Circuit.n_qubits s.circuit <> n then
+          invalid_arg "Rules.slice_reconciles: width mismatch";
+        acc + Circuit.length s.circuit)
+      0 slices
+  in
+  total = Circuit.length original
   &&
-  if linear then Array.for_all2 Dataflow.instr_equal orig rebuilt
+  if linear then begin
+    let cursor = ref 0 in
+    List.for_all
+      (fun (s : Slice.slice) ->
+        let c = s.circuit in
+        let rec go k =
+          k >= Circuit.length c
+          || Dataflow.instr_equal (Circuit.instr original (!cursor + k))
+               (Circuit.instr c k)
+             && go (k + 1)
+        in
+        go 0
+        &&
+        (cursor := !cursor + Circuit.length c;
+         true))
+      slices
+  end
   else
     (* Region slicing may reorder across qubits; the invariant it promises
        is per-qubit instruction order (which implies circuit equivalence)
-       plus conservation of the instruction multiset.  [List.equal]
-       compares lengths too, so a qubit that lost or gained a gate is a
-       mismatch, not a crash. *)
-    Array.for_all2
-      (List.equal Dataflow.instr_equal)
-      (lanes n orig) (lanes n rebuilt)
+       plus conservation of the instruction count.  A qubit that lost or
+       gained a gate is a mismatch, not a crash. *)
+    let lanes = lanes original in
+    let next = Array.make n 0 in
+    let step (i : Circuit.instr) q =
+      let k = next.(q) in
+      if k >= Array.length lanes.(q)
+         || not (Dataflow.instr_equal lanes.(q).(k) i)
+      then raise_notrace Mismatch;
+      next.(q) <- k + 1
+    in
+    (* With the counts equal, every lane is then consumed to its end: a
+       one-qubit slice gate consumes one one-qubit entry and a two-qubit
+       one an entry of a two-qubit gate on each lane, so the slices cannot
+       hold more of either kind than the circuit. *)
+    match
+      List.iter
+        (fun (s : Slice.slice) ->
+          for k = 0 to Circuit.length s.circuit - 1 do
+            let i = Circuit.instr s.circuit k in
+            for j = 0 to Array.length i.qubits - 1 do
+              step i i.qubits.(j)
+            done
+          done)
+        slices
+    with
+    | () -> true
+    | exception Mismatch -> false
 
 let strict_slice =
   { id = "PQC021"; title = "strict-slice";

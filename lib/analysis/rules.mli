@@ -12,7 +12,8 @@
       {!block_beats_grape}
 
     PQC000 (parse error) and PQC999 (crashed rule) are synthesized by the
-    driver and {!Runner.guarded} respectively and are not in the catalog. *)
+    CLI front end and {!Runner.run} respectively and are not in the
+    catalog. *)
 
 val qubit_bounds : Rule.t
 val arity : Rule.t

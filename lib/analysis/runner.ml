@@ -91,26 +91,29 @@ let warnings r =
 (* A rule must never take the pipeline down: a crashing check is itself
    reported as an internal-error finding (PQC999, outside the catalog so
    it can never be confused with a real finding of the crashed rule),
-   carrying the exception and a backtrace.  It relies on {!run} keeping
-   backtrace recording on for the whole run. *)
+   carrying the exception and a backtrace.  Callers read the backtrace
+   first thing in their handler, before anything else can raise, so it
+   is the crashed rule's own; this relies on {!run} keeping backtrace
+   recording on for the whole run. *)
+let crashed id e backtrace =
+  let bt =
+    match String.trim backtrace with
+    | "" -> "backtrace unavailable"
+    | s -> s
+  in
+  [ Diagnostic.error ~rule:"PQC999"
+      ~hint:"this is a bug in the analyzer, not in the analyzed circuit"
+      (Printf.sprintf "rule %s crashed: %s\n%s" id (Printexc.to_string e) bt) ]
+
 let guarded id f =
   match f () with
   | diags -> diags
-  | exception e ->
-    let bt =
-      match String.trim (Printexc.get_backtrace ()) with
-      | "" -> "backtrace unavailable"
-      | s -> s
-    in
-    [ Diagnostic.error ~rule:"PQC999"
-        ~hint:"this is a bug in the analyzer, not in the analyzed circuit"
-        (Printf.sprintf "rule %s crashed: %s\n%s" id (Printexc.to_string e)
-           bt) ]
+  | exception e -> crashed id e (Printexc.get_backtrace ())
 
 let run ?(rules = Rules.all) ?(overrides = []) ctx =
   Rules.assert_unique rules;
   (* One toggle per run, not one per rule call: the stream pass calls
-     [guarded] once per rule and instruction. *)
+     every stream rule once per instruction. *)
   let recording = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
   Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
@@ -124,26 +127,34 @@ let run ?(rules = Rules.all) ?(overrides = []) ctx =
         | Rule.External _ -> (s, t, r :: e))
       ([], [], []) (List.rev rules)
   in
-  (* One shared pass drives every stream rule. *)
+  (* One shared pass drives every stream rule.  Each checker is called in
+     place, in rule order per instruction, and only non-empty results are
+     kept, so a clean instruction allocates nothing here. *)
+  let ids = Array.of_list (List.map (fun (r : Rule.t) -> r.id) stream_rules) in
   let checkers =
-    List.map
-      (fun (r : Rule.t) ->
-        match r.check with
-        | Rule.Stream mk -> (r.id, mk ctx)
-        | Rule.Structural _ | Rule.External _ -> assert false)
-      stream_rules
+    Array.of_list
+      (List.map
+         (fun (r : Rule.t) ->
+           match r.check with
+           | Rule.Stream mk -> mk ctx
+           | Rule.Structural _ | Rule.External _ -> assert false)
+         stream_rules)
   in
   let acc = ref [] in
+  let instrs = ctx.Rule.instrs in
+  for idx = 0 to Array.length instrs - 1 do
+    let i = instrs.(idx) in
+    for k = 0 to Array.length checkers - 1 do
+      match checkers.(k).Rule.on_instr idx i with
+      | [] -> ()
+      | diags -> acc := diags :: !acc
+      | exception e ->
+        acc := crashed ids.(k) e (Printexc.get_backtrace ()) :: !acc
+    done
+  done;
   Array.iteri
-    (fun idx i ->
-      List.iter
-        (fun (id, (c : Rule.stream_checker)) ->
-          acc := guarded id (fun () -> c.on_instr idx i) :: !acc)
-        checkers)
-    ctx.Rule.instrs;
-  List.iter
-    (fun (id, (c : Rule.stream_checker)) ->
-      acc := guarded id (fun () -> c.finish ()) :: !acc)
+    (fun k (c : Rule.stream_checker) ->
+      acc := guarded ids.(k) c.finish :: !acc)
     checkers;
   let stream_diags = List.concat (List.rev !acc) in
   let validity_ids =

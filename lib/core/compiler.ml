@@ -19,8 +19,12 @@ let prepare ?topology c =
    order; Pulse.schedule places them, and the strategy reports the end of
    that schedule as its duration. *)
 let lookup_jobs bound =
-  Array.to_list (Circuit.instrs bound)
-  |> List.map (fun (i : Circuit.instr) -> (Pulse.lookup_gate i, i.qubits))
+  let jobs = ref [] in
+  for k = Circuit.length bound - 1 downto 0 do
+    let i = Circuit.instr bound k in
+    jobs := (Pulse.lookup_gate i, i.qubits) :: !jobs
+  done;
+  !jobs
 
 let gate_pulse bound =
   Pulse.schedule ~n:(Circuit.n_qubits bound) (lookup_jobs bound)
@@ -35,8 +39,15 @@ let gate_based c ~theta =
   compiled ~strategy:"gate-based" (gate_pulse (Circuit.bind c theta))
 
 let block_label (b : Block.block) =
-  Printf.sprintf "block[%s]"
-    (String.concat "," (List.map string_of_int b.qubits))
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "block[";
+  List.iteri
+    (fun k q ->
+      if k > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int q))
+    b.qubits;
+  Buffer.add_char buf ']';
+  Buffer.contents buf
 
 (* A GRAPE-compiled block as a schedulable job. *)
 let optimized_job ~label (b : Block.block) duration =

@@ -170,36 +170,82 @@ let cache_dropped = function Model -> 0 | Numeric cfg -> cfg.cache_dropped
 
 let cache_salvaged = function Model -> 0 | Numeric cfg -> cfg.cache_salvaged
 
+(* Keys are rendered by hand into one reused buffer: they are built one
+   at a time, and a [Printf] rendering per qubit and angle cost more than
+   the rest of a model-engine batch. *)
+let key_buf = Buffer.create 256
+
+(* Decimal, as [string_of_int]. *)
+let rec add_int buf k =
+  if k < 0 then Buffer.add_string buf (string_of_int k)
+  else begin
+    if k >= 10 then add_int buf (k / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (k mod 10)))
+  end
+
+(* The IEEE-754 bits of [f] as [Printf "%Lx"] renders them: unsigned
+   lowercase hex without leading zeros. *)
+let add_bits buf f =
+  let b = Int64.bits_of_float f in
+  let hi = Int64.to_int (Int64.shift_right_logical b 32) in
+  let lo = Int64.to_int b land 0xFFFF_FFFF in
+  let started = ref false in
+  for k = 15 downto 0 do
+    let d =
+      if k >= 8 then (hi lsr (4 * (k - 8))) land 0xf
+      else (lo lsr (4 * k)) land 0xf
+    in
+    if d <> 0 || !started || k = 0 then begin
+      started := true;
+      Buffer.add_char buf "0123456789abcdef".[d]
+    end
+  done
+
 (* Width, then per instruction its gate name, rendered parameter and
    operand qubits. *)
 let circuit_key ~param c =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (string_of_int (Circuit.n_qubits c));
-  Circuit.iter
-    (fun (i : Circuit.instr) ->
-      Buffer.add_char buf ';';
-      Buffer.add_string buf (Gate.name i.gate);
-      Option.iter (fun p -> Buffer.add_string buf (param p)) (Gate.param i.gate);
-      Array.iter (fun q -> Buffer.add_string buf (Printf.sprintf ",%d" q)) i.qubits)
-    c;
+  let buf = key_buf in
+  Buffer.clear buf;
+  add_int buf (Circuit.n_qubits c);
+  for k = 0 to Circuit.length c - 1 do
+    let i = Circuit.instr c k in
+    Buffer.add_char buf ';';
+    Buffer.add_string buf (Gate.name i.gate);
+    (match i.gate with
+    | Gate.(Rx p | Ry p | Rz p) -> param buf p
+    | Gate.(X | Y | Z | H | S | Sdg | T | Tdg | CX | CZ | Swap | ISwap) -> ());
+    for j = 0 to Array.length i.qubits - 1 do
+      Buffer.add_char buf ',';
+      add_int buf i.qubits.(j)
+    done
+  done;
   Buffer.contents buf
-
-let bits f = Int64.bits_of_float f
 
 (* Canonical key of a bound block, for memoization.  Angles are keyed on
    their exact IEEE-754 bits: a printf truncation here once made bindings
    closer than its precision collide and alias each other's pulses. *)
 let block_key =
-  circuit_key ~param:(fun p -> Printf.sprintf "(%Lx)" (bits (Param.bind p [||])))
+  circuit_key ~param:(fun buf p ->
+      Buffer.add_char buf '(';
+      add_bits buf (Param.bind p [||]);
+      Buffer.add_char buf ')')
 
 (* Key of an unbound slice block that every binding of θ shares: each
    parameter renders as its variable index and the exact bits of its
    scale and offset. *)
 let slice_key =
-  circuit_key ~param:(fun (p : Param.t) ->
-      Printf.sprintf "(%s*%Lx+%Lx)"
-        (match p.var with Some v -> "t" ^ string_of_int v | None -> "c")
-        (bits p.scale) (bits p.offset))
+  circuit_key ~param:(fun buf (p : Param.t) ->
+      Buffer.add_char buf '(';
+      (match p.var with
+      | Some v ->
+        Buffer.add_char buf 't';
+        add_int buf v
+      | None -> Buffer.add_char buf 'c');
+      Buffer.add_char buf '*';
+      add_bits buf p.scale;
+      Buffer.add_char buf '+';
+      add_bits buf p.offset;
+      Buffer.add_char buf ')')
 
 let require_bound c =
   if Circuit.depends c <> [] then
@@ -281,6 +327,17 @@ let fallback_result c reason spent =
     fallback = Some reason;
     run_id = Obs.Ctx.current () }
 
+(* The span of one block search; its attributes are rendered only while
+   tracing is on. *)
+let search_span c f =
+  if Obs.enabled () then
+    Obs.Span.with_ ~name:"engine.search"
+      ~attrs:
+        [ ("width", string_of_int (Circuit.n_qubits c));
+          ("gates", string_of_int (Circuit.length c)) ]
+      f
+  else f ()
+
 (* [search] plus a flag telling whether the result was produced under an
    injected fault (and therefore must never be cached or persisted) —
    the batch drivers bring this flag back from the workers so the
@@ -316,11 +373,7 @@ let search_flagged t c =
       (match store with
       | Some _ -> Obs.count "engine.cache.miss"
       | None -> ());
-      Obs.Span.with_ ~name:"engine.search"
-        ~attrs:
-          [ ("width", string_of_int (Circuit.n_qubits c));
-            ("gates", string_of_int (Circuit.length c)) ]
-      @@ fun () ->
+      search_span c @@ fun () ->
       let injected = ref false in
       (* Real (non-injected) attempts that failed still burned optimizer
          time; surface at least the run count in the fallback's cost. *)
@@ -461,16 +514,23 @@ let run_batch (type r) ?workers t circuits
   let arr = Array.of_list circuits in
   let n = Array.length arr in
   let keys = Array.map block_key arr in
-  let first = Hashtbl.create (2 * n + 16) in
+  (* first.(i): the first input with input i's key. *)
+  let first = Array.make n 0 in
+  let seen = Hashtbl.create (2 * n + 16) in
   Array.iteri
-    (fun i k -> if not (Hashtbl.mem first k) then Hashtbl.add first k i)
+    (fun i k ->
+      match Hashtbl.find seen k with
+      | j -> first.(i) <- j
+      | exception Not_found ->
+        Hashtbl.add seen k i;
+        first.(i) <- i)
     keys;
   let results : r option array = Array.make n None in
   let cache_hits = ref 0 in
   let todo = ref [] in
   Array.iteri
     (fun i k ->
-      if Hashtbl.find first k <> i then
+      if first.(i) <> i then
         (* Duplicate block: assembled from its first occurrence below. *)
         incr cache_hits
       else if Circuit.length arr.(i) = 0 then
@@ -564,7 +624,7 @@ let run_batch (type r) ?workers t circuits
     todo pool_out;
   let out =
     List.init n (fun i ->
-        match results.(Hashtbl.find first keys.(i)) with
+        match results.(first.(i)) with
         | Some r -> r
         | None -> assert false (* every first occurrence was resolved *))
   in

@@ -74,6 +74,12 @@ val block_key : Circuit.t -> string
     IEEE-754 angle bits, operand qubits.  Distinct bindings — however
     close — get distinct keys. *)
 
+val slice_key : Circuit.t -> string
+(** Key of an unbound slice block that every binding of theta shares:
+    width, gate names, each angle's parameter index and the exact bits of
+    its scale and offset, operand qubits.  The numeric engine's
+    hyperparameter memo ({!flex_many}) is keyed on it. *)
+
 val search : t -> Circuit.t -> block_result
 (** Minimal pulse duration of a parameter-free block (width <= 4, operands
     of two-qubit gates adjacent under the engine's topology).  Never

@@ -23,7 +23,8 @@ type compiled = {
 }
 
 val speedup : baseline:compiled -> compiled -> float
-(** [baseline.duration / c.duration]. *)
+(** [baseline.duration / c.duration]; [1.0] when both are zero (a circuit
+    with no gates). *)
 
 val degraded : compiled -> bool
 (** Whether any fallback was taken. *)

@@ -15,11 +15,11 @@ let validate_instr n { gate; qubits } =
     invalid_arg
       (Printf.sprintf "Circuit: gate %s expects %d operands, got %d"
          (Gate.name gate) (Gate.arity gate) k);
-  Array.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg (Printf.sprintf "Circuit: qubit %d out of range [0,%d)" q n))
-    qubits;
+  for j = 0 to k - 1 do
+    let q = qubits.(j) in
+    if q < 0 || q >= n then
+      invalid_arg (Printf.sprintf "Circuit: qubit %d out of range [0,%d)" q n)
+  done;
   if k = 2 && qubits.(0) = qubits.(1) then
     invalid_arg "Circuit: duplicate operand on two-qubit gate"
 
@@ -56,21 +56,30 @@ let concat a b =
 
 let iter f c = Array.iter f c.ops
 
+(* An instruction whose gate [f] returns unchanged is shared, not
+   copied. *)
 let map_gates f c =
-  { c with ops = Array.map (fun i -> { i with gate = f i.gate }) c.ops }
+  { c with
+    ops =
+      Array.map
+        (fun i ->
+          let gate = f i.gate in
+          if gate == i.gate then i else { i with gate })
+        c.ops }
 
 let bind c theta =
   map_gates (Gate.map_param (fun p -> Param.const (Param.bind p theta))) c
 
+module Int_set = Set.Make (Int)
+
 let depends c =
-  let module S = Set.Make (Int) in
-  let s =
-    Array.fold_left
-      (fun acc i ->
-        match Gate.depends_on i.gate with None -> acc | Some v -> S.add v acc)
-      S.empty c.ops
-  in
-  S.elements s
+  Array.fold_left
+    (fun acc i ->
+      match Gate.depends_on i.gate with
+      | None -> acc
+      | Some v -> Int_set.add v acc)
+    Int_set.empty c.ops
+  |> Int_set.elements
 
 let n_params c =
   Array.fold_left
@@ -99,8 +108,12 @@ let gate_counts c =
 let qubit_used c q = Array.exists (fun i -> Array.mem q i.qubits) c.ops
 
 let relabel c ~n ~mapping =
-  let rename i = { i with qubits = Array.map mapping i.qubits } in
-  of_instrs n (List.map rename (Array.to_list c.ops))
+  let ops =
+    Array.map (fun i -> { i with qubits = Array.map mapping i.qubits }) c.ops
+  in
+  if n <= 0 then invalid_arg "Circuit: width must be positive";
+  Array.iter (validate_instr n) ops;
+  { n; ops }
 
 let inverse c =
   let rec invert acc = function

@@ -41,9 +41,12 @@ let param = function
   | Rx p | Ry p | Rz p -> Some p
   | X | Y | Z | H | S | Sdg | T | Tdg | CX | CZ | Swap | ISwap -> None
 
-let depends_on g = Option.bind (param g) Param.depends_on
+let depends_on = function
+  | Rx p | Ry p | Rz p -> Param.depends_on p
+  | X | Y | Z | H | S | Sdg | T | Tdg | CX | CZ | Swap | ISwap -> None
 
-let is_parametrized g = depends_on g <> None
+let is_parametrized g =
+  match depends_on g with Some _ -> true | None -> false
 
 let map_param f = function
   | Rx p -> Rx (f p)

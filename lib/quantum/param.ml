@@ -42,7 +42,9 @@ let add a b =
       else Some { var = Some i; scale; offset }
     end
 
-let equal a b = a.var = b.var && a.scale = b.scale && a.offset = b.offset
+let equal a b =
+  Option.equal Int.equal a.var b.var
+  && a.scale = b.scale && a.offset = b.offset
 
 let pp fmt p =
   match p.var with

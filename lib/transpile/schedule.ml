@@ -2,15 +2,21 @@ module Circuit = Pqc_quantum.Circuit
 
 let asap ~n ~qubits ~duration ?(emit = fun _ _ _ -> ()) iter =
   let free = Array.make n 0.0 in
-  let makespan = ref 0.0 in
+  (* One unboxed cell: the running makespan is updated once per job. *)
+  let makespan = Array.make 1 0.0 in
   iter (fun job ->
       let qs = qubits job in
-      let start = Array.fold_left (fun t q -> Float.max t free.(q)) 0.0 qs in
-      let finish = start +. duration job in
-      Array.iter (fun q -> free.(q) <- finish) qs;
-      makespan := Float.max !makespan finish;
-      emit job start finish);
-  !makespan
+      let start = ref 0.0 in
+      for j = 0 to Array.length qs - 1 do
+        start := Float.max !start free.(qs.(j))
+      done;
+      let finish = !start +. duration job in
+      for j = 0 to Array.length qs - 1 do
+        free.(qs.(j)) <- finish
+      done;
+      makespan.(0) <- Float.max makespan.(0) finish;
+      emit job !start finish);
+  makespan.(0)
 
 type entry = { instr : Circuit.instr; start_time : float; finish_time : float }
 

@@ -23,10 +23,15 @@ let strict_linear c =
   acc := close n !fixed_run None !acc;
   List.rev !acc
 
-let strict_linear c =
-  Pqc_obs.Obs.Span.with_ ~name:"slice.strict_linear"
-    ~attrs:[ ("gates", string_of_int (Circuit.length c)) ]
-    (fun () -> strict_linear c)
+(* Span attributes are rendered only while tracing is on. *)
+let traced name f c =
+  if Pqc_obs.Obs.enabled () then
+    Pqc_obs.Obs.Span.with_ ~name
+      ~attrs:[ ("gates", string_of_int (Circuit.length c)) ]
+      (fun () -> f c)
+  else f c
+
+let strict_linear c = traced "slice.strict_linear" strict_linear c
 
 (* The paper's Figure 3b semantics: a parametrized gate seals only its own
    qubit's timeline, so Fixed subcircuits are two-dimensional regions of the
@@ -34,59 +39,78 @@ let strict_linear c =
    region owning its qubits.  Regions are emitted in creation order, which
    is a valid linearization by the same monotone-ownership argument as
    {!Block.partition} (per-qubit gate order is preserved, so the
-   concatenation is circuit-equivalent — property-tested). *)
-type region_owner = Unowned | Open_region of int | Sealed
+   concatenation is circuit-equivalent — property-tested).
+   Each qubit's owner is [unowned], [sealed] (by a parametrized gate) or
+   the id of the open region holding it; regions are numbered in creation
+   order. *)
+let unowned = -1
+let sealed = -2
 
 let strict c =
-  let n = Circuit.n_qubits c in
-  let owner = Array.make n Unowned in
-  let regions = Hashtbl.create 16 in
-  (* Output slots, reversed; fixed regions are filled as they grow. *)
+  let n = Circuit.n_qubits c and len = Circuit.length c in
+  let owner = Array.make n unowned in
+  (* Region of each fixed instruction; -1 for a parametrized one. *)
+  let region_of = Array.make len (-1) in
+  (* Output slots in order: a region id where the region opened, or
+     -(k + 1) for the parametrized instruction k. *)
+  let slots = Array.make len 0 in
+  let n_slots = ref 0 and n_regions = ref 0 in
+  for k = 0 to len - 1 do
+    let i = Circuit.instr c k in
+    let qs = i.qubits in
+    match Gate.depends_on i.gate with
+    | Some _ ->
+      slots.(!n_slots) <- -(k + 1);
+      incr n_slots;
+      for j = 0 to Array.length qs - 1 do
+        owner.(qs.(j)) <- sealed
+      done
+    | None ->
+      (* A fixed gate extends the one open region owning its qubits when
+         every other operand is unowned; otherwise it opens a region. *)
+      let target = ref unowned and fresh = ref false in
+      for j = 0 to Array.length qs - 1 do
+        let o = owner.(qs.(j)) in
+        if o = sealed then fresh := true
+        else if o >= 0 then
+          if !target = unowned then target := o
+          else if !target <> o then fresh := true
+      done;
+      let id =
+        if !fresh || !target = unowned then begin
+          let id = !n_regions in
+          incr n_regions;
+          slots.(!n_slots) <- id;
+          incr n_slots;
+          id
+        end
+        else !target
+      in
+      region_of.(k) <- id;
+      for j = 0 to Array.length qs - 1 do
+        owner.(qs.(j)) <- id
+      done
+  done;
+  let regions = Array.make !n_regions [] in
+  for k = len - 1 downto 0 do
+    let r = region_of.(k) in
+    if r >= 0 then regions.(r) <- Circuit.instr c k :: regions.(r)
+  done;
   let out = ref [] in
-  let next_id = ref 0 in
-  let fresh_region instr =
-    let id = !next_id in
-    incr next_id;
-    Hashtbl.replace regions id (ref [ instr ]);
-    out := `Region id :: !out;
-    id
-  in
-  Circuit.iter
-    (fun (i : Circuit.instr) ->
-      match Gate.depends_on i.gate with
-      | Some _ ->
-        out := `Theta i :: !out;
-        Array.iter (fun q -> owner.(q) <- Sealed) i.qubits
-      | None ->
-        let owners =
-          Array.to_list i.qubits
-          |> List.map (fun q -> owner.(q))
-          |> List.sort_uniq compare
-        in
-        let id =
-          match owners with
-          | [ Open_region id ] | [ Unowned; Open_region id ] ->
-            let r = Hashtbl.find regions id in
-            r := i :: !r;
-            id
-          | [ Unowned ] | [] | [ Sealed ] | [ Unowned; Sealed ] | _ :: _ :: _ ->
-            fresh_region i
-        in
-        Array.iter (fun q -> owner.(q) <- Open_region id) i.qubits)
-    c;
-  List.rev !out
-  |> List.map (fun slot ->
-         match slot with
-         | `Theta (i : Circuit.instr) ->
-           { var = Gate.depends_on i.gate; circuit = Circuit.of_instrs n [ i ] }
-         | `Region id ->
-           let r = Hashtbl.find regions id in
-           { var = None; circuit = Circuit.of_instrs n (List.rev !r) })
+  for s = !n_slots - 1 downto 0 do
+    let slot = slots.(s) in
+    let slice =
+      if slot >= 0 then
+        { var = None; circuit = Circuit.of_instrs n regions.(slot) }
+      else
+        let i = Circuit.instr c (-slot - 1) in
+        { var = Gate.depends_on i.gate; circuit = Circuit.of_instrs n [ i ] }
+    in
+    out := slice :: !out
+  done;
+  !out
 
-let strict c =
-  Pqc_obs.Obs.Span.with_ ~name:"slice.strict"
-    ~attrs:[ ("gates", string_of_int (Circuit.length c)) ]
-    (fun () -> strict c)
+let strict c = traced "slice.strict" strict c
 
 let is_monotone c =
   let seen = Hashtbl.create 8 in
@@ -127,10 +151,7 @@ let flexible c =
   acc := close n !run !cur !acc;
   List.rev !acc
 
-let flexible c =
-  Pqc_obs.Obs.Span.with_ ~name:"slice.flexible"
-    ~attrs:[ ("gates", string_of_int (Circuit.length c)) ]
-    (fun () -> flexible c)
+let flexible c = traced "slice.flexible" flexible c
 
 let concat_all ~n slices =
   let b = Circuit.Builder.create n in

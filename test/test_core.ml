@@ -337,7 +337,12 @@ let compiled_of_pulse pulse =
 
 let test_speedup () =
   let mk d = compiled_of_pulse (Pulse.schedule ~n:1 [ job "b" [ 0 ] d ]) in
-  Alcotest.(check (float 1e-12)) "2x" 2.0 (Strategy.speedup ~baseline:(mk 10.0) (mk 5.0))
+  Alcotest.(check (float 1e-12)) "2x" 2.0
+    (Strategy.speedup ~baseline:(mk 10.0) (mk 5.0));
+  (* A circuit with no gates: both pulses are empty, so equally long. *)
+  let empty = compiled_of_pulse (Pulse.schedule ~n:1 []) in
+  Alcotest.(check (float 0.0)) "empty circuit 1x" 1.0
+    (Strategy.speedup ~baseline:empty empty)
 
 let test_nan_schedule_unusable () =
   (* A NaN block duration survives the scheduler even when a finite block
