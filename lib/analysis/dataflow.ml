@@ -105,14 +105,14 @@ let find_def_use t v = List.find_opt (fun d -> d.var = v) t.def_uses
 let rec same_qubits (a : int array) b k =
   k >= Array.length a || (a.(k) = b.(k) && same_qubits a b (k + 1))
 
-(* The same gate (constructor and angle) on the same operands.  Gates
-   without an angle are constant constructors, so [==] compares them. *)
+(* The same gate (constructor and angle) on the same operands. *)
 let instr_equal (a : Circuit.instr) (b : Circuit.instr) =
   (match (a.gate, b.gate) with
   | Gate.Rx p, Gate.Rx q | Gate.Ry p, Gate.Ry q | Gate.Rz p, Gate.Rz q ->
     Param.equal p q
-  | Gate.(Rx _ | Ry _ | Rz _), _ | _, Gate.(Rx _ | Ry _ | Rz _) -> false
-  | g, h -> g == h)
+  | Gate.(Rx _ | Ry _ | Rz _), _ -> false
+  | Gate.(X | Y | Z | H | S | Sdg | T | Tdg | CX | CZ | Swap | ISwap as g), h ->
+    g == h)
   && Array.length a.qubits = Array.length b.qubits
   && same_qubits a.qubits b.qubits 0
 

@@ -253,7 +253,7 @@ let strategy_of_string s =
 
 let run_strategy ?workers ~max_width ~engine strategy c ~theta =
   Pqc_obs.Obs.Span.with_ ~name:"compiler.strategy"
-    ~attrs:[ ("strategy", strategy_name strategy) ]
+    ~attrs:(fun () -> [ ("strategy", strategy_name strategy) ])
   @@ fun () ->
   match strategy with
   | Gate_based -> gate_based c ~theta
@@ -309,10 +309,10 @@ let compile ?workers ?(max_width = 4) ~engine strategy c ~theta =
   in
   Ctx.with_ctx ctx @@ fun () ->
   Pqc_obs.Obs.Span.with_ ~name:"compiler.compile"
-    ~attrs:
+    ~attrs:(fun () ->
       [ ("strategy", strategy_name strategy);
         ("qubits", string_of_int (Circuit.n_qubits c));
-        ("gates", string_of_int (Circuit.length c)) ]
+        ("gates", string_of_int (Circuit.length c)) ])
   @@ fun () ->
   let lint_degs = analysis_gate ~max_width strategy c ~theta in
   let rec go degs = function

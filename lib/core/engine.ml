@@ -133,7 +133,8 @@ let persist_result = function
        (* Merge, not overwrite: two engines (or two worker pools) that
           persist to the same cache path must both survive on disk. *)
        Obs.Span.with_ ~name:"engine.persist"
-         ~attrs:[ ("entries", string_of_int (List.length entries)) ]
+         ~attrs:(fun () ->
+           [ ("entries", string_of_int (List.length entries)) ])
          (fun () ->
            (* An unwritable or full cache path must not fail the compile
               that produced the results: the memo table is intact, only
@@ -327,17 +328,6 @@ let fallback_result c reason spent =
     fallback = Some reason;
     run_id = Obs.Ctx.current () }
 
-(* The span of one block search; its attributes are rendered only while
-   tracing is on. *)
-let search_span c f =
-  if Obs.enabled () then
-    Obs.Span.with_ ~name:"engine.search"
-      ~attrs:
-        [ ("width", string_of_int (Circuit.n_qubits c));
-          ("gates", string_of_int (Circuit.length c)) ]
-      f
-  else f ()
-
 (* [search] plus a flag telling whether the result was produced under an
    injected fault (and therefore must never be cached or persisted) —
    the batch drivers bring this flag back from the workers so the
@@ -373,7 +363,11 @@ let search_flagged t c =
       (match store with
       | Some _ -> Obs.count "engine.cache.miss"
       | None -> ());
-      search_span c @@ fun () ->
+      Obs.Span.with_ ~name:"engine.search"
+        ~attrs:(fun () ->
+          [ ("width", string_of_int (Circuit.n_qubits c));
+            ("gates", string_of_int (Circuit.length c)) ])
+      @@ fun () ->
       let injected = ref false in
       (* Real (non-injected) attempts that failed still burned optimizer
          time; surface at least the run count in the fallback's cost. *)
@@ -509,7 +503,7 @@ let run_batch (type r) ?workers t circuits
     r list * pool_stats * Resilience.degradation list =
   List.iter require_bound circuits;
   Obs.Span.with_ ~name:"engine.batch"
-    ~attrs:[ ("items", string_of_int (List.length circuits)) ]
+    ~attrs:(fun () -> [ ("items", string_of_int (List.length circuits)) ])
   @@ fun () ->
   let arr = Array.of_list circuits in
   let n = Array.length arr in

@@ -350,10 +350,10 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
   let dim = sys.dim in
   let nc = Array.length sys.controls in
   Obs.Span.with_ ~name:"grape.optimize"
-    ~attrs:
+    ~attrs:(fun () ->
       [ ("dim", string_of_int dim);
         ("total_time", Printf.sprintf "%g" total_time);
-        ("max_iters", string_of_int settings.max_iters) ]
+        ("max_iters", string_of_int settings.max_iters) ])
   @@ fun () ->
   let dt = settings.dt in
   let dsub2 =
@@ -519,9 +519,9 @@ type search = {
 let minimal_time ?(settings = default_settings) ?(precision = 0.3) ?deadline
     ~upper_bound sys ~target =
   Obs.Span.with_ ~name:"grape.minimal_time"
-    ~attrs:
+    ~attrs:(fun () ->
       [ ("dim", string_of_int sys.Hamiltonian.dim);
-        ("upper_bound", Printf.sprintf "%g" upper_bound) ]
+        ("upper_bound", Printf.sprintf "%g" upper_bound) ])
   @@ fun () ->
   let probes = ref [] in
   let iters = ref 0 in

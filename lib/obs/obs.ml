@@ -309,9 +309,10 @@ module Flight = struct
 end
 
 module Span = struct
-  let with_ ~name ?(attrs = []) f =
+  let with_ ~name ?attrs f =
     if not !enabled_flag then f ()
     else begin
+      let attrs = match attrs with Some a -> a () | None -> [] in
       incr next_id;
       let id = !next_id in
       let parent = match !stack with p :: _ -> p | [] -> 0 in

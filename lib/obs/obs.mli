@@ -117,10 +117,12 @@ val reset : unit -> unit
 (** {2 Recording} *)
 
 module Span : sig
-  val with_ : name:string -> ?attrs:attr list -> (unit -> 'a) -> 'a
+  val with_ : name:string -> ?attrs:(unit -> attr list) -> (unit -> 'a) -> 'a
   (** [with_ ~name ~attrs f] runs [f] inside a timed span.  When tracing
-      is disabled this is just [f ()].  An exception closes the span
-      (with an ["error"] attribute) and re-raises. *)
+      is disabled this is just [f ()], and [attrs] is never called, so a
+      hot call site renders its attributes only while tracing is on.  An
+      exception closes the span (with an ["error"] attribute) and
+      re-raises. *)
 end
 
 val count : ?by:float -> string -> unit

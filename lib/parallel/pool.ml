@@ -206,7 +206,7 @@ let child_loop ~f ~items ~feed ~wr wid =
   in
   (try
      Obs.Span.with_ ~name:"pool.worker"
-       ~attrs:[ ("worker", string_of_int wid) ]
+       ~attrs:(fun () -> [ ("worker", string_of_int wid) ])
        (fun () ->
          let rec loop () =
            match next () with
@@ -276,9 +276,9 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label f items =
   if requested <= 1 || n <= 1 then sequential f items
   else
     Obs.Span.with_ ~name:"pool.map"
-      ~attrs:
+      ~attrs:(fun () ->
         [ ("items", string_of_int n);
-          ("workers", string_of_int (min requested n)) ]
+          ("workers", string_of_int (min requested n)) ])
       (fun () ->
         (* A feed write to a worker that has died must fail with EPIPE,
            not kill the parent. *)

@@ -23,10 +23,12 @@ let validate_instr n { gate; qubits } =
   if k = 2 && qubits.(0) = qubits.(1) then
     invalid_arg "Circuit: duplicate operand on two-qubit gate"
 
-let of_instrs n l =
+let of_array n ops =
   if n <= 0 then invalid_arg "Circuit: width must be positive";
-  List.iter (validate_instr n) l;
-  { n; ops = Array.of_list l }
+  Array.iter (validate_instr n) ops;
+  { n; ops }
+
+let of_instrs n l = of_array n (Array.of_list l)
 
 let empty n = of_instrs n []
 
@@ -108,12 +110,8 @@ let gate_counts c =
 let qubit_used c q = Array.exists (fun i -> Array.mem q i.qubits) c.ops
 
 let relabel c ~n ~mapping =
-  let ops =
-    Array.map (fun i -> { i with qubits = Array.map mapping i.qubits }) c.ops
-  in
-  if n <= 0 then invalid_arg "Circuit: width must be positive";
-  Array.iter (validate_instr n) ops;
-  { n; ops }
+  of_array n
+    (Array.map (fun i -> { i with qubits = Array.map mapping i.qubits }) c.ops)
 
 let inverse c =
   let rec invert acc = function

@@ -124,6 +124,12 @@ let merge ~max_width qsets n_blocks =
    first constituent's instructions, then the next one's, each in circuit
    order.  A counting sort by block gives that order. *)
 let blocks ~max_width ~indices c =
+  Pqc_obs.Obs.Span.with_ ~name:"block.partition"
+    ~attrs:(fun () ->
+      [ ("max_width", string_of_int max_width);
+        ("gates", string_of_int (Circuit.length c)) ])
+  @@ fun () ->
+  if max_width < 2 then invalid_arg "Block.partition: max_width must be >= 2";
   let n = Circuit.n_qubits c and len = Circuit.length c in
   let block_of, qsets, n_blocks = greedy ~max_width c in
   let first, last, sets, groups = merge ~max_width qsets n_blocks in
@@ -156,30 +162,10 @@ let blocks ~max_width ~indices c =
   done;
   !out
 
-let build ~max_width ~indices c =
-  if max_width < 2 then invalid_arg "Block.partition: max_width must be >= 2";
-  if Circuit.length c = 1 then
-    (* Most Fixed slices are one gate, which is one block. *)
-    let qs = (Circuit.instr c 0).qubits in
-    [ ( { qubits = Array.fold_left (fun set q -> insert q set) [] qs;
-          circuit = c },
-        if indices then [ 0 ] else [] ) ]
-  else blocks ~max_width ~indices c
-
-(* Span attributes are rendered only while tracing is on. *)
-let traced ~max_width ~indices c =
-  if Pqc_obs.Obs.enabled () then
-    Pqc_obs.Obs.Span.with_ ~name:"block.partition"
-      ~attrs:
-        [ ("max_width", string_of_int max_width);
-          ("gates", string_of_int (Circuit.length c)) ]
-      (fun () -> build ~max_width ~indices c)
-  else build ~max_width ~indices c
-
-let partition_with_indices ~max_width c = traced ~max_width ~indices:true c
+let partition_with_indices ~max_width c = blocks ~max_width ~indices:true c
 
 let partition ~max_width c =
-  List.map fst (traced ~max_width ~indices:false c)
+  List.map fst (blocks ~max_width ~indices:false c)
 
 let rec rank q k = function
   | [] -> raise Not_found

@@ -23,15 +23,10 @@ let strict_linear c =
   acc := close n !fixed_run None !acc;
   List.rev !acc
 
-(* Span attributes are rendered only while tracing is on. *)
-let traced name f c =
-  if Pqc_obs.Obs.enabled () then
-    Pqc_obs.Obs.Span.with_ ~name
-      ~attrs:[ ("gates", string_of_int (Circuit.length c)) ]
-      (fun () -> f c)
-  else f c
-
-let strict_linear c = traced "slice.strict_linear" strict_linear c
+let strict_linear c =
+  Pqc_obs.Obs.Span.with_ ~name:"slice.strict_linear"
+    ~attrs:(fun () -> [ ("gates", string_of_int (Circuit.length c)) ])
+    (fun () -> strict_linear c)
 
 (* The paper's Figure 3b semantics: a parametrized gate seals only its own
    qubit's timeline, so Fixed subcircuits are two-dimensional regions of the
@@ -110,7 +105,10 @@ let strict c =
   done;
   !out
 
-let strict c = traced "slice.strict" strict c
+let strict c =
+  Pqc_obs.Obs.Span.with_ ~name:"slice.strict"
+    ~attrs:(fun () -> [ ("gates", string_of_int (Circuit.length c)) ])
+    (fun () -> strict c)
 
 let is_monotone c =
   let seen = Hashtbl.create 8 in
@@ -151,7 +149,10 @@ let flexible c =
   acc := close n !run !cur !acc;
   List.rev !acc
 
-let flexible c = traced "slice.flexible" flexible c
+let flexible c =
+  Pqc_obs.Obs.Span.with_ ~name:"slice.flexible"
+    ~attrs:(fun () -> [ ("gates", string_of_int (Circuit.length c)) ])
+    (fun () -> flexible c)
 
 let concat_all ~n slices =
   let b = Circuit.Builder.create n in

@@ -44,7 +44,7 @@ let test_disabled_is_noop () =
 let test_span_nesting_and_order () =
   with_obs @@ fun () ->
   let r =
-    Obs.Span.with_ ~name:"outer" ~attrs:[ ("k", "v") ] (fun () ->
+    Obs.Span.with_ ~name:"outer" ~attrs:(fun () -> [ ("k", "v") ]) (fun () ->
         Obs.Span.with_ ~name:"inner" (fun () -> 7))
   in
   Alcotest.(check int) "value threads through" 7 r;
@@ -228,7 +228,7 @@ let test_encode_absorb_roundtrip () =
   (* Simulate a forked worker: tagged tid, disjoint span ids. *)
   Obs.set_worker 2;
   Obs.Span.with_ ~name:"child.span"
-    ~attrs:[ ("k", "tab\there\nand\x1e\x1frecord seps") ]
+    ~attrs:(fun () -> [ ("k", "tab\there\nand\x1e\x1frecord seps") ])
     (fun () -> ());
   Obs.count ~by:3.0 "shared.counter";
   Obs.profile ~label:"child.profile"

@@ -557,10 +557,10 @@ let prop_block_labels =
 (* ------------------------------------------------------------------ *)
 
 (* Minor-heap words that the four model-engine compiles of prepared BeH2
-   allocate, per gate.  This tree allocates 510; the budget is that plus
+   allocate, per gate.  This tree allocates 537; the budget is that plus
    15%.  The list-and-Printf implementations above allocated 3,337, so a
    return to per-gate garbage fails here. *)
-let words_per_gate_budget = 587.0
+let words_per_gate_budget = 618.0
 
 let test_allocation_budget () =
   Obs.disable ();
