@@ -420,7 +420,8 @@ let prop_extract =
 
 (* Slicings of [c] that should reconcile, and mutations of them that
    mostly should not: a dropped gate, a duplicated gate, a gate moved to
-   another qubit, and two slices swapped. *)
+   another qubit, a gate replaced by another on the same qubits, and two
+   slices swapped. *)
 let mutations rng c slices =
   let n = Circuit.n_qubits c in
   let arr = Array.of_list slices in
@@ -465,6 +466,17 @@ let mutations rng c slices =
           qubits.(Random.State.int rng (Array.length qubits)) <- pick free;
           [ { i with qubits } ])
   in
+  let replaced =
+    at_instr (fun (i : Circuit.instr) ->
+        let gate =
+          match i.gate with
+          | Gate.H -> Gate.X
+          | Gate.CX -> Gate.CZ
+          | Gate.Rx p -> Gate.Ry p
+          | g -> if Gate.arity g = 1 then Gate.H else Gate.CX
+        in
+        [ { i with gate } ])
+  in
   let swapped =
     if m < 2 then []
     else
@@ -474,7 +486,7 @@ let mutations rng c slices =
           (fun j s -> if j = a then arr.(b) else if j = b then arr.(a) else s)
           slices ]
   in
-  slices :: (drop @ dup @ moved @ swapped)
+  slices :: (drop @ dup @ moved @ replaced @ swapped)
 
 let prop_reconcile =
   QCheck.Test.make ~count:500
