@@ -100,15 +100,6 @@ let propagate (sys : Hamiltonian.t) ~dt u =
   done;
   !acc
 
-(* Exact-bits comparison: the expm memo must only reuse a slice propagator
-   when the controls are indistinguishable at the IEEE-754 level ([=] alone
-   would conflate +0.0 with -0.0, whose products differ in zero signs).
-   For equal nonzero values plain [=] suffices; the reciprocal probe
-   separates the two zeros (1/+0. = inf, 1/-0. = -inf) without boxing an
-   Int64 per comparison.  NaN compares unequal, i.e. "changed" — controls
-   are NaN-guarded upstream anyway. *)
-let[@inline] same_bits a b = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
-
 let subspace_overlap sys target_embedded u_total =
   let o = Cmat.inner target_embedded u_total in
   let d = float_of_int (Hamiltonian.subspace_dim sys) in
@@ -136,20 +127,13 @@ let steps_of settings total_time =
 
 (* The two sweeps of one ADAM iteration, over buffers a run allocates once.
 
-   [forward ~first] brings the slice propagators U_k = exp(-i dt H(u_k))
-   and the prefix products P_k = U_k ... U_0 up to date with the controls,
-   writes the overlap Tr(T† P_{N-1}) to [ov.(0)] (re) and [ov.(1)] (im),
-   and returns the number of steps it reused.  A step is reused when its
-   control column kept its exact IEEE-754 bits since the previous call
-   (clip-saturated tails, converged coordinates): exact bits are the only
-   "quantization" that cannot change pulses, which keeps this expm memo
-   invisible to the determinism suite.  [first] rebuilds every step.  The
-   prefix products are redone from the first rebuilt step on; earlier ones
-   depend only on reused steps.
+   [forward ()] builds every slice propagator U_k = exp(-i dt H(u_k)) from
+   the current controls and the prefix products P_k = U_k ... U_0, and
+   writes the overlap Tr(T† P_{N-1}) to [ov.(0)] (re) and [ov.(1)] (im).
 
    [backward ()] writes the cost gradient -dF/du_jk plus the amplitude
    penalty's term to [grad.(j).(k)], from the overlap in [ov]. *)
-type passes = { forward : first:bool -> int; backward : unit -> unit }
+type passes = { forward : unit -> unit; backward : unit -> unit }
 
 (* The passes in OCaml, for every dimension but 4. *)
 let generic_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
@@ -160,9 +144,6 @@ let generic_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
   let gen_buf = Cmat.create dim dim in
   let slice_u = Array.init n_steps (fun _ -> Cmat.create dim dim) in
   let prefix = Array.init n_steps (fun _ -> Cmat.create dim dim) in
-  (* Memo keys: one float per control per step, bounded for the life of
-     the run. *)
-  let memo_key = Array.init n_steps (fun _ -> Array.make nc 0.0) in
   let m_buf = ref (Cmat.create dim dim) in
   let m_next = ref (Cmat.create dim dim) in
   let w_buf = Cmat.create dim dim in
@@ -179,58 +160,39 @@ let generic_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
   let gd = Cmat.data gen_buf and wd = Cmat.data w_buf in
   let buf_len = BA.dim gd in
   let target_dag = Cmat.dagger embedded in
-  let forward ~first =
-    let hits = ref 0 in
-    let first_dirty = ref n_steps in
+  let forward () =
     for k = 0 to n_steps - 1 do
-      let key = memo_key.(k) in
-      let hit = ref (not first) in
-      if !hit then
+      (* gen = -i dt (drift + sum_j u_jk H_j), fused into one pass per
+         element: per entry this performs the exact per-element chains of
+         [build_slice_hamiltonian] (drift value, then controls in ascending
+         j) followed by [Cmat.scale_ri_into ~re:0.0 ~im:neg_dt], so the
+         fusion is bit-invisible.  It saves the per-control full-buffer
+         passes over H plus the separate scale pass, and keeps the
+         coefficient an unboxed local. *)
+      let ii = ref 0 in
+      while !ii < buf_len do
+        let p = !ii in
+        let hre = ref (BA.unsafe_get drift_d p)
+        and him = ref (BA.unsafe_get drift_d (p + 1)) in
         for j = 0 to nc - 1 do
-          if not (same_bits key.(j) u.(j).(k)) then hit := false
+          let zre = u.(j).(k) in
+          let xd = ctrl_data.(j) in
+          let re = BA.unsafe_get xd p and im = BA.unsafe_get xd (p + 1) in
+          hre := !hre +. ((zre *. re) -. (0.0 *. im));
+          him := !him +. ((zre *. im) +. (0.0 *. re))
         done;
-      if !hit then incr hits
-      else begin
-        for j = 0 to nc - 1 do
-          key.(j) <- u.(j).(k)
-        done;
-        (* gen = -i dt (drift + sum_j u_jk H_j), fused into one pass per
-           element: per entry this performs the exact per-element chains of
-           [build_slice_hamiltonian] (drift value, then controls in
-           ascending j) followed by [Cmat.scale_ri_into ~re:0.0 ~im:neg_dt],
-           so the fusion is bit-invisible.  It saves the per-control
-           full-buffer passes over H plus the separate scale pass, and keeps
-           the coefficient an unboxed local.  [key] holds exactly u.(j).(k)
-           (just written above). *)
-        let ii = ref 0 in
-        while !ii < buf_len do
-          let p = !ii in
-          let hre = ref (BA.unsafe_get drift_d p)
-          and him = ref (BA.unsafe_get drift_d (p + 1)) in
-          for j = 0 to nc - 1 do
-            let zre = key.(j) in
-            let xd = ctrl_data.(j) in
-            let re = BA.unsafe_get xd p and im = BA.unsafe_get xd (p + 1) in
-            hre := !hre +. ((zre *. re) -. (0.0 *. im));
-            him := !him +. ((zre *. im) +. (0.0 *. re))
-          done;
-          let re = !hre and im = !him in
-          BA.unsafe_set gd p ((0.0 *. re) -. (neg_dt *. im));
-          BA.unsafe_set gd (p + 1) ((0.0 *. im) +. (neg_dt *. re));
-          ii := p + 2
-        done;
-        Expm.expm_into ws ~dst:slice_u.(k) gen_buf;
-        if !first_dirty = n_steps then first_dirty := k
-      end
-    done;
-    for k = !first_dirty to n_steps - 1 do
+        let re = !hre and im = !him in
+        BA.unsafe_set gd p ((0.0 *. re) -. (neg_dt *. im));
+        BA.unsafe_set gd (p + 1) ((0.0 *. im) +. (neg_dt *. re));
+        ii := p + 2
+      done;
+      Expm.expm_into ws ~dst:slice_u.(k) gen_buf;
       if k = 0 then Cmat.blit ~src:slice_u.(0) ~dst:prefix.(0)
       else Cmat.mul_into_unchecked ~dst:prefix.(k) slice_u.(k) prefix.(k - 1)
     done;
     let o = Cmat.inner embedded prefix.(n_steps - 1) in
     ov.(0) <- o.Complex.re;
-    ov.(1) <- o.Complex.im;
-    !hits
+    ov.(1) <- o.Complex.im
   in
   let backward () =
     (* M_k = T† R_k with R_k = U_T ... U_{k+1}. *)
@@ -296,9 +258,9 @@ let generic_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
    holds the embedded target, the drift and the controls, [slices] the
    slice propagators and [prefix] the prefix products. *)
 external forward4 :
-  Cmat.buffer -> int -> int -> (float[@unboxed]) -> bool ->
-  float array array -> Cmat.buffer -> Cmat.buffer -> Cmat.buffer ->
-  float array -> int = "pqc_grape4_forward_byte" "pqc_grape4_forward"
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
+  Cmat.buffer -> Cmat.buffer -> float array -> unit
+  = "pqc_grape4_forward_byte" "pqc_grape4_forward"
 [@@noalloc]
 
 external backward4 :
@@ -329,15 +291,11 @@ let dim4_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
   let matrices = Array.map (fun c -> c.Hamiltonian.matrix) sys.controls in
   let sys4 = split4 (Array.append [| embedded; sys.drift |] matrices) in
   let max_amp = Array.map (fun c -> c.Hamiltonian.max_amp) sys.controls in
-  (* Unfilled: the first forward pass writes every key and matrix before
-     any is read. *)
+  (* Unfilled: every forward pass writes every matrix before any is read. *)
   let buf n = BA.create Bigarray.Float64 Bigarray.C_layout n in
-  let keys = buf (nc * n_steps) in
   let slices = buf (32 * n_steps) and prefix = buf (32 * n_steps) in
   let neg_dt = -.dt in
-  { forward =
-      (fun ~first ->
-        forward4 sys4 nc n_steps neg_dt first u keys slices prefix ov);
+  { forward = (fun () -> forward4 sys4 nc n_steps neg_dt u slices prefix ov);
     backward =
       (fun () ->
         backward4 sys4 nc n_steps neg_dt slices prefix ov dsub2 amp_penalty
@@ -380,7 +338,6 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
       sys ~dt ~amp_penalty:settings.amp_penalty ~dsub2 ~embedded ~n_steps ~u
       ~grad ~ov
   in
-  let memo_hits = ref 0 in
   let best_fidelity = ref 0.0 in
   let best_u = Array.map Array.copy u in
   let iterations = ref 0 in
@@ -412,7 +369,7 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
          deadline_hit := true;
          raise Exit
        | _ -> ());
-       memo_hits := !memo_hits + passes.forward ~first:(iter = 1);
+       passes.forward ();
        (* |O|^2 / d^2, as [subspace_overlap] computes it. *)
        let fid = ((ov.(0) *. ov.(0)) +. (ov.(1) *. ov.(1))) /. dsub2 in
        (* Divergence guard: a NaN/inf fidelity means the propagators blew
@@ -495,8 +452,6 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
        done
      done
    with Exit -> ());
-  if !memo_hits > 0 then
-    Obs.count ~by:(float_of_int !memo_hits) "grape.expm.memo_hits";
   if !prof_points <> [] then
     Obs.profile
       ~label:

@@ -139,28 +139,6 @@ let mul_tile (ad : buffer) (bd : buffer) (dd : buffer) p q i_lo i_hi j_lo j_hi =
     done
   done
 
-(* Fully unrolled 2x2 product: the single-qubit (and qutrit-free) GRAPE
-   block size.  Sums carry the same leading [0.0 +. t0] and ascending-k adds
-   as the generic loop, so results are bit-identical. *)
-let mul2 (ad : buffer) (bd : buffer) (dd : buffer) =
-  let b00r = BA.unsafe_get bd 0 and b00i = BA.unsafe_get bd 1 in
-  let b01r = BA.unsafe_get bd 2 and b01i = BA.unsafe_get bd 3 in
-  let b10r = BA.unsafe_get bd 4 and b10i = BA.unsafe_get bd 5 in
-  let b11r = BA.unsafe_get bd 6 and b11i = BA.unsafe_get bd 7 in
-  for i = 0 to 1 do
-    let ai = 4 * i in
-    let a0r = BA.unsafe_get ad ai and a0i = BA.unsafe_get ad (ai + 1) in
-    let a1r = BA.unsafe_get ad (ai + 2) and a1i = BA.unsafe_get ad (ai + 3) in
-    BA.unsafe_set dd ai
-      ((0.0 +. ((a0r *. b00r) -. (a0i *. b00i))) +. ((a1r *. b10r) -. (a1i *. b10i)));
-    BA.unsafe_set dd (ai + 1)
-      ((0.0 +. ((a0r *. b00i) +. (a0i *. b00r))) +. ((a1r *. b10i) +. (a1i *. b10r)));
-    BA.unsafe_set dd (ai + 2)
-      ((0.0 +. ((a0r *. b01r) -. (a0i *. b01i))) +. ((a1r *. b11r) -. (a1i *. b11i)));
-    BA.unsafe_set dd (ai + 3)
-      ((0.0 +. ((a0r *. b01i) +. (a0i *. b01r))) +. ((a1r *. b11i) +. (a1i *. b11r)))
-  done
-
 (* The 4x4 product (the two-qubit gmon block size, the hot case of the
    bench workloads) runs in C, vectorized over each output row with the
    summation chain of [mul_tile]; see kernels4.c. *)
@@ -173,7 +151,6 @@ let mul_dispatch ~dst a b =
   let n = a.r and p = a.c and q = b.c in
   let ad = a.d and bd = b.d and dd = dst.d in
   if p = 4 && n = 4 && q = 4 then c_mul4 ad bd dd
-  else if p = 2 && n = 2 && q = 2 then mul2 ad bd dd
   else if n <= mul_block && q <= mul_block then
     (* Small matrices (the GRAPE slice regime, dim <= 81) are a single tile:
        skip the blocking bookkeeping entirely. *)

@@ -40,26 +40,16 @@ let[@inline] taylor_step ~term ~term' ~acc c =
   let td = Cmat.data term and sd = Cmat.data term' and ad = Cmat.data acc in
   let len = BA.dim td in
   (* Elements are independent, so unrolling is bit-invisible.  len = 2n^2:
-     the 2x2 case (the single-qubit GRAPE slice regime, where loop overhead
-     rivals the arithmetic) is fully unrolled; even dimensions take the
-     two-elements-per-round loop; odd dimensions leave one trailing
-     element. *)
-  if len = 8 then begin
-    taylor_elem td sd ad c 0;
-    taylor_elem td sd ad c 2;
-    taylor_elem td sd ad c 4;
-    taylor_elem td sd ad c 6
-  end
-  else begin
-    let k = ref 0 in
-    while !k + 4 <= len do
-      let i = !k in
-      taylor_elem td sd ad c i;
-      taylor_elem td sd ad c (i + 2);
-      k := i + 4
-    done;
-    if !k < len then taylor_elem td sd ad c !k
-  end
+     even dimensions take the two-elements-per-round loop; odd dimensions
+     leave one trailing element. *)
+  let k = ref 0 in
+  while !k + 4 <= len do
+    let i = !k in
+    taylor_elem td sd ad c i;
+    taylor_elem td sd ad c (i + 2);
+    k := i + 4
+  done;
+  if !k < len then taylor_elem td sd ad c !k
 
 (* Squarings needed to bring the one-norm to at most 1/2.  A non-finite
    ceiling (an infinite norm, from a diverged GRAPE run) gives 0, the value
@@ -72,145 +62,6 @@ let[@inline] scaling_exponent norm =
     let c = ceil (log (norm /. 0.5) /. log 2.0) in
     if Float.is_finite c then int_of_float c else 0
 
-(* Fully specialized n = 2 exponential: the single-qubit GRAPE slice regime,
-   where buffer traffic and loop overhead rival the arithmetic.  The whole
-   Taylor/squaring state lives in unboxed locals; every expression
-   transcribes the generic path operation for operation ([mul2]'s summation
-   chains, [taylor_elem]'s fused update, [Cmat.one_norm]'s column order), so
-   the result is bit-identical to the generic code. *)
-let expm2_into ~dst a =
-  let ad = Cmat.data a in
-  let x0r = BA.unsafe_get ad 0 and x0i = BA.unsafe_get ad 1 in
-  let x1r = BA.unsafe_get ad 2 and x1i = BA.unsafe_get ad 3 in
-  let x2r = BA.unsafe_get ad 4 and x2i = BA.unsafe_get ad 5 in
-  let x3r = BA.unsafe_get ad 6 and x3i = BA.unsafe_get ad 7 in
-  (* one_norm: column 0 is {x0, x2}, column 1 is {x1, x3}, rows ascending. *)
-  let c0 =
-    (0.0 +. sqrt ((x0r *. x0r) +. (x0i *. x0i)))
-    +. sqrt ((x2r *. x2r) +. (x2i *. x2i))
-  in
-  let c1 =
-    (0.0 +. sqrt ((x1r *. x1r) +. (x1i *. x1i)))
-    +. sqrt ((x3r *. x3r) +. (x3i *. x3i))
-  in
-  let best = if c0 > 0.0 then c0 else 0.0 in
-  let norm = if c1 > best then c1 else best in
-  let s = scaling_exponent norm in
-  let inv = Float.ldexp 1.0 (-s) in
-  (* scaled = inv * a (scale_ri_into with re = inv, im = 0). *)
-  let y0r = (inv *. x0r) -. (0.0 *. x0i) and y0i = (inv *. x0i) +. (0.0 *. x0r) in
-  let y1r = (inv *. x1r) -. (0.0 *. x1i) and y1i = (inv *. x1i) +. (0.0 *. x1r) in
-  let y2r = (inv *. x2r) -. (0.0 *. x2i) and y2i = (inv *. x2i) +. (0.0 *. x2r) in
-  let y3r = (inv *. x3r) -. (0.0 *. x3i) and y3i = (inv *. x3i) +. (0.0 *. x3r) in
-  (* term = I, acc = I. *)
-  let t0r = ref 1.0 and t0i = ref 0.0 and t1r = ref 0.0 and t1i = ref 0.0 in
-  let t2r = ref 0.0 and t2i = ref 0.0 and t3r = ref 1.0 and t3i = ref 0.0 in
-  let q0r = ref 1.0 and q0i = ref 0.0 and q1r = ref 0.0 and q1i = ref 0.0 in
-  let q2r = ref 0.0 and q2i = ref 0.0 and q3r = ref 1.0 and q3i = ref 0.0 in
-  for k = 1 to taylor_order do
-    let c = 1.0 /. float_of_int k in
-    (* term' = term * scaled: mul2 with b00=y0, b01=y1, b10=y2, b11=y3. *)
-    let p0r =
-      (0.0 +. ((!t0r *. y0r) -. (!t0i *. y0i)))
-      +. ((!t1r *. y2r) -. (!t1i *. y2i))
-    in
-    let p0i =
-      (0.0 +. ((!t0r *. y0i) +. (!t0i *. y0r)))
-      +. ((!t1r *. y2i) +. (!t1i *. y2r))
-    in
-    let p1r =
-      (0.0 +. ((!t0r *. y1r) -. (!t0i *. y1i)))
-      +. ((!t1r *. y3r) -. (!t1i *. y3i))
-    in
-    let p1i =
-      (0.0 +. ((!t0r *. y1i) +. (!t0i *. y1r)))
-      +. ((!t1r *. y3i) +. (!t1i *. y3r))
-    in
-    let p2r =
-      (0.0 +. ((!t2r *. y0r) -. (!t2i *. y0i)))
-      +. ((!t3r *. y2r) -. (!t3i *. y2i))
-    in
-    let p2i =
-      (0.0 +. ((!t2r *. y0i) +. (!t2i *. y0r)))
-      +. ((!t3r *. y2i) +. (!t3i *. y2r))
-    in
-    let p3r =
-      (0.0 +. ((!t2r *. y1r) -. (!t2i *. y1i)))
-      +. ((!t3r *. y3r) -. (!t3i *. y3i))
-    in
-    let p3i =
-      (0.0 +. ((!t2r *. y1i) +. (!t2i *. y1r)))
-      +. ((!t3r *. y3i) +. (!t3i *. y3r))
-    in
-    (* term = c * term'; acc += term (taylor_elem, element for element). *)
-    let s0r = (c *. p0r) -. (0.0 *. p0i) and s0i = (c *. p0i) +. (0.0 *. p0r) in
-    t0r := s0r;
-    t0i := s0i;
-    q0r := !q0r +. ((1.0 *. s0r) -. (0.0 *. s0i));
-    q0i := !q0i +. ((1.0 *. s0i) +. (0.0 *. s0r));
-    let s1r = (c *. p1r) -. (0.0 *. p1i) and s1i = (c *. p1i) +. (0.0 *. p1r) in
-    t1r := s1r;
-    t1i := s1i;
-    q1r := !q1r +. ((1.0 *. s1r) -. (0.0 *. s1i));
-    q1i := !q1i +. ((1.0 *. s1i) +. (0.0 *. s1r));
-    let s2r = (c *. p2r) -. (0.0 *. p2i) and s2i = (c *. p2i) +. (0.0 *. p2r) in
-    t2r := s2r;
-    t2i := s2i;
-    q2r := !q2r +. ((1.0 *. s2r) -. (0.0 *. s2i));
-    q2i := !q2i +. ((1.0 *. s2i) +. (0.0 *. s2r));
-    let s3r = (c *. p3r) -. (0.0 *. p3i) and s3i = (c *. p3i) +. (0.0 *. p3r) in
-    t3r := s3r;
-    t3i := s3i;
-    q3r := !q3r +. ((1.0 *. s3r) -. (0.0 *. s3i));
-    q3i := !q3i +. ((1.0 *. s3i) +. (0.0 *. s3r))
-  done;
-  (* Squaring: acc = acc * acc, s times (mul2 with a = b = acc). *)
-  for _ = 1 to s do
-    let b0r = !q0r and b0i = !q0i and b1r = !q1r and b1i = !q1i in
-    let b2r = !q2r and b2i = !q2i and b3r = !q3r and b3i = !q3i in
-    let p0r =
-      (0.0 +. ((b0r *. b0r) -. (b0i *. b0i))) +. ((b1r *. b2r) -. (b1i *. b2i))
-    in
-    let p0i =
-      (0.0 +. ((b0r *. b0i) +. (b0i *. b0r))) +. ((b1r *. b2i) +. (b1i *. b2r))
-    in
-    let p1r =
-      (0.0 +. ((b0r *. b1r) -. (b0i *. b1i))) +. ((b1r *. b3r) -. (b1i *. b3i))
-    in
-    let p1i =
-      (0.0 +. ((b0r *. b1i) +. (b0i *. b1r))) +. ((b1r *. b3i) +. (b1i *. b3r))
-    in
-    let p2r =
-      (0.0 +. ((b2r *. b0r) -. (b2i *. b0i))) +. ((b3r *. b2r) -. (b3i *. b2i))
-    in
-    let p2i =
-      (0.0 +. ((b2r *. b0i) +. (b2i *. b0r))) +. ((b3r *. b2i) +. (b3i *. b2r))
-    in
-    let p3r =
-      (0.0 +. ((b2r *. b1r) -. (b2i *. b1i))) +. ((b3r *. b3r) -. (b3i *. b3i))
-    in
-    let p3i =
-      (0.0 +. ((b2r *. b1i) +. (b2i *. b1r))) +. ((b3r *. b3i) +. (b3i *. b3r))
-    in
-    q0r := p0r;
-    q0i := p0i;
-    q1r := p1r;
-    q1i := p1i;
-    q2r := p2r;
-    q2i := p2i;
-    q3r := p3r;
-    q3i := p3i
-  done;
-  let dd = Cmat.data dst in
-  BA.unsafe_set dd 0 !q0r;
-  BA.unsafe_set dd 1 !q0i;
-  BA.unsafe_set dd 2 !q1r;
-  BA.unsafe_set dd 3 !q1i;
-  BA.unsafe_set dd 4 !q2r;
-  BA.unsafe_set dd 5 !q2i;
-  BA.unsafe_set dd 6 !q3r;
-  BA.unsafe_set dd 7 !q3i
-
 (* The n = 4 exponential (the two-qubit gmon slice, nearly every call on the
    bench workloads) runs in C: the generic algorithm below, vectorized over
    split real/imaginary rows with the same float chain; see kernels4.c. *)
@@ -219,8 +70,7 @@ external c_expm4 : Cmat.buffer -> Cmat.buffer -> unit = "pqc_expm4" [@@noalloc]
 let rec expm_into ws ~dst a =
   assert (Cmat.rows a = ws.n && Cmat.cols a = ws.n);
   assert (Cmat.rows dst = ws.n && Cmat.cols dst = ws.n);
-  if ws.n = 2 then expm2_into ~dst a
-  else if ws.n = 4 then c_expm4 (Cmat.data a) (Cmat.data dst)
+  if ws.n = 4 then c_expm4 (Cmat.data a) (Cmat.data dst)
   else expm_generic_into ws ~dst a
 
 and expm_generic_into ws ~dst a =

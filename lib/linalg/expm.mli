@@ -8,12 +8,11 @@
     A reusable workspace keeps the inner GRAPE loop allocation-free.
 
     Dimension 4, the two-qubit slice that nearly every GRAPE exponential on
-    the bench workloads has, runs in a vectorized C kernel; dimension 2 has
-    an unrolled OCaml path; every other dimension takes the generic loop.
-    All three produce the same bits: each element follows one float chain
-    (order-13 Taylor after scaling by 2^-s, s squarings, products summed in
-    ascending index order), which [test/test_kernels.ml] pins against a
-    naive reference.
+    the bench workloads has, runs in a vectorized C kernel; every other
+    dimension takes the generic loop.  Both produce the same bits: each
+    element follows one float chain (order-13 Taylor after scaling by 2^-s,
+    s squarings, products summed in ascending index order), which
+    [test/test_kernels.ml] pins against a naive reference.
 
     The scaling exponent s is the least one bringing the one-norm to at most
     1/2.  When that is not finite (an infinite norm, as from a diverged GRAPE

@@ -174,14 +174,9 @@ enum { TARGET = 0, DRIFT = 1, CONTROLS = 2 };
 
 #define U(v, j, k) Double_flat_field(Field((v), (j)), (k))
 
-/* Grape.same_bits: NaN never matches, and +0.0 does not match -0.0. */
-INLINE int same_bits(double a, double b) {
-  return a == b && (a != 0.0 || 1.0 / a == 1.0 / b);
-}
-
-/* gen = -i dt (drift + sum_j z_j H_j).  Per element: the drift value, then
-   the controls in ascending j, then the scale by (0, -dt). */
-INLINE void generator(m4 *gen, const m4 *sys, long nc, const double *z,
+/* gen = -i dt (drift + sum_j u.(j).(k) H_j).  Per element: the drift
+   value, then the controls in ascending j, then the scale by (0, -dt). */
+INLINE void generator(m4 *gen, const m4 *sys, long nc, value u, long k,
                       double neg_dt) {
   double hr[16], hi[16];
   for (int p = 0; p < 16; p++) {
@@ -189,7 +184,7 @@ INLINE void generator(m4 *gen, const m4 *sys, long nc, const double *z,
     hi[p] = sys[DRIFT].im[p];
   }
   for (long j = 0; j < nc; j++) {
-    double zr = z[j];
+    double zr = U(u, j, k);
     const m4 *h = &sys[CONTROLS + j];
     for (int p = 0; p < 16; p++) {
       double re = h->re[p], im = h->im[p];
@@ -203,32 +198,15 @@ INLINE void generator(m4 *gen, const m4 *sys, long nc, const double *z,
   }
 }
 
-/* Forward pass.  Rebuilds and exponentiates every step whose control
-   column changed bits since the last call (every step when [first]),
-   recording the column in keys[k * nc ..].  Then redoes the prefix
-   products P_k = U_k P_{k-1} from the first rebuilt step, and writes the
-   overlap Cmat.inner target P_{N-1} to ov.(0), ov.(1).  Returns the
-   number of steps reused. */
-INLINE long forward(const m4 *sys, long nc, long n_steps, double neg_dt,
-                    int first, value u, double *keys, m4 *slices,
-                    m4 *prefix, value ov) {
-  long hits = 0, dirty = n_steps;
+/* Forward pass.  Builds and exponentiates every step's generator, forms
+   the prefix products P_k = U_k P_{k-1}, and writes the overlap
+   Cmat.inner target P_{N-1} to ov.(0), ov.(1). */
+INLINE void forward(const m4 *sys, long nc, long n_steps, double neg_dt,
+                    value u, m4 *slices, m4 *prefix, value ov) {
   for (long k = 0; k < n_steps; k++) {
-    double *key = keys + (k * nc);
-    int hit = !first;
-    for (long j = 0; hit && j < nc; j++)
-      hit = same_bits(key[j], U(u, j, k));
-    if (hit) {
-      hits++;
-      continue;
-    }
-    for (long j = 0; j < nc; j++) key[j] = U(u, j, k);
     m4 gen;
-    generator(&gen, sys, nc, key, neg_dt);
+    generator(&gen, sys, nc, u, k, neg_dt);
     expm4(&slices[k], &gen);
-    if (dirty == n_steps) dirty = k;
-  }
-  for (long k = dirty; k < n_steps; k++) {
     if (k == 0)
       prefix[0] = slices[0];
     else
@@ -243,7 +221,6 @@ INLINE long forward(const m4 *sys, long nc, long n_steps, double neg_dt,
   }
   Store_double_flat_field(ov, 0, re);
   Store_double_flat_field(ov, 1, im);
-  return hits;
 }
 
 /* Backward pass.  Starts from M = T^dagger; for k = N-1 down to 0 it forms
@@ -296,12 +273,11 @@ INLINE void backward(const m4 *sys, long nc, long n_steps, double neg_dt,
 #define M4(v) ((m4 *)Caml_ba_data_val(v))
 
 #define FORWARD_ARGS                                                    \
-  value sys, value nc, value n_steps, double neg_dt, value first,       \
-      value u, value keys, value slices, value prefix, value ov
+  value sys, value nc, value n_steps, double neg_dt, value u,           \
+      value slices, value prefix, value ov
 #define FORWARD_CALL                                                    \
-  Val_long(forward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt,    \
-                   Bool_val(first), u, DATA(keys), M4(slices),          \
-                   M4(prefix), ov))
+  forward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt, u,          \
+          M4(slices), M4(prefix), ov)
 
 #define BACKWARD_ARGS                                                   \
   value sys, value nc, value n_steps, double neg_dt, value slices,      \
@@ -322,7 +298,8 @@ PQC_CLONES CAMLprim value pqc_expm4(value a, value dst) {
 }
 
 PQC_CLONES CAMLprim value pqc_grape4_forward(FORWARD_ARGS) {
-  return FORWARD_CALL;
+  FORWARD_CALL;
+  return Val_unit;
 }
 
 PQC_CLONES CAMLprim value pqc_grape4_backward(BACKWARD_ARGS) {
@@ -341,7 +318,8 @@ CAMLprim value pqc_expm4_default(value a, value dst) {
 }
 
 CAMLprim value pqc_grape4_forward_default(FORWARD_ARGS) {
-  return FORWARD_CALL;
+  FORWARD_CALL;
+  return Val_unit;
 }
 
 CAMLprim value pqc_grape4_backward_default(BACKWARD_ARGS) {
@@ -354,8 +332,7 @@ CAMLprim value pqc_grape4_backward_default(BACKWARD_ARGS) {
 CAMLprim value pqc_grape4_forward_byte(value *argv, int argn) {
   (void)argn;
   return pqc_grape4_forward(argv[0], argv[1], argv[2], Double_val(argv[3]),
-                            argv[4], argv[5], argv[6], argv[7], argv[8],
-                            argv[9]);
+                            argv[4], argv[5], argv[6], argv[7]);
 }
 
 CAMLprim value pqc_grape4_backward_byte(value *argv, int argn) {
@@ -370,7 +347,7 @@ CAMLprim value pqc_grape4_forward_default_byte(value *argv, int argn) {
   (void)argn;
   return pqc_grape4_forward_default(argv[0], argv[1], argv[2],
                                     Double_val(argv[3]), argv[4], argv[5],
-                                    argv[6], argv[7], argv[8], argv[9]);
+                                    argv[6], argv[7]);
 }
 
 CAMLprim value pqc_grape4_backward_default_byte(value *argv, int argn) {

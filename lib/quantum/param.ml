@@ -42,9 +42,11 @@ let add a b =
       else Some { var = Some i; scale; offset }
     end
 
+(* [Float.equal], not [=]: a NaN angle equals itself, so an instruction
+   always equals its own copy. *)
 let equal a b =
   Option.equal Int.equal a.var b.var
-  && a.scale = b.scale && a.offset = b.offset
+  && Float.equal a.scale b.scale && Float.equal a.offset b.offset
 
 let pp fmt p =
   match p.var with

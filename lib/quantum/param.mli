@@ -43,6 +43,8 @@ val add : t -> t -> t option
     rotations cannot be merged). *)
 
 val equal : t -> t -> bool
+(** Same variable, and scale and offset equal as by [Float.equal]: NaN
+    equals NaN, and [0.0] equals [-0.0]. *)
 
 val pp : Format.formatter -> t -> unit
 (** E.g. ["0.50*t3+1.571"], ["1.571"], ["-t0"]. *)

@@ -87,6 +87,20 @@ let test_non_finite_angle () =
   Alcotest.(check bool) "flagged" true (has_rule "PQC010" report);
   Alcotest.(check bool) "is error" true (Runner.has_errors report)
 
+(* NaN != NaN under IEEE [=]: the reconcile checks of PQC021 and PQC022
+   must still find a NaN rotation equal to its copy in the slices, so the
+   real PQC010 error comes alone. *)
+let test_nan_angle_reconciles () =
+  let c =
+    Pqc_quantum.Qasm.of_qasm
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\n\
+       rx(1e400-1e400) q[0];\ncx q[0],q[1];\n"
+  in
+  let report = Runner.analyze c in
+  Alcotest.(check bool) "PQC010 flagged" true (has_rule "PQC010" report);
+  Alcotest.(check bool) "no PQC021" false (has_rule "PQC021" report);
+  Alcotest.(check bool) "no PQC022" false (has_rule "PQC022" report)
+
 let test_unbound_param () =
   let c = Circuit.of_gates 1 [ (Gate.Rz (Param.var 2), [ 0 ]) ] in
   let short = Runner.analyze ~theta_len:1 c in
@@ -881,6 +895,8 @@ let () =
             test_clean_circuit_reports_nothing ] );
       ( "parameters",
         [ Alcotest.test_case "non-finite angle" `Quick test_non_finite_angle;
+          Alcotest.test_case "NaN angle reconciles" `Quick
+            test_nan_angle_reconciles;
           Alcotest.test_case "unbound param" `Quick test_unbound_param ] );
       ( "slicing",
         [ Alcotest.test_case "monotonicity violation" `Quick

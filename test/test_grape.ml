@@ -157,9 +157,7 @@ let test_propagate_matches_allocating_reference () =
    builds each slice with [Cmat.axpy], [Cmat.scale] and [Expm.expm], chains
    them with [Cmat.mul], takes each gradient trace with
    [Cmat.trace_of_product], steps with [Adam.step] and clips with
-   [Float.max]/[Float.min].  It keeps no memo, so it also counts the steps
-   whose control column kept its bits from one iteration to the next: the
-   steps [optimize]'s expm memo may reuse. *)
+   [Float.max]/[Float.min]. *)
 let ref_optimize (settings : Grape.settings) (sys : Hamiltonian.t) ~target
     ~n_steps =
   let nc = Array.length sys.controls and dt = settings.dt in
@@ -179,19 +177,9 @@ let ref_optimize (settings : Grape.settings) (sys : Hamiltonian.t) ~target
   let adam = Adam.create (nc * n_steps) in
   let best_fid = ref 0.0 and best_u = ref (Array.map Array.copy u) in
   let iterations = ref 0 and converged = ref false and diverged = ref false in
-  let kept = ref 0 and prev = ref None in
-  let bits = Int64.bits_of_float in
   (try
      for iter = 1 to settings.max_iters do
        iterations := iter;
-       Option.iter
-         (fun p ->
-           for k = 0 to n_steps - 1 do
-             if Array.for_all2 (fun pj uj -> bits pj.(k) = bits uj.(k)) p u then
-               incr kept
-           done)
-         !prev;
-       prev := Some (Array.map Array.copy u);
        let slice k =
          let h = Cmat.copy sys.drift in
          Array.iteri
@@ -275,7 +263,7 @@ let ref_optimize (settings : Grape.settings) (sys : Hamiltonian.t) ~target
          sys.controls
      done
    with Exit -> ());
-  (!best_fid, !iterations, !converged, !diverged, !best_u, !kept)
+  (!best_fid, !iterations, !converged, !diverged, !best_u)
 
 (* A dim-2 or dim-4 qubit system with [nc] random Hermitian controls and a
    nonzero drift. *)
@@ -290,19 +278,6 @@ let custom_system rng ~n_qubits ~nc =
             matrix = Cmat.random_hermitian rng dim;
             max_amp = Pqc_util.Rng.uniform rng ~lo:0.2 ~hi:3.0 }) }
 
-(* Runs [optimize] with tracing on and returns the result with the
-   [grape.expm.memo_hits] count of that run. *)
-let traced_optimize ~settings sys ~target ~total_time =
-  Pqc_obs.Obs.reset ();
-  Pqc_obs.Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Pqc_obs.Obs.disable ();
-      Pqc_obs.Obs.reset ())
-    (fun () ->
-      let r = Grape.optimize ~settings sys ~target ~total_time in
-      (r, Pqc_obs.Obs.counter_value "grape.expm.memo_hits"))
-
 let prop_optimize_matches_reference =
   QCheck.Test.make ~name:"optimize = allocating reference (bits)" ~count:240
     QCheck.(int_range 0 1_000_000)
@@ -310,26 +285,29 @@ let prop_optimize_matches_reference =
       let module Rng = Pqc_util.Rng in
       let rng = Rng.create seed in
       (* Dims 2 and 4: the gmon systems and custom ones, the dim-4 ones
-         with 0 to 8 controls. *)
+         with 0 to 8 controls; dims 8 and 9 (three gmon qubits, two gmon
+         qutrits), which only the generic passes serve. *)
       let sys =
-        match seed mod 5 with
+        match seed mod 7 with
         | 0 -> Hamiltonian.gmon 1
         | 1 -> Hamiltonian.gmon 2
         | 2 -> custom_system rng ~n_qubits:1 ~nc:(Rng.int rng 4)
-        | _ -> custom_system rng ~n_qubits:2 ~nc:(Rng.int rng 9)
+        | 3 | 4 -> custom_system rng ~n_qubits:2 ~nc:(Rng.int rng 9)
+        | 5 -> Hamiltonian.gmon 3
+        | _ -> Hamiltonian.gmon ~level:Hamiltonian.Qutrit 2
       in
       if Rng.int rng 10 = 0 then
         Cmat.set sys.drift 0 0 { Complex.re = Float.nan; im = 0.0 };
       let target =
         Pqc_linalg.Expm.expm
           (Cmat.scale { Complex.re = 0.0; im = -1.0 }
-             (Cmat.random_hermitian rng sys.dim))
+             (Cmat.random_hermitian rng (Hamiltonian.subspace_dim sys)))
       in
       let coin () = Rng.int rng 2 = 0 in
       let dt = Rng.uniform rng ~lo:0.05 ~hi:2.0 in
       let n_steps = 2 + Rng.int rng 10 in
       (* A third of the cases take learning rates far above the drive
-         bounds, so the clip saturates controls and the memo hits. *)
+         bounds, so the clip saturates controls. *)
       let learning_rate =
         if Rng.int rng 3 = 0 then Rng.uniform rng ~lo:5.0 ~hi:50.0
         else Rng.uniform rng ~lo:0.01 ~hi:0.5
@@ -344,11 +322,11 @@ let prop_optimize_matches_reference =
             (if coin () then 0.0 else Rng.uniform rng ~lo:0.0 ~hi:0.05);
           envelope = coin (); seed }
       in
-      let r, hits =
-        traced_optimize ~settings sys ~target
+      let r =
+        Grape.optimize ~settings sys ~target
           ~total_time:(float_of_int n_steps *. dt)
       in
-      let fid, iterations, converged, diverged, controls, kept =
+      let fid, iterations, converged, diverged, controls =
         ref_optimize settings sys ~target ~n_steps
       in
       let bits = Int64.bits_of_float in
@@ -368,8 +346,6 @@ let prop_optimize_matches_reference =
                   j k x controls.(j).(k))
             row)
         r.controls;
-      if hits <> float_of_int kept then
-        QCheck.Test.fail_reportf "memo hits %g vs %d kept columns" hits kept;
       true)
 
 let test_grape_respects_amp_bounds () =

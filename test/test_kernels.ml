@@ -1,9 +1,8 @@
 (* Kernel-equivalence suite: pins the Bigarray kernels in Cmat/Expm to
    naive reference implementations, bit for bit.  The hot kernels (tiled
-   and unrolled products, fused Taylor steps, the dim-2 expm
-   specialization, the vectorized C product and expm at dim 4) are all
-   refactorings of these textbook loops under the summation-order
-   contract — every float is produced by the same chain of
+   products, fused Taylor steps, the vectorized C product and expm at
+   dim 4) are all refactorings of these textbook loops under the
+   summation-order contract — every float is produced by the same chain of
    operations in the same order — so equality here is exact IEEE-754
    equality on the bits, not approximate closeness.  A kernel change that
    reorders a sum fails this suite even when it is mathematically
@@ -28,15 +27,14 @@ external expm4_default : Cmat.buffer -> Cmat.buffer -> unit
 (* The dim-4 GRAPE passes (see [Grape.optimize]), through the loader's
    clone and through the baseline-ISA build. *)
 external grape4_forward :
-  Cmat.buffer -> int -> int -> (float[@unboxed]) -> bool ->
-  float array array -> Cmat.buffer -> Cmat.buffer -> Cmat.buffer ->
-  float array -> int = "pqc_grape4_forward_byte" "pqc_grape4_forward"
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
+  Cmat.buffer -> Cmat.buffer -> float array -> unit
+  = "pqc_grape4_forward_byte" "pqc_grape4_forward"
 [@@noalloc]
 
 external grape4_forward_default :
-  Cmat.buffer -> int -> int -> (float[@unboxed]) -> bool ->
-  float array array -> Cmat.buffer -> Cmat.buffer -> Cmat.buffer ->
-  float array -> int
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
+  Cmat.buffer -> Cmat.buffer -> float array -> unit
   = "pqc_grape4_forward_default_byte" "pqc_grape4_forward_default"
 [@@noalloc]
 
@@ -75,7 +73,7 @@ let ref_identity n =
   m
 
 (* Naive triple loop: ascending k, accumulators from 0.0 — the order every
-   product kernel (tiled, 2x2, 4x4, fused Taylor) must reproduce. *)
+   product kernel (tiled, 4x4, fused Taylor) must reproduce. *)
 let ref_mul a b =
   let n = Cmat.rows a and p = Cmat.cols a and q = Cmat.cols b in
   let d = Cmat.create n q in
@@ -160,8 +158,8 @@ let ref_scaling_exponent norm =
 
 (* The scaling-and-squaring Taylor exponential, rebuilt from the reference
    ops above: exactly Expm's algorithm (order 13, norm threshold 1/2,
-   ldexp scaling), so both the generic path and the dim-2/dim-4
-   specializations must reproduce it bit for bit. *)
+   ldexp scaling), so both the generic path and the dim-4 C kernel must
+   reproduce it bit for bit. *)
 let ref_expm a =
   let n = Cmat.rows a in
   let s = ref_scaling_exponent (ref_one_norm a) in
@@ -234,9 +232,10 @@ let prop_mul_equiv =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      (* Independent draws from 1..16 would hit the specialized square
-         shapes about once in 4096 cases: route a quarter of the cases to
-         2x2x2 and a quarter to 4x4x4 (the C kernel, both clones). *)
+      (* Independent draws from 1..16 would hit the square shapes GRAPE
+         uses about once in 4096 cases: route a quarter of the cases to
+         2x2x2 (the single-qubit slice, on the generic loop) and a quarter
+         to 4x4x4 (the C kernel, both clones). *)
       let n, p, q =
         match seed mod 4 with
         | 0 -> (2, 2, 2)
@@ -313,8 +312,8 @@ let prop_expm_equiv =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      (* 1..16 but biased through the specialized dims: 2 takes the
-         unrolled OCaml path, 4 the C kernel, everything else the generic
+      (* 1..16 but biased through GRAPE's two slice dims: 4 takes the C
+         kernel, 2 (the single-qubit slice) and everything else the generic
          loop. *)
       let n =
         match seed mod 4 with
@@ -400,10 +399,9 @@ let prop_nonfinite_equiv =
 
 (* Both clones of the GRAPE passes, on random split-layout inputs with 0 to
    8 controls: a first forward pass, a second one after every other control
-   column changed (so the memo both hits and misses), then a backward pass.
-   The reference property in test_grape pins the loader's clone to a
-   textbook rebuild of [Grape.optimize]; this pins the baseline clone to
-   it. *)
+   column changed, then a backward pass.  The reference property in
+   test_grape pins the loader's clone to a textbook rebuild of
+   [Grape.optimize]; this pins the baseline clone to it. *)
 let prop_grape4_clones_equiv =
   QCheck.Test.make
     ~name:"GRAPE dim-4 passes: baseline clone = loader's clone (bits)"
@@ -427,30 +425,25 @@ let prop_grape4_clones_equiv =
       in
       let max_amp = Array.init nc (fun _ -> uniform 0.2 3.0) in
       let run forward backward =
-        let keys = buf (nc * n_steps) (fun () -> 0.0) in
         let slices = buf (32 * n_steps) (fun () -> 0.0) in
         let prefix = buf (32 * n_steps) (fun () -> 0.0) in
         let ov = [| 0.0; 0.0 |] and u = Array.map Array.copy u0 in
         let grad = Array.make_matrix nc n_steps 0.0 in
-        let hits1 = forward sys4 nc n_steps neg_dt true u keys slices prefix ov in
+        forward sys4 nc n_steps neg_dt u slices prefix ov;
         Array.iter
           (fun row ->
             for k = 0 to n_steps - 1 do
               if k mod 2 = 1 then row.(k) <- row.(k) *. 0.5
             done)
           u;
-        let hits2 = forward sys4 nc n_steps neg_dt false u keys slices prefix ov in
+        forward sys4 nc n_steps neg_dt u slices prefix ov;
         backward sys4 nc n_steps neg_dt slices prefix ov 16.0 amp_penalty max_amp
           u grad;
-        ((hits1, hits2), [ slices; prefix ],
-         Array.append ov (Array.concat (Array.to_list grad)))
+        ([ slices; prefix ], Array.append ov (Array.concat (Array.to_list grad)))
       in
-      let hits, bufs, floats = run grape4_forward grape4_backward in
-      let hits', bufs', floats' =
-        run grape4_forward_default grape4_backward_default
-      in
+      let bufs, floats = run grape4_forward grape4_backward in
+      let bufs', floats' = run grape4_forward_default grape4_backward_default in
       let bits = Int64.bits_of_float in
-      if hits <> hits' then QCheck.Test.fail_report "memo hit counts differ";
       List.iter2
         (fun b b' ->
           for i = 0 to Bigarray.Array1.dim b - 1 do
@@ -493,11 +486,11 @@ let test_dagger_into_aliasing () =
 (* --- allocation: the expm hot path must not touch the minor heap --- *)
 
 let test_expm_into_no_alloc () =
-  (* [expm_into] with a prepared workspace is allocation-free for both the
-     specialized (2, 4) and generic dims.  Run a few thousand calls between
-     two [Gc.minor_words] readings: per-call heap growth shows up as
-     thousands of words here; the slack only covers the instrumentation's
-     own boxes. *)
+  (* [expm_into] with a prepared workspace is allocation-free at the C
+     kernel's dim 4 and at the generic loop's dims.  Run a few thousand
+     calls between two [Gc.minor_words] readings: per-call heap growth shows
+     up as thousands of words here; the slack only covers the
+     instrumentation's own boxes. *)
   List.iter
     (fun n ->
       let rng = Rng.create (100 + n) in

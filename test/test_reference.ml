@@ -184,11 +184,13 @@ module Reference = struct
     Circuit.of_instrs (List.length b.qubits)
       (List.map rename (Array.to_list (Circuit.instrs b.circuit)))
 
+  (* Angles compare by [Float.equal], so a NaN angle equals itself. *)
   let instr_equal (a : Circuit.instr) (b : Circuit.instr) =
     Gate.name a.gate = Gate.name b.gate
     && (match (Gate.param a.gate, Gate.param b.gate) with
        | Some (p : Param.t), Some (q : Param.t) ->
-         p.var = q.var && p.scale = q.scale && p.offset = q.offset
+         p.var = q.var && Float.equal p.scale q.scale
+         && Float.equal p.offset q.offset
        | None, None -> true
        | Some _, None | None, Some _ -> false)
     && a.qubits = b.qubits
