@@ -301,6 +301,18 @@ let dim4_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
         backward4 sys4 nc n_steps neg_dt slices prefix ov dsub2 amp_penalty
           max_amp u grad) }
 
+(* One ADAM step at step count [t] (from 1) and learning rate [lr], then
+   the clip of each control [j] to [max_amp.(j)], in place on [u] and the
+   moments [m] and [v] (entry (j * n_steps) + k for control j at step k).
+   It keeps [Adam.step]'s float chains and [Float.max]/[Float.min]'s NaN and
+   signed-zero rules, so it matches them bit for bit (kernels4.c).  Returns
+   [true], having written nothing, when a gradient entry is not finite. *)
+external adam_step :
+  int -> int -> int -> (float[@unboxed]) -> float array -> float array array ->
+  float array array -> float array -> float array -> bool
+  = "pqc_adam_step_byte" "pqc_adam_step"
+[@@noalloc]
+
 let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
     ~target ~total_time =
   let n_steps = steps_of settings total_time in
@@ -328,10 +340,9 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
         Array.init n_steps (fun _ -> Rng.uniform rng ~lo:(-.amp) ~hi:amp))
   in
   let grad = Array.init nc (fun _ -> Array.make n_steps 0.0) in
-  let flat_dim = nc * n_steps in
-  let adam = Adam.create flat_dim in
-  let flat_params = Array.make flat_dim 0.0 in
-  let flat_grad = Array.make flat_dim 0.0 in
+  let max_amp = Array.map (fun c -> c.Hamiltonian.max_amp) sys.controls in
+  let adam_m = Array.make (nc * n_steps) 0.0 in
+  let adam_v = Array.make (nc * n_steps) 0.0 in
   let ov = [| 0.0; 0.0 |] in
   let passes =
     (if dim = 4 then dim4_passes else generic_passes)
@@ -352,8 +363,10 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
   let prof_snapshot iter fid lr =
     if Obs.enabled () && (iter = 1 || iter mod prof_stride = 0) then begin
       let gn = ref 0.0 in
-      for i = 0 to flat_dim - 1 do
-        gn := !gn +. (flat_grad.(i) *. flat_grad.(i))
+      for j = 0 to nc - 1 do
+        for k = 0 to n_steps - 1 do
+          gn := !gn +. (grad.(j).(k) *. grad.(j).(k))
+        done
       done;
       prof_points :=
         { Obs.iteration = iter; infidelity = 1.0 -. fid; learning_rate = lr;
@@ -382,7 +395,9 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
        end;
        if fid > !best_fidelity then begin
          best_fidelity := fid;
-         Array.iteri (fun j row -> Array.blit row 0 best_u.(j) 0 n_steps) u
+         for j = 0 to nc - 1 do
+           Array.blit u.(j) 0 best_u.(j) 0 n_steps
+         done
        end;
        if fid >= settings.target_fidelity then begin
          converged := true;
@@ -404,52 +419,16 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
              g.(n_steps - 1) <- g.(n_steps - 1) +. (2.0 *. lambda *. row.(n_steps - 1))
            end
          done;
-       (* ADAM step on the flattened parameters, then clip to drive bounds. *)
-       for j = 0 to nc - 1 do
-         Array.blit u.(j) 0 flat_params (j * n_steps) n_steps;
-         Array.blit grad.(j) 0 flat_grad (j * n_steps) n_steps
-       done;
-       let grad_finite = ref true in
-       for i = 0 to flat_dim - 1 do
-         (* Float.is_finite, written out: the stdlib function is not
-            [@inline], so calling it boxes every gradient entry. *)
-         let g = flat_grad.(i) in
-         if not (g -. g = 0.) then grad_finite := false
-       done;
-       if not !grad_finite then begin
-         diverged := true;
-         raise Exit
-       end;
        let lr =
          settings.hyperparams.learning_rate
          *. (settings.hyperparams.decay ** float_of_int (iter - 1))
        in
-       prof_snapshot iter fid lr;
-       Adam.step adam ~learning_rate:lr ~params:flat_params ~grad:flat_grad;
-       for j = 0 to nc - 1 do
-         let cap = sys.controls.(j).max_amp in
-         let lo = -.cap in
-         for k = 0 to n_steps - 1 do
-           let v = flat_params.((j * n_steps) + k) in
-           (* Float.max lo (Float.min cap v), stdlib bodies written out:
-              neither function is inlined by vanilla ocamlopt, and the
-              boxed float arguments dominated this loop's allocation
-              (~2 words per parameter per iteration). *)
-           let mn =
-             if v > cap || (not (Float.sign_bit v) && Float.sign_bit cap)
-             then if v <> v then v else cap
-             else if cap <> cap then cap
-             else v
-           in
-           let mx =
-             if mn > lo || (not (Float.sign_bit mn) && Float.sign_bit lo)
-             then if lo <> lo then lo else mn
-             else if mn <> mn then mn
-             else lo
-           in
-           u.(j).(k) <- mx
-         done
-       done
+       (* Every earlier iteration stepped, so this is step [iter]. *)
+       if adam_step nc n_steps iter lr max_amp u grad adam_m adam_v then begin
+         diverged := true;
+         raise Exit
+       end;
+       prof_snapshot iter fid lr
      done
    with Exit -> ());
   if !prof_points <> [] then

@@ -152,8 +152,9 @@ let mul_dispatch ~dst a b =
   let ad = a.d and bd = b.d and dd = dst.d in
   if p = 4 && n = 4 && q = 4 then c_mul4 ad bd dd
   else if n <= mul_block && q <= mul_block then
-    (* Small matrices (the GRAPE slice regime, dim <= 81) are a single tile:
-       skip the blocking bookkeeping entirely. *)
+    (* At most [mul_block] rows and columns is a single tile: skip the
+       blocking bookkeeping entirely.  GRAPE slices up to dim 27 (three
+       qutrits) take this branch; four qutrits (dim 81) are blocked. *)
     mul_tile ad bd dd p q 0 (n - 1) 0 (q - 1)
   else begin
     (* Cache-blocked over the i/j output tiles only (k never splits). *)

@@ -1,6 +1,7 @@
 /* Dimension-4 kernels for GRAPE's hot loop: the 4x4 complex product, the
    scaling-and-squaring Taylor exponential of a 4x4 generator, and the
-   forward and backward passes of one dim-4 GRAPE iteration.
+   forward and backward passes of one dim-4 GRAPE iteration; and, for
+   every dimension, the ADAM step and drive clip that end the iteration.
 
    Matrices are held as separate real and imaginary arrays (the split
    layout), so the compiler can compute an output row's four columns as
@@ -9,16 +10,20 @@
    and prefix products split, in buffers Grape allocates once per run.
    Every element follows the float chain of the OCaml code operation for
    operation: a 0.0 seed, ascending k, the (c * re) - (0.0 * im) scalar
-   terms, the one-norm/ldexp scaling and the squaring count of Expm, and
-   the generator, overlap, trace and gradient chains of Grape.optimize.
-   The results are therefore bit-identical to them.  That holds only when
-   the build passes -ffp-contract=off: a fused multiply-add rounds once
-   where the OCaml code rounds twice.
+   terms, the one-norm/ldexp scaling and the squaring count of Expm, the
+   generator, overlap, trace and gradient chains of Grape.optimize, and
+   Adam.step's moment and update chains.  The results are therefore
+   bit-identical to them.  That holds only when the build passes
+   -ffp-contract=off: a fused multiply-add rounds once where the OCaml code
+   rounds twice.  The build also passes -fno-math-errno, so the compiler
+   may use the square-root instruction in vector form; nothing here reads
+   errno, and sqrt rounds correctly either way.
 
-   With GCC on x86-64 ELF and glibc, the entry points are cloned for AVX2
-   and the baseline ISA, and the loader picks one from CPUID.  The
-   *_default entries compile the same bodies for the baseline ISA alone,
-   so tests exercise that clone on AVX2 hosts too. */
+   With GCC on x86-64 ELF and glibc, the entry points are cloned for
+   AVX-512F, AVX2 and the baseline ISA, and the loader picks one from
+   CPUID.  The *_default and *_avx2 entries (see "Entry points") compile
+   the same bodies for one ISA each, so tests exercise every clone on any
+   host that can run it. */
 
 #include <math.h>
 #define CAML_NAME_SPACE
@@ -28,8 +33,11 @@
 /* Clones need an ifunc-capable loader: glibc has one, musl does not. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
     && defined(__ELF__) && defined(__GLIBC__)
-#define PQC_CLONES __attribute__((target_clones("avx2", "default")))
+#define PQC_X86_CLONES 1
+#define PQC_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
+#define PQC_X86_CLONES 0
 #define PQC_CLONES
 #endif
 
@@ -267,93 +275,167 @@ INLINE void backward(const m4 *sys, long nc, long n_steps, double neg_dt,
   }
 }
 
-/* --- Entry points --- */
+/* --- One ADAM step and the drive clip, for every dimension ---
+
+   Adam.step on the controls u.(j).(k), flattened j-major, then the clip
+   Float.max (-a_max) (Float.min a_max x) of Grape.optimize.  The moments
+   m and v are OCaml float arrays of nc * n_steps entries, entry
+   (j * n_steps) + k for control j at step k. */
+
+/* Adam's constants: beta1, beta2 and epsilon. */
+#define BETA1 0.9
+#define BETA2 0.999
+#define EPSILON 1e-8
+
+/* Float.max lo (Float.min cap x), with the stdlib's NaN and signed-zero
+   rules. */
+INLINE double clip(double x, double cap, double lo) {
+  double mn = (x > cap || (!signbit(x) && signbit(cap))) ? (isnan(x) ? x : cap)
+              : isnan(cap)                               ? cap
+                                                         : x;
+  return (mn > lo || (!signbit(mn) && signbit(lo))) ? (isnan(lo) ? lo : mn)
+         : isnan(mn)                                ? mn
+                                                    : lo;
+}
+
+/* Adam.step's chain for one control's row, then the clip.  The clip's
+   branches would keep the compiler from vectorizing the update (and its
+   divisions and square root), so it runs as a second loop. */
+INLINE void adam_row(double *restrict x, double *restrict m,
+                     double *restrict v, const double *restrict g, long n,
+                     double lr, double bias1, double bias2, double cap) {
+  for (long k = 0; k < n; k++) {
+    double mk = (BETA1 * m[k]) + ((1.0 - BETA1) * g[k]);
+    double vk = (BETA2 * v[k]) + (((1.0 - BETA2) * g[k]) * g[k]);
+    m[k] = mk;
+    v[k] = vk;
+    double m_hat = mk / bias1, v_hat = vk / bias2;
+    x[k] = x[k] - ((lr * m_hat) / (sqrt(v_hat) + EPSILON));
+  }
+  for (long k = 0; k < n; k++) x[k] = clip(x[k], cap, -cap);
+}
+
+/* Step t (from 1) at learning rate lr.  Every gradient entry is checked
+   before anything is written: a non-finite one returns 1 (diverged) and
+   leaves u, m and v as they were.  The bias terms call pow, the function
+   OCaml's ( ** ) calls. */
+INLINE int adam_step(long nc, long n_steps, long t, double lr, value max_amp,
+                     value u, value grad, value m, value v) {
+  for (long j = 0; j < nc; j++) {
+    const double *g = (const double *)Field(grad, j);
+    for (long k = 0; k < n_steps; k++)
+      if (!isfinite(g[k])) return 1;
+  }
+  double bias1 = 1.0 - pow(BETA1, (double)t);
+  double bias2 = 1.0 - pow(BETA2, (double)t);
+  for (long j = 0; j < nc; j++)
+    adam_row((double *)Field(u, j), (double *)m + (j * n_steps),
+             (double *)v + (j * n_steps), (const double *)Field(grad, j),
+             n_steps, lr, bias1, bias2, Double_flat_field(max_amp, j));
+  return 0;
+}
+
+/* --- Entry points ---
+
+   Each body has three entries: NAME, the loader's clone; NAME_default,
+   the baseline ISA; and NAME_avx2, the AVX2 build when the CPU has AVX2
+   and the baseline body otherwise.  The loader picks AVX-512 on hosts
+   that have it, so without NAME_avx2 the AVX2 body would never run under
+   test there, nor the baseline body without NAME_default. */
+
+#if PQC_X86_CLONES
+#define PQC_AVX2 __attribute__((target("avx2")))
+#define HAS_AVX2() __builtin_cpu_supports("avx2")
+#else
+#define PQC_AVX2
+#define HAS_AVX2() 0
+#endif
+
+#define ENTRIES(name, body, params, args)                                  \
+  PQC_CLONES CAMLprim value name params { return body args; }             \
+  CAMLprim value name##_default params { return body args; }              \
+  PQC_AVX2 static value name##_avx2_only params { return body args; }     \
+  CAMLprim value name##_avx2 params {                                      \
+    return HAS_AVX2() ? name##_avx2_only args : name##_default args;       \
+  }
+
+/* Bytecode stubs, for the entries that take more than five arguments. */
+#define BYTE_ENTRIES(name, argv_args)                                      \
+  CAMLprim value name##_byte(value *argv, int argn) {                      \
+    (void)argn;                                                            \
+    return name argv_args;                                                 \
+  }                                                                        \
+  CAMLprim value name##_default_byte(value *argv, int argn) {              \
+    (void)argn;                                                            \
+    return name##_default argv_args;                                       \
+  }                                                                        \
+  CAMLprim value name##_avx2_byte(value *argv, int argn) {                 \
+    (void)argn;                                                            \
+    return name##_avx2 argv_args;                                          \
+  }
 
 #define DATA(v) ((double *)Caml_ba_data_val(v))
 #define M4(v) ((m4 *)Caml_ba_data_val(v))
 
-#define FORWARD_ARGS                                                    \
-  value sys, value nc, value n_steps, double neg_dt, value u,           \
-      value slices, value prefix, value ov
-#define FORWARD_CALL                                                    \
-  forward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt, u,          \
-          M4(slices), M4(prefix), ov)
-
-#define BACKWARD_ARGS                                                   \
-  value sys, value nc, value n_steps, double neg_dt, value slices,      \
-      value prefix, value ov, double dsub2, double amp_penalty,         \
-      value max_amp, value u, value grad
-#define BACKWARD_CALL                                                   \
-  backward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt, M4(slices), \
-           M4(prefix), ov, dsub2, amp_penalty, max_amp, u, grad)
-
-PQC_CLONES CAMLprim value pqc_mul4(value a, value b, value dst) {
+INLINE value mul4_stub(value a, value b, value dst) {
   mul4(DATA(dst), DATA(a), DATA(b));
   return Val_unit;
 }
 
-PQC_CLONES CAMLprim value pqc_expm4(value a, value dst) {
+INLINE value expm4_stub(value a, value dst) {
   expm4_interleaved(DATA(dst), DATA(a));
   return Val_unit;
 }
 
-PQC_CLONES CAMLprim value pqc_grape4_forward(FORWARD_ARGS) {
-  FORWARD_CALL;
+INLINE value forward_stub(value sys, value nc, value n_steps, double neg_dt,
+                          value u, value slices, value prefix, value ov) {
+  forward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt, u, M4(slices),
+          M4(prefix), ov);
   return Val_unit;
 }
 
-PQC_CLONES CAMLprim value pqc_grape4_backward(BACKWARD_ARGS) {
-  BACKWARD_CALL;
+INLINE value backward_stub(value sys, value nc, value n_steps, double neg_dt,
+                           value slices, value prefix, value ov, double dsub2,
+                           double amp_penalty, value max_amp, value u,
+                           value grad) {
+  backward(M4(sys), Long_val(nc), Long_val(n_steps), neg_dt, M4(slices),
+           M4(prefix), ov, dsub2, amp_penalty, max_amp, u, grad);
   return Val_unit;
 }
 
-CAMLprim value pqc_mul4_default(value a, value b, value dst) {
-  mul4(DATA(dst), DATA(a), DATA(b));
-  return Val_unit;
+INLINE value adam_stub(value nc, value n_steps, value t, double lr,
+                       value max_amp, value u, value grad, value m, value v) {
+  return Val_bool(adam_step(Long_val(nc), Long_val(n_steps), Long_val(t), lr,
+                            max_amp, u, grad, m, v));
 }
 
-CAMLprim value pqc_expm4_default(value a, value dst) {
-  expm4_interleaved(DATA(dst), DATA(a));
-  return Val_unit;
-}
+ENTRIES(pqc_mul4, mul4_stub, (value a, value b, value dst), (a, b, dst))
 
-CAMLprim value pqc_grape4_forward_default(FORWARD_ARGS) {
-  FORWARD_CALL;
-  return Val_unit;
-}
+ENTRIES(pqc_expm4, expm4_stub, (value a, value dst), (a, dst))
 
-CAMLprim value pqc_grape4_backward_default(BACKWARD_ARGS) {
-  BACKWARD_CALL;
-  return Val_unit;
-}
+ENTRIES(pqc_grape4_forward, forward_stub,
+        (value sys, value nc, value n_steps, double neg_dt, value u,
+         value slices, value prefix, value ov),
+        (sys, nc, n_steps, neg_dt, u, slices, prefix, ov))
+BYTE_ENTRIES(pqc_grape4_forward,
+             (argv[0], argv[1], argv[2], Double_val(argv[3]), argv[4],
+              argv[5], argv[6], argv[7]))
 
-/* Bytecode stubs: the passes take more than five arguments. */
+ENTRIES(pqc_grape4_backward, backward_stub,
+        (value sys, value nc, value n_steps, double neg_dt, value slices,
+         value prefix, value ov, double dsub2, double amp_penalty,
+         value max_amp, value u, value grad),
+        (sys, nc, n_steps, neg_dt, slices, prefix, ov, dsub2, amp_penalty,
+         max_amp, u, grad))
+BYTE_ENTRIES(pqc_grape4_backward,
+             (argv[0], argv[1], argv[2], Double_val(argv[3]), argv[4],
+              argv[5], argv[6], Double_val(argv[7]), Double_val(argv[8]),
+              argv[9], argv[10], argv[11]))
 
-CAMLprim value pqc_grape4_forward_byte(value *argv, int argn) {
-  (void)argn;
-  return pqc_grape4_forward(argv[0], argv[1], argv[2], Double_val(argv[3]),
-                            argv[4], argv[5], argv[6], argv[7]);
-}
-
-CAMLprim value pqc_grape4_backward_byte(value *argv, int argn) {
-  (void)argn;
-  return pqc_grape4_backward(argv[0], argv[1], argv[2], Double_val(argv[3]),
-                             argv[4], argv[5], argv[6], Double_val(argv[7]),
-                             Double_val(argv[8]), argv[9], argv[10],
-                             argv[11]);
-}
-
-CAMLprim value pqc_grape4_forward_default_byte(value *argv, int argn) {
-  (void)argn;
-  return pqc_grape4_forward_default(argv[0], argv[1], argv[2],
-                                    Double_val(argv[3]), argv[4], argv[5],
-                                    argv[6], argv[7]);
-}
-
-CAMLprim value pqc_grape4_backward_default_byte(value *argv, int argn) {
-  (void)argn;
-  return pqc_grape4_backward_default(
-      argv[0], argv[1], argv[2], Double_val(argv[3]), argv[4], argv[5],
-      argv[6], Double_val(argv[7]), Double_val(argv[8]), argv[9], argv[10],
-      argv[11]);
-}
+ENTRIES(pqc_adam_step, adam_stub,
+        (value nc, value n_steps, value t, double lr, value max_amp, value u,
+         value grad, value m, value v),
+        (nc, n_steps, t, lr, max_amp, u, grad, m, v))
+BYTE_ENTRIES(pqc_adam_step,
+             (argv[0], argv[1], argv[2], Double_val(argv[3]), argv[4],
+              argv[5], argv[6], argv[7], argv[8]))

@@ -156,8 +156,8 @@ let test_propagate_matches_allocating_reference () =
 (* [Grape.optimize] rebuilt from allocating library calls: every iteration
    builds each slice with [Cmat.axpy], [Cmat.scale] and [Expm.expm], chains
    them with [Cmat.mul], takes each gradient trace with
-   [Cmat.trace_of_product], steps with [Adam.step] and clips with
-   [Float.max]/[Float.min]. *)
+   [Cmat.trace_of_product], steps with the OCaml [Adam.step] (not the C
+   step [Grape.optimize] calls) and clips with [Float.max]/[Float.min]. *)
 let ref_optimize (settings : Grape.settings) (sys : Hamiltonian.t) ~target
     ~n_steps =
   let nc = Array.length sys.controls and dt = settings.dt in
@@ -533,6 +533,32 @@ let test_realistic_settings_run () =
      progress over a random pulse. *)
   Alcotest.(check bool) "progress under realistic settings" true (r.fidelity > 0.9)
 
+(* --- allocation --- *)
+
+let test_optimize_iteration_words () =
+  (* Without a coupler, CX is out of reach of two gmon qubits, so a dim-4
+     run takes all of its max_iters.  The words two runs differ by are
+     their extra iterations' own: a boxed float per iteration would show
+     as 2 words each.  An iteration allocated about 3 words when ADAM ran
+     in OCaml (2 steady, for the boxed learning rate, and a closure
+     whenever the best fidelity rose); now it allocates none. *)
+  let sys = Hamiltonian.gmon ~topology:(Topology.of_edges 2 []) 2 in
+  let target = gate_target 2 Gate.CX [ 0; 1 ] in
+  let words max_iters =
+    let settings = { quick with Grape.max_iters } in
+    let w0 = Gc.minor_words () in
+    let r = Grape.optimize ~settings sys ~target ~total_time:4.0 in
+    let dw = Gc.minor_words () -. w0 in
+    Alcotest.(check (pair int bool)) "every iteration runs" (max_iters, false)
+      (r.iterations, r.converged || r.diverged);
+    dw
+  in
+  let short = words 10 in
+  let per_iter = (words 210 -. short) /. 200.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per iteration, budget 0.5" per_iter)
+    true (per_iter <= 0.5)
+
 let () =
   Alcotest.run "grape"
     [ ( "hamiltonian",
@@ -565,4 +591,7 @@ let () =
             test_minimal_time_reuses_runs_invisibly;
           Alcotest.test_case "precision 0 or NaN returns" `Quick
             test_minimal_time_degenerate_precision;
-          Alcotest.test_case "realistic settings" `Slow test_realistic_settings_run ] ) ]
+          Alcotest.test_case "realistic settings" `Slow test_realistic_settings_run ] );
+      ( "allocation",
+        [ Alcotest.test_case "optimize words per iteration" `Quick
+            test_optimize_iteration_words ] ) ]

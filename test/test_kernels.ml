@@ -12,20 +12,28 @@
 module Cmat = Pqc_linalg.Cmat
 module Expm = Pqc_linalg.Expm
 module Rng = Pqc_util.Rng
+module Adam = Pqc_grape.Adam
 
-(* The baseline-ISA builds of the dim-4 C kernels.  On x86-64 the loader
-   picks the AVX2 clone whenever the CPU has it, so without these entry
-   points the default clone would never run under test on such hosts. *)
+(* Each C kernel has three entries: the loader's clone (AVX-512 on hosts
+   that have it), a baseline-ISA build ([*_default]) and an AVX2 build
+   ([*_avx2], the baseline body on CPUs without AVX2).  Without the last
+   two, the loader's choice would leave the other bodies untested. *)
 external mul4_default : Cmat.buffer -> Cmat.buffer -> Cmat.buffer -> unit
   = "pqc_mul4_default"
+[@@noalloc]
+
+external mul4_avx2 : Cmat.buffer -> Cmat.buffer -> Cmat.buffer -> unit
+  = "pqc_mul4_avx2"
 [@@noalloc]
 
 external expm4_default : Cmat.buffer -> Cmat.buffer -> unit
   = "pqc_expm4_default"
 [@@noalloc]
 
-(* The dim-4 GRAPE passes (see [Grape.optimize]), through the loader's
-   clone and through the baseline-ISA build. *)
+external expm4_avx2 : Cmat.buffer -> Cmat.buffer -> unit = "pqc_expm4_avx2"
+[@@noalloc]
+
+(* The dim-4 GRAPE passes (see [Grape.optimize]). *)
 external grape4_forward :
   Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
   Cmat.buffer -> Cmat.buffer -> float array -> unit
@@ -36,6 +44,12 @@ external grape4_forward_default :
   Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
   Cmat.buffer -> Cmat.buffer -> float array -> unit
   = "pqc_grape4_forward_default_byte" "pqc_grape4_forward_default"
+[@@noalloc]
+
+external grape4_forward_avx2 :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
+  Cmat.buffer -> Cmat.buffer -> float array -> unit
+  = "pqc_grape4_forward_avx2_byte" "pqc_grape4_forward_avx2"
 [@@noalloc]
 
 external grape4_backward :
@@ -50,6 +64,34 @@ external grape4_backward_default :
   Cmat.buffer -> float array -> (float[@unboxed]) -> (float[@unboxed]) ->
   float array -> float array array -> float array array -> unit
   = "pqc_grape4_backward_default_byte" "pqc_grape4_backward_default"
+[@@noalloc]
+
+external grape4_backward_avx2 :
+  Cmat.buffer -> int -> int -> (float[@unboxed]) -> Cmat.buffer ->
+  Cmat.buffer -> float array -> (float[@unboxed]) -> (float[@unboxed]) ->
+  float array -> float array array -> float array array -> unit
+  = "pqc_grape4_backward_avx2_byte" "pqc_grape4_backward_avx2"
+[@@noalloc]
+
+(* The ADAM step and drive clip of every GRAPE iteration (see
+   [Grape.optimize]): nc, n_steps, step count, learning rate, drive
+   bounds, u, grad and the moments m and v; [true] means diverged. *)
+external adam_step :
+  int -> int -> int -> (float[@unboxed]) -> float array -> float array array ->
+  float array array -> float array -> float array -> bool
+  = "pqc_adam_step_byte" "pqc_adam_step"
+[@@noalloc]
+
+external adam_step_default :
+  int -> int -> int -> (float[@unboxed]) -> float array -> float array array ->
+  float array array -> float array -> float array -> bool
+  = "pqc_adam_step_default_byte" "pqc_adam_step_default"
+[@@noalloc]
+
+external adam_step_avx2 :
+  int -> int -> int -> (float[@unboxed]) -> float array -> float array array ->
+  float array array -> float array -> float array -> bool
+  = "pqc_adam_step_avx2_byte" "pqc_adam_step_avx2"
 [@@noalloc]
 
 (* --- references: naive loops over Cmat.get/set, float chains spelled out --- *)
@@ -213,15 +255,31 @@ let bits_eq_c label (x : Complex.t) (y : Complex.t) =
   then QCheck.Test.fail_reportf "%s: (%h,%h) vs (%h,%h)" label x.re x.im y.re y.im;
   true
 
-let mul_default a b =
-  let d = Cmat.create 4 4 in
-  mul4_default (Cmat.data a) (Cmat.data b) (Cmat.data d);
-  d
+(* The baseline and AVX2 entries of the 4x4 product and exponential, by
+   name.  [Cmat.mul_into] and [Expm.expm_into] call the loader's clone. *)
+let mul4_clones =
+  List.map
+    (fun (name, f) ->
+      ( name,
+        fun a b ->
+          let d = Cmat.create 4 4 in
+          f (Cmat.data a) (Cmat.data b) (Cmat.data d);
+          d ))
+    [ ("mul4_default", mul4_default); ("mul4_avx2", mul4_avx2) ]
 
-let expm_default a =
-  let d = Cmat.create 4 4 in
-  expm4_default (Cmat.data a) (Cmat.data d);
-  d
+let expm4_clones =
+  List.map
+    (fun (name, f) ->
+      ( name,
+        fun a ->
+          let d = Cmat.create 4 4 in
+          f (Cmat.data a) (Cmat.data d);
+          d ))
+    [ ("expm4_default", expm4_default); ("expm4_avx2", expm4_avx2) ]
+
+(* [eq] holds for every clone's result against [expect]. *)
+let all_clones eq clones run expect =
+  List.for_all (fun (name, f) -> eq name (run f) expect) clones
 
 let dim_of_seed seed lo hi = lo + (seed mod (hi - lo + 1))
 
@@ -234,12 +292,18 @@ let prop_mul_equiv =
       let rng = Rng.create seed in
       (* Independent draws from 1..16 would hit the square shapes GRAPE
          uses about once in 4096 cases: route a quarter of the cases to
-         2x2x2 (the single-qubit slice, on the generic loop) and a quarter
-         to 4x4x4 (the C kernel, both clones). *)
+         2x2x2 (the single-qubit slice, on the generic loop), a quarter to
+         4x4x4 (the C kernel, every clone) and a quarter to a row or column
+         count in 49..96, which takes the cache-blocked branch: one full
+         48-wide tile and a partial one. *)
       let n, p, q =
         match seed mod 4 with
         | 0 -> (2, 2, 2)
         | 1 -> (4, 4, 4)
+        | 2 ->
+          let big = 49 + Rng.int rng 48 and other = 1 + Rng.int rng 96 in
+          let p = 1 + Rng.int rng 16 in
+          if Rng.int rng 2 = 0 then (big, p, other) else (other, p, big)
         | _ ->
           ( dim_of_seed (seed / 4) 1 16,
             dim_of_seed (seed / 68) 1 16,
@@ -251,7 +315,7 @@ let prop_mul_equiv =
       bits_eq_mat "mul_into" d (ref_mul a b)
       && bits_eq_mat "mul" (Cmat.mul a b) (ref_mul a b)
       && ((n, p, q) <> (4, 4, 4)
-         || bits_eq_mat "mul4_default" (mul_default a b) (ref_mul a b)))
+         || all_clones bits_eq_mat mul4_clones (fun f -> f a b) (ref_mul a b)))
 
 let prop_scale_equiv =
   QCheck.Test.make ~name:"scale = reference (bits)" ~count:200
@@ -327,7 +391,8 @@ let prop_expm_equiv =
       Expm.expm_into ws ~dst:d a;
       bits_eq_mat "expm_into" d (ref_expm a)
       && bits_eq_mat "expm" (Expm.expm a) (ref_expm a)
-      && (n <> 4 || bits_eq_mat "expm4_default" (expm_default a) (ref_expm a)))
+      && (n <> 4
+         || all_clones bits_eq_mat expm4_clones (fun f -> f a) (ref_expm a)))
 
 (* GRAPE's dim-4 slice generators are -i dt H for a Hermitian H.  The
    random inputs above reach the dim-4 kernel about 15 times a run, with
@@ -355,7 +420,7 @@ let prop_expm4_grape_equiv =
       Expm.expm_into (Expm.make_ws 4) ~dst:d g;
       let expect = ref_expm g in
       bits_eq_mat "expm_into" d expect
-      && bits_eq_mat "expm4_default" (expm_default g) expect)
+      && all_clones bits_eq_mat expm4_clones (fun f -> f g) expect)
 
 (* A diverged GRAPE run feeds NaN and infinities to the kernels.  Entries
    here are special a quarter of the time: NaN, +-inf, +-0, subnormals,
@@ -394,17 +459,17 @@ let prop_nonfinite_equiv =
       bits_eq_mat_nan "expm_into" d expect
       && bits_eq_mat_nan "mul" (Cmat.mul a b) prod
       && (n <> 4
-         || bits_eq_mat_nan "expm4_default" (expm_default a) expect
-            && bits_eq_mat_nan "mul4_default" (mul_default a b) prod))
+         || all_clones bits_eq_mat_nan expm4_clones (fun f -> f a) expect
+            && all_clones bits_eq_mat_nan mul4_clones (fun f -> f a b) prod))
 
-(* Both clones of the GRAPE passes, on random split-layout inputs with 0 to
+(* Every clone of the GRAPE passes, on random split-layout inputs with 0 to
    8 controls: a first forward pass, a second one after every other control
    column changed, then a backward pass.  The reference property in
    test_grape pins the loader's clone to a textbook rebuild of
-   [Grape.optimize]; this pins the baseline clone to it. *)
+   [Grape.optimize]; this pins the baseline and AVX2 clones to it. *)
 let prop_grape4_clones_equiv =
   QCheck.Test.make
-    ~name:"GRAPE dim-4 passes: baseline clone = loader's clone (bits)"
+    ~name:"GRAPE dim-4 passes: baseline clone = AVX2 clone = loader's clone (bits)"
     ~count:200
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -442,21 +507,148 @@ let prop_grape4_clones_equiv =
         ([ slices; prefix ], Array.append ov (Array.concat (Array.to_list grad)))
       in
       let bufs, floats = run grape4_forward grape4_backward in
-      let bufs', floats' = run grape4_forward_default grape4_backward_default in
       let bits = Int64.bits_of_float in
-      List.iter2
-        (fun b b' ->
-          for i = 0 to Bigarray.Array1.dim b - 1 do
-            if bits b.{i} <> bits b'.{i} then
-              QCheck.Test.fail_reportf "buffer entry %d: %h vs %h" i b.{i} b'.{i}
-          done)
-        bufs bufs';
-      Array.iteri
-        (fun i x ->
-          if bits x <> bits floats'.(i) then
-            QCheck.Test.fail_reportf "overlap/gradient entry %d: %h vs %h" i x
-              floats'.(i))
-        floats;
+      List.iter
+        (fun (name, forward, backward) ->
+          let bufs', floats' = run forward backward in
+          List.iter2
+            (fun b b' ->
+              for i = 0 to Bigarray.Array1.dim b - 1 do
+                if bits b.{i} <> bits b'.{i} then
+                  QCheck.Test.fail_reportf "%s buffer entry %d: %h vs %h" name i
+                    b'.{i} b.{i}
+              done)
+            bufs bufs';
+          Array.iteri
+            (fun i x ->
+              if bits x <> bits floats'.(i) then
+                QCheck.Test.fail_reportf "%s overlap/gradient entry %d: %h vs %h"
+                  name i floats'.(i) x)
+            floats)
+        [ ("default", grape4_forward_default, grape4_backward_default);
+          ("avx2", grape4_forward_avx2, grape4_backward_avx2) ];
+      true)
+
+(* The C ADAM step with the drive clip, on every clone, against
+   [Adam.step] on the flattened controls followed by
+   [Float.max (-cap) (Float.min cap x)], as [Grape.optimize] ran them in
+   OCaml.  A quarter of the controls are special (NaN, +-inf, +-0,
+   subnormals, 1e308), and a quarter of the gradient entries the finite
+   ones among them (1e308 squares past the second moment's range); large
+   learning rates saturate the clip.
+   Each case runs a few steps; a step whose gradient holds a NaN or an
+   infinity must return diverged and leave the controls and moments
+   untouched, and the reference skips it. *)
+let prop_adam_step_equiv =
+  QCheck.Test.make
+    ~name:"ADAM step and clip, every clone = Adam.step + clip (bits)"
+    ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nc = seed mod 6 and n_steps = 1 + Rng.int rng 12 in
+      let special () = specials.(Rng.int rng (Array.length specials)) in
+      let draw lo hi =
+        if Rng.int rng 4 = 0 then special () else Rng.uniform rng ~lo ~hi
+      in
+      (* Drive bounds are positive in GRAPE; signed zeros, a negative, an
+         infinite and a NaN bound reach every branch of the clip. *)
+      let max_amp =
+        Array.init nc (fun _ ->
+            match Rng.int rng 10 with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | 2 -> Float.infinity
+            | 3 -> Float.nan
+            | 4 -> Rng.uniform rng ~lo:(-3.0) ~hi:(-0.2)
+            | _ -> Rng.uniform rng ~lo:0.2 ~hi:3.0)
+      in
+      let u0 = Array.init nc (fun _ -> Array.init n_steps (fun _ -> draw (-4.0) 4.0)) in
+      let steps =
+        List.init (1 + Rng.int rng 5) (fun _ ->
+            let lr =
+              if Rng.int rng 3 = 0 then Rng.uniform rng ~lo:5.0 ~hi:50.0
+              else Rng.uniform rng ~lo:0.01 ~hi:0.5
+            in
+            let grad =
+              Array.init nc (fun _ ->
+                  Array.init n_steps (fun _ ->
+                      match Rng.int rng 4 with
+                      | 0 ->
+                        let x = special () in
+                        if Float.is_finite x then x else 0.5
+                      | _ -> Rng.uniform rng ~lo:(-3.0) ~hi:3.0))
+            in
+            (* A fifth of the steps carry one non-finite gradient entry. *)
+            if nc > 0 && Rng.int rng 5 = 0 then
+              grad.(Rng.int rng nc).(Rng.int rng n_steps) <-
+                [| Float.nan; Float.infinity; Float.neg_infinity |].(Rng.int rng 3);
+            (lr, grad))
+      in
+      (* The reference: controls after each step, or None for a diverged one. *)
+      let expect =
+        let adam = Adam.create (nc * n_steps) and u = Array.map Array.copy u0 in
+        List.map
+          (fun (lr, grad) ->
+            let flat_grad = Array.concat (Array.to_list grad) in
+            if not (Array.for_all Float.is_finite flat_grad) then None
+            else begin
+              let params = Array.concat (Array.to_list u) in
+              Adam.step adam ~learning_rate:lr ~params ~grad:flat_grad;
+              Array.iteri
+                (fun j cap ->
+                  for k = 0 to n_steps - 1 do
+                    u.(j).(k) <-
+                      Float.max (-.cap) (Float.min cap params.((j * n_steps) + k))
+                  done)
+                max_amp;
+              Some (Array.map Array.copy u)
+            end)
+          steps
+      in
+      (* Where the reference holds a NaN the step must hold one too, its
+         payload and sign aside; every other float matches bit for bit. *)
+      let same x y =
+        if Float.is_nan y then Float.is_nan x
+        else Int64.bits_of_float x = Int64.bits_of_float y
+      in
+      List.iter
+        (fun (name, step) ->
+          let u = Array.map Array.copy u0 in
+          let m = Array.make (nc * n_steps) 0.0 and v = Array.make (nc * n_steps) 0.0 in
+          let t = ref 1 in
+          List.iter2
+            (fun (lr, grad) expect ->
+              let before = (Array.map Array.copy u, Array.copy m, Array.copy v) in
+              let diverged = step nc n_steps !t lr max_amp u grad m v in
+              match expect with
+              | None ->
+                if not diverged then
+                  QCheck.Test.fail_reportf "%s: a non-finite gradient stepped" name;
+                let u', m', v' = before in
+                let bits = Array.map Int64.bits_of_float in
+                if
+                  Array.map bits u <> Array.map bits u' || bits m <> bits m'
+                  || bits v <> bits v'
+                then
+                  QCheck.Test.fail_reportf "%s: a diverged step wrote" name
+              | Some expect ->
+                if diverged then
+                  QCheck.Test.fail_reportf "%s: finite gradients diverged" name;
+                incr t;
+                Array.iteri
+                  (fun j row ->
+                    Array.iteri
+                      (fun k x ->
+                        if not (same x expect.(j).(k)) then
+                          QCheck.Test.fail_reportf
+                            "%s step %d, control (%d,%d): %h vs reference %h" name
+                            (!t - 1) j k x expect.(j).(k))
+                      row)
+                  u)
+            steps expect)
+        [ ("loader", adam_step); ("default", adam_step_default);
+          ("avx2", adam_step_avx2) ];
       true)
 
 (* --- aliasing preconditions: misuse must trip the asserts, not corrupt --- *)
@@ -520,7 +712,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_expm_equiv;
           QCheck_alcotest.to_alcotest prop_expm4_grape_equiv;
           QCheck_alcotest.to_alcotest prop_nonfinite_equiv;
-          QCheck_alcotest.to_alcotest prop_grape4_clones_equiv ] );
+          QCheck_alcotest.to_alcotest prop_grape4_clones_equiv;
+          QCheck_alcotest.to_alcotest prop_adam_step_equiv ] );
       ( "preconditions",
         [ Alcotest.test_case "mul_into aliasing" `Quick test_mul_into_aliasing;
           Alcotest.test_case "dagger_into aliasing" `Quick
