@@ -53,11 +53,6 @@ let qaoa_graphs n =
   let er = Graph.erdos_renyi rng ~p:0.5 n in
   (reg, er)
 
-let theta_for seed c =
-  let rng = Rng.create seed in
-  let n = Circuit.n_params c in
-  Array.init n (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi))
-
 let prepared_cache : (string, Circuit.t) Hashtbl.t = Hashtbl.create 64
 
 let prepared key circuit =
@@ -204,7 +199,7 @@ let figure2 () =
     (fun p ->
       (* Routed to a line and GRAPE'd as a single 4-qubit block. *)
       let c = prepared (Printf.sprintf "k4p%d" p) (Qaoa.circuit k4 ~p) in
-      let theta = theta_for (500 + p) c in
+      let theta = Bench_matrix.theta_for (500 + p) c in
       let g = Compiler.gate_based c ~theta in
       let fg = Compiler.full_grape ~engine c ~theta in
       let ratio = g.Strategy.duration_ns /. fg.Strategy.duration_ns in
@@ -287,7 +282,7 @@ let table4 () =
     Table.create [ "benchmark"; "gate"; "strict"; "flex"; "grape"; "paper(g/s/f/G)" ]
   in
   let add_row name c paper =
-    let theta = theta_for 42 c in
+    let theta = Bench_matrix.theta_for 42 c in
     let g, s, f, fg = compile_all c ~theta in
     Table.add_row t
       [ name;
@@ -362,7 +357,7 @@ let figure6 () =
       let t = Table.create [ "p"; "gate"; "strict"; "flexible"; "grape" ] in
       for p = 1 to 8 do
         let c = qaoa_prepared ~kind ~n ~p in
-        let theta = theta_for (42 + p) c in
+        let theta = Bench_matrix.theta_for (42 + p) c in
         let g, s, f, fg = compile_all c ~theta in
         Table.add_row t
           [ string_of_int p;
@@ -389,7 +384,7 @@ let figure7 () =
       [ "benchmark"; "grape s/iter"; "flex s/iter"; "reduction"; "paper"; "flex precompute" ]
   in
   let add name c =
-    let theta = theta_for 42 c in
+    let theta = Bench_matrix.theta_for 42 c in
     let engine = Engine.model in
     let f = Compiler.flexible_partial ~engine c ~theta in
     let fg = Compiler.full_grape ~engine c ~theta in
@@ -429,7 +424,7 @@ let table5 () =
      run omits the leakage level (its 27-dimensional qutrit space exceeds\n\
      the fast budget; REPRO_MODE=full includes it).\n%!";
   let bench name circuit ~realistic_level =
-    let circuit = Circuit.bind circuit (theta_for 42 circuit) in
+    let circuit = Circuit.bind circuit (Bench_matrix.theta_for 42 circuit) in
     let n = Circuit.n_qubits circuit in
     let gate = Gate_times.circuit_duration circuit in
     let run level settings =
@@ -489,7 +484,7 @@ let aggregate () =
   let iterations = 3500 in
   let c = vqe_prepared Molecule.beh2 in
   let n_qubits = Circuit.n_qubits c in
-  let theta = theta_for 42 c in
+  let theta = Bench_matrix.theta_for 42 c in
   let engine = Engine.model in
   let baseline = Compiler.gate_based c ~theta in
   let human_time s =
@@ -542,7 +537,7 @@ let noise () =
   let module Density = Pqc_quantum.Density in
   let module Schedule = Pqc_transpile.Schedule in
   let c = vqe_prepared Molecule.h2 in
-  let theta = theta_for 42 c in
+  let theta = Bench_matrix.theta_for 42 c in
   let bound = Circuit.bind c theta in
   let ideal = Pqc_quantum.Statevec.run bound in
   let sched = Schedule.schedule ~duration:Gate_times.instr_duration bound in
@@ -598,7 +593,7 @@ let ablation_blocking () =
   let t = Table.create [ "benchmark"; "k=2"; "k=3"; "k=4" ] in
   let engine = Engine.model in
   let add name c =
-    let theta = theta_for 42 c in
+    let theta = Bench_matrix.theta_for 42 c in
     let dur k = (Compiler.full_grape ~max_width:k ~engine c ~theta).Strategy.duration_ns in
     Table.add_row t
       [ name; Table.cell_f (dur 2); Table.cell_f (dur 3); Table.cell_f (dur 4) ]
@@ -618,7 +613,7 @@ let ablation_slicing () =
     Pulse.duration (Compiler.strict_slicing ~workers:1 ~engine slicer c ~theta)
   in
   let add name c =
-    let theta = theta_for 42 c in
+    let theta = Bench_matrix.theta_for 42 c in
     Table.add_row t
       [ name;
         Table.cell_f (Gate_times.circuit_duration (Circuit.bind c theta));

@@ -23,11 +23,6 @@ open Pqc_core
    the CLI agree on exactly one spec language. *)
 let benchmark_circuit name = Bench_matrix.circuit_of_spec name
 
-let theta_for seed c =
-  let rng = Rng.create seed in
-  let n = Circuit.n_params c in
-  Array.init n (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi))
-
 (* The one QASM reader behind compile, lint and analyze; each command
    maps the two failures onto its own exit contract. *)
 let read_qasm path :
@@ -91,7 +86,7 @@ let run_compile file benchmark strategy numeric seed trace =
   | Ok circuit ->
     with_trace trace @@ fun () ->
     let prepared = Compiler.prepare circuit in
-    let theta = theta_for seed prepared in
+    let theta = Bench_matrix.theta_for seed prepared in
     let engine = if numeric then Engine.numeric () else Engine.model in
     let strategies =
       match strategy with
@@ -159,7 +154,7 @@ let run_tables () =
    tradeoff.  The model engine keeps recording cheap. *)
 let compile_info_for strategy circuit =
   let prepared = Compiler.prepare circuit in
-  let theta = theta_for 42 prepared in
+  let theta = Bench_matrix.theta_for 42 prepared in
   let r = Compiler.compile ~engine:Engine.model strategy prepared ~theta in
   let baseline = Compiler.gate_based prepared ~theta in
   { Pqc_obs.Run_log.strategy = r.Strategy.strategy;
@@ -282,7 +277,7 @@ let run_export benchmark strategy out seed =
   | Error e -> prerr_endline e; 1
   | Ok circuit ->
     let prepared = Compiler.prepare circuit in
-    let theta = theta_for seed prepared in
+    let theta = Bench_matrix.theta_for seed prepared in
     let r = Compiler.compile ~engine:Engine.model strategy prepared ~theta in
     let qasm = Pqc_quantum.Qasm.to_qasm ~theta prepared in
     let json = Pqc_pulse.Pulse.to_json r.Strategy.pulse in
@@ -457,7 +452,7 @@ let run_analyze file benchmark cache max_width json disable promote
 
 (* --- bench diff --- *)
 
-let run_bench_diff old_path new_path threshold time_threshold =
+let run_bench_diff old_path new_path threshold =
   match Bench_report.read ~path:old_path with
   | Error e ->
     Printf.eprintf "partialc: %s\n" e;
@@ -468,10 +463,7 @@ let run_bench_diff old_path new_path threshold time_threshold =
       Printf.eprintf "partialc: %s\n" e;
       2
     | Ok new_report ->
-      let d =
-        Bench_diff.diff ~threshold_pct:threshold
-          ?time_threshold_pct:time_threshold ~old_report ~new_report ()
-      in
+      let d = Bench_diff.diff ~threshold_pct:threshold ~old_report ~new_report () in
       print_string (Bench_diff.render d);
       if d.Bench_diff.regressions = [] then 0 else 1)
 
@@ -738,20 +730,12 @@ let bench_cmd =
                 "Fail when pulse duration grows by more than $(docv) \
                  percent.")
     in
-    let time_threshold =
-      Arg.(value & opt (some float) None
-          & info [ "time-threshold" ] ~docv:"PCT"
-              ~doc:
-                "Also fail when parallel wall-clock grows by more than \
-                 $(docv) percent (off by default: wall-clock is noisy).")
-    in
     Cmd.v
       (Cmd.info "diff"
          ~doc:
            "Compare two bench reports (exit 0 clean, 1 regression, 2 \
             unreadable input)")
-      Term.(const run_bench_diff $ old_path $ new_path $ threshold
-            $ time_threshold)
+      Term.(const run_bench_diff $ old_path $ new_path $ threshold)
   in
   let matrix_cmd =
     let manifest =

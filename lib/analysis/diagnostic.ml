@@ -57,26 +57,12 @@ let to_string d =
     (severity_to_string d.severity)
     d.rule (span_to_string d.span) d.message hint
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_string = Pqc_util.Jsonx.escape_string
 
 let to_json d =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\"" (json_escape d.rule)
+    (Printf.sprintf "{\"rule\":%s,\"severity\":\"%s\"" (json_string d.rule)
        (severity_to_string d.severity));
   (match d.span with
   | None -> ()
@@ -84,10 +70,10 @@ let to_json d =
     Buffer.add_string buf
       (Printf.sprintf ",\"span\":{\"first\":%d,\"last\":%d}" first last));
   Buffer.add_string buf
-    (Printf.sprintf ",\"message\":\"%s\"" (json_escape d.message));
+    (Printf.sprintf ",\"message\":%s" (json_string d.message));
   (match d.hint with
   | None -> ()
   | Some h ->
-    Buffer.add_string buf (Printf.sprintf ",\"hint\":\"%s\"" (json_escape h)));
+    Buffer.add_string buf (Printf.sprintf ",\"hint\":%s" (json_string h)));
   Buffer.add_char buf '}';
   Buffer.contents buf

@@ -2,7 +2,6 @@ module Table = Pqc_util.Table
 
 type row = {
   key : string;
-  metric : string;
   old_value : float;
   new_value : float;
   delta_pct : float;
@@ -18,24 +17,26 @@ type t = {
   regressions : string list;
 }
 
+(* Growth from 0 has no finite percentage; it reads as +inf, so a pulse
+   that appears where there was none gates at every threshold. *)
 let pct ~old_value ~new_value =
-  if old_value = 0. then Float.nan
+  if old_value = 0. then if new_value > 0. then Float.infinity else 0.
   else (new_value -. old_value) /. old_value *. 100.
 
-(* A metric row gates only when a threshold is set for it and the
-   relative growth exceeds that threshold.  Shrinkage never gates. *)
-let make_row ~key ~metric ~threshold ~old_value ~new_value =
-  let delta_pct = pct ~old_value ~new_value in
-  let regression, note =
-    match threshold with
-    | Some limit when Float.is_finite delta_pct && delta_pct > limit ->
-      (true, Printf.sprintf "+%.1f%% > %.1f%%" delta_pct limit)
-    | Some _ | None -> (false, "")
-  in
-  { key; metric; old_value; new_value; delta_pct; regression; note }
+let delta_text d = Printf.sprintf "%+.1f%%" d
 
-let diff ?(threshold_pct = 20.) ?time_threshold_pct ~old_report ~new_report ()
-    =
+(* A row gates when the relative growth exceeds the threshold.
+   Shrinkage never gates. *)
+let make_row ~key ~threshold ~old_value ~new_value =
+  let delta_pct = pct ~old_value ~new_value in
+  let regression = delta_pct > threshold in
+  let note =
+    if regression then Printf.sprintf "%s > %.1f%%" (delta_text delta_pct) threshold
+    else ""
+  in
+  { key; old_value; new_value; delta_pct; regression; note }
+
+let diff ?(threshold_pct = 20.) ~old_report ~new_report () =
   let olds = (old_report : Bench_report.t).experiments in
   let news = (new_report : Bench_report.t).experiments in
   let find es k = List.find_opt (fun e -> Bench_report.experiment_key e = k) es in
@@ -48,11 +49,8 @@ let diff ?(threshold_pct = 20.) ?time_threshold_pct ~old_report ~new_report ()
       | Some n ->
         if not n.equal_pulse then broken := k :: !broken;
         rows :=
-          make_row ~key:k ~metric:"parallel_s" ~threshold:time_threshold_pct
-            ~old_value:o.parallel_s ~new_value:n.parallel_s
-          :: make_row ~key:k ~metric:"pulse_duration_ns"
-               ~threshold:(Some threshold_pct)
-               ~old_value:o.pulse_duration_ns ~new_value:n.pulse_duration_ns
+          make_row ~key:k ~threshold:threshold_pct
+            ~old_value:o.pulse_duration_ns ~new_value:n.pulse_duration_ns
           :: !rows)
     olds;
   let added =
@@ -73,7 +71,7 @@ let diff ?(threshold_pct = 20.) ?time_threshold_pct ~old_report ~new_report ()
     @ List.filter_map
         (fun r ->
           if r.regression then
-            Some (Printf.sprintf "%s: %s %s" r.key r.metric r.note)
+            Some (Printf.sprintf "%s: pulse_duration_ns %s" r.key r.note)
           else None)
         rows
   in
@@ -81,17 +79,15 @@ let diff ?(threshold_pct = 20.) ?time_threshold_pct ~old_report ~new_report ()
 
 let render t =
   let tbl =
-    Table.create [ "experiment"; "metric"; "old"; "new"; "delta"; "gate" ]
+    Table.create [ "experiment"; "old (ns)"; "new (ns)"; "delta"; "gate" ]
   in
   List.iter
     (fun r ->
       let delta =
-        if Float.is_finite r.delta_pct then
-          Printf.sprintf "%+.1f%%" r.delta_pct
-        else "n/a"
+        if Float.is_nan r.delta_pct then "n/a" else delta_text r.delta_pct
       in
       Table.add_row tbl
-        [ r.key; r.metric;
+        [ r.key;
           Table.cell_f ~decimals:3 r.old_value;
           Table.cell_f ~decimals:3 r.new_value;
           delta;

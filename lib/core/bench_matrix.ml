@@ -338,14 +338,14 @@ let write_index m ~out_dir cells =
   Buffer.add_string buf
     (Printf.sprintf "  \"schema_version\": %d,\n" manifest_schema_version);
   Buffer.add_string buf
-    (Printf.sprintf "  \"manifest\": %s,\n" (Bench_report.json_string m.name));
+    (Printf.sprintf "  \"manifest\": %s,\n" (J.escape_string m.name));
   Buffer.add_string buf
-    (Printf.sprintf "  \"engine\": %s,\n" (Bench_report.json_string m.engine));
+    (Printf.sprintf "  \"engine\": %s,\n" (J.escape_string m.engine));
   Buffer.add_string buf "  \"cells\": [\n";
   Buffer.add_string buf
     (String.concat ",\n"
        (List.map
-          (fun c -> "    " ^ Bench_report.json_string c.id)
+          (fun c -> "    " ^ J.escape_string c.id)
           cells));
   Buffer.add_string buf "\n  ]\n}\n";
   write_file ~path:(index_path ~out_dir) (Buffer.contents buf)
@@ -370,27 +370,6 @@ let numeric_settings () =
 let engine_for m =
   if m.engine = "numeric" then Engine.numeric ~settings:(numeric_settings ()) ()
   else Engine.model
-
-let rollups_from_obs () =
-  let trace =
-    List.map
-      (fun (span, count, total_s) -> { Bench_report.span; count; total_s })
-      (Obs.rollup ())
-  in
-  let metrics =
-    List.map
-      (fun name ->
-        let s = Option.get (Obs.Metrics.stats name) in
-        let p50, p90, p99 = Obs.Metrics.percentiles name in
-        let mean =
-          if s.Obs.Metrics.count = 0 then Float.nan
-          else s.Obs.Metrics.sum /. float_of_int s.Obs.Metrics.count
-        in
-        { Bench_report.metric = name; count = s.Obs.Metrics.count; mean;
-          p50; p90; p99; max = s.Obs.Metrics.max })
-      (Obs.Metrics.names ())
-  in
-  (trace, metrics)
 
 let run_variational m cell ~workload ~compiled ~gate ~run_path =
   let info =
@@ -449,81 +428,65 @@ let run_cell m ~out_dir cell =
     let compile ~workers =
       (* A fresh engine per compile: neither run may warm the other's
          cache. *)
-      let engine = engine_for m in
-      let t0 = Pqc_obs.Obs.Clock.now () in
-      let r =
-        Compiler.compile ~workers ~max_width:m.max_width ~engine cell.strategy
-          c ~theta
-      in
-      (r, Pqc_obs.Obs.Clock.now () -. t0)
+      Compiler.compile ~workers ~max_width:m.max_width ~engine:(engine_for m)
+        cell.strategy c ~theta
     in
     (* The sequential compile is the fault-free reference, even under an
        ambient plan whose optimizer sites would change its pulses. *)
     let ambient_plan = Fault.current () in
     Fault.set None;
-    let seq, sequential_s =
+    let seq =
       Fun.protect
         ~finally:(fun () -> Fault.set ambient_plan)
         (fun () -> compile ~workers:1)
     in
-    (* Telemetry and the cell's fault plan are both scoped to the parallel
-       compile + variational loop, and global state is restored before
-       this function returns so the pool running the cells sees a quiet
-       process. *)
+    (* The parallel compile and the variational loop run traced, so
+       equal_pulse also checks that tracing moves no pulse.  Telemetry and
+       the cell's fault plan are both scoped to them, and global state is
+       restored before this function returns so the pool running the
+       cells sees a quiet process. *)
     Obs.reset ();
     Obs.enable ();
-    let finish () =
-      Fault.set ambient_plan;
-      Obs.disable ();
-      Obs.reset ()
+    let par =
+      Fun.protect
+        ~finally:(fun () ->
+          Fault.set ambient_plan;
+          Obs.disable ();
+          Obs.reset ())
+        (fun () ->
+          Fault.set cell.fault_plan;
+          let par = compile ~workers:cell.cell_workers in
+          Fault.set ambient_plan;
+          if m.iterations > 0 then begin
+            let gate = Compiler.gate_based c ~theta in
+            run_variational m cell ~workload ~compiled:par ~gate
+              ~run_path:(Filename.concat dir "run.jsonl")
+          end;
+          par)
     in
-    match
-      Fault.set cell.fault_plan;
-      let par, parallel_s = compile ~workers:cell.cell_workers in
-      Fault.set ambient_plan;
-      if m.iterations > 0 then begin
-        let gate = Compiler.gate_based c ~theta in
-        run_variational m cell ~workload ~compiled:par ~gate
-          ~run_path:(Filename.concat dir "run.jsonl")
-      end;
-      (par, parallel_s)
-    with
-    | exception e ->
-      finish ();
-      raise e
-    | par, parallel_s ->
-      let trace, metrics = rollups_from_obs () in
-      write_file
-        ~path:(Filename.concat dir "metrics.reg")
-        (Obs.Metrics.encode_all ());
-      finish ();
-      let equal_pulse =
-        Float.equal seq.Strategy.duration_ns par.Strategy.duration_ns
-      in
-      let experiment =
-        { Bench_report.name = cell.cell_name;
-          strategy = Compiler.strategy_name cell.strategy;
-          engine = m.engine;
-          run_id = rid;
-          pulse_duration_ns = par.Strategy.duration_ns;
-          sequential_s;
-          parallel_s;
-          speedup = sequential_s /. parallel_s;
-          cache_hits = par.Strategy.pool.Engine.cache_hits;
-          blocks_compiled = par.Strategy.pool.Engine.dispatched;
-          workers = cell.cell_workers;
-          equal_pulse;
-          trace;
-          metrics }
-      in
-      let report =
-        { Bench_report.mode = "matrix:" ^ m.name;
-          workers = cell.cell_workers;
-          experiments = [ experiment ] }
-      in
-      Bench_report.write ~path:(Filename.concat dir "report.json") report;
-      if equal_pulse then Ok ()
-      else Error "sequential and parallel pulse durations differ"
+    let equal_pulse =
+      Float.equal seq.Strategy.duration_ns par.Strategy.duration_ns
+      && seq.Strategy.pulse = par.Strategy.pulse
+    in
+    let experiment =
+      { Bench_report.name = cell.cell_name;
+        strategy = Compiler.strategy_name cell.strategy;
+        engine = m.engine;
+        run_id = rid;
+        pulse_duration_ns = par.Strategy.duration_ns;
+        cache_hits = par.Strategy.pool.Engine.cache_hits;
+        blocks_compiled = par.Strategy.pool.Engine.dispatched;
+        workers = cell.cell_workers;
+        equal_pulse }
+    in
+    let report =
+      { Bench_report.mode = "matrix:" ^ m.name;
+        workers = cell.cell_workers;
+        experiments = [ experiment ] }
+    in
+    Bench_report.write ~path:(Filename.concat dir "report.json") report;
+    if equal_pulse then Ok ()
+    else Error "sequential and parallel pulses differ"
   with e -> Error (Printexc.to_string e)
 
 (* ---- driver ---------------------------------------------------------- *)

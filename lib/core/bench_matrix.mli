@@ -6,17 +6,15 @@
     cartesian product.  {!run} expands the manifest and executes every
     cell through {!Pqc_parallel.Pool}, leaving on disk, per cell, a
     single-experiment schema-v{!Bench_report.schema_version}
-    {!Bench_report} document, a serialized {!Pqc_obs.Obs.Metrics}
-    registry, and (when the manifest asks for variational iterations) a
-    {!Pqc_obs.Run_log} JSONL stream.  {!Bench_rollup} aggregates the
-    results directory into one fleet-level report.
+    {!Bench_report} document and (when the manifest asks for variational
+    iterations) a {!Pqc_obs.Run_log} JSONL stream.  {!Bench_rollup}
+    aggregates the results directory into one fleet-level report.
 
     Cell execution is self-contained — each cell resets and scopes its
     own telemetry, applies its own fault plan only around its parallel
     compile, and writes its outputs atomically — so a matrix run is
     deterministic in the {e driver's} worker count: the same manifest
-    produces byte-identical per-cell reports (modulo wall-clock fields,
-    see {!Bench_report.normalize}) whether cells are executed
+    produces byte-identical per-cell reports whether cells are executed
     sequentially or fanned out over the pool.
 
     Manifest document (all keys except [workloads] and [strategies]
@@ -49,6 +47,11 @@ module Circuit = Pqc_quantum.Circuit
 val numeric_settings : unit -> Pqc_grape.Grape.settings
 (** The GRAPE settings of a numeric manifest's engine: dt 1 ns, 60
     iterations, fidelity target 0.98. *)
+
+val theta_for : int -> Circuit.t -> float array
+(** [theta_for seed c] draws one angle per parameter of [c], uniformly
+    in [[0, 2π)], from a stream seeded with [seed] — the binding of every
+    manifest cell, of [partialc]'s commands and of the paper tables. *)
 
 type workload =
   | Mol of Pqc_vqe.Molecule.t
@@ -118,11 +121,11 @@ type outcome = { cell : cell; status : (unit, string) result }
 
 val run_cell : manifest -> out_dir:string -> cell -> (unit, string) result
 (** Execute one cell in the current process: prepare the workload on the
-    cell topology, compile sequentially with no fault plan, then in
-    parallel under the cell's fault plan with scoped telemetry,
-    optionally run the variational loop against a {!Pqc_obs.Run_log}
-    recorder, and write [report.json] / [metrics.reg] / [run.jsonl]
-    under {!cell_dir}.
+    cell topology, compile sequentially with no fault plan, then traced
+    and in parallel under the cell's fault plan, optionally run the
+    variational loop against a {!Pqc_obs.Run_log} recorder, compare the
+    two pulse schedules, and write [report.json] / [run.jsonl] under
+    {!cell_dir}.
     Leaves global telemetry disabled and the ambient fault plan
     restored.  Never raises on cell failure. *)
 

@@ -1,24 +1,6 @@
-(* v2: experiments gained a "trace" array of per-span rollups from the
-   telemetry layer (empty when tracing was off for the run).
-   v3: experiments gained a "metrics" array of histogram rollups
-   (count/mean/percentiles per Obs.Metrics histogram, empty when
-   metrics were off for the run).
-   v4: experiments gained a "run_id" correlation id (Obs.Ctx) joining
-   the experiment to its trace spans, run-log lines, cache entries and
-   degradation records; "" when the run had no ambient context. *)
-let schema_version = 4
-
-type span_rollup = { span : string; count : int; total_s : float }
-
-type metric_rollup = {
-  metric : string;
-  count : int;
-  mean : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  max : float;
-}
+(* Bumped on any change to the document structure; the reader accepts
+   this version only. *)
+let schema_version = 5
 
 type experiment = {
   name : string;
@@ -26,56 +8,20 @@ type experiment = {
   engine : string;
   run_id : string;
   pulse_duration_ns : float;
-  sequential_s : float;
-  parallel_s : float;
-  speedup : float;
   cache_hits : int;
   blocks_compiled : int;
   workers : int;
   equal_pulse : bool;
-  trace : span_rollup list;
-  metrics : metric_rollup list;
 }
 
 type t = { mode : string; workers : int; experiments : experiment list }
 
 let json_string = Pqc_util.Jsonx.escape_string
 
-(* JSON has no inf/nan tokens; a benchmark that produced one (e.g. a
-   speedup with a zero-duration denominator) renders as null rather than
-   emitting a document nothing can parse. *)
+(* JSON has no inf/nan tokens; a benchmark that produced one renders as
+   null rather than emitting a document nothing can parse. *)
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-
-let rollup_json r =
-  String.concat ""
-    [ "        { \"span\": "; json_string r.span;
-      ", \"count\": "; string_of_int r.count;
-      ", \"total_s\": "; json_float r.total_s; " }" ]
-
-let trace_json = function
-  | [] -> "[]"
-  | rs ->
-    String.concat ""
-      [ "[\n"; String.concat ",\n" (List.map rollup_json rs); "\n      ]" ]
-
-let metric_rollup_json ~indent m =
-  String.concat ""
-    [ indent; "{ \"metric\": "; json_string m.metric;
-      ", \"count\": "; string_of_int m.count;
-      ", \"mean\": "; json_float m.mean;
-      ", \"p50\": "; json_float m.p50;
-      ", \"p90\": "; json_float m.p90;
-      ", \"p99\": "; json_float m.p99;
-      ", \"max\": "; json_float m.max; " }" ]
-
-let metrics_json = function
-  | [] -> "[]"
-  | ms ->
-    String.concat ""
-      [ "[\n";
-        String.concat ",\n" (List.map (metric_rollup_json ~indent:"        ") ms);
-        "\n      ]" ]
 
 let experiment_json e =
   String.concat ""
@@ -85,15 +31,10 @@ let experiment_json e =
       "      \"engine\": "; json_string e.engine; ",\n";
       "      \"run_id\": "; json_string e.run_id; ",\n";
       "      \"pulse_duration_ns\": "; json_float e.pulse_duration_ns; ",\n";
-      "      \"sequential_s\": "; json_float e.sequential_s; ",\n";
-      "      \"parallel_s\": "; json_float e.parallel_s; ",\n";
-      "      \"speedup\": "; json_float e.speedup; ",\n";
       "      \"cache_hits\": "; string_of_int e.cache_hits; ",\n";
       "      \"blocks_compiled\": "; string_of_int e.blocks_compiled; ",\n";
       "      \"workers\": "; string_of_int e.workers; ",\n";
-      "      \"equal_pulse\": "; string_of_bool e.equal_pulse; ",\n";
-      "      \"trace\": "; trace_json e.trace; ",\n";
-      "      \"metrics\": "; metrics_json e.metrics; "\n";
+      "      \"equal_pulse\": "; string_of_bool e.equal_pulse; "\n";
       "    }" ]
 
 (* The diff and the rollup both key experiments by name/strategy/engine;
@@ -108,53 +49,35 @@ let sorted t =
         (fun a b -> String.compare (experiment_key a) (experiment_key b))
         t.experiments }
 
-(* Wall-clock fields vary run to run even when the compilation itself is
-   deterministic; zeroing them (while keeping every count, pulse duration
-   and flag) leaves exactly the byte-stable part of a report, which is
-   what the workers:1 == workers:4 determinism tests compare.  Trace
-   rollups are re-sorted by span name: their native order (heaviest span
-   first) is itself wall-clock-derived. *)
-let normalize t =
-  let span r = { r with total_s = 0.0 } in
-  let metric m = { m with mean = 0.0; p50 = 0.0; p90 = 0.0; p99 = 0.0; max = 0.0 } in
-  let experiment e =
-    { e with
-      sequential_s = 0.0;
-      parallel_s = 0.0;
-      speedup = 0.0;
-      trace =
-        List.sort
-          (fun a b -> String.compare a.span b.span)
-          (List.map span e.trace);
-      metrics = List.map metric e.metrics }
-  in
-  { t with experiments = List.map experiment t.experiments }
-
-let to_json t =
+let to_json ?(extra = []) t =
+  let member (key, value) = "  " ^ json_string key ^ ": " ^ value ^ ",\n" in
   String.concat ""
-    [ "{\n";
-      "  \"schema_version\": "; string_of_int schema_version; ",\n";
-      "  \"mode\": "; json_string t.mode; ",\n";
-      "  \"workers\": "; string_of_int t.workers; ",\n";
-      "  \"experiments\": [\n";
-      String.concat ",\n" (List.map experiment_json t.experiments);
-      "\n  ]\n";
-      "}\n" ]
+    ([ "{\n";
+       member ("schema_version", string_of_int schema_version);
+       member ("mode", json_string t.mode);
+       member ("workers", string_of_int t.workers) ]
+    @ List.map member extra
+    @ [ (match t.experiments with
+        | [] -> "  \"experiments\": []\n"
+        | es ->
+          "  \"experiments\": [\n"
+          ^ String.concat ",\n" (List.map experiment_json es)
+          ^ "\n  ]\n");
+        "}\n" ])
 
-let write ~path t =
+let write ?extra ~path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json t));
+    (fun () -> output_string oc (to_json ?extra t));
   Sys.rename tmp path
 
 (* ---- reader ----------------------------------------------------------
 
-   Tolerant across schema versions: v1 documents have no "trace", v2
-   none of "metrics" — both read back as [].  Anything missing from the
-   v1 core is a hard error; the regression gate must not silently
-   compare against a half-parsed report. *)
+   Strict: a document of any other schema version, or one missing a
+   field, is an error.  The regression gate must not silently compare
+   against a half-parsed report. *)
 
 module J = Pqc_util.Jsonx
 
@@ -164,36 +87,7 @@ let req what = function
   | Some v -> v
   | None -> raise (Malformed ("missing or mistyped " ^ what))
 
-let get_float ctx key j =
-  req (ctx ^ "." ^ key) (Option.bind (J.member key j) J.to_float)
-
-let get_int ctx key j =
-  req (ctx ^ "." ^ key) (Option.bind (J.member key j) J.to_int)
-
-let get_string ctx key j =
-  req (ctx ^ "." ^ key) (Option.bind (J.member key j) J.to_string)
-
-let get_bool ctx key j =
-  req (ctx ^ "." ^ key) (Option.bind (J.member key j) J.to_bool)
-
-let rollup_of_json ctx j =
-  { span = get_string ctx "span" j;
-    count = get_int ctx "count" j;
-    total_s = get_float ctx "total_s" j }
-
-let metric_of_json ctx j =
-  { metric = get_string ctx "metric" j;
-    count = get_int ctx "count" j;
-    mean = get_float ctx "mean" j;
-    p50 = get_float ctx "p50" j;
-    p90 = get_float ctx "p90" j;
-    p99 = get_float ctx "p99" j;
-    max = get_float ctx "max" j }
-
-let optional_list key of_item j =
-  match J.member key j with
-  | None -> []
-  | Some arr -> List.map of_item (req (key ^ " array") (J.to_list arr))
+let get conv ctx key j = req (ctx ^ "." ^ key) (Option.bind (J.member key j) conv)
 
 let experiment_of_json j =
   let ctx =
@@ -201,54 +95,38 @@ let experiment_of_json j =
     | Some n -> "experiment " ^ n
     | None -> "experiment"
   in
-  { name = get_string ctx "name" j;
-    strategy = get_string ctx "strategy" j;
-    engine = get_string ctx "engine" j;
-    (* v3 and earlier have no run_id; read as "" rather than failing. *)
-    run_id =
-      Option.value ~default:""
-        (Option.bind (J.member "run_id" j) J.to_string);
-    pulse_duration_ns = get_float ctx "pulse_duration_ns" j;
-    sequential_s = get_float ctx "sequential_s" j;
-    parallel_s = get_float ctx "parallel_s" j;
-    speedup = get_float ctx "speedup" j;
-    cache_hits = get_int ctx "cache_hits" j;
-    blocks_compiled = get_int ctx "blocks_compiled" j;
-    workers = get_int ctx "workers" j;
-    equal_pulse = get_bool ctx "equal_pulse" j;
-    trace = optional_list "trace" (rollup_of_json (ctx ^ ".trace")) j;
-    metrics = optional_list "metrics" (metric_of_json (ctx ^ ".metrics")) j }
+  { name = get J.to_string ctx "name" j;
+    strategy = get J.to_string ctx "strategy" j;
+    engine = get J.to_string ctx "engine" j;
+    run_id = get J.to_string ctx "run_id" j;
+    pulse_duration_ns = get J.to_float ctx "pulse_duration_ns" j;
+    cache_hits = get J.to_int ctx "cache_hits" j;
+    blocks_compiled = get J.to_int ctx "blocks_compiled" j;
+    workers = get J.to_int ctx "workers" j;
+    equal_pulse = get J.to_bool ctx "equal_pulse" j }
 
 let of_json s =
   match J.parse s with
   | Error e -> Error e
   | Ok doc -> (
     try
-      let version = get_int "report" "schema_version" doc in
-      if version < 1 || version > schema_version then
-        Error (Printf.sprintf "unsupported schema_version %d" version)
+      let version = get J.to_int "report" "schema_version" doc in
+      if version <> schema_version then
+        Error
+          (Printf.sprintf "unsupported schema_version %d (this build reads %d)"
+             version schema_version)
       else
         Ok
-          { mode = get_string "report" "mode" doc;
-            workers = get_int "report" "workers" doc;
+          { mode = get J.to_string "report" "mode" doc;
+            workers = get J.to_int "report" "workers" doc;
             experiments =
               List.map experiment_of_json
                 (req "experiments array"
                    (Option.bind (J.member "experiments" doc) J.to_list)) }
     with Malformed what -> Error what)
 
-let metric_rollup_of_json ~what j =
-  match metric_of_json what j with
-  | m -> Ok m
-  | exception Malformed e -> Error e
-
 let read ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | s -> (
     match of_json s with
     | Ok t -> Ok t

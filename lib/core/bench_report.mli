@@ -6,32 +6,13 @@
     {!schema_version}, and the rendered form is pinned by a golden test
     so accidental drift fails [dune runtest].
 
-    Reports can also be read back ({!of_json} / {!read}) so two runs can
-    be compared by {!Bench_diff}; the reader accepts every schema version
-    up to the current one. *)
+    A report holds only what is a pure function of its inputs: pulse
+    durations, counts and flags.  Timing is measured by [perfbench/],
+    over repeated passes.  Reports can also be read back ({!of_json} /
+    {!read}) so two runs can be compared by {!Bench_diff}. *)
 
 val schema_version : int
-(** Bumped on any change to the document structure below.  Currently 4:
-    v2 added [trace], v3 added [metrics], v4 added [run_id]. *)
-
-type span_rollup = {
-  span : string;  (** Span name, e.g. ["engine.search"]. *)
-  count : int;  (** Times the span closed during the run. *)
-  total_s : float;  (** Summed span duration, seconds. *)
-}
-(** One row of {!Pqc_obs.Obs.rollup}, embedded per experiment. *)
-
-type metric_rollup = {
-  metric : string;  (** Histogram name, e.g. ["grape.block_s"]. *)
-  count : int;  (** Observations recorded. *)
-  mean : float;
-  p50 : float;  (** Median (log-bucket approximation). *)
-  p90 : float;
-  p99 : float;
-  max : float;  (** Exact largest observation. *)
-}
-(** One {!Pqc_obs.Obs.Metrics} histogram summary, embedded per
-    experiment (schema v3). *)
+(** Bumped on any change to the document structure below.  Currently 5. *)
 
 type experiment = {
   name : string;  (** Benchmark circuit, e.g. ["uccsd-lih"]. *)
@@ -40,25 +21,15 @@ type experiment = {
   run_id : string;
       (** Correlation id ({!Pqc_obs.Obs.Ctx}) of the experiment's run —
           the join key against trace spans, run-log lines and cache
-          entries.  [""] on pre-v4 documents and ad-hoc runs with no
-          ambient context. *)
+          entries.  [""] for ad-hoc runs with no ambient context. *)
   pulse_duration_ns : float;  (** Compiled pulse duration (parallel run). *)
-  sequential_s : float;  (** Wall-clock of the [workers = 1] compile. *)
-  parallel_s : float;  (** Wall-clock of the [workers = n] compile. *)
-  speedup : float;  (** [sequential_s /. parallel_s]. *)
   cache_hits : int;  (** Pool cache hits during the parallel compile. *)
   blocks_compiled : int;  (** Blocks dispatched during the parallel compile. *)
   workers : int;  (** Workers used by the parallel compile. *)
   equal_pulse : bool;
       (** Whether sequential and parallel compiles produced the same
-          pulse duration — the determinism contract, re-checked on every
+          pulse schedule — the determinism contract, re-checked on every
           benchmark run. *)
-  trace : span_rollup list;
-      (** Per-span rollups from the traced parallel compile ([[]] when
-          tracing was off). *)
-  metrics : metric_rollup list;
-      (** Histogram rollups from the traced parallel compile ([[]] when
-          tracing was off). *)
 }
 
 type t = {
@@ -76,50 +47,19 @@ val sorted : t -> t
     sort before writing so report bytes never depend on the order cells
     or workers happened to finish in. *)
 
-val normalize : t -> t
-(** Zero every wall-clock-derived field (sequential/parallel seconds,
-    speedup, trace [total_s], metric mean/percentiles/max) while keeping
-    all counts, pulse durations and flags.  Two runs of the same
-    deterministic workload render byte-identically after [normalize] —
-    the invariant the workers:1 == workers:4 tests pin. *)
-
-val to_json : t -> string
+val to_json : ?extra:(string * string) list -> t -> string
 (** Deterministic pretty-printed JSON (2-space indent, fixed key order,
-    trailing newline).  Non-finite floats render as [null]. *)
+    trailing newline).  Non-finite floats render as [null].  [extra]
+    top-level members, each a key and its rendered JSON value, go between
+    [workers] and [experiments]; {!of_json} ignores them. *)
 
-val write : path:string -> t -> unit
+val write : ?extra:(string * string) list -> path:string -> t -> unit
 (** Atomic write of {!to_json} (temp file + rename). *)
 
 val of_json : string -> (t, string) result
-(** Parse a report produced by any schema version up to the current one.
-    Fields a document's vintage predates ([trace] before v2, [metrics]
-    before v3, [run_id] before v4) read back as [[]] / [""]; anything
-    missing from the v1 core is an error, as is a [schema_version] newer
-    than this build supports. *)
+(** Parse a report of the current {!schema_version}.  Any other version
+    is an error that names it, as is any missing or mistyped field. *)
 
 val read : path:string -> (t, string) result
 (** {!of_json} on a file's contents; I/O failures are returned as
     [Error], never raised. *)
-
-(** {2 JSON plumbing}
-
-    Shared with {!Bench_rollup}, whose document embeds report fragments
-    with extra top-level keys.  Stable but low-level; prefer {!to_json}
-    / {!of_json} for whole reports. *)
-
-val json_string : string -> string
-(** JSON string literal with the report's escaping rules. *)
-
-val json_float : float -> string
-(** [%.9g]; non-finite values render as [null]. *)
-
-val experiment_json : experiment -> string
-(** One experiment object, 4-space base indent, no trailing newline —
-    exactly the fragment {!to_json} embeds. *)
-
-val metric_rollup_json : indent:string -> metric_rollup -> string
-(** One metric-rollup object on a single line prefixed by [indent]. *)
-
-val metric_rollup_of_json :
-  what:string -> Pqc_util.Jsonx.t -> (metric_rollup, string) result
-(** Parse one metric-rollup object; [what] labels error messages. *)

@@ -1,24 +1,10 @@
-module Obs = Pqc_obs.Obs
 module J = Pqc_util.Jsonx
 
 type t = {
   report : Bench_report.t;
   cells : int;
   missing_cells : string list;
-  fleet : Bench_report.metric_rollup list;
 }
-
-let read_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> Ok s
-  | exception Sys_error e -> Error e
-
-(* ---- aggregation ------------------------------------------------------ *)
 
 let parse_index s =
   match J.parse s with
@@ -37,41 +23,28 @@ let parse_index s =
         Error "cells.json: cells must be an array of strings"
       else Ok (name, ids)))
 
-let fleet_of_agg agg =
-  List.map
-    (fun name ->
-      let s = Option.get (Obs.Metrics.Agg.stats agg name) in
-      let p50, p90, p99 = Obs.Metrics.Agg.percentiles agg name in
-      { Bench_report.metric = name;
-        count = s.Obs.Metrics.count;
-        mean = Obs.Metrics.Agg.mean agg name;
-        p50; p90; p99;
-        max = s.Obs.Metrics.max })
-    (Obs.Metrics.Agg.names agg)
-
 let of_results_dir ~dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Printf.sprintf "%s: not a directory" dir)
   else
-    match read_file (Filename.concat dir "cells.json") with
-    | Error e -> Error e
-    | Ok s -> (
+    match
+      In_channel.with_open_bin (Filename.concat dir "cells.json")
+        In_channel.input_all
+    with
+    | exception Sys_error e -> Error e
+    | s -> (
       match parse_index s with
       | Error e -> Error (Printf.sprintf "%s: %s" dir e)
       | Ok (name, ids) ->
-        let agg = Obs.Metrics.Agg.create () in
         let experiments = ref [] in
         let missing = ref [] in
         List.iter
           (fun id ->
-            let cell_dir = Filename.concat dir id in
-            match Bench_report.read ~path:(Filename.concat cell_dir "report.json") with
+            let path = Filename.concat (Filename.concat dir id) "report.json" in
+            match Bench_report.read ~path with
             | Error _ -> missing := id :: !missing
             | Ok r ->
-              experiments := List.rev_append r.Bench_report.experiments !experiments;
-              (match read_file (Filename.concat cell_dir "metrics.reg") with
-              | Ok line -> Obs.Metrics.Agg.absorb agg line
-              | Error _ -> ()))
+              experiments := List.rev_append r.Bench_report.experiments !experiments)
           ids;
         let workers =
           List.fold_left
@@ -88,98 +61,16 @@ let of_results_dir ~dir =
         Ok
           { report;
             cells = List.length ids;
-            missing_cells = List.sort String.compare (List.rev !missing);
-            fleet = fleet_of_agg agg })
+            missing_cells = List.sort String.compare (List.rev !missing) })
 
-(* ---- JSON ------------------------------------------------------------- *)
+let extra t =
+  [ ("cells", string_of_int t.cells);
+    ( "missing_cells",
+      "[" ^ String.concat ", " (List.map J.escape_string t.missing_cells) ^ "]"
+    ) ]
 
-let to_json t =
-  let r = t.report in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n" Bench_report.schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": %s,\n"
-       (Bench_report.json_string r.Bench_report.mode));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"workers\": %d,\n" r.Bench_report.workers);
-  Buffer.add_string buf (Printf.sprintf "  \"cells\": %d,\n" t.cells);
-  Buffer.add_string buf "  \"missing_cells\": [";
-  Buffer.add_string buf
-    (String.concat ", " (List.map Bench_report.json_string t.missing_cells));
-  Buffer.add_string buf "],\n";
-  (match t.fleet with
-  | [] -> Buffer.add_string buf "  \"fleet_metrics\": [],\n"
-  | ms ->
-    Buffer.add_string buf "  \"fleet_metrics\": [\n";
-    Buffer.add_string buf
-      (String.concat ",\n"
-         (List.map (Bench_report.metric_rollup_json ~indent:"    ") ms));
-    Buffer.add_string buf "\n  ],\n");
-  (match r.Bench_report.experiments with
-  | [] -> Buffer.add_string buf "  \"experiments\": []\n"
-  | es ->
-    Buffer.add_string buf "  \"experiments\": [\n";
-    Buffer.add_string buf
-      (String.concat ",\n" (List.map Bench_report.experiment_json es));
-    Buffer.add_string buf "\n  ]\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-let of_json s =
-  match Bench_report.of_json s with
-  | Error e -> Error e
-  | Ok report -> (
-    match J.parse s with
-    | Error e -> Error e
-    | Ok doc ->
-      let cells =
-        Option.value
-          (Option.bind (J.member "cells" doc) J.to_int)
-          ~default:(List.length report.Bench_report.experiments)
-      in
-      let missing_cells =
-        match Option.bind (J.member "missing_cells" doc) J.to_list with
-        | None -> []
-        | Some items -> List.filter_map J.to_string items
-      in
-      let fleet =
-        match Option.bind (J.member "fleet_metrics" doc) J.to_list with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun j ->
-              Result.to_option
-                (Bench_report.metric_rollup_of_json ~what:"fleet_metrics" j))
-            items
-      in
-      Ok { report; cells; missing_cells; fleet })
-
-let write ~path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json t));
-  Sys.rename tmp path
-
-let read ~path =
-  match read_file path with
-  | Error e -> Error e
-  | Ok s -> (
-    match of_json s with
-    | Ok t -> Ok t
-    | Error e -> Error (Printf.sprintf "%s: %s" path e))
-
-let normalize t =
-  let metric m =
-    { m with
-      Bench_report.mean = 0.0; p50 = 0.0; p90 = 0.0; p99 = 0.0; max = 0.0 }
-  in
-  { t with
-    report = Bench_report.normalize (Bench_report.sorted t.report);
-    fleet = List.map metric t.fleet }
+let to_json t = Bench_report.to_json ~extra:(extra t) t.report
+let write ~path t = Bench_report.write ~extra:(extra t) ~path t.report
 
 let render t =
   let buf = Buffer.create 1024 in
@@ -204,21 +95,5 @@ let render t =
           (if e.Bench_report.equal_pulse then "yes" else "NO") ])
     t.report.Bench_report.experiments;
   Buffer.add_string buf (Pqc_util.Table.render cells_t);
-  if t.fleet <> [] then begin
-    Buffer.add_string buf "\nfleet metrics (all cells merged):\n";
-    let m_t =
-      Pqc_util.Table.create
-        [ "metric"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ]
-    in
-    List.iter
-      (fun m ->
-        let cell v = Pqc_util.Table.cell_f ~decimals:6 v in
-        Pqc_util.Table.add_row m_t
-          [ m.Bench_report.metric; string_of_int m.Bench_report.count;
-            cell m.Bench_report.mean; cell m.Bench_report.p50;
-            cell m.Bench_report.p90; cell m.Bench_report.p99;
-            cell m.Bench_report.max ])
-      t.fleet;
-    Buffer.add_string buf (Pqc_util.Table.render m_t)
-  end;
+  Buffer.add_char buf '\n';
   Buffer.contents buf

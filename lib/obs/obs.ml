@@ -106,29 +106,22 @@ type hist = {
   h_buckets : (int, int) Hashtbl.t;
 }
 
-(* Every registry operation below is written against an explicit table
-   so the same code serves both the live process-global registry and the
-   offline aggregators used by the bench rollup (Metrics.Agg). *)
-type hist_table = (string, hist) Hashtbl.t
-
-let hists : hist_table = Hashtbl.create 16
+let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
 
 let log_gamma = Float.log 2.0 /. 8.0
 let bucket_of v = int_of_float (Float.floor (Float.log v /. log_gamma))
 let bucket_mid k = Float.exp (log_gamma *. (float_of_int k +. 0.5))
 
-let hist_in (tbl : hist_table) name =
-  match Hashtbl.find_opt tbl name with
+let hist_for name =
+  match Hashtbl.find_opt hists name with
   | Some h -> h
   | None ->
     let h =
       { h_count = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity;
         h_nonpos = 0; h_buckets = Hashtbl.create 16 }
     in
-    Hashtbl.replace tbl name h;
+    Hashtbl.replace hists name h;
     h
-
-let hist_for name = hist_in hists name
 
 (* Non-finite observations are dropped: a NaN would poison sum/min/max
    and has no bucket. *)
@@ -388,52 +381,6 @@ let rollup () =
                 | c -> c)
          | c -> c)
 
-(* ---- metrics text format --------------------------------------------
-   Strings in a serialized histogram registry (metrics.reg files and the
-   pool's Metrics frames) are escaped so no separator or newline
-   survives: records are joined by '\x1e', fields by '\x1f', list
-   elements by '\x1d', pair halves by '\x1c'. *)
-
-let esc s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\x1e' -> Buffer.add_string buf "\\e"
-      | '\x1f' -> Buffer.add_string buf "\\f"
-      | '\x1d' -> Buffer.add_string buf "\\g"
-      | '\x1c' -> Buffer.add_string buf "\\h"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unesc s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '\\' && !i + 1 < n then begin
-       (match s.[!i + 1] with
-       | '\\' -> Buffer.add_char buf '\\'
-       | 'n' -> Buffer.add_char buf '\n'
-       | 't' -> Buffer.add_char buf '\t'
-       | 'e' -> Buffer.add_char buf '\x1e'
-       | 'f' -> Buffer.add_char buf '\x1f'
-       | 'g' -> Buffer.add_char buf '\x1d'
-       | 'h' -> Buffer.add_char buf '\x1c'
-       | c ->
-         Buffer.add_char buf '\\';
-         Buffer.add_char buf c);
-       incr i
-     end
-     else Buffer.add_char buf s.[!i]);
-    incr i
-  done;
-  Buffer.contents buf
-
 (* ---- fork plumbing ---------------------------------------------------- *)
 
 let events_since m =
@@ -468,21 +415,17 @@ module Metrics = struct
 
   let reset () = Hashtbl.reset hists
 
-  let names_in (tbl : hist_table) =
-    Hashtbl.fold (fun name _ acc -> name :: acc) tbl []
+  let names () =
+    Hashtbl.fold (fun name _ acc -> name :: acc) hists []
     |> List.sort String.compare
 
-  let names () = names_in hists
-
-  let stats_in (tbl : hist_table) name =
-    Hashtbl.find_opt tbl name
+  let stats name =
+    Hashtbl.find_opt hists name
     |> Option.map (fun h ->
            { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max })
 
-  let stats name = stats_in hists name
-
-  let quantile_in (tbl : hist_table) name q =
-    match Hashtbl.find_opt tbl name with
+  let quantile name q =
+    match Hashtbl.find_opt hists name with
     | None -> Float.nan
     | Some h when h.h_count = 0 -> Float.nan
     | Some h ->
@@ -508,96 +451,44 @@ module Metrics = struct
         walk h.h_nonpos buckets
       end
 
-  let quantile name q = quantile_in hists name q
+  let percentiles name = (quantile name 0.5, quantile name 0.9, quantile name 0.99)
 
-  let percentiles_in tbl name =
-    (quantile_in tbl name 0.5, quantile_in tbl name 0.9, quantile_in tbl name 0.99)
-
-  let percentiles name = percentiles_in hists name
-
-  (* The registry as one line of text (see esc above): what metrics.reg
-     files hold and what a pool worker ships.  A forked child resets its
-     (copy-on-write) registry right after the fork, so encode_all holds
-     exactly the child's own observations and absorb can merge them
-     additively. *)
-  let encode_in (tbl : hist_table) =
-    if Hashtbl.length tbl = 0 then ""
-    else
-      Hashtbl.fold (fun name h acc -> (name, h) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.filter (fun (_, h) -> h.h_count > 0)
-      |> List.map (fun (name, h) ->
-             let buckets =
-               Hashtbl.fold (fun k n acc -> (k, n) :: acc) h.h_buckets []
-               |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-               |> List.map (fun (k, n) ->
-                      string_of_int k ^ "\x1c" ^ string_of_int n)
-               |> String.concat "\x1d"
-             in
-             String.concat "\x1f"
-               [ esc name; string_of_int h.h_count;
-                 Printf.sprintf "%h" h.h_sum; Printf.sprintf "%h" h.h_min;
-                 Printf.sprintf "%h" h.h_max; string_of_int h.h_nonpos;
-                 buckets ])
-      |> String.concat "\x1e"
-
-  let encode_all () = encode_in hists
-
-  let decode_hist s =
-    match String.split_on_char '\x1f' s with
-    | [ name; count; sum; vmin; vmax; nonpos; buckets ] ->
-      let buckets =
-        if buckets = "" then []
-        else
-          String.split_on_char '\x1d' buckets
-          |> List.filter_map (fun pair ->
-                 match String.index_opt pair '\x1c' with
-                 | Some i ->
-                   Some
-                     ( int_of_string (String.sub pair 0 i),
-                       int_of_string
-                         (String.sub pair (i + 1) (String.length pair - i - 1))
-                     )
-                 | None -> None)
-      in
-      Some
-        ( unesc name,
-          int_of_string count,
-          float_of_string sum,
-          float_of_string vmin,
-          float_of_string vmax,
-          int_of_string nonpos,
-          buckets )
-    | _ -> None
-
-  let absorb_in (tbl : hist_table) line =
-    if line <> "" then
-      String.split_on_char '\x1e' line
-      |> List.iter (fun s ->
-             match (try decode_hist s with _ -> None) with
-             | None -> ()  (* best-effort: a damaged record is dropped *)
-             | Some (name, count, sum, vmin, vmax, nonpos, buckets) ->
-               let h = hist_in tbl name in
-               h.h_count <- h.h_count + count;
-               h.h_sum <- h.h_sum +. sum;
-               h.h_min <- Float.min h.h_min vmin;
-               h.h_max <- Float.max h.h_max vmax;
-               h.h_nonpos <- h.h_nonpos + nonpos;
-               List.iter
-                 (fun (k, n) ->
-                   Hashtbl.replace h.h_buckets k
-                     (n
-                     + Option.value ~default:0 (Hashtbl.find_opt h.h_buckets k)))
-                 buckets)
-
-  let absorb line = absorb_in hists line
-
-  let mean_in tbl name =
-    match stats_in tbl name with
+  let mean name =
+    match stats name with
     | Some s when s.count > 0 -> s.sum /. float_of_int s.count
     | Some _ | None -> Float.nan
 
-  let mean name = mean_in hists name
+  (* A forked pool worker resets its copy-on-write registry right after
+     the fork, so its snapshot holds exactly the worker's own
+     observations; the pool marshals it home inside the worker's sealed
+     Metrics frame and the parent merges it.  The buckets are copied, so
+     a snapshot never changes with the registry it was taken from. *)
+  type snapshot = (string * hist) list
+
+  let snapshot () =
+    if Hashtbl.length hists = 0 then None
+    else
+      Some
+        (Hashtbl.fold
+           (fun name h acc ->
+             (name, { h with h_buckets = Hashtbl.copy h.h_buckets }) :: acc)
+           hists [])
+
+  let merge (s : snapshot) =
+    List.iter
+      (fun (name, src) ->
+        let h = hist_for name in
+        h.h_count <- h.h_count + src.h_count;
+        h.h_sum <- h.h_sum +. src.h_sum;
+        h.h_min <- Float.min h.h_min src.h_min;
+        h.h_max <- Float.max h.h_max src.h_max;
+        h.h_nonpos <- h.h_nonpos + src.h_nonpos;
+        Hashtbl.iter
+          (fun k n ->
+            Hashtbl.replace h.h_buckets k
+              (n + Option.value ~default:0 (Hashtbl.find_opt h.h_buckets k)))
+          src.h_buckets)
+      s
 
   let summary () =
     let t =
@@ -616,23 +507,6 @@ module Metrics = struct
               cell p90; cell p99; cell s.max ])
       (names ());
     Pqc_util.Table.render t
-
-  (* Offline aggregator over serialized registries.  Unlike the global
-     registry this is a plain value: it ignores the enabled flag and is
-     untouched by {!reset}, so a rollup pass can merge the [encode_all]
-     output of many finished runs (read back from disk) without tracing
-     being live and without stomping on the process's own telemetry. *)
-  module Agg = struct
-    type t = hist_table
-
-    let create () : t = Hashtbl.create 16
-    let absorb = absorb_in
-    let names = names_in
-    let stats = stats_in
-    let mean = mean_in
-    let percentiles = percentiles_in
-    let encode = encode_in
-  end
 end
 
 (* ---- Chrome trace-event export --------------------------------------- *)

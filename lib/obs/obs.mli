@@ -145,8 +145,8 @@ val counter_value : string -> float
     rather than raising; reading is always safe. *)
 
 val rollup : unit -> (string * int * float) list
-(** Per-span-name [(name, count, total seconds)] — the shape embedded
-    in the bench JSON under ["trace"].  Ordered by total seconds
+(** Per-span-name [(name, count, total seconds)] — the span rows of
+    {!summary}.  Ordered by total seconds
     descending, with count (descending) and then name (ascending) as
     tie-breakers, so the ordering is fully deterministic even when
     several spans accumulate equal totals. *)
@@ -244,53 +244,25 @@ module Metrics : sig
   val reset : unit -> unit
   (** Clear the registry only (events and counters are untouched);
       {!Obs.reset} also clears it.  Forked pool workers call this right
-      after the fork so {!encode_all} ships exactly their own
+      after the fork so their {!snapshot} holds exactly their own
       observations. *)
 
-  val encode_all : unit -> string
-  (** Single-line (newline-free) text of the whole registry — the
-      format of a bench-matrix cell's [metrics.reg], and what a pool
-      worker ships home; [""] when the registry is empty. *)
+  type snapshot
+  (** A copy of the whole registry, as a plain value: what a pool worker
+      marshals home inside its sealed [Metrics] frame. *)
 
-  val absorb : string -> unit
-  (** Merge a registry serialized by {!encode_all} in another process
-      additively into this one (bucket counts, counts and sums add;
-      min/max combine).  Undecodable records are dropped. *)
+  val snapshot : unit -> snapshot option
+  (** The registry as it stands; [None] when it is empty. *)
+
+  val merge : snapshot -> unit
+  (** Merge a snapshot taken in another process additively into this
+      registry (bucket counts, counts and sums add; min/max combine), so
+      stats and percentiles equal those of one process that made every
+      observation.  Works with tracing off. *)
 
   val summary : unit -> string
   (** Rendered {!Pqc_util.Table}: per histogram, count, mean and
       p50/p90/p99/max. *)
-
-  (** Offline histogram aggregator.  A standalone registry value that
-      merges {!encode_all}-serialized registries (e.g. the per-cell
-      [metrics.reg] files a bench-matrix run leaves on disk) additively,
-      with the same quantile semantics as the live registry.  Unlike the
-      global registry it is independent of {!Obs.enable}/{!Obs.reset}:
-      absorbing and querying work with tracing off, and nothing here
-      touches the process's own telemetry. *)
-  module Agg : sig
-    type t
-
-    val create : unit -> t
-
-    val absorb : t -> string -> unit
-    (** Merge one {!encode_all}-format line additively (bucket counts,
-        counts and sums add; min/max combine).  Undecodable records are
-        dropped. *)
-
-    val names : t -> string list
-    (** Histogram names, sorted. *)
-
-    val stats : t -> string -> stat option
-    val mean : t -> string -> float
-
-    val percentiles : t -> string -> float * float * float
-    (** [(p50, p90, p99)], with the {!Metrics.quantile} estimator over the
-        merged buckets. *)
-
-    val encode : t -> string
-    (** Re-serialize the merged registry in {!encode_all} format. *)
-  end
 end
 
 (** {2 Export} *)

@@ -86,7 +86,7 @@ let sequential f items =
 type 'b frame =
   | Result of int * 'b
   | Trace of Obs.event list
-  | Metrics of string  (* {!Obs.Metrics.encode_all} of the worker *)
+  | Metrics of Obs.Metrics.snapshot
 
 let hex_digit = "0123456789abcdef"
 
@@ -219,9 +219,9 @@ let child_loop ~f ~items ~feed ~wr wid =
      (match Obs.events_since m with
       | [] -> ()
       | evs -> send (seal (Trace evs)));
-     (match Obs.Metrics.encode_all () with
-      | "" -> ()
-      | reg -> send (seal (Metrics reg)));
+     Option.iter
+       (fun reg -> send (seal (Metrics reg)))
+       (Obs.Metrics.snapshot ());
      flush oc
    with _ -> ());
   (try flush oc with _ -> ())
@@ -383,7 +383,7 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label f items =
             | Some (Result (i, v)) when i >= 0 && i < n ->
               results.(i) <- Some v
             | Some (Trace evs) -> Obs.absorb evs
-            | Some (Metrics reg) -> Obs.Metrics.absorb reg
+            | Some (Metrics reg) -> Obs.Metrics.merge reg
             | Some (Result _) | None -> ()
           end
           else if framed 'H' line then begin

@@ -39,18 +39,6 @@ let length t = List.length t.events
 let lookup_gate (i : Circuit.instr) =
   Lookup { gate_name = Gate.name i.gate; duration = Gate_times.instr_duration i }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let qubit_list qubits =
   String.concat "," (Array.to_list (Array.map string_of_int qubits))
 
@@ -67,8 +55,8 @@ let to_json t =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"kind\":\"%s\",\"qubits\":[%s],\"t0\":%.3f,\"duration\":%.3f"
-           (json_escape name) kind (qubit_list qubits) start
+           "{\"name\":%s,\"kind\":\"%s\",\"qubits\":[%s],\"t0\":%.3f,\"duration\":%.3f"
+           (Pqc_util.Jsonx.escape_string name) kind (qubit_list qubits) start
            (segment_duration segment));
       (match samples with
       | None -> ()

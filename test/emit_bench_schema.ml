@@ -14,40 +14,17 @@ let () =
                engine = "numeric";
                run_id = "bench:uccsd-lih/strict-partial";
                pulse_duration_ns = 945.8;
-               sequential_s = 12.5;
-               parallel_s = 5.0;
-               speedup = 2.5;
                cache_hits = 320;
                blocks_compiled = 21;
                workers = 4;
-               equal_pulse = true;
-               trace =
-                 [ { Pqc_core.Bench_report.span = "engine.batch";
-                     count = 2;
-                     total_s = 4.75 };
-                   { Pqc_core.Bench_report.span = "engine.search";
-                     count = 21;
-                     total_s = 4.5 } ];
-               metrics =
-                 [ { Pqc_core.Bench_report.metric = "grape.block_s";
-                     count = 21;
-                     mean = 0.226;
-                     p50 = 0.21;
-                     p90 = 0.38;
-                     p99 = 0.44;
-                     max = 0.45 } ] };
+               equal_pulse = true };
              { Pqc_core.Bench_report.name = "qaoa-er8\"p1";
                strategy = "flexible-partial";
                engine = "model";
-               (* "" is the pre-provenance form old readers round-trip. *)
+               (* An ad-hoc run with no ambient context. *)
                run_id = "";
                pulse_duration_ns = 101.25;
-               sequential_s = 0.0;
-               parallel_s = 0.0;
-               speedup = Float.nan;
                cache_hits = 0;
                blocks_compiled = 0;
                workers = 1;
-               equal_pulse = false;
-               trace = [];
-               metrics = [] } ] })
+               equal_pulse = false } ] })

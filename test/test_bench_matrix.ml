@@ -1,11 +1,9 @@
 (* Tests for the manifest-driven bench matrix: manifest parsing and
    validation, cartesian expansion, end-to-end cell execution with the
    workers:1 == workers:4 determinism contract, rollup aggregation and
-   missing-cell detection, the offline Obs.Metrics.Agg aggregator, and
-   property tests for the Bench_diff gate and the Bench_report reader's
-   cross-version tolerance. *)
+   missing-cell detection, and property tests for the Bench_diff gate and
+   the Bench_report reader. *)
 
-module Obs = Pqc_obs.Obs
 module Bench_matrix = Pqc_core.Bench_matrix
 module Bench_rollup = Pqc_core.Bench_rollup
 module Bench_report = Pqc_core.Bench_report
@@ -206,31 +204,28 @@ let test_matrix_artifacts () =
           let r = ok_or_fail "cell report" (Bench_report.read ~path:report_path) in
           checki "one experiment per cell" 1 (List.length r.Bench_report.experiments);
           let e = List.hd r.Bench_report.experiments in
-          checkb "cell report is schema-v3 (metrics present)" true
-            (e.Bench_report.metrics <> []);
           checkb "equal_pulse holds" true e.Bench_report.equal_pulse;
-          checkb "metrics.reg exists" true
-            (Sys.file_exists (Filename.concat cdir "metrics.reg"));
           (* iterations > 0 => a run log; the optimizer may converge
              before max_evals, so only assert the stream is non-empty. *)
-          let log = Filename.concat cdir "run.jsonl" in
-          checkb "run.jsonl exists" true (Sys.file_exists log);
-          checkb "run.jsonl non-empty" true (read_lines log <> []))
+          let files = List.sort String.compare (Array.to_list (Sys.readdir cdir)) in
+          check (Alcotest.list Alcotest.string) "a report and a run log, nothing else"
+            [ "report.json"; "run.jsonl" ] files;
+          checkb "run.jsonl non-empty" true
+            (read_lines (Filename.concat cdir "run.jsonl") <> []))
         outcomes)
 
 let test_matrix_determinism_across_driver_workers () =
   (* The acceptance contract: the same manifest at driver workers:1 and
-     workers:4 yields byte-identical rollups modulo wall-clock fields. *)
+     workers:4 yields byte-identical rollups. *)
   with_temp_dir (fun dir1 ->
       with_temp_dir (fun dir4 ->
           ignore (run_matrix ~workers:1 dir1);
           ignore (run_matrix ~workers:4 dir4);
           let roll dir =
-            ok_or_fail "rollup" (Bench_rollup.of_results_dir ~dir)
+            Bench_rollup.to_json
+              (ok_or_fail "rollup" (Bench_rollup.of_results_dir ~dir))
           in
-          let j1 = Bench_rollup.to_json (Bench_rollup.normalize (roll dir1)) in
-          let j4 = Bench_rollup.to_json (Bench_rollup.normalize (roll dir4)) in
-          checks "normalized rollups byte-identical" j1 j4))
+          checks "rollups byte-identical" (roll dir1) (roll dir4)))
 
 let test_ambient_optimizer_plan () =
   (* Optimizer faults change pulses, so a cell's sequential reference
@@ -272,8 +267,8 @@ let check_rollup_document ~min_cells json =
     | None -> Alcotest.failf "%s is not an integer" name
   in
   check (Alcotest.list Alcotest.string) "top-level keys"
-    [ "cells"; "experiments"; "fleet_metrics"; "missing_cells"; "mode";
-      "schema_version"; "workers" ]
+    [ "cells"; "experiments"; "missing_cells"; "mode"; "schema_version";
+      "workers" ]
     (keys doc);
   checki "schema version" Bench_report.schema_version
     (int_field "schema_version" doc);
@@ -287,9 +282,8 @@ let check_rollup_document ~min_cells json =
   List.iter
     (fun e ->
       check (Alcotest.list Alcotest.string) "experiment keys"
-        [ "blocks_compiled"; "cache_hits"; "engine"; "equal_pulse";
-          "metrics"; "name"; "parallel_s"; "pulse_duration_ns"; "run_id";
-          "sequential_s"; "speedup"; "strategy"; "trace"; "workers" ]
+        [ "blocks_compiled"; "cache_hits"; "engine"; "equal_pulse"; "name";
+          "pulse_duration_ns"; "run_id"; "strategy"; "workers" ]
         (keys e);
       check (Alcotest.option Alcotest.bool) "equal_pulse" (Some true)
         (J.to_bool (field "equal_pulse" e)))
@@ -322,11 +316,10 @@ let test_smoke_manifest_determinism_extended () =
           let roll dir =
             ok_or_fail "rollup" (Bench_rollup.of_results_dir ~dir)
           in
-          let r1 = roll dir1 and r3 = roll dir3 in
-          check_rollup_document ~min_cells:12 (Bench_rollup.to_json r1);
-          check_rollup_document ~min_cells:12 (Bench_rollup.to_json r3);
-          let j1 = Bench_rollup.to_json (Bench_rollup.normalize r1) in
-          let j3 = Bench_rollup.to_json (Bench_rollup.normalize r3) in
+          let j1 = Bench_rollup.to_json (roll dir1) in
+          let j3 = Bench_rollup.to_json (roll dir3) in
+          check_rollup_document ~min_cells:12 j1;
+          check_rollup_document ~min_cells:12 j3;
           checks "smoke rollups byte-identical at workers 1 vs 3" j1 j3))
 
 let test_rollup_aggregation () =
@@ -338,42 +331,16 @@ let test_rollup_aggregation () =
         r.Bench_rollup.missing_cells;
       checki "all experiments collected" 4
         (List.length r.Bench_rollup.report.Bench_report.experiments);
-      checkb "fleet metrics non-empty" true (r.Bench_rollup.fleet <> []);
-      (* Fleet re-aggregation is exact on counts: for every fleet
-         histogram, its count equals the sum of that histogram's counts
-         across the per-cell reports. *)
-      let per_cell = Hashtbl.create 16 in
-      List.iter
-        (fun (e : Bench_report.experiment) ->
-          List.iter
-            (fun (m : Bench_report.metric_rollup) ->
-              let prev =
-                Option.value ~default:0
-                  (Hashtbl.find_opt per_cell m.Bench_report.metric)
-              in
-              Hashtbl.replace per_cell m.Bench_report.metric
-                (prev + m.Bench_report.count))
-            e.Bench_report.metrics)
-        r.Bench_rollup.report.Bench_report.experiments;
-      List.iter
-        (fun (m : Bench_report.metric_rollup) ->
-          match Hashtbl.find_opt per_cell m.Bench_report.metric with
-          | None ->
-            Alcotest.failf "fleet metric %s absent from every cell"
-              m.Bench_report.metric
-          | Some total ->
-            checki
-              (Printf.sprintf "fleet count of %s = sum of cell counts"
-                 m.Bench_report.metric)
-              total m.Bench_report.count)
-        r.Bench_rollup.fleet;
-      (* Round-trip: write, read back, normalized forms agree. *)
+      (* The written rollup reads back as a bench report holding the same
+         experiments: the form bench diff gates.  Pulses are written at 9
+         significant digits, so compare rendered reports. *)
       let path = Filename.concat dir "rollup.json" in
       Bench_rollup.write ~path r;
-      let r' = ok_or_fail "rollup read-back" (Bench_rollup.read ~path) in
-      checks "rollup JSON round-trips"
-        (Bench_rollup.to_json (Bench_rollup.normalize r))
-        (Bench_rollup.to_json (Bench_rollup.normalize r')))
+      checks "written bytes are to_json" (Bench_rollup.to_json r) (read_file path);
+      let back = ok_or_fail "rollup read-back" (Bench_report.read ~path) in
+      checks "rollup reads back as its report"
+        (Bench_report.to_json r.Bench_rollup.report)
+        (Bench_report.to_json back))
 
 let test_rollup_missing_cell () =
   with_temp_dir (fun dir ->
@@ -397,78 +364,12 @@ let test_rollup_usage_errors () =
       | Ok _ -> Alcotest.fail "expected Error for dir without cells.json"
       | Error _ -> ())
 
-(* ---- Obs.Metrics.Agg -------------------------------------------------- *)
-
-(* Build an encode_all line from a scoped live registry. *)
-let encoded_registry observations =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    (fun () ->
-      List.iter (fun (name, v) -> Obs.Metrics.observe name v) observations;
-      Obs.Metrics.encode_all ())
-
-let test_agg_two_halves () =
-  let first = List.init 40 (fun i -> ("lat", float_of_int (i + 1))) in
-  let second = List.init 60 (fun i -> ("lat", float_of_int (i + 41))) in
-  let whole = encoded_registry (first @ second) in
-  let a = encoded_registry first in
-  let b = encoded_registry second in
-  let split = Obs.Metrics.Agg.create () in
-  Obs.Metrics.Agg.absorb split a;
-  Obs.Metrics.Agg.absorb split b;
-  let merged = Obs.Metrics.Agg.create () in
-  Obs.Metrics.Agg.absorb merged whole;
-  check (Alcotest.list Alcotest.string) "names agree"
-    (Obs.Metrics.Agg.names merged)
-    (Obs.Metrics.Agg.names split);
-  let s_split = Option.get (Obs.Metrics.Agg.stats split "lat") in
-  let s_merged = Option.get (Obs.Metrics.Agg.stats merged "lat") in
-  checki "count adds" s_merged.Obs.Metrics.count s_split.Obs.Metrics.count;
-  checki "count is 100" 100 s_split.Obs.Metrics.count;
-  check (Alcotest.float 1e-9) "sum adds" s_merged.Obs.Metrics.sum
-    s_split.Obs.Metrics.sum;
-  check (Alcotest.float 1e-9) "min combines" s_merged.Obs.Metrics.min
-    s_split.Obs.Metrics.min;
-  check (Alcotest.float 1e-9) "max combines" s_merged.Obs.Metrics.max
-    s_split.Obs.Metrics.max;
-  let p50, p90, p99 = Obs.Metrics.Agg.percentiles split "lat" in
-  let q50, q90, q99 = Obs.Metrics.Agg.percentiles merged "lat" in
-  check (Alcotest.float 1e-9) "p50 agrees" q50 p50;
-  check (Alcotest.float 1e-9) "p90 agrees" q90 p90;
-  check (Alcotest.float 1e-9) "p99 agrees" q99 p99;
-  (* encode/absorb round-trip preserves the merged registry. *)
-  let again = Obs.Metrics.Agg.create () in
-  Obs.Metrics.Agg.absorb again (Obs.Metrics.Agg.encode split);
-  let s_again = Option.get (Obs.Metrics.Agg.stats again "lat") in
-  checki "re-encoded count" s_split.Obs.Metrics.count s_again.Obs.Metrics.count
-
-let test_agg_independent_of_enable () =
-  (* The whole point of Agg: it works with tracing off and never touches
-     the process registry. *)
-  let line = encoded_registry [ ("x", 1.0); ("x", 2.0) ] in
-  checkb "tracing off" false (Obs.enabled ());
-  let agg = Obs.Metrics.Agg.create () in
-  Obs.Metrics.Agg.absorb agg line;
-  checki "absorbed with tracing off" 2
-    (Option.get (Obs.Metrics.Agg.stats agg "x")).Obs.Metrics.count;
-  check (Alcotest.list Alcotest.string) "live registry untouched" []
-    (Obs.Metrics.names ());
-  (* Garbage lines are dropped, not raised. *)
-  Obs.Metrics.Agg.absorb agg "not a registry";
-  checki "garbage dropped" 2
-    (Option.get (Obs.Metrics.Agg.stats agg "x")).Obs.Metrics.count
-
 (* ---- Bench_diff properties (satellite: threshold boundary) ----------- *)
 
 let experiment ?(name = "h2+line") ?(strategy = "strict-partial")
     ?(engine = "model") ?(pulse = 100.0) ?(equal_pulse = true) () =
   { Bench_report.name; strategy; engine; run_id = ""; pulse_duration_ns = pulse;
-    sequential_s = 1.0; parallel_s = 0.5; speedup = 2.0; cache_hits = 3;
-    blocks_compiled = 4; workers = 2; equal_pulse; trace = []; metrics = [] }
+    cache_hits = 3; blocks_compiled = 4; workers = 2; equal_pulse }
 
 let report experiments = { Bench_report.mode = "test"; workers = 2; experiments }
 
@@ -529,9 +430,9 @@ let prop_self_diff_clean =
       && d.Bench_diff.missing = []
       && d.Bench_diff.added = [])
 
-(* ---- Bench_report.of_json cross-version tolerance -------------------- *)
+(* ---- Bench_report.of_json ------------------------------------------- *)
 
-let js = Bench_report.json_string
+let js = Pqc_util.Jsonx.escape_string
 
 (* Assemble an experiment object from (key, rendered-value) pairs in an
    arbitrary order, so key order can be permuted by the fuzzer. *)
@@ -546,9 +447,8 @@ let doc_of ~version ~mode ~experiments =
 
 let required_fields ~name ~pulse =
   [ ("name", js name); ("strategy", js "strict-partial");
-    ("engine", js "model");
-    ("pulse_duration_ns", Bench_report.json_float pulse);
-    ("sequential_s", "1.5"); ("parallel_s", "0.5"); ("speedup", "3");
+    ("engine", js "model"); ("run_id", js name);
+    ("pulse_duration_ns", Printf.sprintf "%.9g" pulse);
     ("cache_hits", "2"); ("blocks_compiled", "5"); ("workers", "4");
     ("equal_pulse", "true") ]
 
@@ -569,47 +469,38 @@ let hostile_names =
     "non-ascii: h\xc3\xa9h\xc3\xa9 \xe2\x88\x9a"; "trailing space "; " " ]
 
 let prop_reader_tolerant =
-  (* v1 documents have neither trace nor metrics, v2 lack metrics, v3
-     may carry both; keys arrive in any order; names may be hostile;
-     numbers may be huge.  The reader must accept all of it. *)
+  (* Keys arrive in any order, names may be hostile and numbers huge: a
+     document of the current version reads back whole.  Any other
+     version is an error that names it. *)
   QCheck.Test.make ~name:"of_json tolerates versions, key order, hostile strings"
     ~count:300
     QCheck.(
-      quad (int_range 1 3) (int_bound 1_000_000)
+      quad (int_range 1 (Bench_report.schema_version + 1)) (int_bound 1_000_000)
         (int_bound (List.length hostile_names - 1))
         (bool))
     (fun (version, seed, name_i, huge) ->
       let name = List.nth hostile_names name_i in
       (* 1e300 renders exactly under the writer's %.9g, unlike max_float. *)
       let pulse = if huge then 1e300 else 123.25 in
-      let optional =
-        (if version >= 2 then
-           [ ("trace", {|[{ "span": "s", "count": 1, "total_s": 0.25 }]|}) ]
-         else [])
-        @
-        if version >= 3 then
-          [ ( "metrics",
-              {|[{ "metric": "m", "count": 2, "mean": 1, "p50": 1, "p90": 1, "p99": 1, "max": 1 }]|}
-            ) ]
-        else []
-      in
-      let fields = permute seed (required_fields ~name ~pulse @ optional) in
+      let fields = permute seed (required_fields ~name ~pulse) in
       let doc =
         doc_of ~version ~mode:name ~experiments:[ obj_of_fields fields ]
       in
       match Bench_report.of_json doc with
-      | Error e -> QCheck.Test.fail_reportf "rejected valid v%d doc: %s" version e
+      | Error e ->
+        version <> Bench_report.schema_version
+        && contains e (Printf.sprintf "schema_version %d" version)
       | Ok r ->
         let e = List.hd r.Bench_report.experiments in
-        r.Bench_report.mode = name
+        version = Bench_report.schema_version
+        && r.Bench_report.mode = name
         && e.Bench_report.name = name
-        && e.Bench_report.pulse_duration_ns = pulse
-        && List.length e.Bench_report.trace = (if version >= 2 then 1 else 0)
-        && List.length e.Bench_report.metrics = (if version >= 3 then 1 else 0))
+        && e.Bench_report.run_id = name
+        && e.Bench_report.pulse_duration_ns = pulse)
 
 let prop_reader_requires_core_fields =
-  (* Dropping any required v1 field is a hard error whose message names
-     the field — the gate must not compare half-parsed reports. *)
+  (* Dropping any field is a hard error whose message names the field —
+     the gate must not compare half-parsed reports. *)
   let required = List.map fst (required_fields ~name:"x" ~pulse:1.0) in
   QCheck.Test.make ~name:"missing required field raises a named error" ~count:100
     QCheck.(pair (int_bound (List.length required - 1)) (int_bound 1_000_000))
@@ -621,7 +512,10 @@ let prop_reader_requires_core_fields =
              (fun (k, _) -> k <> dropped)
              (required_fields ~name:"x" ~pulse:1.0))
       in
-      let doc = doc_of ~version:3 ~mode:"fast" ~experiments:[ obj_of_fields fields ] in
+      let doc =
+        doc_of ~version:Bench_report.schema_version ~mode:"fast"
+          ~experiments:[ obj_of_fields fields ]
+      in
       match Bench_report.of_json doc with
       | Ok _ -> QCheck.Test.fail_reportf "accepted doc without %s" dropped
       | Error e ->
@@ -640,34 +534,20 @@ let test_writer_reader_roundtrip_hostile () =
           (List.hd r'.Bench_report.experiments).Bench_report.name)
     hostile_names
 
-(* ---- sorted / normalize ----------------------------------------------- *)
+(* ---- sorted --------------------------------------------------------- *)
 
-let test_sorted_and_normalize () =
-  let e1 = experiment ~name:"zzz" () in
-  let e2 = experiment ~name:"aaa" () in
-  let r = Bench_report.sorted (report [ e1; e2 ]) in
-  checks "sorted by key" "aaa"
-    (List.hd r.Bench_report.experiments).Bench_report.name;
-  let spans =
-    [ { Bench_report.span = "slow"; count = 2; total_s = 9.0 };
-      { Bench_report.span = "fast"; count = 7; total_s = 1.0 } ]
+let test_sorted () =
+  let r =
+    Bench_report.sorted
+      (report
+         [ experiment ~name:"zzz" ();
+           experiment ~name:"aaa" ~strategy:"strict-partial" ();
+           experiment ~name:"aaa" ~strategy:"flexible-partial" () ])
   in
-  let n =
-    Bench_report.normalize
-      (report [ { (experiment ()) with Bench_report.trace = spans } ])
-  in
-  let e = List.hd n.Bench_report.experiments in
-  check (Alcotest.float 0.0) "wall-clock zeroed" 0.0 e.Bench_report.sequential_s;
-  check (Alcotest.float 0.0) "speedup zeroed" 0.0 e.Bench_report.speedup;
-  (match e.Bench_report.trace with
-  | [ a; b ] ->
-    checks "trace re-sorted by span name" "fast" a.Bench_report.span;
-    checks "second span" "slow" b.Bench_report.span;
-    checki "span counts preserved" 7 a.Bench_report.count;
-    check (Alcotest.float 0.0) "span totals zeroed" 0.0 a.Bench_report.total_s
-  | _ -> Alcotest.fail "expected two trace rollups");
-  checkb "pulse preserved" true
-    (e.Bench_report.pulse_duration_ns = (experiment ()).Bench_report.pulse_duration_ns)
+  check (Alcotest.list Alcotest.string) "sorted by key"
+    [ "aaa/flexible-partial/model"; "aaa/strict-partial/model";
+      "zzz/strict-partial/model" ]
+    (List.map Bench_report.experiment_key r.Bench_report.experiments)
 
 let () =
   Random.self_init ();
@@ -693,11 +573,6 @@ let () =
           Alcotest.test_case "missing cell detection" `Quick
             test_rollup_missing_cell;
           Alcotest.test_case "usage errors" `Quick test_rollup_usage_errors ] );
-      ( "agg",
-        [ Alcotest.test_case "two halves merge exactly" `Quick
-            test_agg_two_halves;
-          Alcotest.test_case "independent of enable" `Quick
-            test_agg_independent_of_enable ] );
       ( "bench-diff",
         [ QCheck_alcotest.to_alcotest prop_threshold_boundary;
           QCheck_alcotest.to_alcotest prop_missing_added_symmetry;
@@ -708,5 +583,4 @@ let () =
           Alcotest.test_case "hostile round trip" `Quick
             test_writer_reader_roundtrip_hostile ] );
       ( "report-shape",
-        [ Alcotest.test_case "sorted and normalize" `Quick
-          test_sorted_and_normalize ] ) ]
+        [ Alcotest.test_case "sorted by experiment key" `Quick test_sorted ] ) ]

@@ -161,33 +161,44 @@ let test_hist_disabled_noop () =
   Alcotest.(check bool) "disabled records nothing" true
     (Obs.Metrics.stats "off" = None)
 
+(* What a pool worker does with its registry: snapshot it, marshal it
+   inside a frame, and let the parent merge it. *)
 let test_hist_codec_roundtrip () =
   with_obs @@ fun () ->
-  List.iter (Obs.Metrics.observe "a\x1e\x1fweird") [ 0.25; 3.5; -1.0 ];
+  let hostile = "a\x1c\x1d\x1e\x1f\nweird" in
+  List.iter (Obs.Metrics.observe hostile) [ 0.25; 3.5; -1.0 ];
   List.iter (Obs.Metrics.observe "b") [ 1e-9; 1e9 ];
-  let payload = Obs.Metrics.encode_all () in
-  Alcotest.(check bool) "single line" false (String.contains payload '\n');
-  let before =
+  let shipped =
+    match Obs.Metrics.snapshot () with
+    | Some s -> Marshal.to_string s []
+    | None -> Alcotest.fail "non-empty registry has no snapshot"
+  in
+  let received () : Obs.Metrics.snapshot = Marshal.from_string shipped 0 in
+  let capture () =
     List.map
       (fun n -> (n, Option.get (Obs.Metrics.stats n), Obs.Metrics.percentiles n))
       (Obs.Metrics.names ())
   in
+  let before = capture () in
   Obs.Metrics.reset ();
   Alcotest.(check (list string)) "reset clears" [] (Obs.Metrics.names ());
-  Obs.Metrics.absorb payload;
-  let after =
-    List.map
-      (fun n -> (n, Option.get (Obs.Metrics.stats n), Obs.Metrics.percentiles n))
-      (Obs.Metrics.names ())
-  in
+  Alcotest.(check bool) "empty registry, no snapshot" true
+    (Obs.Metrics.snapshot () = None);
+  Obs.Metrics.merge (received ());
   Alcotest.(check bool) "stats and percentiles survive the pipe" true
-    (before = after);
-  (* Absorbing the same payload again doubles counts (additive merge). *)
-  Obs.Metrics.absorb payload;
+    (before = capture ());
+  (* Merging the same snapshot again doubles counts (additive merge). *)
+  Obs.Metrics.merge (received ());
   let s = Option.get (Obs.Metrics.stats "b") in
-  Alcotest.(check int) "absorb merges additively" 4 s.Obs.Metrics.count;
-  Obs.Metrics.absorb "complete\x1fgarbage";
-  Alcotest.(check int) "garbage dropped" 4
+  Alcotest.(check int) "merge is additive" 4 s.Obs.Metrics.count;
+  (* A snapshot is a copy: later observations do not reach it.  Merging
+     works with tracing off. *)
+  let snap = Option.get (Obs.Metrics.snapshot ()) in
+  Obs.Metrics.observe "b" 2.0;
+  Obs.Metrics.reset ();
+  Obs.disable ();
+  Obs.Metrics.merge snap;
+  Alcotest.(check int) "snapshot is a copy, merged with tracing off" 4
     (Option.get (Obs.Metrics.stats "b")).Obs.Metrics.count
 
 (* Any quantile read off a log bucket is within one bucket — a factor of

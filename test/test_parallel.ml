@@ -815,6 +815,38 @@ let test_metrics_merge_matches_sequential () =
       Alcotest.(check bool) "p50/p90/p99 match sequential" true
         (exp_pcts = got_pcts))
 
+let test_metrics_hostile_name_crosses_fork () =
+  (* A histogram name may hold any byte, the separator bytes a text
+     codec would split on and a newline included.  Observed inside
+     forked workers, it reaches the parent with the stats and
+     percentiles of a sequential run.  Dyadic values keep the sum exact
+     in any merge order. *)
+  let name = "lat\x1c\x1d\x1e\x1f\nency" in
+  let items = List.init 24 (fun i -> i + 1) in
+  let observe x =
+    Obs.Metrics.observe name (float_of_int x *. 0.25);
+    x
+  in
+  let capture () =
+    (Option.get (Obs.Metrics.stats name), Obs.Metrics.percentiles name)
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      List.iter (fun x -> ignore (observe x)) items;
+      let expected = capture () in
+      Obs.Metrics.reset ();
+      let _, stats = Pool.map ~workers:3 observe items in
+      Alcotest.(check int) "genuinely forked" 3 stats.Pool.workers;
+      Alcotest.(check bool) "name arrives intact" true
+        (List.mem name (Obs.Metrics.names ()));
+      Alcotest.(check bool) "stats and percentiles match sequential" true
+        (capture () = expected))
+
 (* --- Pulse cache: merge + concurrent persistence --- *)
 
 let mk_entry ?(duration = 1.0) key =
@@ -986,6 +1018,8 @@ let () =
           Alcotest.test_case "pool stats" `Quick test_pool_stats_reported;
           Alcotest.test_case "worker metrics merge equals sequential" `Quick
             test_metrics_merge_matches_sequential;
+          Alcotest.test_case "hostile histogram name crosses the fork" `Quick
+            test_metrics_hostile_name_crosses_fork;
           Alcotest.test_case "tracing preserves determinism" `Quick
             test_tracing_preserves_determinism ] );
       ( "hyperopt",

@@ -1,6 +1,6 @@
 (* Run-level observability: per-iteration JSONL run logs, the Jsonx
-   reader underneath the bench tooling, Bench_report round-trips across
-   schema versions, and the bench diff regression gate. *)
+   reader underneath the bench tooling, Bench_report round-trips and its
+   schema-version check, and the bench diff regression gate. *)
 
 module Jsonx = Pqc_util.Jsonx
 module Obs = Pqc_obs.Obs
@@ -256,16 +256,16 @@ let test_run_log_reader_tolerates_old_records () =
 
 (* --- Bench_report reader --- *)
 
-let experiment ?(name = "uccsd-h2") ?(pulse = 100.0) ?(parallel_s = 4.0)
-    ?(equal_pulse = true) () =
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
+let experiment ?(name = "uccsd-h2") ?(pulse = 100.0) ?(equal_pulse = true) ()
+    =
   { Bench_report.name; strategy = "strict-partial"; engine = "numeric";
-    run_id = ""; pulse_duration_ns = pulse; sequential_s = 10.0; parallel_s;
-    speedup = 10.0 /. parallel_s; cache_hits = 5; blocks_compiled = 7;
-    workers = 4; equal_pulse;
-    trace = [ { Bench_report.span = "engine.batch"; count = 2; total_s = 3.5 } ];
-    metrics =
-      [ { Bench_report.metric = "grape.block_s"; count = 7; mean = 0.5;
-          p50 = 0.5; p90 = 0.75; p99 = 0.875; max = 1.0 } ] }
+    run_id = "numeric/" ^ name; pulse_duration_ns = pulse; cache_hits = 5;
+    blocks_compiled = 7; workers = 4; equal_pulse }
 
 let report experiments = { Bench_report.mode = "fast"; workers = 4; experiments }
 
@@ -275,31 +275,36 @@ let test_report_roundtrip () =
   | Error e -> Alcotest.failf "round-trip failed: %s" e
   | Ok t' -> Alcotest.(check bool) "round-trips exactly" true (t = t')
 
-let test_report_reads_older_schemas () =
-  let v1 =
-    {|{"schema_version": 1, "mode": "fast", "workers": 2, "experiments": [
-        {"name": "uccsd-h2", "strategy": "strict-partial",
-         "engine": "numeric", "pulse_duration_ns": 100.0,
-         "sequential_s": 10.0, "parallel_s": 4.0, "speedup": 2.5,
-         "cache_hits": 5, "blocks_compiled": 7, "workers": 2,
-         "equal_pulse": true}]}|}
+let test_report_rejects_other_schemas () =
+  let doc version =
+    Printf.sprintf
+      {|{"schema_version": %d, "mode": "fast", "workers": 2, "experiments": [
+          {"name": "uccsd-h2", "strategy": "strict-partial",
+           "engine": "numeric", "run_id": "", "pulse_duration_ns": 100.0,
+           "cache_hits": 5, "blocks_compiled": 7, "workers": 2,
+           "equal_pulse": true}]}|}
+      version
   in
-  (match Bench_report.of_json v1 with
-  | Error e -> Alcotest.failf "v1 rejected: %s" e
-  | Ok t ->
-    let e = List.hd t.Bench_report.experiments in
-    Alcotest.(check bool) "missing trace reads as []" true
-      (e.Bench_report.trace = []);
-    Alcotest.(check bool) "missing metrics reads as []" true
-      (e.Bench_report.metrics = []));
-  Alcotest.(check bool) "future schema rejected" true
-    (match Bench_report.of_json {|{"schema_version": 99, "mode": "fast",
-                                   "workers": 1, "experiments": []}|} with
-    | Error _ -> true
-    | Ok _ -> false);
+  Alcotest.(check bool) "current schema reads" true
+    (Result.is_ok (Bench_report.of_json (doc Bench_report.schema_version)));
+  List.iter
+    (fun v ->
+      match Bench_report.of_json (doc v) with
+      | Ok _ -> Alcotest.failf "schema_version %d accepted" v
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error names version %d" v)
+          true
+          (contains e (Printf.sprintf "schema_version %d" v)))
+    [ 1; 2; 3; 4; 99 ];
   Alcotest.(check bool) "missing core field rejected" true
-    (match Bench_report.of_json {|{"schema_version": 1, "mode": "fast",
-                                   "workers": 1, "experiments": [{}]}|} with
+    (match
+       Bench_report.of_json
+         (Printf.sprintf
+            {|{"schema_version": %d, "mode": "fast", "workers": 1,
+               "experiments": [{}]}|}
+            Bench_report.schema_version)
+     with
     | Error _ -> true
     | Ok _ -> false);
   Alcotest.(check bool) "unreadable path is Error, not raise" true
@@ -314,7 +319,7 @@ let test_diff_identical_passes () =
   let d = Bench_diff.diff ~old_report:t ~new_report:t () in
   Alcotest.(check (list string)) "no regressions" []
     d.Bench_diff.regressions;
-  Alcotest.(check int) "two metrics per experiment" 4
+  Alcotest.(check int) "one row per experiment" 2
     (List.length d.Bench_diff.rows)
 
 let test_diff_pulse_regression_gates () =
@@ -324,11 +329,7 @@ let test_diff_pulse_regression_gates () =
   let d = Bench_diff.diff ~old_report ~new_report:regressed () in
   Alcotest.(check int) "one regression" 1
     (List.length d.Bench_diff.regressions);
-  let row =
-    List.find
-      (fun r -> r.Bench_diff.metric = "pulse_duration_ns")
-      d.Bench_diff.rows
-  in
+  let row = List.hd d.Bench_diff.rows in
   Alcotest.(check bool) "pulse row gates" true row.Bench_diff.regression;
   Alcotest.(check (float 1e-9)) "delta percent" 25.0 row.Bench_diff.delta_pct;
   (* +10% stays under the default threshold... *)
@@ -371,25 +372,35 @@ let test_diff_missing_and_broken () =
   Alcotest.(check (list string)) "addition does not gate" []
     d.Bench_diff.regressions
 
-let test_diff_time_threshold_opt_in () =
-  let old_report = report [ experiment () ] in
-  let slower = report [ experiment ~parallel_s:6.0 () ] in
-  Alcotest.(check (list string)) "wall-clock ignored by default" []
-    (Bench_diff.diff ~old_report ~new_report:slower ()).Bench_diff.regressions;
-  Alcotest.(check bool) "wall-clock gates when opted in" true
-    ((Bench_diff.diff ~time_threshold_pct:20.0 ~old_report ~new_report:slower
-        ())
-       .Bench_diff.regressions
-    <> [])
+let test_diff_growth_from_zero_gates () =
+  (* A pulse that grows from 0 ns has no finite percentage: it reads as
+     +inf% and gates at every threshold, so diffing both ways at
+     threshold 0 catches a pulse that appears or vanishes.  0 -> 0 stays
+     clean. *)
+  let diff ~threshold old_pulse new_pulse =
+    Bench_diff.diff ~threshold_pct:threshold
+      ~old_report:(report [ experiment ~pulse:old_pulse () ])
+      ~new_report:(report [ experiment ~pulse:new_pulse () ])
+      ()
+  in
+  List.iter
+    (fun threshold ->
+      let grown = diff ~threshold 0.0 5.0 in
+      Alcotest.(check int)
+        (Printf.sprintf "0 -> 5 gates at %g%%" threshold)
+        1
+        (List.length grown.Bench_diff.regressions);
+      Alcotest.(check bool) "delta is +inf" true
+        ((List.hd grown.Bench_diff.rows).Bench_diff.delta_pct = Float.infinity);
+      Alcotest.(check (list string)) "5 -> 0 is shrinkage" []
+        (diff ~threshold 5.0 0.0).Bench_diff.regressions;
+      Alcotest.(check (list string)) "0 -> 0 is clean" []
+        (diff ~threshold 0.0 0.0).Bench_diff.regressions)
+    [ 0.0; 20.0; 1e9 ];
+  Alcotest.(check bool) "rendered as +inf%" true
+    (contains (Bench_diff.render (diff ~threshold:0.0 0.0 5.0)) "+inf%")
 
 let test_diff_render_mentions_verdict () =
-  let contains haystack needle =
-    let n = String.length needle and h = String.length haystack in
-    let rec go i =
-      i + n <= h && (String.sub haystack i n = needle || go (i + 1))
-    in
-    n = 0 || go 0
-  in
   let old_report = report [ experiment () ] in
   let pass = Bench_diff.render (Bench_diff.diff ~old_report ~new_report:old_report ()) in
   Alcotest.(check bool) "pass verdict" true (contains pass "PASS");
@@ -421,9 +432,9 @@ let () =
           Alcotest.test_case "reader tolerates pre-provenance records"
             `Quick test_run_log_reader_tolerates_old_records ] );
       ( "bench-report",
-        [ Alcotest.test_case "v3 round-trip" `Quick test_report_roundtrip;
-          Alcotest.test_case "older schemas tolerated" `Quick
-            test_report_reads_older_schemas ] );
+        [ Alcotest.test_case "round-trip" `Quick test_report_roundtrip;
+          Alcotest.test_case "other schema versions rejected" `Quick
+            test_report_rejects_other_schemas ] );
       ( "bench-diff",
         [ Alcotest.test_case "identical passes" `Quick
             test_diff_identical_passes;
@@ -431,7 +442,7 @@ let () =
             test_diff_pulse_regression_gates;
           Alcotest.test_case "missing/broken experiments gate" `Quick
             test_diff_missing_and_broken;
-          Alcotest.test_case "time threshold is opt-in" `Quick
-            test_diff_time_threshold_opt_in;
+          Alcotest.test_case "growth from zero gates" `Quick
+            test_diff_growth_from_zero_gates;
           Alcotest.test_case "render verdicts" `Quick
             test_diff_render_mentions_verdict ] ) ]
