@@ -18,10 +18,11 @@ type t = { mode : string; workers : int; experiments : experiment list }
 
 let json_string = Pqc_util.Jsonx.escape_string
 
-(* JSON has no inf/nan tokens; a benchmark that produced one renders as
-   null rather than emitting a document nothing can parse. *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
+(* Every bit of a pulse duration, so neither the pinned rollups nor
+   [bench diff] miss a pulse that moves by less than a rounded digit; a
+   non-finite value renders as null rather than emitting a document
+   nothing can parse. *)
+let json_float = Pqc_util.Jsonx.number
 
 let experiment_json e =
   String.concat ""

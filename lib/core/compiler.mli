@@ -35,7 +35,7 @@ val prepare : ?topology:Topology.t -> Circuit.t -> Circuit.t
 val gate_based : Circuit.t -> theta:float array -> Strategy.compiled
 
 (** The engine-backed strategies below take [?workers]: independent block
-    searches are batched over {!Pqc_parallel.Pool} forked workers.
+    searches are batched over {!Pqc_parallel.Pool} lanes.
     Defaults to the [PQC_WORKERS] environment variable (1 when unset —
     fully sequential, no fork).  Results are deterministic in the worker
     count; a lost worker degrades to in-process recompute and is recorded

@@ -136,8 +136,9 @@ val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
 (** {2 Batch compilation over the worker pool}
 
     The batch entry points compile a whole list of blocks at once,
-    fanning independent searches out over [workers] forked processes
-    ({!Pqc_parallel.Pool}) and reassembling results in input order.
+    fanning independent searches out over [workers] lanes of
+    {!Pqc_parallel.Pool} (forked processes, and usually the parent as
+    one of them) and reassembling results in input order.
     They are {e deterministic in the worker count}: for any [workers],
     the returned durations, fidelities, fallbacks and iteration counts
     are identical to the sequential run — including under a {!Fault}
@@ -147,7 +148,9 @@ val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
     differ between runs. *)
 
 type pool_stats = {
-  workers : int;  (** Workers actually used (1 = sequential). *)
+  workers : int;
+      (** Pool lanes actually used, as {!Pqc_parallel.Pool.stats}
+          counts them (1 = sequential). *)
   dispatched : int;  (** Unique uncached blocks sent to the pool. *)
   cache_hits : int;
       (** Inputs served without dispatch: memo-table hits plus duplicate

@@ -23,8 +23,9 @@ type t = {
 
 let json_string = Pqc_util.Jsonx.escape_string
 
-(* JSON has no inf/nan tokens; render them as null so every line parses. *)
-let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
+(* Every bit of each float, and null for inf/nan (which JSON has no
+   token for), so every line parses. *)
+let json_float = Pqc_util.Jsonx.number
 
 let create ?run_id ?info ?(flush_every = 1) ~algo ~label ~path () =
   let oc = open_out path in

@@ -16,10 +16,11 @@ type injected_fault = Hang | Crash_pre | Crash_mid | Partial_write
    here; the hook is consulted only inside forked children, so the
    sequential path and in-parent recovery are fault-free by construction
    (which is what makes fault-plan runs comparable bit-for-bit to the
-   clean sequential run). *)
-let fault_hook : (int -> injected_fault option) ref = ref (fun _ -> None)
-let set_fault_hook h = fault_hook := h
-let clear_fault_hook () = fault_hook := fun _ -> None
+   clean sequential run).  A map with a hook installed always runs
+   supervised dispatch, so every item it dispatches runs in a child. *)
+let fault_hook : (int -> injected_fault option) option ref = ref None
+let set_fault_hook h = fault_hook := Some h
+let clear_fault_hook () = fault_hook := None
 
 (* Warn once per distinct bad value, not once per call: grid searches
    call workers_from_env per batch and a thousand identical lines on
@@ -68,18 +69,20 @@ let sequential f items =
 
 (* --- Child protocol ---
 
-   The parent feeds each worker item indices, one per line, on the
-   worker's feed pipe.  The worker answers on its result pipe, one frame
-   per line:
+   A worker answers on its result pipe, one frame per line:
      H\t<idx>                heartbeat: the worker is starting item idx
      P\t<digest><hex bytes>  a sealed [frame] (below)
      R\t<idx>                ready: item idx is done, delivered or not
-   The parent answers each ready frame with the next queued index, or by
-   closing the feed once the queue is empty; the worker then seals its
-   trace events and histogram registry and exits.  Frames are flushed
-   eagerly so the parent's liveness view is current: a worker that goes
-   silent past the item deadline while it holds an item is presumed
-   hung. *)
+   Where its items come from depends on the dispatch mode.  Under
+   supervised dispatch the parent feeds each worker item indices, one per
+   line, on the worker's feed pipe, answers each ready frame with the
+   next queued index, and closes the feed once the queue is empty.  Under
+   shared dispatch a worker runs the item fixed at its fork, then reads
+   claim records from the map's claim pipe until end of file, and sends
+   no ready frames.  Either way the worker then seals its trace events
+   and histogram registry and exits.  Frames are flushed eagerly so the
+   parent's liveness view is current: a worker that goes silent past the
+   item deadline while it holds an item is presumed hung. *)
 
 (* Everything a worker ships besides its H and R frames is one value of
    this type. *)
@@ -146,8 +149,62 @@ let unseal line : 'b frame option =
       Some (Marshal.from_string bytes 0)
     | Some _ | None -> None
 
-let child_loop ~f ~items ~feed ~wr wid =
-  let ic = Unix.in_channel_of_descr feed in
+(* Supervised dispatch: the indices the parent writes on a feed. *)
+let feed_reader fd n =
+  let ic = Unix.in_channel_of_descr fd in
+  fun () ->
+    Option.bind (In_channel.input_line ic) (fun l ->
+        match int_of_string_opt l with
+        | Some i when i >= 0 && i < n -> Some i
+        | Some _ | None -> None)
+
+(* Shared dispatch: claim [k] is a 4-byte record for items [base + k*run]
+   up to [base + (k+1)*run] (exclusive, capped at [n]).  The parent
+   writes every record in one write before any fork, so each read of one
+   record takes a whole one, and end of file means the claims have run
+   out. *)
+type claims = { fd : Unix.file_descr; base : int; run : int; count : int; n : int }
+
+let claim_width = 4
+
+(* Linux's PIPE_BUF: a write of at most this many bytes into an empty pipe
+   lands whole without blocking, although no reader exists yet.  Batches
+   with more claimable items than fit claim them in runs. *)
+let max_claims = 4096 / claim_width
+
+(* The items a lane computes: [first] (a worker's own item, fixed at its
+   fork), then the run of every claim it reads. *)
+let claim_reader c ~first =
+  let record = Bytes.create claim_width in
+  let next = ref 0 and stop = ref 0 in
+  Option.iter
+    (fun i ->
+      next := i;
+      stop := i + 1)
+    first;
+  let rec claim () =
+    match Unix.read c.fd record 0 claim_width with
+    | k when k = claim_width ->
+      let k = Int32.to_int (Bytes.get_int32_le record 0) in
+      k >= 0 && k < c.count
+      && begin
+        next := c.base + (k * c.run);
+        stop := min c.n (!next + c.run);
+        true
+      end
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> claim ()
+    | exception Unix.Unix_error _ -> false
+  in
+  fun () ->
+    if !next < !stop || claim () then begin
+      let i = !next in
+      incr next;
+      Some i
+    end
+    else None
+
+let child_loop ~f ~items ~next ~supervised ~wr wid =
   let oc = Unix.out_channel_of_descr wr in
   (* Events recorded before the fork belong to the parent; only ship
      what this child adds past this point.  The histogram registry is
@@ -164,18 +221,15 @@ let child_loop ~f ~items ~feed ~wr wid =
     output_string oc line;
     output_char oc '\n'
   in
-  let next () =
-    Option.bind (In_channel.input_line ic) (fun l ->
-        match int_of_string_opt l with
-        | Some i when i >= 0 && i < Array.length items -> Some i
-        | Some _ | None -> None)
-  in
   let run i =
     (* Claim the item before computing it, so a subsequent hang or crash
        is attributable to exactly this item. *)
     Printf.fprintf oc "H\t%d\n" i;
     flush oc;
-    (match !fault_hook i with
+    let fault =
+      if supervised then Option.bind !fault_hook (fun h -> h i) else None
+    in
+    (match fault with
      | Some Hang ->
        (* A hung worker is silent, not dead: it holds its pipe open and
           never frames again.  Only the parent's deadline can end it. *)
@@ -200,8 +254,9 @@ let child_loop ~f ~items ~feed ~wr wid =
                 it. *)
              send (half ())
            | _ -> send line)));
-    (* The result and the ready frame leave in one write. *)
-    Printf.fprintf oc "R\t%d\n" i;
+    (* The result, and under supervised dispatch the ready frame, leave in
+       one write. *)
+    if supervised then Printf.fprintf oc "R\t%d\n" i;
     flush oc
   in
   (try
@@ -231,17 +286,30 @@ let framed c line =
 
 let frame_payload line = String.sub line 2 (String.length line - 2)
 
-(* --- Parent-side supervision --- *)
+(* --- Parent side --- *)
 
 type worker = {
   pid : int;
   fd : Unix.file_descr;  (** Result pipe, read end. *)
   mutable feed : Unix.file_descr option;
-      (** Feed pipe, write end; [None] once closed. *)
+      (** Feed pipe, write end; [None] once closed, and always under
+          shared dispatch. *)
   buf : Buffer.t;
   wid : int;
-  mutable current : int;  (** Item fed and not yet finished, -1 if none. *)
+  mutable current : int;  (** Item claimed and not yet finished, -1 if none. *)
   mutable last_seen : float;
+}
+
+(* What one map's dispatch modes share: the items, the results delivered
+   so far, the live workers and the abnormal-exit count. *)
+type ('a, 'b) batch = {
+  f : 'a -> 'b;
+  items : 'a array;
+  results : 'b option array;
+  label : int -> string;
+  mutable live : worker list;
+  mutable abnormal : int;
+  chunk : Bytes.t;
 }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -256,6 +324,335 @@ let rec reap_status pid =
   | _, status -> Some status
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap_status pid
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
+
+(* Fork worker [wid] with a fresh result pipe.  The child keeps only its
+   own pipe ends: it closes [parent_only] and every live worker's
+   descriptors, because an inherited copy of another worker's feed would
+   keep that feed open after the parent closes it, and that worker would
+   never see the end of its input.  It computes what [next ()] hands out,
+   streams results, and _exits without running at_exit handlers or
+   flushing buffers inherited from the parent (which would duplicate its
+   pending output). *)
+let fork_worker b ~supervised ~parent_only ~next wid =
+  let r, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    close_quietly r;
+    List.iter close_quietly parent_only;
+    List.iter
+      (fun wk ->
+        close_quietly wk.fd;
+        Option.iter close_quietly wk.feed)
+      b.live;
+    child_loop ~f:b.f ~items:b.items ~next:(next ()) ~supervised ~wr wid;
+    Unix._exit 0
+  | pid ->
+    close_quietly wr;
+    let wk =
+      { pid; fd = r; feed = None; buf = Buffer.create 256; wid; current = -1;
+        last_seen = Obs.Clock.now () }
+    in
+    b.live <- wk :: b.live;
+    wk
+
+(* [ready wk] answers a worker's ready frame for the item it holds. *)
+let process_line b wk ~ready line =
+  let n = Array.length b.items in
+  if framed 'P' line then begin
+    match unseal line with
+    | Some (Result (i, v)) when i >= 0 && i < n -> b.results.(i) <- Some v
+    | Some (Trace evs) -> Obs.absorb evs
+    | Some (Metrics reg) -> Obs.Metrics.merge reg
+    | Some (Result _) | None -> ()
+  end
+  else if framed 'H' line then begin
+    match int_of_string_opt (frame_payload line) with
+    | Some i when i >= 0 && i < n ->
+      (* Shared dispatch learns here which item a worker holds;
+         supervised dispatch set it when feeding the index.  The claim
+         trail is what makes a later kill attributable: the dump's tail
+         shows which item (and which request) the worker was on when it
+         went silent. *)
+      wk.current <- i;
+      Obs.Flight.record ~kind:"pool.claim" ~run_id:(b.label i)
+        (Printf.sprintf "worker %d (pid %d) claimed item %d" wk.wid wk.pid i)
+    | Some _ | None -> ()
+  end
+  else if framed 'R' line then begin
+    if int_of_string_opt (frame_payload line) = Some wk.current then begin
+      wk.current <- -1;
+      ready wk
+    end
+  end
+
+(* [true] on EOF.  Only the bytes just read can end a line, so a frame
+   costs time linear in its length however many reads it spans. *)
+let read_once b wk ~ready =
+  match Unix.read wk.fd b.chunk 0 (Bytes.length b.chunk) with
+  | 0 -> true
+  | k ->
+    wk.last_seen <- Obs.Clock.now ();
+    let start = ref 0 in
+    for j = 0 to k - 1 do
+      if Bytes.get b.chunk j = '\n' then begin
+        Buffer.add_subbytes wk.buf b.chunk !start (j - !start);
+        let line = Buffer.contents wk.buf in
+        Buffer.clear wk.buf;
+        start := j + 1;
+        process_line b wk ~ready line
+      end
+    done;
+    Buffer.add_subbytes wk.buf b.chunk !start (k - !start);
+    false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
+(* Wait up to [timeout] seconds (-1: no limit) for frames, read every
+   readable worker once, and return the workers that reached EOF. *)
+let pump b ~ready timeout =
+  let readable, _, _ =
+    match Unix.select (List.map (fun wk -> wk.fd) b.live) [] [] timeout with
+    | r -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+  in
+  List.filter
+    (fun wk -> List.mem wk.fd readable && read_once b wk ~ready)
+    b.live
+
+(* Close a worker's pipes and reap it; [true] when it exited nonzero or
+   on a signal.  Deaths the parent caused ([killed], a deadline SIGKILL)
+   are accounted under pool.worker.hung, not as abnormal exits. *)
+let retire b wk ~killed =
+  b.live <- List.filter (fun x -> x.pid <> wk.pid) b.live;
+  close_quietly wk.fd;
+  Option.iter close_quietly wk.feed;
+  wk.feed <- None;
+  match reap_status wk.pid with
+  | Some (Unix.WEXITED 0) | None -> false
+  | Some (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
+    if not killed then begin
+      b.abnormal <- b.abnormal + 1;
+      Obs.count "pool.worker.abnormal_exit";
+      Obs.Flight.record ~kind:"pool.abnormal_exit"
+        ~run_id:(if wk.current >= 0 then b.label wk.current else "")
+        (Printf.sprintf
+           "reaped worker %d (pid %d) abnormal exit; last claimed item %d \
+            span pool.item"
+           wk.wid wk.pid wk.current);
+      ignore (Obs.Flight.dump_auto ~reason:"pool.abnormal_exit" ())
+    end;
+    true
+
+(* Shared dispatch on [w] lanes, the parent one of them.  Worker [j]
+   (1 .. w-1) starts with item [j-1]; every other item is claimed from
+   one pipe the parent fills and closes before the first fork, so no lane
+   ever waits on the parent's answer and each worker leaves at end of
+   file.  The parent computes its claims in-process, exactly as
+   [workers:1] would, and drains frames between its items.  An item whose
+   worker died is not redispatched: fan-in recovery recomputes it. *)
+let shared b ~w =
+  let n = Array.length b.items in
+  let base = w - 1 in
+  let run = (n - base + max_claims - 1) / max_claims in
+  let r, wr = Unix.pipe () in
+  let c = { fd = r; base; run; count = (n - base + run - 1) / run; n } in
+  let records = Bytes.create (c.count * claim_width) in
+  for k = 0 to c.count - 1 do
+    Bytes.set_int32_le records (k * claim_width) (Int32.of_int k)
+  done;
+  ignore (Unix.write wr records 0 (Bytes.length records));
+  close_quietly wr;
+  Fun.protect ~finally:(fun () -> close_quietly r) (fun () ->
+      for wid = 1 to w - 1 do
+        ignore
+          (fork_worker b ~supervised:false ~parent_only:[]
+             ~next:(fun () -> claim_reader c ~first:(Some (wid - 1)))
+             wid)
+      done;
+      let drain timeout =
+        List.iter (fun wk -> ignore (retire b wk ~killed:false))
+          (pump b ~ready:ignore timeout)
+      in
+      Obs.Span.with_ ~name:"pool.worker"
+        ~attrs:(fun () -> [ ("worker", "0") ])
+        (fun () ->
+          let next = claim_reader c ~first:None in
+          let rec loop () =
+            match next () with
+            | None -> ()
+            | Some i ->
+              (* An exception from [f] leaves the item undelivered, as in
+                 a worker: fan-in recovery recomputes it, after every
+                 worker is reaped, and raises there in input order. *)
+              (match item_span b.f b.items.(i) with
+               | v -> b.results.(i) <- Some v
+               | exception _ -> ());
+              if b.live <> [] then drain 0.0;
+              loop ()
+          in
+          loop ());
+      while b.live <> [] do
+        drain (-1.0)
+      done)
+
+(* Supervised dispatch: [w] forked workers pull indices one at a time from
+   a queue the parent holds, so it can charge a strike to the item a dead
+   or hung worker held, respawn, quarantine and kill on a deadline.
+   Returns (hung, respawned, quarantined). *)
+let supervised b ~w ~deadline ~retries =
+  let n = Array.length b.items in
+  let strikes = Array.make n 0 in
+  (* The shared queue every worker pulls from, one item at a time: a
+     worker that draws cheap items simply asks again, so no worker idles
+     while another still holds a backlog. *)
+  let queue = Queue.create () in
+  for i = 0 to n - 1 do
+    Queue.push i queue
+  done;
+  let hung = ref 0 and respawned = ref 0 and nquar = ref 0 in
+  (* Deterministic backoff jitter: seeded per map call, so a chaos run's
+     sleep pattern is reproducible. *)
+  let rng = Rng.create 0x5eed1 in
+  (* A runaway poison batch must converge: after the cap, anything still
+     undelivered falls through to in-parent recovery. *)
+  let respawn_cap = max 16 (4 * w) in
+  let next_wid = ref w in
+  let close_feed wk =
+    Option.iter close_quietly wk.feed;
+    wk.feed <- None
+  in
+  (* Answer a ready worker with the next queued item, or close its feed
+     once the queue is empty.  The worker has consumed every line sent
+     before its ready frame (and a new worker's feed is empty), so this
+     line is the only one in the pipe and the write cannot block. *)
+  let feed wk =
+    match wk.feed with
+    | None -> ()
+    | Some fd ->
+      (match Queue.take_opt queue with
+       | None -> close_feed wk
+       | Some i ->
+         let line = string_of_int i ^ "\n" in
+         (match Unix.write_substring fd line 0 (String.length line) with
+          | _ ->
+            wk.current <- i;
+            wk.last_seen <- Obs.Clock.now ()
+          | exception Unix.Unix_error _ ->
+            (* EPIPE: the worker died before taking the item; its EOF
+               follows on the result pipe. *)
+            Queue.push i queue;
+            close_feed wk))
+  in
+  let spawn wid =
+    let feed_r, feed_w = Unix.pipe () in
+    let wk =
+      fork_worker b ~supervised:true ~parent_only:[ feed_w ]
+        ~next:(fun () -> feed_reader feed_r n)
+        wid
+    in
+    close_quietly feed_r;
+    wk.feed <- Some feed_w;
+    feed wk
+  in
+  for j = 1 to w do
+    spawn j
+  done;
+  (* A strike (abnormal death or hang) is charged to the item the worker
+     held.  An item that collects [retries] strikes is poison — it has
+     killed that many workers — and is quarantined to in-parent execution
+     instead of being allowed to kill another; any other struck item goes
+     to the back of the queue, so healthy items complete first. *)
+  let strike wk =
+    let i = wk.current in
+    if i >= 0 && b.results.(i) = None then begin
+      strikes.(i) <- strikes.(i) + 1;
+      if strikes.(i) >= retries then begin
+        incr nquar;
+        Obs.count "pool.quarantine";
+        Obs.Flight.record ~kind:"pool.quarantine" ~run_id:(b.label i)
+          (Printf.sprintf
+             "item %d quarantined after %d strikes (last worker %d, pid %d)" i
+             strikes.(i) wk.wid wk.pid);
+        ignore (Obs.Flight.dump_auto ~reason:"pool.quarantine" ())
+      end
+      else Queue.push i queue
+    end
+  in
+  (* A replacement is forked only while there is work to hand it.
+     Without a strike (a worker that exited 0 early) or once the respawn
+     budget is spent, the remaining workers drain the queue and whatever
+     is left recovers in-parent at fan-in. *)
+  let respawn () =
+    if (not (Queue.is_empty queue)) && !respawned < respawn_cap then begin
+      Obs.count "pool.respawn";
+      let backoff =
+        Float.min 0.5
+          (backoff_base
+          *. (2.0 ** float_of_int !respawned)
+          *. (0.5 +. Rng.float rng 1.0))
+      in
+      incr respawned;
+      Obs.Metrics.observe "pool.respawn.backoff_s" backoff;
+      Unix.sleepf backoff;
+      incr next_wid;
+      spawn !next_wid
+    end
+  in
+  (* A worker that exited 0 holding an undelivered item is not struck: it
+     failed without dying, so handing the item to another worker would
+     fail the same way. *)
+  let finalize wk ~killed =
+    if retire b wk ~killed || killed then begin
+      strike wk;
+      respawn ()
+    end
+  in
+  while b.live <> [] do
+    let now = Obs.Clock.now () in
+    let timeout =
+      match deadline with
+      | None -> -1.0
+      | Some d ->
+        let remaining =
+          List.fold_left
+            (fun acc wk ->
+              if wk.current < 0 then acc
+              else Float.min acc (d -. (now -. wk.last_seen)))
+            d b.live
+        in
+        Float.min 0.25 (Float.max 0.005 remaining)
+    in
+    List.iter (fun wk -> finalize wk ~killed:false) (pump b ~ready:feed timeout);
+    match deadline with
+    | None -> ()
+    | Some d ->
+      let now = Obs.Clock.now () in
+      List.iter
+        (fun wk ->
+          if wk.current >= 0 && now -. wk.last_seen > d then begin
+            (* Hung: no frame for a full item deadline while it holds an
+               item.  SIGKILL — a stuck optimizer does not respond to
+               gentler signals — then salvage whatever it piped before
+               stalling.  The feed closes first, so a late ready frame
+               hands out nothing. *)
+            incr hung;
+            Obs.count "pool.worker.hung";
+            Obs.Flight.record ~kind:"pool.kill" ~run_id:(b.label wk.current)
+              (Printf.sprintf
+                 "SIGKILL worker %d (pid %d) hung on item %d span pool.item"
+                 wk.wid wk.pid wk.current);
+            close_feed wk;
+            (try Unix.kill wk.pid Sys.sigkill with Unix.Unix_error _ -> ());
+            (try
+               while not (read_once b wk ~ready:feed) do
+                 ()
+               done
+             with Unix.Unix_error _ -> ());
+            finalize wk ~killed:true;
+            ignore (Obs.Flight.dump_auto ~reason:"pool.kill" ())
+          end)
+        b.live
+  done;
+  (!hung, !respawned, !nquar)
 
 let map ?workers ?item_deadline_s ?item_retries ?item_label f items =
   let requested =
@@ -285,302 +682,45 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label f items =
         let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
         Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
         @@ fun () ->
-        let items = Array.of_list items in
-        (* Correlation label for item [i] — the run_id the supervising
-           parent stamps on flight-recorder entries, so a dump names the
-           request a killed worker was serving. *)
+        (* Correlation label for item [i] — the run_id the parent stamps
+           on flight-recorder entries, so a dump names the request a
+           killed worker was serving. *)
         let label i =
           match item_label with
           | Some l -> ( match l i with "" -> Printf.sprintf "item#%d" i | s -> s)
           | None -> Printf.sprintf "item#%d" i
         in
         let w = min requested n in
-        let results = Array.make n None in
-        let strikes = Array.make n 0 in
-        (* The shared queue every worker pulls from, one item at a time:
-           a worker that draws cheap items simply asks again, so no worker
-           idles while another still holds a backlog. *)
-        let queue = Queue.create () in
-        for i = 0 to n - 1 do
-          Queue.push i queue
-        done;
-        let hung = ref 0
-        and respawned = ref 0
-        and nquar = ref 0
-        and abnormal = ref 0 in
-        (* Deterministic backoff jitter: seeded per map call, so a chaos
-           run's sleep pattern is reproducible. *)
-        let rng = Rng.create 0x5eed1 in
-        (* A runaway poison batch must converge: after the cap, anything
-           still undelivered falls through to in-parent recovery. *)
-        let respawn_cap = max 16 (4 * w) in
-        let next_wid = ref w in
-        let live = ref [] in
-        let close_feed wk =
-          Option.iter close_quietly wk.feed;
-          wk.feed <- None
+        let b =
+          { f; items = Array.of_list items; results = Array.make n None; label;
+            live = []; abnormal = 0; chunk = Bytes.create 65536 }
         in
-        (* Answer a ready worker with the next queued item, or close its
-           feed once the queue is empty.  The worker has consumed every
-           line sent before its ready frame (and a new worker's feed is
-           empty), so this line is the only one in the pipe and the write
-           cannot block. *)
-        let feed wk =
-          match wk.feed with
-          | None -> ()
-          | Some fd ->
-            (match Queue.take_opt queue with
-             | None -> close_feed wk
-             | Some i ->
-               let line = string_of_int i ^ "\n" in
-               (match Unix.write_substring fd line 0 (String.length line) with
-                | _ ->
-                  wk.current <- i;
-                  wk.last_seen <- Obs.Clock.now ()
-                | exception Unix.Unix_error _ ->
-                  (* EPIPE: the worker died before taking the item; its
-                     EOF follows on the result pipe. *)
-                  Queue.push i queue;
-                  close_feed wk))
-        in
-        let spawn wid =
-          let r, wr = Unix.pipe () in
-          let feed_r, feed_w = Unix.pipe () in
-          match Unix.fork () with
-          | 0 ->
-            (* Child: keep only its own pipe ends.  An inherited copy of
-               another worker's feed would keep that feed open after the
-               parent closes it, and that worker would never see the end
-               of its input.  Compute what the feed hands out, stream
-               results, and _exit without running at_exit handlers or
-               flushing buffers inherited from the parent (which would
-               duplicate its pending output). *)
-            close_quietly r;
-            close_quietly feed_w;
-            List.iter
-              (fun wk ->
-                close_quietly wk.fd;
-                Option.iter close_quietly wk.feed)
-              !live;
-            child_loop ~f ~items ~feed:feed_r ~wr wid;
-            Unix._exit 0
-          | pid ->
-            close_quietly wr;
-            close_quietly feed_r;
-            let wk =
-              { pid; fd = r; feed = Some feed_w; buf = Buffer.create 256; wid;
-                current = -1; last_seen = Obs.Clock.now () }
-            in
-            live := wk :: !live;
-            feed wk
-        in
-        for j = 1 to w do
-          spawn j
-        done;
-        let process_line wk line =
-          if framed 'P' line then begin
-            match unseal line with
-            | Some (Result (i, v)) when i >= 0 && i < n ->
-              results.(i) <- Some v
-            | Some (Trace evs) -> Obs.absorb evs
-            | Some (Metrics reg) -> Obs.Metrics.merge reg
-            | Some (Result _) | None -> ()
+        (* Only a parent that hands out every index can kill a hung worker
+           on time and keep the strike and respawn counts exact, so an
+           item deadline or a fault hook selects supervised dispatch. *)
+        let hung, respawned, quarantined =
+          if deadline = None && Option.is_none !fault_hook then begin
+            shared b ~w;
+            (0, 0, 0)
           end
-          else if framed 'H' line then begin
-            match int_of_string_opt (frame_payload line) with
-            | Some i when i >= 0 && i < n ->
-              (* The claim trail is what makes a later kill attributable:
-                 the dump's tail shows which item (and which request) the
-                 worker was on when it went silent. *)
-              Obs.Flight.record ~kind:"pool.claim" ~run_id:(label i)
-                (Printf.sprintf "worker %d (pid %d) claimed item %d" wk.wid
-                   wk.pid i)
-            | Some _ | None -> ()
-          end
-          else if framed 'R' line then begin
-            if int_of_string_opt (frame_payload line) = Some wk.current
-            then begin
-              wk.current <- -1;
-              feed wk
-            end
-          end
+          else supervised b ~w ~deadline ~retries
         in
-        let chunk = Bytes.create 65536 in
-        (* [true] on EOF.  Only the bytes just read can end a line, so a
-           frame costs time linear in its length however many reads it
-           spans. *)
-        let read_once wk =
-          match Unix.read wk.fd chunk 0 (Bytes.length chunk) with
-          | 0 -> true
-          | k ->
-            wk.last_seen <- Obs.Clock.now ();
-            let start = ref 0 in
-            for j = 0 to k - 1 do
-              if Bytes.get chunk j = '\n' then begin
-                Buffer.add_subbytes wk.buf chunk !start (j - !start);
-                let line = Buffer.contents wk.buf in
-                Buffer.clear wk.buf;
-                start := j + 1;
-                process_line wk line
-              end
-            done;
-            Buffer.add_subbytes wk.buf chunk !start (k - !start);
-            false
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-        in
-        let drain_to_eof wk =
-          try
-            while not (read_once wk) do
-              ()
-            done
-          with Unix.Unix_error _ -> ()
-        in
-        (* A strike (abnormal death or hang) is charged to the item the
-           worker held.  An item that collects [retries] strikes is poison
-           — it has killed that many workers — and is quarantined to
-           in-parent execution instead of being allowed to kill another;
-           any other struck item goes to the back of the queue, so healthy
-           items complete first. *)
-        let strike wk =
-          let i = wk.current in
-          if i >= 0 && results.(i) = None then begin
-            strikes.(i) <- strikes.(i) + 1;
-            if strikes.(i) >= retries then begin
-              incr nquar;
-              Obs.count "pool.quarantine";
-              Obs.Flight.record ~kind:"pool.quarantine" ~run_id:(label i)
-                (Printf.sprintf
-                   "item %d quarantined after %d strikes (last worker %d, \
-                    pid %d)"
-                   i strikes.(i) wk.wid wk.pid);
-              ignore (Obs.Flight.dump_auto ~reason:"pool.quarantine" ())
-            end
-            else Queue.push i queue
-          end
-        in
-        (* A replacement is forked only while there is work to hand it.
-           Without a strike (a worker that exited 0 early) or once the
-           respawn budget is spent, the remaining workers drain the queue
-           and whatever is left recovers in-parent at fan-in. *)
-        let respawn () =
-          if (not (Queue.is_empty queue)) && !respawned < respawn_cap then begin
-            Obs.count "pool.respawn";
-            let b =
-              Float.min 0.5
-                (backoff_base
-                *. (2.0 ** float_of_int !respawned)
-                *. (0.5 +. Rng.float rng 1.0))
-            in
-            incr respawned;
-            Obs.Metrics.observe "pool.respawn.backoff_s" b;
-            Unix.sleepf b;
-            incr next_wid;
-            spawn !next_wid
-          end
-        in
-        let finalize wk ~killed =
-          live := List.filter (fun x -> x.pid <> wk.pid) !live;
-          close_quietly wk.fd;
-          close_feed wk;
-          let crashed =
-            match reap_status wk.pid with
-            | Some (Unix.WEXITED 0) | None -> false
-            | Some (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-              (* Deaths we caused (deadline SIGKILL) are accounted under
-                 pool.worker.hung, not as abnormal exits. *)
-              if not killed then begin
-                incr abnormal;
-                Obs.count "pool.worker.abnormal_exit";
-                Obs.Flight.record ~kind:"pool.abnormal_exit"
-                  ~run_id:(if wk.current >= 0 then label wk.current else "")
-                  (Printf.sprintf
-                     "reaped worker %d (pid %d) abnormal exit; last claimed \
-                      item %d span pool.item"
-                     wk.wid wk.pid wk.current);
-                ignore (Obs.Flight.dump_auto ~reason:"pool.abnormal_exit" ())
-              end;
-              true
-          in
-          (* A worker that exited 0 holding an undelivered item is not
-             struck: it failed without dying, so handing the item to
-             another worker would fail the same way. *)
-          if killed || crashed then begin
-            strike wk;
-            respawn ()
-          end
-        in
-        while !live <> [] do
-          let now = Obs.Clock.now () in
-          let timeout =
-            match deadline with
-            | None -> -1.0
-            | Some d ->
-              let remaining =
-                List.fold_left
-                  (fun acc wk ->
-                    if wk.current < 0 then acc
-                    else Float.min acc (d -. (now -. wk.last_seen)))
-                  d !live
-              in
-              Float.min 0.25 (Float.max 0.005 remaining)
-          in
-          let readable, _, _ =
-            match Unix.select (List.map (fun wk -> wk.fd) !live) [] [] timeout with
-            | r -> r
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-          in
-          let eofs = ref [] in
-          List.iter
-            (fun wk ->
-              if List.mem wk.fd readable then
-                if read_once wk then eofs := wk :: !eofs)
-            !live;
-          List.iter (fun wk -> finalize wk ~killed:false) !eofs;
-          (match deadline with
-           | None -> ()
-           | Some d ->
-             let now = Obs.Clock.now () in
-             List.iter
-               (fun wk ->
-                 if wk.current >= 0 && now -. wk.last_seen > d then begin
-                   (* Hung: no frame for a full item deadline while it
-                      holds an item.  SIGKILL — a stuck optimizer does
-                      not respond to gentler signals — then salvage
-                      whatever it piped before stalling.  The feed closes
-                      first, so a late ready frame hands out nothing. *)
-                   incr hung;
-                   Obs.count "pool.worker.hung";
-                   Obs.Flight.record ~kind:"pool.kill"
-                     ~run_id:(label wk.current)
-                     (Printf.sprintf
-                        "SIGKILL worker %d (pid %d) hung on item %d span \
-                         pool.item"
-                        wk.wid wk.pid wk.current);
-                   close_feed wk;
-                   (try Unix.kill wk.pid Sys.sigkill
-                    with Unix.Unix_error _ -> ());
-                   drain_to_eof wk;
-                   finalize wk ~killed:true;
-                   ignore (Obs.Flight.dump_auto ~reason:"pool.kill" ())
-                 end)
-               !live)
-        done;
-        (* Fan-in recovery: anything a worker failed to deliver — death,
-           damaged frame, a result that cannot be marshalled, quarantine —
-           is recomputed here.  Exceptions from [f] now surface in the
-           parent, exactly as they would have sequentially. *)
+        (* Fan-in recovery: anything a lane failed to deliver — death,
+           damaged frame, a result that cannot be marshalled, quarantine,
+           an exception from [f] — is recomputed here, after every worker
+           is reaped.  Exceptions from [f] now surface in the parent,
+           exactly as they would have sequentially. *)
         let recovered = ref 0 in
         let out =
           List.init n (fun i ->
-              match results.(i) with
+              match b.results.(i) with
               | Some v -> (v, false)
               | None ->
                 incr recovered;
                 Obs.count "pool.recovered";
-                ( Obs.Span.with_ ~name:"pool.recover" (fun () -> f items.(i)),
+                ( Obs.Span.with_ ~name:"pool.recover" (fun () -> f b.items.(i)),
                   true ))
         in
         ( out,
-          { workers = w; recovered = !recovered; hung = !hung;
-            respawned = !respawned; quarantined = !nquar;
-            abnormal_exits = !abnormal } ))
+          { workers = w; recovered = !recovered; hung; respawned; quarantined;
+            abnormal_exits = b.abnormal } ))

@@ -232,6 +232,21 @@ let escape_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+(* %.17g always reads back to the same double, but prints 0.1 as
+   0.10000000000000001; most values need fewer digits, so the first of 15,
+   16 and 17 significant digits whose text reads back to the same bits
+   wins. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else
+    let bits = Int64.bits_of_float f in
+    let same s = Int64.equal (Int64.bits_of_float (float_of_string s)) bits in
+    let s15 = Printf.sprintf "%.15g" f in
+    if same s15 then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if same s16 then s16 else Printf.sprintf "%.17g" f
+
 let parse src =
   let c = { src; pos = 0 } in
   match parse_value c with

@@ -26,6 +26,13 @@ val escape_string : string -> string
     Shared by the trace, run-log and bench-report writers so hostile
     names escape identically everywhere. *)
 
+val number : float -> string
+(** Render a finite float as the shortest of its [%.15g], [%.16g] and
+    [%.17g] texts that {!parse} reads back to the same bits (so [-0.0]
+    stays [-0] and every subnormal survives); a non-finite value, which
+    JSON cannot hold, renders as [null].  Shared by the run-log and
+    bench-report writers. *)
+
 val parse : string -> (t, string) result
 (** Parse one complete JSON document.  [Error msg] carries a one-line
     description with the byte offset of the failure.  Trailing

@@ -442,21 +442,29 @@ let test_flight_child_ring_reset_post_fork () =
   leak_checked (fun () ->
       (* Plant a sentinel in the parent's ring; if a forked worker's ring
          still replays parent history, its dump would misattribute the
-         crash, so the child must start empty. *)
+         crash, so the child must start empty.  Each item reports the pid
+         that computed it: the parent's lane keeps its history, and item
+         0, which the fork fixes for worker 1, runs in a child. *)
       Obs.Flight.record ~kind:"test" "parent-sentinel-entry";
+      let parent = Unix.getpid () in
       let sees_parent_history _ =
-        if
+        ( Unix.getpid (),
           List.exists
             (fun e -> e.Obs.Flight.f_detail = "parent-sentinel-entry")
-            (Obs.Flight.entries ())
-        then 1
-        else 0
+            (Obs.Flight.entries ()) )
       in
       let out, _ =
         Pool.map ~workers:2 sees_parent_history [ 0; 1; 2; 3 ]
       in
-      Alcotest.(check (list int)) "child rings empty post-fork"
-        [ 0; 0; 0; 0 ] (List.map fst out))
+      let results = List.map fst out in
+      Alcotest.(check bool) "item 0 computed in a child" true
+        (fst (List.hd results) <> parent);
+      List.iteri
+        (fun i (pid, seen) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "item %d sees parent history iff in the parent" i)
+            (pid = parent) seen)
+        results)
 
 let test_flight_dumps_never_interleave () =
   let dir = temp_flight_dir () in
@@ -523,6 +531,44 @@ let test_flight_dump_on_chaos_crash () =
     (contains body "span pool.item");
   Alcotest.(check bool) "dump carries the item's run_id" true
     (contains body "r042-deadbeef#")
+
+(* --- Shared dispatch: the parent as a lane --- *)
+
+(* An item computed in the parent's lane may itself run a pool map, as a
+   bench-matrix cell does under --workers 2: the nested map forks from
+   inside the outer one.  Item 0 is slow and fixed for worker 1, so the
+   parent's lane claims the other items. *)
+let test_nested_map_in_parent_lane () =
+  let parent = Unix.getpid () in
+  let outer x =
+    if x = 0 then Unix.sleepf 0.2;
+    let inner, stats =
+      Pool.map ~workers:2 (fun y -> (y * 10) + x) (List.init 5 Fun.id)
+    in
+    (Unix.getpid (), stats.Pool.recovered, List.map fst inner)
+  in
+  let items = List.init 4 Fun.id in
+  let seq, _ = Pool.map ~workers:1 outer items in
+  let par, stats = leak_checked (fun () -> Pool.map ~workers:2 outer items) in
+  let values = List.map (fun ((_, r, v), _) -> (r, v)) in
+  Alcotest.(check (list (pair int (list int)))) "nested map equals workers:1"
+    (values seq) (values par);
+  Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered;
+  Alcotest.(check bool) "the parent's lane ran a nested map" true
+    (List.exists (fun ((pid, _, _), _) -> pid = parent) par)
+
+(* More claims than one pipe buffer holds: the parent writes its claims
+   before any reader exists and must never block doing so. *)
+let test_many_items_map () =
+  let n = 20_000 in
+  let out, stats =
+    leak_checked (fun () ->
+        Pool.map ~workers:2 (fun x -> x + 1) (List.init n Fun.id))
+  in
+  Alcotest.(check bool) "every result in input order" true
+    (List.for_all2 (fun i (v, _) -> v = i + 1) (List.init n Fun.id) out);
+  Alcotest.(check int) "two lanes" 2 stats.Pool.workers;
+  Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered
 
 (* --- Engine batches: bit-equivalence to the fault-free sequential run
    under every seeded plan --- *)
@@ -686,6 +732,10 @@ let () =
             test_crash_mid_and_partial_write_recovered;
           Alcotest.test_case "healthy maps leak nothing" `Quick
             test_healthy_maps_leak_nothing ] );
+      ( "pool-lanes",
+        [ Alcotest.test_case "nested map in the parent's lane" `Quick
+            test_nested_map_in_parent_lane;
+          Alcotest.test_case "20,000-item map" `Quick test_many_items_map ] );
       ( "flight-recorder",
         [ Alcotest.test_case "child ring reset post-fork" `Quick
             test_flight_child_ring_reset_post_fork;

@@ -79,18 +79,19 @@ let test_pool_lost_worker_recovered () =
   let out, stats =
     Pool.map ~workers:3
       (fun x ->
-        (* Kill the worker that reaches item 4 mid-batch; the parent must
-           recompute everything that worker never delivered. *)
-        if x = 4 && Unix.getpid () <> parent then Unix._exit 9;
+        (* Kill the worker that computes item 0, the item its fork fixes
+           for worker 1, mid-batch; the parent must recompute everything
+           that worker never delivered. *)
+        if x = 0 && Unix.getpid () <> parent then Unix._exit 9;
         x * 10)
       (List.init 9 (fun i -> i))
   in
   Alcotest.(check (list int)) "all values present despite the crash"
     (List.init 9 (fun i -> i * 10))
     (List.map fst out);
-  Alcotest.(check bool) "at least item 4 recovered" true
+  Alcotest.(check bool) "at least item 0 recovered" true
     (stats.Pool.recovered >= 1);
-  Alcotest.(check bool) "item 4 flagged" true (snd (List.nth out 4))
+  Alcotest.(check bool) "item 0 flagged" true (snd (List.nth out 0))
 
 let test_pool_corrupt_payload_recovered () =
   (* Odd items write the first half of their result frame as a whole
@@ -115,7 +116,8 @@ let test_pool_corrupt_payload_recovered () =
    bytes a line or field codec trips on, and floats a decimal or hex
    round trip can lose (NaN payload bits, the sign of zero, the smallest
    subnormal, infinities).  The 1 MiB string's frame spans many pipe
-   reads. *)
+   reads.  Every hostile value sits in item 0, which the fork fixes for
+   worker 1, so it crosses the pipe whichever lane claims item 1. *)
 let test_pool_hostile_values_roundtrip () =
   let strings =
     [ "line\nbreak"; "tab\there"; "nul\000byte"; "\x1c\x1d\x1e\x1f";
@@ -125,31 +127,50 @@ let test_pool_hostile_values_roundtrip () =
     [ Int64.float_of_bits 0x7ff8_0000_dead_beefL; -0.0; 4.9e-324; infinity;
       neg_infinity ]
   in
-  let items =
+  let hostile =
     (String.init (1 lsl 20) (fun i -> Char.chr (i land 255)), 0.5)
     :: List.concat_map (fun s -> List.map (fun f -> (s, f)) floats) strings
   in
-  let out, stats = Pool.map ~workers:2 Fun.id items in
+  let parent = Unix.getpid () in
+  let out, stats =
+    Pool.map ~workers:2 (fun v -> (Unix.getpid (), v)) [ hostile; [] ]
+  in
   Alcotest.(check int) "forked" 2 stats.Pool.workers;
   Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered;
-  List.iter2
-    (fun (s, f) ((s', f'), recovered) ->
-      Alcotest.(check bool) "not recomputed" false recovered;
-      Alcotest.(check string) "string bytes" s s';
-      Alcotest.(check int64) "float bits" (Int64.bits_of_float f)
-        (Int64.bits_of_float f'))
-    items out
+  match out with
+  | ((pid, back), recovered) :: _ ->
+    Alcotest.(check bool) "computed in a worker" true (pid <> parent);
+    Alcotest.(check bool) "not recomputed" false recovered;
+    List.iter2
+      (fun (s, f) (s', f') ->
+        Alcotest.(check string) "string bytes" s s';
+        Alcotest.(check int64) "float bits" (Int64.bits_of_float f)
+          (Int64.bits_of_float f'))
+      hostile back
+  | [] -> Alcotest.fail "no results"
 
-(* A closure cannot be marshalled: the worker ships no frame for it, so
-   the parent recomputes and flags every item, and the map returns. *)
+(* A closure cannot be marshalled: a worker ships no frame for it, so the
+   parent recomputes and flags the item, and the map returns.  Each
+   closure records the pid that made it, so none made in a worker may
+   arrive; item 0, which the fork fixes for worker 1, is always one of
+   the recomputed items. *)
 let test_pool_unmarshallable_result_recovered () =
+  let parent = Unix.getpid () in
   let out, stats =
-    Pool.map ~workers:2 (fun x () -> x * 3) [ 1; 2; 3; 4 ]
+    Pool.map ~workers:2
+      (fun x ->
+        let pid = Unix.getpid () in
+        fun () -> (x * 3, pid))
+      [ 1; 2; 3; 4 ]
   in
-  Alcotest.(check (list int)) "recomputed closures" [ 3; 6; 9; 12 ]
-    (List.map (fun (g, _) -> g ()) out);
-  Alcotest.(check bool) "every item flagged" true (List.for_all snd out);
-  Alcotest.(check int) "every item recovered" 4 stats.Pool.recovered
+  Alcotest.(check (list int)) "values" [ 3; 6; 9; 12 ]
+    (List.map (fun (g, _) -> fst (g ())) out);
+  Alcotest.(check bool) "every closure made in the parent" true
+    (List.for_all (fun (g, _) -> snd (g ()) = parent) out);
+  Alcotest.(check bool) "item 0 recomputed" true (snd (List.hd out));
+  Alcotest.(check int) "every flagged item counted"
+    (List.length (List.filter snd out))
+    stats.Pool.recovered
 
 (* Regression: a forked worker numbered its spans from the parent's
    counter plus a fixed per-worker offset, so worker [w] of a later map
@@ -192,11 +213,13 @@ let test_traced_maps_unique_span_ids () =
         (List.length (List.filter (fun (_, p, _) -> p = m) workers)))
     maps
 
-(* The smallest batch that forks: one item per child. *)
+(* The smallest batch that forks, under an item deadline: supervised
+   dispatch forks one child per lane and the parent computes nothing. *)
 let test_pool_two_items_fork () =
   let parent = Unix.getpid () in
   let out, stats =
-    Pool.map ~workers:2 (fun _ -> Unix.getpid ()) [ 1; 2 ]
+    Pool.map ~workers:2 ~item_deadline_s:60.0 (fun _ -> Unix.getpid ())
+      [ 1; 2 ]
   in
   let pids = List.map fst out in
   Alcotest.(check int) "two workers" 2 stats.Pool.workers;
@@ -204,6 +227,41 @@ let test_pool_two_items_fork () =
     (List.for_all (fun pid -> pid <> parent) pids);
   Alcotest.(check int) "one item per child" 2
     (List.length (List.sort_uniq compare pids))
+
+(* Supervised dispatch computes every item in a forked worker: a map
+   with an item deadline, and one with a fault hook installed (here one
+   that injects nothing). *)
+let test_pool_supervised_forks_every_item () =
+  let parent = Unix.getpid () in
+  let pids map =
+    let out, stats = map (fun _ -> Unix.getpid ()) (List.init 6 Fun.id) in
+    Alcotest.(check int) "lanes" 2 stats.Pool.workers;
+    Alcotest.(check int) "nothing recovered" 0 stats.Pool.recovered;
+    List.map fst out
+  in
+  let forked name ps =
+    Alcotest.(check bool) (name ^ ": every item in a child") true
+      (List.for_all (fun pid -> pid <> parent) ps)
+  in
+  forked "deadline" (pids (Pool.map ~workers:2 ~item_deadline_s:60.0));
+  Pool.set_fault_hook (fun _ -> None);
+  Fun.protect ~finally:Pool.clear_fault_hook (fun () ->
+      forked "hook" (pids (Pool.map ~workers:2)))
+
+(* Shared dispatch: the fork fixes item [j-1] for worker [j], so each of
+   the three forked workers computes its own item, whatever the parent's
+   lane claims meanwhile. *)
+let test_pool_worker_own_item () =
+  let parent = Unix.getpid () in
+  let out, stats =
+    Pool.map ~workers:4 (fun _ -> Unix.getpid ()) (List.init 8 Fun.id)
+  in
+  Alcotest.(check int) "four lanes" 4 stats.Pool.workers;
+  let own = List.filteri (fun i _ -> i < 3) (List.map fst out) in
+  Alcotest.(check bool) "items 0-2 computed in children" true
+    (List.for_all (fun pid -> pid <> parent) own);
+  Alcotest.(check int) "one worker each" 3
+    (List.length (List.sort_uniq compare own))
 
 (* Pull dispatch: a worker busy with a slow item holds no backlog.  The
    other worker asks for the next item as soon as it finishes one, so it
@@ -981,6 +1039,10 @@ let () =
             test_pool_unmarshallable_result_recovered;
           Alcotest.test_case "two-item batch uses two children" `Quick
             test_pool_two_items_fork;
+          Alcotest.test_case "supervised maps fork every item" `Quick
+            test_pool_supervised_forks_every_item;
+          Alcotest.test_case "each worker computes its own item" `Quick
+            test_pool_worker_own_item;
           Alcotest.test_case "pull dispatch balances a slow item" `Quick
             test_pool_pull_balance;
           Alcotest.test_case "traced maps keep span ids unique" `Quick

@@ -69,6 +69,40 @@ let test_jsonx_basics () =
     Alcotest.(check bool) "unterminated rejected" true
       (match Jsonx.parse "[1, 2" with Error _ -> true | Ok _ -> false)
 
+(* Jsonx.number keeps every bit: a finite double, drawn as raw bits so
+   subnormals and extreme exponents turn up, parses back to itself.  The
+   edge cases ride along on every run: both zeros, the smallest
+   subnormal, the largest subnormal, 1e308, the extremes, and the
+   flexible pulse of 3reg6p1 that %.9g rounded to 93.2641182. *)
+let prop_jsonx_number_round_trip =
+  let edges =
+    [ 0.0; -0.0; 4.9e-324; -4.9e-324; 2.2250738585072009e-308; 1e308;
+      -1e308; max_float; -.max_float; min_float; 0.1; 93.264118229642875 ]
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"Jsonx.number round-trips every finite double"
+    QCheck.(
+      make ~print:(Printf.sprintf "%h")
+        Gen.(
+          oneof
+            [ map Int64.float_of_bits ui64; oneofl edges;
+              map (fun x -> x *. 1e-310) float ]))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Jsonx.parse (Jsonx.number f) with
+      | Ok (Jsonx.Num g) ->
+        Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | Ok _ | Error _ -> false)
+
+let test_jsonx_number_text () =
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) text (Jsonx.number f))
+    [ (93.264118229642875, "93.26411822964288"); (114.7, "114.7");
+      (0.1, "0.1"); (-0.0, "-0"); (1e308, "1e+308");
+      (4.9e-324, "4.94065645841247e-324"); (Float.nan, "null");
+      (Float.infinity, "null"); (Float.neg_infinity, "null") ]
+
 (* --- Run_log --- *)
 
 (* A 200-iteration recorded VQE run: one valid JSONL record per
@@ -415,7 +449,9 @@ let test_diff_render_mentions_verdict () =
 let () =
   Alcotest.run "run-metrics"
     [ ( "jsonx",
-        [ Alcotest.test_case "parser basics" `Quick test_jsonx_basics ] );
+        [ Alcotest.test_case "parser basics" `Quick test_jsonx_basics;
+          Alcotest.test_case "number text" `Quick test_jsonx_number_text;
+          QCheck_alcotest.to_alcotest prop_jsonx_number_round_trip ] );
       ( "run-log",
         [ Alcotest.test_case "vqe 200-iteration jsonl" `Quick
             test_vqe_run_jsonl;
