@@ -44,8 +44,7 @@ let cannot_write what e =
 (* --- compile --- *)
 
 (* Scope tracing to the wrapped action: enable, run, write the Chrome
-   trace atomically, and print the span/counter and histogram summary
-   tables. *)
+   trace atomically, and print the summary table. *)
 let with_trace trace f =
   match trace with
   | None -> f ()
@@ -60,10 +59,6 @@ let with_trace trace f =
         (List.length (Obs.events ()));
       print_string (Obs.summary ());
       print_newline ();
-      if Obs.Metrics.names () <> [] then begin
-        print_string (Obs.Metrics.summary ());
-        print_newline ()
-      end;
       code
     | exception Sys_error e -> cannot_write "trace" e)
 

@@ -441,18 +441,17 @@ let run_cell m ~out_dir cell =
         (fun () -> compile ~workers:1)
     in
     (* The parallel compile and the variational loop run traced, so
-       equal_pulse also checks that tracing moves no pulse.  Telemetry and
-       the cell's fault plan are both scoped to them, and global state is
-       restored before this function returns so the pool running the
-       cells sees a quiet process. *)
-    Obs.reset ();
+       equal_pulse also checks that tracing moves no pulse.  Tracing and
+       the cell's fault plan are both scoped to them.  The trace is the
+       caller's: the cell adds its events to it, never resets it, and
+       leaves tracing on or off as it found it. *)
+    let was_tracing = Obs.enabled () in
     Obs.enable ();
     let par =
       Fun.protect
         ~finally:(fun () ->
           Fault.set ambient_plan;
-          Obs.disable ();
-          Obs.reset ())
+          if not was_tracing then Obs.disable ())
         (fun () ->
           Fault.set cell.fault_plan;
           let par = compile ~workers:cell.cell_workers in

@@ -10,9 +10,10 @@
     iterations) a {!Pqc_obs.Run_log} JSONL stream.  {!Bench_rollup}
     aggregates the results directory into one fleet-level report.
 
-    Cell execution is self-contained — each cell resets and scopes its
-    own telemetry, applies its own fault plan only around its parallel
-    compile, and writes its outputs atomically — so a matrix run is
+    Cell execution is self-contained — each cell traces its parallel
+    compile into the caller's trace without resetting it, applies its
+    own fault plan only around that compile, and writes its outputs
+    atomically — so a matrix run is
     deterministic in the {e driver's} worker count: the same manifest
     produces byte-identical per-cell reports whether cells are executed
     sequentially or fanned out over the pool.
@@ -126,8 +127,10 @@ val run_cell : manifest -> out_dir:string -> cell -> (unit, string) result
     variational loop against a {!Pqc_obs.Run_log} recorder, compare the
     two pulse schedules, and write [report.json] / [run.jsonl] under
     {!cell_dir}.
-    Leaves global telemetry disabled and the ambient fault plan
-    restored.  Never raises on cell failure. *)
+    The traced part adds its events to the caller's trace without
+    resetting it, and tracing is left on or off as the caller had it;
+    the ambient fault plan is restored.  Never raises on cell
+    failure. *)
 
 val run : ?workers:int -> manifest -> out_dir:string -> outcome list
 (** Expand the manifest, write the {!index_path} cell index, and

@@ -79,11 +79,8 @@ let remaining_s = function
   | Some d -> Some (Float.max 0.0 (d -. now ()))
 
 let deadline_seconds_from_env () =
-  match Sys.getenv_opt "PQC_SEARCH_DEADLINE_S" with
-  | Some s -> (match float_of_string_opt (String.trim s) with
-               | Some v when Float.is_finite v && v > 0.0 -> Some v
-               | _ -> None)
-  | None -> None
+  Pqc_parallel.Pool.seconds_from_env ~counter:"engine.env.invalid"
+    "PQC_SEARCH_DEADLINE_S"
 
 (* --- Degradation accounting --- *)
 

@@ -68,7 +68,11 @@ val absolute : deadline -> float option
     scale, in the form {!Grape.optimize}'s [?deadline] expects. *)
 
 val deadline_seconds_from_env : unit -> float option
-(** Per-search budget from [PQC_SEARCH_DEADLINE_S], if set and valid. *)
+(** Per-search budget from [PQC_SEARCH_DEADLINE_S], if set and valid
+    (a finite number of seconds > 0).  An invalid value reads as unset,
+    with a stderr warning once per distinct value and an
+    [engine.env.invalid] trace count; an empty one is silent (see
+    {!Pqc_parallel.Pool.seconds_from_env}). *)
 
 type degradation = {
   stage : string;  (** Where the fallback happened, e.g. ["flexible-partial"]. *)

@@ -89,57 +89,6 @@ let absorbed_max = ref 0
 let tid = ref 0
 let counters : (string, float) Hashtbl.t = Hashtbl.create 16
 
-(* ---- histogram registry (Metrics) -------------------------------------
-   Log-bucketed histograms with bucket boundaries at 2^(k/8) — ~9%
-   relative width, so any quantile read off a bucket is within one
-   bucket (a factor of 2^(1/8)) of the exact order statistic.  Unlike
-   events, observations fold into fixed-size bucket tables, so a
-   thousand-iteration variational run costs O(#buckets) memory, not
-   O(#observations). *)
-
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  mutable h_nonpos : int;  (* observations <= 0, kept out of the log grid *)
-  h_buckets : (int, int) Hashtbl.t;
-}
-
-let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
-
-let log_gamma = Float.log 2.0 /. 8.0
-let bucket_of v = int_of_float (Float.floor (Float.log v /. log_gamma))
-let bucket_mid k = Float.exp (log_gamma *. (float_of_int k +. 0.5))
-
-let hist_for name =
-  match Hashtbl.find_opt hists name with
-  | Some h -> h
-  | None ->
-    let h =
-      { h_count = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity;
-        h_nonpos = 0; h_buckets = Hashtbl.create 16 }
-    in
-    Hashtbl.replace hists name h;
-    h
-
-(* Non-finite observations are dropped: a NaN would poison sum/min/max
-   and has no bucket. *)
-let metrics_observe name v =
-  if !enabled_flag && Float.is_finite v then begin
-    let h = hist_for name in
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v;
-    if v <= 0.0 then h.h_nonpos <- h.h_nonpos + 1
-    else begin
-      let k = bucket_of v in
-      Hashtbl.replace h.h_buckets k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt h.h_buckets k))
-    end
-  end
-
 (* Backstop against a runaway instrumentation loop eating the heap; a
    real compile records a few thousand events. *)
 let max_events = 500_000
@@ -147,7 +96,7 @@ let max_events = 500_000
 let enabled () = !enabled_flag
 
 (* Cumulative seconds the tracing layer spent on its own bookkeeping
-   (span close, event push, histogram fold) — the self-overhead gauge. *)
+   (span close, event push) — the self-overhead gauge. *)
 let overhead = ref 0.0
 let overhead_seconds () = !overhead
 
@@ -166,7 +115,6 @@ let reset () =
   next_id := 0;
   absorbed_max := 0;
   Hashtbl.reset counters;
-  Hashtbl.reset hists;
   overhead := 0.0;
   Ctx.reset_minted ();
   t0 := Clock.now ()
@@ -327,9 +275,6 @@ module Span = struct
         let rid = match Ctx.current () with Some r -> r | None -> "" in
         Flight.record ~kind:"span" ~run_id:rid name;
         push (Span { id; parent; name; attrs; ts; dur; tid = !tid });
-        (* Every span close also feeds the latency histogram of its
-           name, so percentiles of e.g. engine.search come for free. *)
-        metrics_observe name dur;
         overhead := !overhead +. (now () -. t_close)
       in
       match f () with
@@ -358,28 +303,32 @@ let profile ~label points =
   if !enabled_flag then
     push (Profile { label; points; ts = now (); tid = !tid })
 
-let rollup () =
-  let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
+(* Per span name: count, total seconds and every recorded duration in
+   emission order (the total sums them in that order).  Heaviest spans
+   first; count then name break ties, so the ordering is fully
+   deterministic even under equal totals. *)
+let span_rows () =
+  let tbl : (string, float list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (function
       | Span s ->
-        let n, total =
-          match Hashtbl.find_opt tbl s.name with
-          | Some (n, t) -> (n, t)
-          | None -> (0, 0.0)
-        in
-        Hashtbl.replace tbl s.name (n + 1, total +. s.dur)
-      | _ -> ())
-    (events ());
-  Hashtbl.fold (fun name (n, t) acc -> (name, n, t) :: acc) tbl []
-  |> List.sort (fun (a, na, ta) (b, nb, tb) ->
-         (* Heaviest spans first; count then name break ties, so the
-            ordering is fully deterministic even under equal totals. *)
+        Hashtbl.replace tbl s.name
+          (s.dur :: Option.value ~default:[] (Hashtbl.find_opt tbl s.name))
+      | Count _ | Gauge _ | Profile _ -> ())
+    !events_rev;
+  Hashtbl.fold
+    (fun name durs acc ->
+      (name, List.length durs, List.fold_left ( +. ) 0.0 durs, durs) :: acc)
+    tbl []
+  |> List.sort (fun (a, na, ta, _) (b, nb, tb, _) ->
          match Float.compare tb ta with
          | 0 -> ( match Int.compare nb na with
                 | 0 -> String.compare a b
                 | c -> c)
          | c -> c)
+
+let rollup () =
+  List.map (fun (name, n, total, _) -> (name, n, total)) (span_rows ())
 
 (* ---- fork plumbing ---------------------------------------------------- *)
 
@@ -405,109 +354,6 @@ let absorb evs =
 let json_string = Pqc_util.Jsonx.escape_string
 
 let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-(* ---- run-level metrics ----------------------------------------------- *)
-
-module Metrics = struct
-  type stat = { count : int; sum : float; min : float; max : float }
-
-  let observe = metrics_observe
-
-  let reset () = Hashtbl.reset hists
-
-  let names () =
-    Hashtbl.fold (fun name _ acc -> name :: acc) hists []
-    |> List.sort String.compare
-
-  let stats name =
-    Hashtbl.find_opt hists name
-    |> Option.map (fun h ->
-           { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max })
-
-  let quantile name q =
-    match Hashtbl.find_opt hists name with
-    | None -> Float.nan
-    | Some h when h.h_count = 0 -> Float.nan
-    | Some h ->
-      let q = Float.min 1.0 (Float.max 0.0 q) in
-      let rank =
-        max 1
-          (min h.h_count (int_of_float (Float.ceil (q *. float_of_int h.h_count))))
-      in
-      if rank <= h.h_nonpos then h.h_min
-      else begin
-        let buckets =
-          Hashtbl.fold (fun k n acc -> (k, n) :: acc) h.h_buckets []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        in
-        let rec walk seen = function
-          | [] -> h.h_max
-          | (k, n) :: rest ->
-            let seen = seen + n in
-            if seen >= rank then
-              Float.max h.h_min (Float.min h.h_max (bucket_mid k))
-            else walk seen rest
-        in
-        walk h.h_nonpos buckets
-      end
-
-  let percentiles name = (quantile name 0.5, quantile name 0.9, quantile name 0.99)
-
-  let mean name =
-    match stats name with
-    | Some s when s.count > 0 -> s.sum /. float_of_int s.count
-    | Some _ | None -> Float.nan
-
-  (* A forked pool worker resets its copy-on-write registry right after
-     the fork, so its snapshot holds exactly the worker's own
-     observations; the pool marshals it home inside the worker's sealed
-     Metrics frame and the parent merges it.  The buckets are copied, so
-     a snapshot never changes with the registry it was taken from. *)
-  type snapshot = (string * hist) list
-
-  let snapshot () =
-    if Hashtbl.length hists = 0 then None
-    else
-      Some
-        (Hashtbl.fold
-           (fun name h acc ->
-             (name, { h with h_buckets = Hashtbl.copy h.h_buckets }) :: acc)
-           hists [])
-
-  let merge (s : snapshot) =
-    List.iter
-      (fun (name, src) ->
-        let h = hist_for name in
-        h.h_count <- h.h_count + src.h_count;
-        h.h_sum <- h.h_sum +. src.h_sum;
-        h.h_min <- Float.min h.h_min src.h_min;
-        h.h_max <- Float.max h.h_max src.h_max;
-        h.h_nonpos <- h.h_nonpos + src.h_nonpos;
-        Hashtbl.iter
-          (fun k n ->
-            Hashtbl.replace h.h_buckets k
-              (n + Option.value ~default:0 (Hashtbl.find_opt h.h_buckets k)))
-          src.h_buckets)
-      s
-
-  let summary () =
-    let t =
-      Pqc_util.Table.create
-        [ "metric"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ]
-    in
-    List.iter
-      (fun name ->
-        match stats name with
-        | None -> ()
-        | Some s ->
-          let p50, p90, p99 = percentiles name in
-          let cell v = Pqc_util.Table.cell_f ~decimals:6 v in
-          Pqc_util.Table.add_row t
-            [ name; string_of_int s.count; cell (mean name); cell p50;
-              cell p90; cell p99; cell s.max ])
-      (names ());
-    Pqc_util.Table.render t
-end
 
 (* ---- Chrome trace-event export --------------------------------------- *)
 
@@ -591,14 +437,26 @@ let write ?normalize ~path () =
     (fun () -> output_string oc (to_chrome_json ?normalize ()));
   Sys.rename tmp path
 
+(* The nearest-rank [p]-th percentile of [sorted]: the value at rank
+   ceil(p·n/100), counted from 1, so [p = 100] is the maximum.  Integer
+   arithmetic, so the rank never moves with the rounding of p/100. *)
+let nearest_rank sorted p =
+  sorted.(max 1 (((p * Array.length sorted) + 99) / 100) - 1)
+
 let summary () =
-  let t = Pqc_util.Table.create [ "name"; "kind"; "count"; "total" ] in
+  let t =
+    Pqc_util.Table.create
+      [ "name"; "kind"; "count"; "total"; "p50"; "p90"; "p99"; "max" ]
+  in
+  let ms s = Pqc_util.Table.cell_f ~decimals:3 (s *. 1e3) ^ " ms" in
   List.iter
-    (fun (name, n, total) ->
+    (fun (name, n, total, durs) ->
+      let sorted = Array.of_list durs in
+      Array.sort Float.compare sorted;
       Pqc_util.Table.add_row t
-        [ name; "span"; string_of_int n;
-          Pqc_util.Table.cell_f ~decimals:3 (total *. 1e3) ^ " ms" ])
-    (rollup ());
+        (name :: "span" :: string_of_int n :: ms total
+        :: List.map (fun p -> ms (nearest_rank sorted p)) [ 50; 90; 99; 100 ]))
+    (span_rows ());
   let incs : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let gauges : (string, float) Hashtbl.t = Hashtbl.create 16 in
   let profiles = ref [] in

@@ -106,13 +106,13 @@ val disable : unit -> unit
 
 val overhead_seconds : unit -> float
 (** Cumulative seconds the tracing layer has spent on its own
-    bookkeeping (span close, event push, histogram fold) since the last
-    {!reset} — the self-overhead gauge, written as ["obs.overhead_s"]
-    into every trace {!write}. *)
+    bookkeeping (span close, event push) since the last {!reset} — the
+    self-overhead gauge, written as ["obs.overhead_s"] into every trace
+    {!write}. *)
 
 val reset : unit -> unit
-(** Drop all recorded events, counters and histograms and restart the
-    trace epoch. *)
+(** Drop all recorded events and counters and restart the trace
+    epoch. *)
 
 (** {2 Recording} *)
 
@@ -150,21 +150,6 @@ val rollup : unit -> (string * int * float) list
     descending, with count (descending) and then name (ascending) as
     tie-breakers, so the ordering is fully deterministic even when
     several spans accumulate equal totals. *)
-
-(** {2 Run-level metrics}
-
-    Log-bucketed histograms for per-iteration quantities (compile
-    latency, pulse duration, energy) and span latencies.  Bucket
-    boundaries sit at [2^(k/8)] (~9% relative width), so percentile
-    reads are within one bucket of the exact order statistic while an
-    arbitrarily long run costs only O(buckets) memory — unlike
-    {!events}, observations are folded into the registry and never
-    accumulate per-observation state.
-
-    Every closing {!Span.with_} also observes its duration under the
-    span's name, so latency percentiles of instrumented code come for
-    free.  Like the rest of the layer, {!Metrics.observe} is a no-op
-    until {!enable}; the registry is cleared by {!reset}. *)
 
 (** {2 Flight recorder}
 
@@ -214,57 +199,6 @@ module Flight : sig
   (** {!dump} into [PQC_FLIGHT_DIR]; no-op ([None]) when unset. *)
 end
 
-module Metrics : sig
-  type stat = {
-    count : int;  (** Finite observations recorded. *)
-    sum : float;
-    min : float;
-    max : float;
-  }
-
-  val observe : string -> float -> unit
-  (** Record one observation (no-op when tracing is disabled; NaN and
-      infinite values are dropped). *)
-
-  val names : unit -> string list
-  (** Histogram names, sorted. *)
-
-  val stats : string -> stat option
-  (** Exact count/sum/min/max ([None] for unknown histograms). *)
-
-  val quantile : string -> float -> float
-  (** [quantile name q] estimates the [q]-quantile ([0 <= q <= 1],
-      clamped) from the log buckets: the geometric midpoint of the
-      bucket holding the order statistic, clamped to the observed
-      [min, max].  NaN for unknown or empty histograms. *)
-
-  val percentiles : string -> float * float * float
-  (** [(p50, p90, p99)]. *)
-
-  val reset : unit -> unit
-  (** Clear the registry only (events and counters are untouched);
-      {!Obs.reset} also clears it.  Forked pool workers call this right
-      after the fork so their {!snapshot} holds exactly their own
-      observations. *)
-
-  type snapshot
-  (** A copy of the whole registry, as a plain value: what a pool worker
-      marshals home inside its sealed [Metrics] frame. *)
-
-  val snapshot : unit -> snapshot option
-  (** The registry as it stands; [None] when it is empty. *)
-
-  val merge : snapshot -> unit
-  (** Merge a snapshot taken in another process additively into this
-      registry (bucket counts, counts and sums add; min/max combine), so
-      stats and percentiles equal those of one process that made every
-      observation.  Works with tracing off. *)
-
-  val summary : unit -> string
-  (** Rendered {!Pqc_util.Table}: per histogram, count, mean and
-      p50/p90/p99/max. *)
-end
-
 (** {2 Export} *)
 
 val to_chrome_json : ?normalize:bool -> unit -> string
@@ -278,8 +212,13 @@ val write : ?normalize:bool -> path:string -> unit -> unit
     ["obs.overhead_s"] self-overhead gauge first. *)
 
 val summary : unit -> string
-(** Rendered {!Pqc_util.Table}: span counts and total milliseconds,
-    counter totals, last gauge values. *)
+(** Rendered {!Pqc_util.Table}: per span name, its count, total
+    milliseconds and the exact nearest-rank [p50], [p90], [p99] and [max]
+    of its recorded durations (the value at rank ceil(p·n/100) of the
+    sorted durations); then counter increments and totals, last gauge
+    values and profile sizes.  The percentiles are computed at call time
+    over the same recorded spans as the count and total, forked workers'
+    spans included. *)
 
 (** {2 Worker-pool plumbing} *)
 

@@ -75,14 +75,7 @@ let record t ~iteration ~energy =
     Buffer.add_string buf "}\n";
     output_string t.oc (Buffer.contents buf);
     t.written <- t.written + 1;
-    if t.written mod t.flush_every = 0 then flush t.oc;
-    (* Histograms are bounded (bucket tables, not event lists), so a
-       thousand-iteration run adds nothing to the Obs event buffer. *)
-    Obs.Metrics.observe "run.iteration_s" iter_s;
-    Obs.Metrics.observe "run.energy" energy;
-    match t.info with
-    | Some i -> Obs.Metrics.observe "run.compile_latency_s" i.compile_latency_s
-    | None -> ()
+    if t.written mod t.flush_every = 0 then flush t.oc
   end
 
 let written t = t.written

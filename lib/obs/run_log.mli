@@ -13,11 +13,9 @@
     {!compile_info} — the compilation-strategy context the paper's
     latency table needs: strategy name, per-iteration compile latency,
     compiled pulse duration against the gate-based baseline, cache hits
-    and degradations.  When {!Obs} tracing is enabled, every record
-    also feeds the [run.iteration_s] and [run.energy] histograms (and
-    [run.compile_latency_s] when compile context is present), so
-    p50/p90/p99 of the per-iteration cost are available from
-    {!Obs.Metrics} without re-reading the file.
+    and degradations.  The file is the record: percentiles of the
+    per-iteration cost come from its exact values, joined to a trace by
+    [run_id], and recording pushes nothing into the {!Obs} trace.
 
     The [PQC_RUN_LOG] environment variable names the default output
     path used by the CLI entry points ({!path_from_env}). *)

@@ -22,10 +22,17 @@ let fault_hook : (int -> injected_fault option) option ref = ref None
 let set_fault_hook h = fault_hook := Some h
 let clear_fault_hook () = fault_hook := None
 
-(* Warn once per distinct bad value, not once per call: grid searches
-   call workers_from_env per batch and a thousand identical lines on
-   stderr would bury the signal. *)
-let warned_invalid : (string, unit) Hashtbl.t = Hashtbl.create 4
+(* Warn once per distinct bad value of a variable, not once per call:
+   grid searches call workers_from_env per batch and a thousand identical
+   lines on stderr would bury the signal. *)
+let warned_invalid : (string * string, unit) Hashtbl.t = Hashtbl.create 4
+
+let warn_invalid var s ~expected ~fallback =
+  if not (Hashtbl.mem warned_invalid (var, s)) then begin
+    Hashtbl.add warned_invalid (var, s) ();
+    Printf.eprintf "partialqc: ignoring invalid %s=%S (expected %s); %s\n%!"
+      var s expected fallback
+  end
 
 let workers_from_env ?(default = 1) () =
   match Sys.getenv_opt "PQC_WORKERS" with
@@ -35,23 +42,23 @@ let workers_from_env ?(default = 1) () =
     (match int_of_string_opt (String.trim s) with
      | Some n when n >= 1 -> n
      | Some _ | None ->
-       if not (Hashtbl.mem warned_invalid s) then begin
-         Hashtbl.add warned_invalid s ();
-         Printf.eprintf
-           "partialqc: ignoring invalid PQC_WORKERS=%S (expected an integer \
-            >= 1); using %d\n%!"
-           s default
-       end;
+       warn_invalid "PQC_WORKERS" s ~expected:"an integer >= 1"
+         ~fallback:(Printf.sprintf "using %d" default);
        Obs.count "pool.env.invalid";
        default)
 
-let item_deadline_from_env () =
-  match Sys.getenv_opt "PQC_ITEM_DEADLINE_S" with
+let seconds_from_env ~counter var =
+  match Sys.getenv_opt var with
   | None -> None
+  | Some s when String.trim s = "" -> None
   | Some s ->
     (match float_of_string_opt (String.trim s) with
      | Some d when Float.is_finite d && d > 0.0 -> Some d
-     | Some _ | None -> None)
+     | Some _ | None ->
+       warn_invalid var s ~expected:"a finite number of seconds > 0"
+         ~fallback:"no deadline";
+       Obs.count counter;
+       None)
 
 (* Worker deaths an item may cause before it is quarantined, and the
    base of the respawn backoff. *)
@@ -80,16 +87,13 @@ let sequential f items =
    shared dispatch a worker runs the item fixed at its fork, then reads
    claim records from the map's claim pipe until end of file, and sends
    no ready frames.  Either way the worker then seals its trace events
-   and histogram registry and exits.  Frames are flushed eagerly so the
-   parent's liveness view is current: a worker that goes silent past the
-   item deadline while it holds an item is presumed hung. *)
+   and exits.  Frames are flushed eagerly so the parent's liveness view
+   is current: a worker that goes silent past the item deadline while it
+   holds an item is presumed hung. *)
 
 (* Everything a worker ships besides its H and R frames is one value of
    this type. *)
-type 'b frame =
-  | Result of int * 'b
-  | Trace of Obs.event list
-  | Metrics of Obs.Metrics.snapshot
+type 'b frame = Result of int * 'b | Trace of Obs.event list
 
 let hex_digit = "0123456789abcdef"
 
@@ -207,15 +211,11 @@ let claim_reader c ~first =
 let child_loop ~f ~items ~next ~supervised ~wr wid =
   let oc = Unix.out_channel_of_descr wr in
   (* Events recorded before the fork belong to the parent; only ship
-     what this child adds past this point.  The histogram registry is
-     copy-on-write too: reset this child's copy so the Metrics frame below
-     holds exactly the observations made inside this worker (the parent
-     still owns everything recorded before the fork).  The flight ring
-     resets for the same reason: a worker dump must replay this worker's
-     tail, not inherited parent history. *)
+     what this child adds past this point.  The flight ring resets for
+     the same reason: a worker dump must replay this worker's tail, not
+     inherited parent history. *)
   let m = Obs.mark () in
   Obs.set_worker wid;
-  Obs.Metrics.reset ();
   Obs.Flight.reset ();
   let send line =
     output_string oc line;
@@ -274,9 +274,6 @@ let child_loop ~f ~items ~next ~supervised ~wr wid =
      (match Obs.events_since m with
       | [] -> ()
       | evs -> send (seal (Trace evs)));
-     Option.iter
-       (fun reg -> send (seal (Metrics reg)))
-       (Obs.Metrics.snapshot ());
      flush oc
    with _ -> ());
   (try flush oc with _ -> ())
@@ -362,7 +359,6 @@ let process_line b wk ~ready line =
     match unseal line with
     | Some (Result (i, v)) when i >= 0 && i < n -> b.results.(i) <- Some v
     | Some (Trace evs) -> Obs.absorb evs
-    | Some (Metrics reg) -> Obs.Metrics.merge reg
     | Some (Result _) | None -> ()
   end
   else if framed 'H' line then begin
@@ -591,7 +587,7 @@ let supervised b ~w ~deadline ~retries =
           *. (0.5 +. Rng.float rng 1.0))
       in
       incr respawned;
-      Obs.Metrics.observe "pool.respawn.backoff_s" backoff;
+      Obs.count ~by:backoff "pool.respawn.backoff_s";
       Unix.sleepf backoff;
       incr next_wid;
       spawn !next_wid
@@ -662,7 +658,8 @@ let map ?workers ?item_deadline_s ?item_retries ?item_label f items =
     match item_deadline_s with
     | Some d when Float.is_finite d && d > 0.0 -> Some d
     | Some _ -> None
-    | None -> item_deadline_from_env ()
+    | None ->
+      seconds_from_env ~counter:"pool.env.invalid" "PQC_ITEM_DEADLINE_S"
   in
   let retries =
     match item_retries with

@@ -66,14 +66,14 @@
     its results relative to the sequential run.
 
     The pool owns the wire format; callers pass no codec.  A worker
-    ships each result, its trace events and its histogram registry as
-    one sealed frame per line: the value, marshalled, hex-encoded behind
-    the MD5 {!Digest} of the marshalled bytes.  The parent unmarshals a
-    frame only after its digest matches, and the item index and the kind
-    of frame are inside the digested bytes, so a torn or bit-flipped
-    frame is dropped (and its item recomputed), never read as another
-    item.  Results therefore come back bit for bit as the worker computed
-    them: strings with any byte, NaN payloads, signed zeros.
+    ships each result and its trace events as one sealed frame per
+    line: the value, marshalled, hex-encoded behind the MD5 {!Digest}
+    of the marshalled bytes.  The parent unmarshals a frame only after
+    its digest matches, and the item index and the kind of frame are
+    inside the digested bytes, so a torn or bit-flipped frame is
+    dropped (and its item recomputed), never read as another item.
+    Results therefore come back bit for bit as the worker computed them:
+    strings with any byte, NaN payloads, signed zeros.
 
     When tracing is enabled ({!Pqc_obs.Obs}), each [map] records a
     [pool.map] span, per-item [pool.item] spans, and a [pool.worker] span
@@ -81,12 +81,12 @@
     with worker [0] around the parent's own items.  Child events travel
     back over the same pipe in their own frame and are reassembled in
     the parent with their original parent-span ids, so a trace shows
-    which worker ran which block.  Histogram registries
-    ({!Pqc_obs.Obs.Metrics}) travel the same way.  Supervision events
-    surface as [pool.worker.hung], [pool.respawn], [pool.quarantine] and
-    [pool.worker.abnormal_exit] counters plus a
-    [pool.respawn.backoff_s] histogram.  Trace and metrics frames never
-    touch results and tracing never changes results. *)
+    which worker ran which block.  Supervision events surface as
+    [pool.worker.hung], [pool.respawn], [pool.quarantine] and
+    [pool.worker.abnormal_exit] counters, and each respawn's backoff
+    adds its seconds to the [pool.respawn.backoff_s] counter, so its
+    summary row reads the respawn count and the total backoff.  Trace
+    frames never touch results and tracing never changes results. *)
 
 type stats = {
   workers : int;
@@ -133,6 +133,15 @@ val workers_from_env : ?default:int -> unit -> int
     warning (once per distinct value) and a [pool.env.invalid] trace
     counter; an unset or empty variable falls back silently. *)
 
+val seconds_from_env : counter:string -> string -> float option
+(** [seconds_from_env ~counter var] reads a deadline in seconds from the
+    environment variable [var]: [Some d] for a finite [d > 0], [None]
+    otherwise.  An unset or empty variable reads as [None] silently; any
+    other value that is not a finite number above 0 (["2s"], ["0"],
+    ["nan"], ...) reads as [None] with a one-line stderr warning (once
+    per distinct value) and one increment of the [counter] trace
+    counter. *)
+
 val map :
   ?workers:int ->
   ?item_deadline_s:float ->
@@ -149,8 +158,10 @@ val map :
     three forked workers, or four forked workers when an item deadline
     or a fault hook selects supervised dispatch.
     [workers] defaults to {!workers_from_env}; [item_deadline_s]
-    defaults to [PQC_ITEM_DEADLINE_S] (finite, > 0; anything else means
-    no deadline, and so no hang detection; values <= 0 disable it);
+    defaults to [PQC_ITEM_DEADLINE_S], read by {!seconds_from_env} with
+    the [pool.env.invalid] counter (finite, > 0; anything else means no
+    deadline, and so no hang detection; an explicit [item_deadline_s]
+    <= 0 disables it);
     [item_retries], the worker deaths an item may cause before it is
     quarantined, defaults to 2 (values below 1 read as 1).  Respawn [k]
     sleeps [0.02 s * 2^k * jitter], capped at 0.5 s, with jitter drawn

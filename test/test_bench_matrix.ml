@@ -227,6 +227,48 @@ let test_matrix_determinism_across_driver_workers () =
           in
           checks "rollups byte-identical" (roll dir1) (roll dir4)))
 
+let test_matrix_keeps_caller_trace () =
+  (* A cell traces its parallel compile into the caller's trace: it must
+     not reset it (which dropped the caller's spans, and in a forked
+     worker running cells moved the trace epoch under open spans, so
+     they closed with negative durations) and must leave tracing on or
+     off as the caller had it. *)
+  let module Obs = Pqc_obs.Obs in
+  List.iter
+    (fun workers ->
+      let label = Printf.sprintf "workers:%d" workers in
+      Obs.reset ();
+      Obs.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.disable ();
+          Obs.reset ())
+        (fun () ->
+          with_temp_dir (fun dir ->
+              Obs.Span.with_ ~name:"caller" (fun () ->
+                  ignore (run_matrix ~workers dir)));
+          checkb (label ^ ": still tracing") true (Obs.enabled ());
+          let spans =
+            List.filter_map
+              (function Obs.Span s -> Some (s.name, s.dur) | _ -> None)
+              (Obs.events ())
+          in
+          (match List.filter (fun (name, _) -> name = "caller") spans with
+          | [ (_, dur) ] ->
+            checkb (label ^ ": caller span non-negative") true (dur >= 0.0)
+          | l ->
+            Alcotest.failf "%s: %d caller spans" label (List.length l));
+          checkb (label ^ ": cells traced into the caller's trace") true
+            (List.mem_assoc "compiler.compile" spans);
+          List.iter
+            (fun (name, dur) ->
+              if not (dur >= 0.0) then
+                Alcotest.failf "%s: span %s lasted %g s" label name dur)
+            spans);
+      with_temp_dir (fun dir -> ignore (run_matrix ~workers dir));
+      checkb (label ^ ": still not tracing") false (Obs.enabled ()))
+    [ 1; 2 ]
+
 let test_ambient_optimizer_plan () =
   (* Optimizer faults change pulses, so a cell's sequential reference
      compile runs with no plan even under an ambient one; the parallel
@@ -563,6 +605,8 @@ let () =
         [ Alcotest.test_case "per-cell artifacts" `Quick test_matrix_artifacts;
           Alcotest.test_case "deterministic across driver workers" `Quick
             test_matrix_determinism_across_driver_workers;
+          Alcotest.test_case "cells keep the caller's trace" `Quick
+            test_matrix_keeps_caller_trace;
           Alcotest.test_case "ambient optimizer plan spares the reference"
             `Quick test_ambient_optimizer_plan;
           Alcotest.test_case "smoke manifest determinism (extended)" `Slow

@@ -134,100 +134,89 @@ let test_rollup_shape () =
       Alcotest.(check bool) "total non-negative" true (total >= 0.0))
     r
 
-(* --- Histograms (Obs.Metrics) --- *)
+(* The cells after the first of the summary row whose first cell is
+   [name].  A rendered row is "| a | b |", so splitting on '|' leaves an
+   empty string at each end. *)
+let summary_row summary name =
+  List.find_map
+    (fun line ->
+      match List.map String.trim (String.split_on_char '|' line) with
+      | "" :: first :: rest when first = name ->
+        Some (List.filteri (fun i _ -> i < List.length rest - 1) rest)
+      | _ -> None)
+    (String.split_on_char '\n' summary)
 
-let gamma = Float.pow 2.0 (1.0 /. 8.0)
-
-let test_hist_stats () =
+(* Under a fake clock every span lasts a whole number of eighths of a
+   second, so every duration, and every cell printed from one, is exact.
+   Each span row's p50/p90/p99/max must be the nearest-rank order
+   statistic of that name's recorded durations: the least duration d
+   such that at least p% of them are <= d.  The hand-computed rows pin
+   the same values without going through the recorded events. *)
+let test_summary_percentiles_exact () =
+  let t = ref 100.0 in
+  Obs.Clock.set (fun () -> !t);
+  Fun.protect ~finally:Obs.Clock.reset @@ fun () ->
   with_obs @@ fun () ->
-  List.iter (Obs.Metrics.observe "m") [ 1.0; 2.0; 4.0; 8.0 ];
-  Obs.Metrics.observe "m" Float.nan;
-  Obs.Metrics.observe "m" Float.infinity;
-  Obs.Metrics.observe "m" 0.0;
-  let s = Option.get (Obs.Metrics.stats "m") in
-  Alcotest.(check int) "finite observations counted" 5 s.Obs.Metrics.count;
-  Alcotest.(check (float 1e-9)) "sum" 15.0 s.Obs.Metrics.sum;
-  Alcotest.(check (float 0.0)) "min sees the zero" 0.0 s.Obs.Metrics.min;
-  Alcotest.(check (float 0.0)) "max" 8.0 s.Obs.Metrics.max;
-  Alcotest.(check bool) "unknown name" true (Obs.Metrics.stats "nope" = None);
-  Alcotest.(check bool) "unknown quantile is nan" true
-    (Float.is_nan (Obs.Metrics.quantile "nope" 0.5));
-  Alcotest.(check (list string)) "names sorted" [ "m" ]
-    (Obs.Metrics.names ())
-
-let test_hist_disabled_noop () =
-  Obs.reset ();
-  Obs.Metrics.observe "off" 1.0;
-  Alcotest.(check bool) "disabled records nothing" true
-    (Obs.Metrics.stats "off" = None)
-
-(* What a pool worker does with its registry: snapshot it, marshal it
-   inside a frame, and let the parent merge it. *)
-let test_hist_codec_roundtrip () =
-  with_obs @@ fun () ->
-  let hostile = "a\x1c\x1d\x1e\x1f\nweird" in
-  List.iter (Obs.Metrics.observe hostile) [ 0.25; 3.5; -1.0 ];
-  List.iter (Obs.Metrics.observe "b") [ 1e-9; 1e9 ];
-  let shipped =
-    match Obs.Metrics.snapshot () with
-    | Some s -> Marshal.to_string s []
-    | None -> Alcotest.fail "non-empty registry has no snapshot"
+  let span name eighths =
+    Obs.Span.with_ ~name (fun () -> t := !t +. (float_of_int eighths /. 8.0))
   in
-  let received () : Obs.Metrics.snapshot = Marshal.from_string shipped 0 in
-  let capture () =
-    List.map
-      (fun n -> (n, Option.get (Obs.Metrics.stats n), Obs.Metrics.percentiles n))
-      (Obs.Metrics.names ())
+  (* 1/8 s to 25 s in a scrambled order (37 is coprime to 200). *)
+  for i = 0 to 199 do
+    span "wide" ((37 * i mod 200) + 1)
+  done;
+  span "single" 3;
+  List.iter (span "three") [ 2; 1; 4 ];
+  Obs.count "not.a.span";
+  let summary = Obs.summary () in
+  let row name =
+    match summary_row summary name with
+    | Some cells -> cells
+    | None -> Alcotest.failf "no summary row for %s" name
   in
-  let before = capture () in
-  Obs.Metrics.reset ();
-  Alcotest.(check (list string)) "reset clears" [] (Obs.Metrics.names ());
-  Alcotest.(check bool) "empty registry, no snapshot" true
-    (Obs.Metrics.snapshot () = None);
-  Obs.Metrics.merge (received ());
-  Alcotest.(check bool) "stats and percentiles survive the pipe" true
-    (before = capture ());
-  (* Merging the same snapshot again doubles counts (additive merge). *)
-  Obs.Metrics.merge (received ());
-  let s = Option.get (Obs.Metrics.stats "b") in
-  Alcotest.(check int) "merge is additive" 4 s.Obs.Metrics.count;
-  (* A snapshot is a copy: later observations do not reach it.  Merging
-     works with tracing off. *)
-  let snap = Option.get (Obs.Metrics.snapshot ()) in
-  Obs.Metrics.observe "b" 2.0;
-  Obs.Metrics.reset ();
-  Obs.disable ();
-  Obs.Metrics.merge snap;
-  Alcotest.(check int) "snapshot is a copy, merged with tracing off" 4
-    (Option.get (Obs.Metrics.stats "b")).Obs.Metrics.count
-
-(* Any quantile read off a log bucket is within one bucket — a factor of
-   gamma = 2^(1/8) — of the exact order statistic at the same rank. *)
-let prop_hist_quantile_within_bucket =
-  QCheck.Test.make ~name:"p50/p90/p99 within one bucket of exact" ~count:100
-    QCheck.(pair (int_range 0 100_000) (int_range 1 300))
-    (fun (seed, n) ->
-      with_obs @@ fun () ->
-      let rng = Rng.create seed in
-      let xs =
-        List.init n (fun _ ->
-            let mantissa = Rng.uniform rng ~lo:0.1 ~hi:10.0 in
-            let expo = Rng.uniform rng ~lo:(-4.0) ~hi:4.0 in
-            mantissa *. Float.pow 10.0 (Float.round expo))
+  let ms s = Printf.sprintf "%.3f ms" (s *. 1e3) in
+  let durations name =
+    List.filter_map
+      (function
+        | Obs.Span s when s.name = name -> Some s.dur
+        | _ -> None)
+      (Obs.events ())
+    |> List.sort Float.compare
+  in
+  List.iter
+    (fun (name, expected) ->
+      let durs = durations name in
+      let n = List.length durs in
+      let nearest_rank p =
+        List.find
+          (fun d ->
+            100 * List.length (List.filter (fun x -> x <= d) durs) >= p * n)
+          durs
       in
-      List.iter (Obs.Metrics.observe "prop") xs;
-      let sorted = Array.of_list xs in
-      Array.sort compare sorted;
-      List.for_all
-        (fun q ->
-          let rank =
-            max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
-          in
-          let exact = sorted.(rank - 1) in
-          let est = Obs.Metrics.quantile "prop" q in
-          est >= exact /. gamma *. (1.0 -. 1e-9)
-          && est <= exact *. gamma *. (1.0 +. 1e-9))
-        [ 0.5; 0.9; 0.99 ])
+      let p50, p90, p99, max =
+        match row name with
+        | [ "span"; _; _; p50; p90; p99; max ] -> (p50, p90, p99, max)
+        | cells ->
+          Alcotest.failf "%s: unexpected cells [%s]" name
+            (String.concat "; " cells)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": percentiles of the recorded durations")
+        (List.map (fun p -> ms (nearest_rank p)) [ 50; 90; 99; 100 ])
+        [ p50; p90; p99; max ];
+      Alcotest.(check (list string)) (name ^ ": whole row") expected
+        (row name))
+    [ ( "wide",
+        [ "span"; "200"; "2512500.000 ms"; "12500.000 ms"; "22500.000 ms";
+          "24750.000 ms"; "25000.000 ms" ] );
+      ( "single",
+        [ "span"; "1"; "375.000 ms"; "375.000 ms"; "375.000 ms"; "375.000 ms";
+          "375.000 ms" ] );
+      ( "three",
+        [ "span"; "3"; "875.000 ms"; "250.000 ms"; "500.000 ms"; "500.000 ms";
+          "500.000 ms" ] ) ];
+  Alcotest.(check (list string)) "counter rows leave the percentiles empty"
+    [ "counter"; "1"; "1.000"; ""; ""; ""; "" ]
+    (row "not.a.span")
 
 (* --- Fork plumbing --- *)
 
@@ -499,14 +488,9 @@ let () =
             test_span_exception_closes ] );
       ( "metrics",
         [ Alcotest.test_case "counter totals" `Quick test_counter_totals;
-          Alcotest.test_case "rollup shape" `Quick test_rollup_shape ] );
-      ( "histograms",
-        [ Alcotest.test_case "stats and edge values" `Quick test_hist_stats;
-          Alcotest.test_case "disabled is a no-op" `Quick
-            test_hist_disabled_noop;
-          Alcotest.test_case "codec round-trip and merge" `Quick
-            test_hist_codec_roundtrip;
-          QCheck_alcotest.to_alcotest prop_hist_quantile_within_bucket ] );
+          Alcotest.test_case "rollup shape" `Quick test_rollup_shape;
+          Alcotest.test_case "summary percentiles are nearest-rank" `Quick
+            test_summary_percentiles_exact ] );
       ( "pipe-codec",
         [ Alcotest.test_case "encode/absorb round-trip" `Quick
             test_encode_absorb_roundtrip ] );

@@ -319,6 +319,47 @@ let test_workers_from_env_invalid_counted () =
           Alcotest.(check (float 0.0)) "unset/empty is not an error" 1.0
             (Obs.counter_value "pool.env.invalid")))
 
+let test_item_deadline_invalid_warns () =
+  (* Regression: an invalid PQC_ITEM_DEADLINE_S ("2s") used to be
+     dropped silently, which leaves a map under a hang fault plan with no
+     deadline.  It still reads as unset, so the map runs shared dispatch
+     (the parent's own lane is worker 0), but now warns on stderr (once
+     per distinct value) and bumps the pool.env.invalid counter when
+     tracing is on.  An empty value, as Bench_matrix.run restores it, is
+     not an error. *)
+  let parent_lane () =
+    List.exists
+      (function
+        | Obs.Span { name = "pool.worker"; attrs; _ } ->
+          List.assoc_opt "worker" attrs = Some "0"
+        | _ -> false)
+      (Obs.events ())
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      with_env "PQC_ITEM_DEADLINE_S" "2s" (fun () ->
+          let out, _ = Pool.map ~workers:2 Fun.id [ 1; 2; 3 ] in
+          Alcotest.(check (list int)) "results" [ 1; 2; 3 ] (List.map fst out);
+          Alcotest.(check bool) "read as unset: shared dispatch" true
+            (parent_lane ());
+          Alcotest.(check (float 0.0)) "counter bumped" 1.0
+            (Obs.counter_value "pool.env.invalid"));
+      with_env "PQC_ITEM_DEADLINE_S" "" (fun () ->
+          ignore (Pool.map ~workers:2 Fun.id [ 1; 2; 3 ]);
+          Alcotest.(check (float 0.0)) "empty is not an error" 1.0
+            (Obs.counter_value "pool.env.invalid"));
+      with_env "PQC_ITEM_DEADLINE_S" " 1.5 " (fun () ->
+          Alcotest.(check (option (float 0.0))) "valid value read" (Some 1.5)
+            (Pool.seconds_from_env ~counter:"pool.env.invalid"
+               "PQC_ITEM_DEADLINE_S");
+          Alcotest.(check (float 0.0)) "valid is not an error" 1.0
+            (Obs.counter_value "pool.env.invalid")))
+
 (* --- Engine batch equivalence --- *)
 
 let bits = Int64.bits_of_float
@@ -833,60 +874,56 @@ let test_tracing_preserves_determinism () =
     traced
 
 let test_metrics_merge_matches_sequential () =
-  (* Histograms observed inside forked workers ship back on "M" frames
-     and merge additively in the parent; the merged registry must match
-     a sequential run observation-for-observation.  Values are dyadic
-     (x * 0.125), so even the float sum is exact regardless of the
-     order the workers' frames arrive in. *)
+  (* Counters and spans recorded inside forked workers ship home in each
+     worker's Trace frame and fold into the parent's trace; the totals
+     and span counts must match a sequential run's.  Increments are
+     dyadic (x * 0.125), so even the float total is exact regardless of
+     the order the workers' frames arrive in. *)
   let items = List.init 41 (fun i -> i + 1) in
-  let observe x =
-    Obs.Metrics.observe "pool.metric" (float_of_int x *. 0.125);
-    x
+  let work x =
+    Obs.Span.with_ ~name:"pool.test.work" (fun () ->
+        Obs.count ~by:(float_of_int x *. 0.125) "pool.test.total";
+        x)
   in
-  let capture () =
-    ( Option.get (Obs.Metrics.stats "pool.metric"),
-      Obs.Metrics.percentiles "pool.metric" )
+  let run workers =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let out, stats = Pool.map ~workers work items in
+        Alcotest.(check (list int)) "results intact" items (List.map fst out);
+        Alcotest.(check int) "lanes" workers stats.Pool.workers;
+        let spans name =
+          List.fold_left
+            (fun acc (n, count, _) -> if n = name then acc + count else acc)
+            0 (Obs.rollup ())
+        in
+        ( Obs.counter_value "pool.test.total",
+          spans "pool.test.work",
+          spans "pool.item" ))
   in
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    (fun () ->
-      List.iter (fun x -> ignore (observe x)) items;
-      let expected = capture () in
-      Obs.Metrics.reset ();
-      let out, stats = Pool.map ~workers:4 observe items in
-      Alcotest.(check (list int)) "results intact" items (List.map fst out);
-      Alcotest.(check int) "genuinely forked" 4 stats.Pool.workers;
-      let got_stats, got_pcts = capture () in
-      let exp_stats, exp_pcts = expected in
-      Alcotest.(check int) "count matches sequential"
-        exp_stats.Obs.Metrics.count got_stats.Obs.Metrics.count;
-      Alcotest.(check (float 0.0)) "sum matches sequential"
-        exp_stats.Obs.Metrics.sum got_stats.Obs.Metrics.sum;
-      Alcotest.(check (float 0.0)) "min" exp_stats.Obs.Metrics.min
-        got_stats.Obs.Metrics.min;
-      Alcotest.(check (float 0.0)) "max" exp_stats.Obs.Metrics.max
-        got_stats.Obs.Metrics.max;
-      Alcotest.(check bool) "p50/p90/p99 match sequential" true
-        (exp_pcts = got_pcts))
+  let seq_total, seq_work, seq_items = run 1 in
+  let par_total, par_work, par_items = run 4 in
+  Alcotest.(check (float 0.0)) "counter total matches sequential" seq_total
+    par_total;
+  Alcotest.(check int) "work spans match sequential" seq_work par_work;
+  Alcotest.(check int) "item spans match sequential" seq_items par_items;
+  Alcotest.(check int) "one work span per item" (List.length items) par_work
 
 let test_metrics_hostile_name_crosses_fork () =
-  (* A histogram name may hold any byte, the separator bytes a text
-     codec would split on and a newline included.  Observed inside
-     forked workers, it reaches the parent with the stats and
-     percentiles of a sequential run.  Dyadic values keep the sum exact
-     in any merge order. *)
+  (* A counter or span name may hold any byte, the separator bytes a text
+     codec would split on and a newline included.  Both are recorded in
+     item 0, which the fork fixes for worker 1, so they cross the pipe
+     in that worker's Trace frame whichever lane claims item 1. *)
   let name = "lat\x1c\x1d\x1e\x1f\nency" in
-  let items = List.init 24 (fun i -> i + 1) in
-  let observe x =
-    Obs.Metrics.observe name (float_of_int x *. 0.25);
-    x
-  in
-  let capture () =
-    (Option.get (Obs.Metrics.stats name), Obs.Metrics.percentiles name)
+  let parent = Unix.getpid () in
+  let work x =
+    if x = 0 then
+      Obs.Span.with_ ~name (fun () -> Obs.count ~by:2.5 name);
+    Unix.getpid ()
   in
   Obs.reset ();
   Obs.enable ();
@@ -895,15 +932,21 @@ let test_metrics_hostile_name_crosses_fork () =
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      List.iter (fun x -> ignore (observe x)) items;
-      let expected = capture () in
-      Obs.Metrics.reset ();
-      let _, stats = Pool.map ~workers:3 observe items in
-      Alcotest.(check int) "genuinely forked" 3 stats.Pool.workers;
-      Alcotest.(check bool) "name arrives intact" true
-        (List.mem name (Obs.Metrics.names ()));
-      Alcotest.(check bool) "stats and percentiles match sequential" true
-        (capture () = expected))
+      let out, stats = Pool.map ~workers:2 work [ 0; 1 ] in
+      Alcotest.(check int) "genuinely forked" 2 stats.Pool.workers;
+      (match out with
+      | (pid, recovered) :: _ ->
+        Alcotest.(check bool) "item 0 ran in a worker" true (pid <> parent);
+        Alcotest.(check bool) "item 0 not recomputed" false recovered
+      | [] -> Alcotest.fail "no results");
+      Alcotest.(check (float 0.0)) "counter arrives intact" 2.5
+        (Obs.counter_value name);
+      Alcotest.(check (list int)) "span arrives intact, from worker 1" [ 1 ]
+        (List.filter_map
+           (function
+             | Obs.Span s when s.name = name -> Some s.tid
+             | _ -> None)
+           (Obs.events ())))
 
 (* --- Pulse cache: merge + concurrent persistence --- *)
 
@@ -1050,7 +1093,9 @@ let () =
           Alcotest.test_case "PQC_WORKERS parsing" `Quick
             test_workers_from_env;
           Alcotest.test_case "PQC_WORKERS invalid warns" `Quick
-            test_workers_from_env_invalid_counted ] );
+            test_workers_from_env_invalid_counted;
+          Alcotest.test_case "PQC_ITEM_DEADLINE_S invalid warns" `Quick
+            test_item_deadline_invalid_warns ] );
       ( "engine-batch",
         [ Alcotest.test_case "matches single search" `Quick
             test_search_many_matches_search;
@@ -1080,8 +1125,8 @@ let () =
           Alcotest.test_case "pool stats" `Quick test_pool_stats_reported;
           Alcotest.test_case "worker metrics merge equals sequential" `Quick
             test_metrics_merge_matches_sequential;
-          Alcotest.test_case "hostile histogram name crosses the fork" `Quick
-            test_metrics_hostile_name_crosses_fork;
+          Alcotest.test_case "hostile counter and span names cross the fork"
+            `Quick test_metrics_hostile_name_crosses_fork;
           Alcotest.test_case "tracing preserves determinism" `Quick
             test_tracing_preserves_determinism ] );
       ( "hyperopt",

@@ -112,6 +112,37 @@ let test_deadline_expiry () =
   | Some r -> Alcotest.(check bool) "remaining sane" true (r > 3500.0 && r <= 3600.0)
   | None -> Alcotest.fail "remaining_s must be Some for a real deadline"
 
+let test_search_deadline_invalid_warns () =
+  (* Regression: an invalid PQC_SEARCH_DEADLINE_S ("2s") used to be
+     dropped silently.  It still reads as unset, but now warns on stderr
+     (once per distinct value) and bumps the engine.env.invalid counter
+     when tracing is on; an empty value is not an error. *)
+  let module Obs = Pqc_obs.Obs in
+  let var = "PQC_SEARCH_DEADLINE_S" in
+  let old = Sys.getenv_opt var in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ();
+      Unix.putenv var (Option.value old ~default:""))
+    (fun () ->
+      let read value =
+        Unix.putenv var value;
+        Resilience.deadline_seconds_from_env ()
+      in
+      let invalid () = Obs.counter_value "engine.env.invalid" in
+      Alcotest.(check (option (float 0.0))) "valid value read" (Some 1.5)
+        (read "1.5");
+      Alcotest.(check (float 0.0)) "valid is not an error" 0.0 (invalid ());
+      Alcotest.(check (option (float 0.0))) "invalid reads as unset" None
+        (read "2s");
+      Alcotest.(check (float 0.0)) "counter bumped" 1.0 (invalid ());
+      Alcotest.(check (option (float 0.0))) "empty reads as unset" None
+        (read "");
+      Alcotest.(check (float 0.0)) "empty is not an error" 1.0 (invalid ()))
+
 (* --- GRAPE guards --- *)
 
 let gate_target n gate qs = Circuit.unitary (Circuit.of_gates n [ (gate, qs) ])
@@ -599,7 +630,9 @@ let () =
           Alcotest.test_case "retries bounded" `Quick test_with_retries_bounded;
           Alcotest.test_case "retries stop on success" `Quick test_with_retries_stops_on_success;
           Alcotest.test_case "deadline not retried" `Quick test_with_retries_deadline_not_retried;
-          Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry ] );
+          Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
+          Alcotest.test_case "PQC_SEARCH_DEADLINE_S invalid warns" `Quick
+            test_search_deadline_invalid_warns ] );
       ( "grape-guards",
         [ Alcotest.test_case "bad dt rejected" `Quick test_grape_rejects_bad_dt;
           Alcotest.test_case "step explosion rejected" `Quick test_grape_rejects_step_explosion;
