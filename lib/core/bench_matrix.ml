@@ -443,15 +443,21 @@ let run_cell m ~out_dir cell =
     (* The parallel compile and the variational loop run traced, so
        equal_pulse also checks that tracing moves no pulse.  Tracing and
        the cell's fault plan are both scoped to them.  The trace is the
-       caller's: the cell adds its events to it, never resets it, and
-       leaves tracing on or off as it found it. *)
+       caller's: the cell adds its events to a tracing caller's trace,
+       never resets it, and leaves tracing on or off as it found it.  An
+       untraced caller keeps none of the cell's events, so a forked
+       worker running cells ships none home. *)
     let was_tracing = Obs.enabled () in
+    let mark = Obs.mark () in
     Obs.enable ();
     let par =
       Fun.protect
         ~finally:(fun () ->
           Fault.set ambient_plan;
-          if not was_tracing then Obs.disable ())
+          if not was_tracing then begin
+            Obs.disable ();
+            Obs.rewind mark
+          end)
         (fun () ->
           Fault.set cell.fault_plan;
           let par = compile ~workers:cell.cell_workers in

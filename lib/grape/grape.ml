@@ -256,7 +256,17 @@ let generic_passes (sys : Hamiltonian.t) ~dt ~amp_penalty ~dsub2 ~embedded
    chains of [generic_passes] element for element, so the two paths agree
    bit for bit.  The run's matrices live in split-layout buffers: [sys4]
    holds the embedded target, the drift and the controls, [slices] the
-   slice propagators and [prefix] the prefix products. *)
+   slice propagators and [prefix] the prefix products.
+
+   The forward pass exponentiates eight time steps at once, one per
+   vector lane.  When a batch's generators -i dt H(u_k) have real parts
+   that are all zeros and finite one-norms, as for every finite step of a
+   real Hamiltonian such as the gmon systems, each Taylor term is one real
+   product and the terms' zero parts are skipped.  When every control is
+   real and finite and W = P_k M is finite, the backward pass sums each
+   trace over the control's nonzero entries only.  A skipped term is a
+   zero of either sign added to a sum that starts from +0.0 and is never
+   -0.0, so no bit moves; any other input runs the full complex chains. *)
 external forward4 :
   Cmat.buffer -> int -> int -> (float[@unboxed]) -> float array array ->
   Cmat.buffer -> Cmat.buffer -> float array -> unit

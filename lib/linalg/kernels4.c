@@ -19,6 +19,18 @@
    may use the square-root instruction in vector form; nothing here reads
    errno, and sqrt rounds correctly either way.
 
+   The two passes leave out work that cannot change a bit.  The forward
+   pass exponentiates eight steps at a time, one per vector lane (four
+   once at most four remain), and when every generator of the batch has
+   real parts that are zeros of either sign and a finite one-norm, it runs
+   expm4's Taylor chain as one real 4x4 product per term ("Step lanes").
+   When every control is real with finite entries and W is finite, the
+   backward pass sums each trace over the control's nonzero entries only.
+   Both rest on one fact: each sum starts from +0.0 and never becomes
+   -0.0, so a left-out term that is a zero of either sign changes nothing,
+   and the finiteness conditions make every left-out term such a zero,
+   never inf * 0 = NaN.  Otherwise each runs the full complex chain.
+
    With GCC on x86-64 ELF and glibc, the entry points are cloned for
    AVX-512F, AVX2 and the baseline ISA, and the loader picks one from
    CPUID.  The *_default and *_avx2 entries (see "Entry points") compile
@@ -98,6 +110,17 @@ INLINE void identity(m4 *m) {
   }
 }
 
+/* Expm's squaring count for a one-norm.  A non-finite ceiling (an infinite
+   norm) scales by 2^0, as in Expm. */
+INLINE int scaling_exponent(double norm) {
+  int s = 0;
+  if (!(norm <= 0.5)) {
+    double c = ceil(log(norm / 0.5) / log(2.0));
+    if (isfinite(c)) s = (int)c;
+  }
+  return s;
+}
+
 /* out = exp(x); out may alias x. */
 INLINE void expm4(m4 *out, const m4 *x) {
   m4 a, term, acc, sq;
@@ -112,12 +135,7 @@ INLINE void expm4(m4 *out, const m4 *x) {
     }
   for (int j = 0; j < 4; j++)
     if (col[j] > norm) norm = col[j];
-  /* A non-finite ceiling (an infinite norm) scales by 2^0, as in Expm. */
-  int s = 0;
-  if (!(norm <= 0.5)) {
-    double c = ceil(log(norm / 0.5) / log(2.0));
-    if (isfinite(c)) s = (int)c;
-  }
+  int s = scaling_exponent(norm);
   double inv = ldexp(1.0, -s);
   for (int p = 0; p < 16; p++) {
     double re = x->re[p], im = x->im[p];
@@ -206,20 +224,188 @@ INLINE void generator(m4 *gen, const m4 *sys, long nc, value u, long k,
   }
 }
 
-/* Forward pass.  Builds and exponentiates every step's generator, forms
-   the prefix products P_k = U_k P_{k-1}, and writes the overlap
-   Cmat.inner target P_{N-1} to ov.(0), ov.(1). */
+/* --- Step lanes ---
+
+   The forward pass exponentiates up to LANES steps at once.  In a lane
+   array x[p][l], lane l holds entry p of step k0 + l, so each operation
+   of the float chain is one vector operation across steps.  A dependent
+   chain of 4x4 products on one matrix leaves most of the vector unit
+   idle; independent steps side by side fill it. */
+
+enum { LANES = 8 };
+
+/* Taylor term k of the real chain below, in every lane: t <- c (t b)
+   and acc += t.  The product sums ascending q from 0.0, adding t b when
+   k is odd and subtracting it when k is even. */
+INLINE void taylor_lanes(double t[16][LANES], double b[16][LANES],
+                         double acc[16][LANES], double c, int odd, int w) {
+  for (int i = 0; i < 4; i++) {
+    double s[4][LANES];
+    for (int j = 0; j < 4; j++)
+      for (int l = 0; l < w; l++) s[j][l] = 0.0;
+    for (int q = 0; q < 4; q++)
+      for (int j = 0; j < 4; j++)
+        for (int l = 0; l < w; l++) {
+          double x = t[(4 * i) + q][l] * b[(4 * q) + j][l];
+          s[j][l] = odd ? s[j][l] + x : s[j][l] - x;
+        }
+    /* Row i of the product reads only row i of t. */
+    for (int j = 0; j < 4; j++)
+      for (int l = 0; l < w; l++) {
+        double x = c * s[j][l];
+        t[(4 * i) + j][l] = x;
+        acc[(4 * i) + j][l] = acc[(4 * i) + j][l] + x;
+      }
+  }
+}
+
+/* Slices k0 .. k0 + w - 1 (those below n_steps), lane l holding step
+   k0 + l and lanes past the last step repeating it.
+
+   The generators are built in lanes with generator()'s chain.  When every
+   real part is a zero of either sign and every column sum of the one-norm
+   is finite, the batch takes the real chain: with x = i B, B real, the
+   Taylor terms of expm4 alternate real (k even) and imaginary (k odd),
+   the other part an exact zero, so each term is one real 4x4 product.
+   Every sum in expm4 starts from +0.0 and a partial sum is never -0.0,
+   so the zero products that the real chain leaves out would add a zero,
+   of either sign, to a nonzero value or to +0.0, which changes nothing;
+   a finite one-norm keeps every term and every B finite, so none of them
+   would be inf * 0.  An odd term's imaginary part is 0.0 + sum (t b); an
+   even term's real part is 0.0 - sum (t b), the product of two imaginary
+   parts; acc's real part collects the even terms and its imaginary part
+   the odd ones.  The squarings are complex products, lane l squaring
+   s(l) times.  Every element thus gets the bits expm4 gives it.
+   Otherwise, as when a control or the drift is not finite or not real,
+   the batch runs generator() and expm4() step by step. */
+INLINE void slice_lanes(const m4 *sys, long nc, long n_steps, double neg_dt,
+                        value u, m4 *slices, long k0, int w) {
+  long count = n_steps - k0 < w ? n_steps - k0 : w;
+  double gr[16][LANES], gi[16][LANES];
+  for (int p = 0; p < 16; p++)
+    for (int l = 0; l < w; l++) {
+      gr[p][l] = sys[DRIFT].re[p];
+      gi[p][l] = sys[DRIFT].im[p];
+    }
+  for (long j = 0; j < nc; j++) {
+    const double *row = (const double *)Field(u, j);
+    double z[LANES];
+    for (int l = 0; l < w; l++) z[l] = row[l < count ? k0 + l : n_steps - 1];
+    const m4 *h = &sys[CONTROLS + j];
+    for (int p = 0; p < 16; p++) {
+      double re = h->re[p], im = h->im[p];
+      for (int l = 0; l < w; l++) {
+        gr[p][l] = gr[p][l] + ((z[l] * re) - (0.0 * im));
+        gi[p][l] = gi[p][l] + ((z[l] * im) + (0.0 * re));
+      }
+    }
+  }
+  int real = 1;
+  for (int p = 0; p < 16; p++)
+    for (int l = 0; l < w; l++) {
+      double hr = gr[p][l], hi = gi[p][l];
+      gr[p][l] = (0.0 * hr) - (neg_dt * hi);
+      gi[p][l] = (0.0 * hi) + (neg_dt * hr);
+      real &= gr[p][l] == 0.0;
+    }
+  /* expm4's one-norm, lane by lane. */
+  double norm[LANES];
+  for (int l = 0; l < w; l++) norm[l] = 0.0;
+  for (int j = 0; j < 4; j++) {
+    double col[LANES];
+    for (int l = 0; l < w; l++) col[l] = 0.0;
+    for (int i = 0; i < 4; i++)
+      for (int l = 0; l < w; l++) {
+        double re = gr[(4 * i) + j][l], im = gi[(4 * i) + j][l];
+        col[l] = col[l] + sqrt((re * re) + (im * im));
+      }
+    for (int l = 0; l < w; l++) {
+      real &= isfinite(col[l]);
+      norm[l] = col[l] > norm[l] ? col[l] : norm[l];
+    }
+  }
+  if (!real) {
+    for (long k = k0; k < k0 + count; k++) {
+      m4 gen;
+      generator(&gen, sys, nc, u, k, neg_dt);
+      expm4(&slices[k], &gen);
+    }
+    return;
+  }
+  long s[LANES], smax = 0;
+  double b[16][LANES], inv[LANES];
+  for (int l = 0; l < w; l++) {
+    s[l] = scaling_exponent(norm[l]);
+    inv[l] = ldexp(1.0, (int)-s[l]);
+    if (s[l] > smax) smax = s[l];
+  }
+  /* The imaginary part of expm4's scaled matrix. */
+  for (int p = 0; p < 16; p++)
+    for (int l = 0; l < w; l++)
+      b[p][l] = (inv[l] * gi[p][l]) + (0.0 * gr[p][l]);
+  double t[16][LANES], ar[16][LANES], ai[16][LANES];
+  for (int p = 0; p < 16; p++)
+    for (int l = 0; l < w; l++) {
+      t[p][l] = p % 5 == 0 ? 1.0 : 0.0;
+      ar[p][l] = t[p][l];
+      ai[p][l] = 0.0;
+    }
+  for (int k = 1; k <= 13; k++) {
+    if (k % 2 == 1)
+      taylor_lanes(t, b, ai, 1.0 / (double)k, 1, w);
+    else
+      taylor_lanes(t, b, ar, 1.0 / (double)k, 0, w);
+  }
+  /* Squarings: mul()'s chain in every lane, kept where r < s(l). */
+  for (long r = 0; r < smax; r++) {
+    double qr[16][LANES], qi[16][LANES];
+    for (int i = 0; i < 4; i++)
+      for (int j = 0; j < 4; j++) {
+        double sr[LANES], si[LANES];
+        for (int l = 0; l < w; l++) {
+          sr[l] = 0.0;
+          si[l] = 0.0;
+        }
+        for (int q = 0; q < 4; q++)
+          for (int l = 0; l < w; l++) {
+            double xr = ar[(4 * i) + q][l], xi = ai[(4 * i) + q][l];
+            double yr = ar[(4 * q) + j][l], yi = ai[(4 * q) + j][l];
+            sr[l] = sr[l] + ((xr * yr) - (xi * yi));
+            si[l] = si[l] + ((xr * yi) + (xi * yr));
+          }
+        for (int l = 0; l < w; l++) {
+          qr[(4 * i) + j][l] = sr[l];
+          qi[(4 * i) + j][l] = si[l];
+        }
+      }
+    for (int p = 0; p < 16; p++)
+      for (int l = 0; l < w; l++) {
+        ar[p][l] = r < s[l] ? qr[p][l] : ar[p][l];
+        ai[p][l] = r < s[l] ? qi[p][l] : ai[p][l];
+      }
+  }
+  for (long l = 0; l < count; l++)
+    for (int p = 0; p < 16; p++) {
+      slices[k0 + l].re[p] = ar[p][l];
+      slices[k0 + l].im[p] = ai[p][l];
+    }
+}
+
+/* Forward pass.  Builds and exponentiates every step's generator in lane
+   batches (half width once at most 4 steps remain), forms the prefix
+   products P_k = U_k P_{k-1}, and writes the overlap Cmat.inner target
+   P_{N-1} to ov.(0), ov.(1). */
 INLINE void forward(const m4 *sys, long nc, long n_steps, double neg_dt,
                     value u, m4 *slices, m4 *prefix, value ov) {
-  for (long k = 0; k < n_steps; k++) {
-    m4 gen;
-    generator(&gen, sys, nc, u, k, neg_dt);
-    expm4(&slices[k], &gen);
-    if (k == 0)
-      prefix[0] = slices[0];
+  for (long k0 = 0; k0 < n_steps; k0 += LANES) {
+    if (n_steps - k0 > LANES / 2)
+      slice_lanes(sys, nc, n_steps, neg_dt, u, slices, k0, LANES);
     else
-      mul(&prefix[k], &slices[k], &prefix[k - 1]);
+      slice_lanes(sys, nc, n_steps, neg_dt, u, slices, k0, LANES / 2);
   }
+  prefix[0] = slices[0];
+  for (long k = 1; k < n_steps; k++)
+    mul(&prefix[k], &slices[k], &prefix[k - 1]);
   /* conj(target) * P over the flat row-major order, from 0.0. */
   const m4 *t = &sys[TARGET], *pn = &prefix[n_steps - 1];
   double re = 0.0, im = 0.0;
@@ -231,16 +417,49 @@ INLINE void forward(const m4 *sys, long nc, long n_steps, double neg_dt,
   Store_double_flat_field(ov, 1, im);
 }
 
+/* Controls whose traces the backward pass sums sparsely: a 4x4 Hermitian
+   basis has 16 elements, so a longer list repeats a direction. */
+enum { SPARSE_CONTROLS = 16 };
+
 /* Backward pass.  Starts from M = T^dagger; for k = N-1 down to 0 it forms
    W = P_k M, every trace Tr(W H_j), the gradient entry
    -dF + ((2 lambda) u) / (a_max a_max) into grad.(j).(k), and then
-   M <- M U_k.  [ov] holds the forward pass's overlap. */
+   M <- M U_k.  [ov] holds the forward pass's overlap.
+
+   Sparse real traces: when every control has zero imaginary parts and
+   finite real parts, and W is finite, Tr(W H_j) sums only over H_j's
+   nonzero entries, in the dense sum's (i, jj) order, one real product
+   per part.  A left-out term is (a * 0) - (b * 0) or a zero times a
+   finite number, a zero of either sign, and adding a zero to the sum,
+   which starts from +0.0 and is never -0.0, changes nothing; with W or a
+   control not finite, a left-out term could be inf * 0 = NaN, so the
+   dense sum runs. */
 INLINE void backward(const m4 *sys, long nc, long n_steps, double neg_dt,
                      const m4 *slices, const m4 *prefix, value ov,
                      double dsub2, double amp_penalty, value max_amp,
                      value u, value grad) {
   m4 m, w, next;
   const m4 *t = &sys[TARGET];
+  /* Per control, the W index (4 i) + jj and the value of each nonzero
+     entry H_j(jj, i), in (i, jj) order. */
+  unsigned char nz_at[SPARSE_CONTROLS][16];
+  double nz_val[SPARSE_CONTROLS][16];
+  int nz_len[SPARSE_CONTROLS];
+  int sparse = nc <= SPARSE_CONTROLS;
+  for (long j = 0; sparse && j < nc; j++) {
+    const m4 *h = &sys[CONTROLS + j];
+    nz_len[j] = 0;
+    for (int i = 0; i < 4; i++)
+      for (int jj = 0; jj < 4; jj++) {
+        double bre = h->re[(4 * jj) + i], bim = h->im[(4 * jj) + i];
+        sparse &= bim == 0.0 && isfinite(bre);
+        if (bre != 0.0) {
+          nz_at[j][nz_len[j]] = (unsigned char)((4 * i) + jj);
+          nz_val[j][nz_len[j]] = bre;
+          nz_len[j]++;
+        }
+      }
+  }
   for (int i = 0; i < 4; i++)
     for (int j = 0; j < 4; j++) {
       m.re[(4 * i) + j] = t->re[(4 * j) + i];
@@ -250,17 +469,26 @@ INLINE void backward(const m4 *sys, long nc, long n_steps, double neg_dt,
   double scale = 2.0 / dsub2, amp2 = 2.0 * amp_penalty;
   for (long k = n_steps - 1; k >= 0; k--) {
     mul(&w, &prefix[k], &m);
+    int finite = 1;
+    for (int p = 0; p < 16; p++) finite &= isfinite(w.re[p]) & isfinite(w.im[p]);
     for (long j = 0; j < nc; j++) {
       const m4 *h = &sys[CONTROLS + j];
       /* Cmat.trace_of_product order: (i, jj) ascending from 0.0. */
       double s_re = 0.0, s_im = 0.0;
-      for (int i = 0; i < 4; i++)
-        for (int jj = 0; jj < 4; jj++) {
-          double are = w.re[(4 * i) + jj], aim = w.im[(4 * i) + jj];
-          double bre = h->re[(4 * jj) + i], bim = h->im[(4 * jj) + i];
-          s_re = s_re + ((are * bre) - (aim * bim));
-          s_im = s_im + ((are * bim) + (aim * bre));
+      if (sparse && finite)
+        for (int e = 0; e < nz_len[j]; e++) {
+          int q = nz_at[j][e];
+          s_re = s_re + (w.re[q] * nz_val[j][e]);
+          s_im = s_im + (w.im[q] * nz_val[j][e]);
         }
+      else
+        for (int i = 0; i < 4; i++)
+          for (int jj = 0; jj < 4; jj++) {
+            double are = w.re[(4 * i) + jj], aim = w.im[(4 * i) + jj];
+            double bre = h->re[(4 * jj) + i], bim = h->im[(4 * jj) + i];
+            s_re = s_re + ((are * bre) - (aim * bim));
+            s_im = s_im + ((are * bim) + (aim * bre));
+          }
       double d_o_re = (0.0 * s_re) - (neg_dt * s_im);
       double d_o_im = (0.0 * s_im) + (neg_dt * s_re);
       double d_fid = scale * ((ov_re * d_o_re) - (ov_im * d_o_im));

@@ -339,6 +339,19 @@ let events_since m =
   in
   take (!n_events - m) !events_rev []
 
+let rewind m =
+  let rec drop n l =
+    match l with
+    | e :: rest when n > 0 ->
+      (match e with
+       | Count c -> Hashtbl.replace counters c.name (counter_value c.name -. c.by)
+       | Span _ | Gauge _ | Profile _ -> ());
+      drop (n - 1) rest
+    | _ -> l
+  in
+  events_rev := drop (!n_events - m) !events_rev;
+  n_events := min m !n_events
+
 let absorb evs =
   List.iter
     (fun e ->
@@ -459,14 +472,24 @@ let summary () =
     (span_rows ());
   let incs : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let gauges : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let profiles = ref [] in
+  (* Per profile label, in first-seen order: profiles and points. *)
+  let profiles : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let labels = ref [] in
   List.iter
     (function
       | Count c ->
         Hashtbl.replace incs c.name
           (1 + Option.value ~default:0 (Hashtbl.find_opt incs c.name))
       | Gauge g -> Hashtbl.replace gauges g.name g.value
-      | Profile p -> profiles := (p.label, List.length p.points) :: !profiles
+      | Profile p ->
+        let n, points =
+          match Hashtbl.find_opt profiles p.label with
+          | Some np -> np
+          | None ->
+            labels := p.label :: !labels;
+            (0, 0)
+        in
+        Hashtbl.replace profiles p.label (n + 1, points + List.length p.points)
       | Span _ -> ())
     (events ());
   Hashtbl.fold (fun name n acc -> (name, n) :: acc) incs []
@@ -480,9 +503,11 @@ let summary () =
   |> List.iter (fun (name, v) ->
          Pqc_util.Table.add_row t
            [ name; "gauge"; ""; Pqc_util.Table.cell_f ~decimals:3 v ]);
-  List.rev !profiles
-  |> List.iter (fun (label, n) ->
-         Pqc_util.Table.add_row t [ label; "profile"; string_of_int n; "" ]);
+  List.rev !labels
+  |> List.iter (fun label ->
+         let n, points = Hashtbl.find profiles label in
+         Pqc_util.Table.add_row t
+           [ label; "profile"; string_of_int n; string_of_int points ]);
   Pqc_util.Table.render t
 
 (* PQC_TRACE: "1"/"true"/"summary" enable with a stderr summary at exit;

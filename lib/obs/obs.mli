@@ -216,9 +216,10 @@ val summary : unit -> string
     milliseconds and the exact nearest-rank [p50], [p90], [p99] and [max]
     of its recorded durations (the value at rank ceil(p·n/100) of the
     sorted durations); then counter increments and totals, last gauge
-    values and profile sizes.  The percentiles are computed at call time
-    over the same recorded spans as the count and total, forked workers'
-    spans included. *)
+    values, and one row per profile label, in first-seen order, with its
+    profile count and total number of points.  The percentiles are
+    computed at call time over the same recorded spans as the count and
+    total, forked workers' spans included. *)
 
 (** {2 Worker-pool plumbing} *)
 
@@ -236,6 +237,12 @@ val events_since : int -> event list
 (** The events recorded after the given {!mark}, in emission order; [[]]
     when there are none or tracing is disabled.  {!Pqc_parallel.Pool}
     ships them home from a worker. *)
+
+val rewind : int -> unit
+(** Drop the events recorded after the given {!mark} and subtract their
+    counter increments from the totals, as if they had not been recorded.
+    A total of integer increments restores exactly; one of fractional
+    increments ([pool.respawn.backoff_s]) may differ in its last bits. *)
 
 val absorb : event list -> unit
 (** Append events recorded in another process ({!events_since}) to this

@@ -232,13 +232,16 @@ let test_matrix_keeps_caller_trace () =
      not reset it (which dropped the caller's spans, and in a forked
      worker running cells moved the trace epoch under open spans, so
      they closed with negative durations) and must leave tracing on or
-     off as the caller had it. *)
+     off as the caller had it.  An untraced caller keeps none of the
+     cells' events: its event count and every counter the cells
+     increment read as before the run. *)
   let module Obs = Pqc_obs.Obs in
   List.iter
     (fun workers ->
       let label = Printf.sprintf "workers:%d" workers in
       Obs.reset ();
       Obs.enable ();
+      let counters = ref [] in
       Fun.protect
         ~finally:(fun () ->
           Obs.disable ();
@@ -264,9 +267,27 @@ let test_matrix_keeps_caller_trace () =
             (fun (name, dur) ->
               if not (dur >= 0.0) then
                 Alcotest.failf "%s: span %s lasted %g s" label name dur)
-            spans);
-      with_temp_dir (fun dir -> ignore (run_matrix ~workers dir));
-      checkb (label ^ ": still not tracing") false (Obs.enabled ()))
+            spans;
+          counters :=
+            List.sort_uniq compare
+              (List.filter_map
+                 (function Obs.Count c -> Some c.name | _ -> None)
+                 (Obs.events ())));
+      checkb (label ^ ": cells count") true (!counters <> []);
+      (* The untraced caller has counted before, while it traced. *)
+      Obs.enable ();
+      List.iter (fun name -> Obs.count ~by:3.0 name) !counters;
+      Obs.disable ();
+      let mark = Obs.mark () in
+      let values () = List.map (fun name -> (name, Obs.counter_value name)) !counters in
+      let before = values () in
+      Fun.protect ~finally:Obs.reset (fun () ->
+          with_temp_dir (fun dir -> ignore (run_matrix ~workers dir));
+          checkb (label ^ ": still not tracing") false (Obs.enabled ());
+          checki (label ^ ": untraced caller keeps no event") mark (Obs.mark ());
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
+            (label ^ ": untraced caller's counters unchanged") before (values ())))
     [ 1; 2 ]
 
 let test_ambient_optimizer_plan () =

@@ -266,35 +266,51 @@ let ref_optimize (settings : Grape.settings) (sys : Hamiltonian.t) ~target
   (!best_fid, !iterations, !converged, !diverged, !best_u)
 
 (* A dim-2 or dim-4 qubit system with [nc] random Hermitian controls and a
-   nonzero drift. *)
-let custom_system rng ~n_qubits ~nc =
+   nonzero drift.  With [~real], every imaginary part of the drift and the
+   controls is set to +0.0 or -0.0 at random: a real system, whose dim-4
+   passes take the step lanes and the sparse traces of kernels4.c. *)
+let custom_system ?(real = false) rng ~n_qubits ~nc =
   let dim = 1 lsl n_qubits in
+  let realify m =
+    if real then
+      for i = 0 to dim - 1 do
+        for j = 0 to dim - 1 do
+          Cmat.set m i j
+            { (Cmat.get m i j) with
+              Complex.im = (if Pqc_util.Rng.int rng 2 = 0 then 0.0 else -0.0) }
+        done
+      done;
+    m
+  in
   { Hamiltonian.n_qubits; level = Hamiltonian.Qubit; dim;
     drift =
-      Cmat.scale { Complex.re = 0.3; im = 0.0 } (Cmat.random_hermitian rng dim);
+      realify
+        (Cmat.scale { Complex.re = 0.3; im = 0.0 } (Cmat.random_hermitian rng dim));
     controls =
       Array.init nc (fun j ->
           { Hamiltonian.label = Printf.sprintf "h%d" j;
-            matrix = Cmat.random_hermitian rng dim;
+            matrix = realify (Cmat.random_hermitian rng dim);
             max_amp = Pqc_util.Rng.uniform rng ~lo:0.2 ~hi:3.0 }) }
 
 let prop_optimize_matches_reference =
   QCheck.Test.make ~name:"optimize = allocating reference (bits)" ~count:240
+    ~long_factor:20
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let module Rng = Pqc_util.Rng in
       let rng = Rng.create seed in
       (* Dims 2 and 4: the gmon systems and custom ones, the dim-4 ones
-         with 0 to 8 controls; dims 8 and 9 (three gmon qubits, two gmon
-         qutrits), which only the generic passes serve. *)
+         with 0 to 8 controls, complex or real; dims 8 and 9 (three gmon
+         qubits, two gmon qutrits), which only the generic passes serve. *)
       let sys =
-        match seed mod 7 with
+        match seed mod 8 with
         | 0 -> Hamiltonian.gmon 1
         | 1 -> Hamiltonian.gmon 2
         | 2 -> custom_system rng ~n_qubits:1 ~nc:(Rng.int rng 4)
         | 3 | 4 -> custom_system rng ~n_qubits:2 ~nc:(Rng.int rng 9)
         | 5 -> Hamiltonian.gmon 3
-        | _ -> Hamiltonian.gmon ~level:Hamiltonian.Qutrit 2
+        | 6 -> Hamiltonian.gmon ~level:Hamiltonian.Qutrit 2
+        | _ -> custom_system ~real:true rng ~n_qubits:2 ~nc:(Rng.int rng 9)
       in
       if Rng.int rng 10 = 0 then
         Cmat.set sys.drift 0 0 { Complex.re = Float.nan; im = 0.0 };
@@ -305,7 +321,9 @@ let prop_optimize_matches_reference =
       in
       let coin () = Rng.int rng 2 = 0 in
       let dt = Rng.uniform rng ~lo:0.05 ~hi:2.0 in
-      let n_steps = 2 + Rng.int rng 10 in
+      (* At dim 4, 1 to 5 lane batches of the forward pass and every
+         remainder. *)
+      let n_steps = 2 + Rng.int rng (if sys.dim = 4 then 39 else 10) in
       (* A third of the cases take learning rates far above the drive
          bounds, so the clip saturates controls. *)
       let learning_rate =

@@ -402,7 +402,7 @@ let prop_expm_equiv =
 let prop_expm4_grape_equiv =
   QCheck.Test.make
     ~name:"expm dim 4 on -i dt H, exponents 0..7 = reference (bits)"
-    ~count:600
+    ~count:600 ~long_factor:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -462,19 +462,52 @@ let prop_nonfinite_equiv =
          || all_clones bits_eq_mat_nan expm4_clones (fun f -> f a) expect
             && all_clones bits_eq_mat_nan mul4_clones (fun f -> f a b) prod))
 
-(* Every clone of the GRAPE passes, on random split-layout inputs with 0 to
-   8 controls: a first forward pass, a second one after every other control
-   column changed, then a backward pass.  The reference property in
-   test_grape pins the loader's clone to a textbook rebuild of
-   [Grape.optimize]; this pins the baseline and AVX2 clones to it. *)
+(* Cmat.inner: conj(a) * b over the flat row-major order, from 0.0. *)
+let ref_inner a b =
+  let re = ref 0.0 and im = ref 0.0 in
+  for i = 0 to Cmat.rows a - 1 do
+    for j = 0 to Cmat.cols a - 1 do
+      let x = Cmat.get a i j and y = Cmat.get b i j in
+      re := !re +. ((x.Complex.re *. y.Complex.re) +. (x.im *. y.im));
+      im := !im +. ((x.Complex.re *. y.im) -. (x.im *. y.Complex.re))
+    done
+  done;
+  { Complex.re = !re; im = !im }
+
+(* Every clone of the GRAPE passes against a dense rebuild from the
+   references above, on random split-layout systems with 0 to 8 controls,
+   or 17, past the 16 the backward pass traces sparsely: a first forward
+   pass, a second one after every other control column changed, then a
+   backward pass.  Every slice is checked against [ref_expm] of its
+   generator, every prefix product against [ref_mul], and the overlap and
+   every gradient entry against a backward sweep of [ref_mul] and
+   [ref_trace_of_product]; the baseline and AVX2 clones must also match
+   the loader's clone bit for bit, NaN payloads included.
+
+   Half the systems are real (every imaginary part of the drift and the
+   controls a zero of either sign) with sparse controls (each real part a
+   zero with probability 3/4), which the forward pass's step lanes and the
+   backward pass's sparse traces take.  [n_steps] runs from 2 to 40, so a
+   pass sees 1 to 5 lane batches and every remainder.  Each step scales
+   its controls by its own power of two, so one batch mixes scaling
+   exponents 0 to 7.  A quarter of the draws put NaN, +-inf or 1e200 in
+   one control value or one entry of a control (the drift with no
+   controls): that step's batch, or every batch, takes the step-by-step
+   exponential, and no W of the backward sweep is finite.  The overlap is
+   then not finite either, which hides the traces, so another quarter put
+   NaN or +-inf in one entry of one prefix product between the passes: W
+   is not finite at that step while the overlap is, and a sparse trace
+   that skipped a NaN row of W would return a number where the dense one
+   returns NaN. *)
 let prop_grape4_clones_equiv =
   QCheck.Test.make
     ~name:"GRAPE dim-4 passes: baseline clone = AVX2 clone = loader's clone (bits)"
-    ~count:200
+    ~count:200 ~long_factor:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let nc = seed mod 9 and n_steps = 2 + Rng.int rng 10 in
+      let nc = if seed mod 16 = 15 then 17 else seed mod 9 in
+      let n_steps = 2 + Rng.int rng 39 and real = Rng.int rng 2 = 0 in
       let uniform lo hi = Rng.uniform rng ~lo ~hi in
       let buf n f =
         let b = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n in
@@ -484,49 +517,147 @@ let prop_grape4_clones_equiv =
         b
       in
       let sys4 = buf (32 * (nc + 2)) (fun () -> uniform (-1.0) 1.0) in
-      let neg_dt = -.uniform 0.01 2.0 and amp_penalty = uniform 0.0 0.1 in
+      if real then
+        for p = 32 to (32 * (nc + 2)) - 1 do
+          if p mod 32 >= 16 || (p >= 64 && Rng.int rng 4 > 0) then
+            sys4.{p} <- (if Rng.int rng 2 = 0 then 0.0 else -0.0)
+        done;
+      let neg_dt = -.uniform 0.05 1.0 and amp_penalty = uniform 0.0 0.1 in
+      let scale = Array.init n_steps (fun _ -> Float.ldexp 1.0 (Rng.int rng 10 - 4)) in
       let u0 =
-        Array.init nc (fun _ -> Array.init n_steps (fun _ -> uniform (-2.0) 2.0))
+        Array.init nc (fun _ ->
+            Array.init n_steps (fun k -> scale.(k) *. uniform (-1.0) 1.0))
+      in
+      if Rng.int rng 4 = 0 then begin
+        let x = [| Float.nan; Float.infinity; Float.neg_infinity; 1e200 |].(Rng.int rng 4) in
+        if nc > 0 && Rng.int rng 2 = 0 then u0.(Rng.int rng nc).(Rng.int rng n_steps) <- x
+        else sys4.{(32 * if nc = 0 then 1 else 2 + Rng.int rng nc) + Rng.int rng 16} <- x
+      end;
+      let broken_prefix =
+        if Rng.int rng 4 = 0 then
+          Some
+            ( Rng.int rng n_steps, Rng.int rng 32,
+              [| Float.nan; Float.infinity; Float.neg_infinity |].(Rng.int rng 3) )
+        else None
       in
       let max_amp = Array.init nc (fun _ -> uniform 0.2 3.0) in
-      let run forward backward =
-        let slices = buf (32 * n_steps) (fun () -> 0.0) in
-        let prefix = buf (32 * n_steps) (fun () -> 0.0) in
-        let ov = [| 0.0; 0.0 |] and u = Array.map Array.copy u0 in
-        let grad = Array.make_matrix nc n_steps 0.0 in
-        forward sys4 nc n_steps neg_dt u slices prefix ov;
+      let halve u =
         Array.iter
           (fun row ->
             for k = 0 to n_steps - 1 do
               if k mod 2 = 1 then row.(k) <- row.(k) *. 0.5
             done)
-          u;
+          u
+      in
+      let run (forward, backward) =
+        let slices = buf (32 * n_steps) (fun () -> 0.0) in
+        let prefix = buf (32 * n_steps) (fun () -> 0.0) in
+        let ov = [| 0.0; 0.0 |] and u = Array.map Array.copy u0 in
+        let grad = Array.make_matrix nc n_steps 0.0 in
         forward sys4 nc n_steps neg_dt u slices prefix ov;
+        halve u;
+        forward sys4 nc n_steps neg_dt u slices prefix ov;
+        Option.iter (fun (k, p, x) -> prefix.{(32 * k) + p} <- x) broken_prefix;
         backward sys4 nc n_steps neg_dt slices prefix ov 16.0 amp_penalty max_amp
           u grad;
         ([ slices; prefix ], Array.append ov (Array.concat (Array.to_list grad)))
       in
-      let bufs, floats = run grape4_forward grape4_backward in
+      (* The reference: both passes rebuilt from the dense references. *)
+      let mat b m =
+        let x = Cmat.create 4 4 in
+        for i = 0 to 3 do
+          for j = 0 to 3 do
+            let p = (32 * m) + (4 * i) + j in
+            Cmat.set x i j { Complex.re = b.{p}; im = b.{p + 16} }
+          done
+        done;
+        x
+      in
+      let u = Array.map Array.copy u0 in
+      halve u;
+      let target = mat sys4 0 and controls = Array.init nc (fun j -> mat sys4 (j + 2)) in
+      let slices =
+        Array.init n_steps (fun k ->
+            let h = ref (mat sys4 1) in
+            Array.iteri
+              (fun j c -> h := ref_axpy { Complex.re = u.(j).(k); im = 0.0 } c !h)
+              controls;
+            ref_expm (ref_scale { Complex.re = 0.0; im = neg_dt } !h))
+      in
+      let prefix = Array.copy slices in
+      for k = 1 to n_steps - 1 do
+        prefix.(k) <- ref_mul slices.(k) prefix.(k - 1)
+      done;
+      let ov = ref_inner target prefix.(n_steps - 1) in
+      let ov_re = ov.re and ov_im = -.ov.im in
+      Option.iter
+        (fun (k, p, x) ->
+          let m = Cmat.copy prefix.(k) and i = p mod 16 / 4 and j = p mod 4 in
+          let z = Cmat.get m i j in
+          Cmat.set m i j
+            (if p < 16 then { z with Complex.re = x } else { z with Complex.im = x });
+          prefix.(k) <- m)
+        broken_prefix;
+      let grad = Array.make_matrix nc n_steps 0.0 in
+      let m = ref (ref_dagger target) in
+      for k = n_steps - 1 downto 0 do
+        let w = ref_mul prefix.(k) !m in
+        Array.iteri
+          (fun j c ->
+            let s = ref_trace_of_product w c in
+            let d_o_re = (0.0 *. s.Complex.re) -. (neg_dt *. s.im) in
+            let d_o_im = (0.0 *. s.im) +. (neg_dt *. s.re) in
+            let d_fid = 2.0 /. 16.0 *. ((ov_re *. d_o_re) -. (ov_im *. d_o_im)) in
+            grad.(j).(k) <-
+              -.d_fid
+              +. (2.0 *. amp_penalty *. u.(j).(k) /. (max_amp.(j) *. max_amp.(j))))
+          controls;
+        if k > 0 then m := ref_mul !m slices.(k)
+      done;
+      let expect_floats = Array.append [| ov.re; ov.im |] (Array.concat (Array.to_list grad)) in
+      let same x y =
+        if Float.is_nan y then Float.is_nan x
+        else Int64.bits_of_float x = Int64.bits_of_float y
+      in
       let bits = Int64.bits_of_float in
+      let check_reference name (bufs, floats) =
+        List.iter2
+          (fun (what, b) expect ->
+            Array.iteri
+              (fun k x ->
+                ignore (bits_eq_mat_nan (Printf.sprintf "%s %s %d" name what k) (mat b k) x))
+              expect)
+          (List.combine [ "slice"; "prefix" ] bufs)
+          [ slices; prefix ];
+        Array.iteri
+          (fun i x ->
+            if not (same x expect_floats.(i)) then
+              QCheck.Test.fail_reportf "%s overlap/gradient entry %d: %h vs reference %h"
+                name i x expect_floats.(i))
+          floats
+      in
+      let loader = run (grape4_forward, grape4_backward) in
+      check_reference "loader" loader;
       List.iter
-        (fun (name, forward, backward) ->
-          let bufs', floats' = run forward backward in
+        (fun (name, passes) ->
+          let bufs', floats' = run passes in
+          check_reference name (bufs', floats');
           List.iter2
             (fun b b' ->
               for i = 0 to Bigarray.Array1.dim b - 1 do
                 if bits b.{i} <> bits b'.{i} then
-                  QCheck.Test.fail_reportf "%s buffer entry %d: %h vs %h" name i
+                  QCheck.Test.fail_reportf "%s buffer entry %d: %h vs loader %h" name i
                     b'.{i} b.{i}
               done)
-            bufs bufs';
+            (fst loader) bufs';
           Array.iteri
             (fun i x ->
               if bits x <> bits floats'.(i) then
-                QCheck.Test.fail_reportf "%s overlap/gradient entry %d: %h vs %h"
+                QCheck.Test.fail_reportf "%s overlap/gradient entry %d: %h vs loader %h"
                   name i floats'.(i) x)
-            floats)
-        [ ("default", grape4_forward_default, grape4_backward_default);
-          ("avx2", grape4_forward_avx2, grape4_backward_avx2) ];
+            (snd loader))
+        [ ("default", (grape4_forward_default, grape4_backward_default));
+          ("avx2", (grape4_forward_avx2, grape4_backward_avx2)) ];
       true)
 
 (* The C ADAM step with the drive clip, on every clone, against

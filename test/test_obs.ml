@@ -146,6 +146,30 @@ let summary_row summary name =
       | _ -> None)
     (String.split_on_char '\n' summary)
 
+(* Profiles fold by label: one row each, in first-seen order, with the
+   profile count and the total number of points. *)
+let test_summary_folds_profiles () =
+  with_obs @@ fun () ->
+  let point i =
+    { Obs.iteration = i; infidelity = 0.5; learning_rate = 0.1; grad_norm = 1.0 }
+  in
+  Obs.profile ~label:"grape[dim=4,T=3]" [ point 1; point 2 ];
+  Obs.profile ~label:"grape[dim=2,T=1]" [ point 1 ];
+  Obs.profile ~label:"grape[dim=4,T=3]" [ point 1; point 2; point 3 ];
+  let rows =
+    List.filter_map
+      (fun line ->
+        match List.map String.trim (String.split_on_char '|' line) with
+        | [ ""; label; "profile"; n; points; _; _; _; _; "" ] ->
+          Some (label, n, points)
+        | _ -> None)
+      (String.split_on_char '\n' (Obs.summary ()))
+  in
+  Alcotest.(check (list (triple string string string)))
+    "one row per label, first-seen order"
+    [ ("grape[dim=4,T=3]", "2", "5"); ("grape[dim=2,T=1]", "1", "1") ]
+    rows
+
 (* Under a fake clock every span lasts a whole number of eighths of a
    second, so every duration, and every cell printed from one, is exact.
    Each span row's p50/p90/p99/max must be the nearest-rank order
@@ -490,7 +514,9 @@ let () =
         [ Alcotest.test_case "counter totals" `Quick test_counter_totals;
           Alcotest.test_case "rollup shape" `Quick test_rollup_shape;
           Alcotest.test_case "summary percentiles are nearest-rank" `Quick
-            test_summary_percentiles_exact ] );
+            test_summary_percentiles_exact;
+          Alcotest.test_case "summary folds profiles by label" `Quick
+            test_summary_folds_profiles ] );
       ( "pipe-codec",
         [ Alcotest.test_case "encode/absorb round-trip" `Quick
             test_encode_absorb_roundtrip ] );
