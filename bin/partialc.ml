@@ -160,11 +160,17 @@ let compile_info_for strategy circuit =
     cache_hits = r.Strategy.pool.Engine.cache_hits;
     degradations = List.length r.Strategy.degradations }
 
-(* [f] receives the recorder (or None when no path was given).  The
-   whole run — the compile-context probe and every recorded iteration —
-   shares one minted run_id, so the JSONL joins against the traces and
-   cache entries the embedded compiles produce. *)
+(* [f] receives the recorder (or None when neither --run-log nor
+   PQC_RUN_LOG gave a path).  The whole run — the compile-context probe
+   and every recorded iteration — shares one minted run_id, so the JSONL
+   joins against the traces and cache entries the embedded compiles
+   produce. *)
 let with_run_log run_log ~strategy ~algo ~label ~circuit f =
+  let run_log =
+    match run_log with
+    | Some _ -> run_log
+    | None -> Pqc_obs.Run_log.path_from_env ()
+  in
   match run_log with
   | None -> f None
   | Some path -> (
@@ -543,11 +549,11 @@ let run_log_arg =
     value
     & opt (some string) None
     & info [ "run-log" ] ~docv:"RUN.jsonl"
-        ~env:(Cmd.Env.info "PQC_RUN_LOG")
         ~doc:
           "Stream one JSON line per variational iteration (iteration \
            index, energy, wall-clock, compile latency, pulse vs \
-           gate-based duration) to $(docv).")
+           gate-based duration) to $(docv).  Absent, $(b,PQC_RUN_LOG) \
+           names the file when it is set and not empty.")
 
 let compile_cmd =
   let benchmark =
@@ -746,9 +752,9 @@ let bench_cmd =
     let workers =
       Arg.(value & opt (some int) None
           & info [ "workers"; "j" ] ~docv:"N"
-              ~env:(Cmd.Env.info "PQC_WORKERS")
               ~doc:"Driver processes executing cells (cells' own worker \
-                    counts come from the manifest).")
+                    counts come from the manifest).  Absent, \
+                    $(b,PQC_WORKERS) sets it, read as for $(b,compile).")
     in
     let dry_run =
       Arg.(value & flag

@@ -139,8 +139,8 @@ let set_worker w =
    tracing disabled) because the append path is O(1) and allocation-free:
    parallel pre-sized arrays hold references to caller-owned strings plus
    an unboxed float timestamp.  The parent dumps its ring to a file when
-   the supervised pool kills/quarantines/reaps a worker or a fault plan
-   fires, turning "worker 3 died" into a replayable event tail. *)
+   the pool kills or reaps an abnormal worker or a fault plan fires,
+   turning "worker 3 died" into a replayable event tail. *)
 module Flight = struct
   type entry = {
     f_seq : int;  (* monotonic per process; survives ring wrap *)
@@ -512,8 +512,10 @@ let summary () =
 
 (* PQC_TRACE: "1"/"true"/"summary" enable with a stderr summary at exit;
    any other non-empty, non-"0" value enables and is treated as the
-   output path for the Chrome trace.  Forked pool children exit through
-   Unix._exit, which skips at_exit, so only the parent ever writes. *)
+   output path for the Chrome trace.  A path that cannot be written costs
+   one stderr line, not the exit status.  Forked pool children exit
+   through Unix._exit, which skips at_exit, so only the parent ever
+   writes. *)
 let () =
   match Sys.getenv_opt "PQC_TRACE" with
   | None -> ()
@@ -528,5 +530,10 @@ let () =
             if !n_events > 0 then (
               prerr_string (summary ());
               prerr_newline ()))
-      | path -> at_exit (fun () -> try write ~path () with _ -> ())
+      | path ->
+        at_exit (fun () ->
+            try write ~path () with
+            | e ->
+              Printf.eprintf "partialqc: cannot write trace %s: %s\n%!" path
+                (match e with Sys_error m -> m | e -> Printexc.to_string e))
     end)

@@ -155,8 +155,8 @@ val rollup : unit -> (string * int * float) list
 
     A bounded ring of the last N structured events per process, always
     on (independent of {!enable}) because appends are O(1) and
-    allocation-free.  The supervising pool parent dumps its ring
-    whenever it SIGKILLs, quarantines or reaps an abnormal worker, and
+    allocation-free.  The pool parent dumps its ring whenever it
+    SIGKILLs a hung worker or reaps an abnormal one, and
     {!Pqc_core.Fault} dumps when a fault plan fires — so a chaos failure
     leaves a replayable event tail instead of "worker 3 died".
 
@@ -241,8 +241,9 @@ val events_since : int -> event list
 val rewind : int -> unit
 (** Drop the events recorded after the given {!mark} and subtract their
     counter increments from the totals, as if they had not been recorded.
-    A total of integer increments restores exactly; one of fractional
-    increments ([pool.respawn.backoff_s]) may differ in its last bits. *)
+    A total of integer increments, as every counter the program keeps
+    is, restores exactly; one of fractional increments may differ in its
+    last bits. *)
 
 val absorb : event list -> unit
 (** Append events recorded in another process ({!events_since}) to this

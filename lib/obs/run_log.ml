@@ -14,7 +14,6 @@ type t = {
   label : string;
   run_id : string option;
   info : compile_info option;
-  flush_every : int;
   t_start : float;
   mutable t_last : float;
   mutable written : int;
@@ -27,7 +26,7 @@ let json_string = Pqc_util.Jsonx.escape_string
    token for), so every line parses. *)
 let json_float = Pqc_util.Jsonx.number
 
-let create ?run_id ?info ?(flush_every = 1) ~algo ~label ~path () =
+let create ?run_id ?info ~algo ~label ~path () =
   let oc = open_out path in
   let now = Obs.Clock.now () in
   (* The correlation id is captured once at creation: every record of
@@ -36,8 +35,8 @@ let create ?run_id ?info ?(flush_every = 1) ~algo ~label ~path () =
   let run_id =
     match run_id with Some _ as r -> r | None -> Obs.Ctx.current ()
   in
-  { oc; algo; label; run_id; info; flush_every = max 1 flush_every;
-    t_start = now; t_last = now; written = 0; closed = false }
+  { oc; algo; label; run_id; info; t_start = now; t_last = now; written = 0;
+    closed = false }
 
 let record t ~iteration ~energy =
   if not t.closed then begin
@@ -75,7 +74,7 @@ let record t ~iteration ~energy =
     Buffer.add_string buf "}\n";
     output_string t.oc (Buffer.contents buf);
     t.written <- t.written + 1;
-    if t.written mod t.flush_every = 0 then flush t.oc
+    flush t.oc
   end
 
 let written t = t.written

@@ -40,7 +40,6 @@ type t
 val create :
   ?run_id:string ->
   ?info:compile_info ->
-  ?flush_every:int ->
   algo:string ->
   label:string ->
   path:string ->
@@ -51,10 +50,9 @@ val create :
     record.  [run_id] is the correlation id stamped on every record;
     it defaults to the {!Obs.Ctx} ambient at creation time (records
     carry no id when neither is present — the pre-provenance format).
-    [flush_every] (default 1 — every record) bounds how many records
-    may sit in the channel buffer; the stream is valid JSONL after
-    every flush.  Raises [Sys_error] when the path cannot be opened —
-    callers own the user-facing error. *)
+    Every record is flushed as it is written, so the stream is valid
+    JSONL at any moment.  Raises [Sys_error] when the path cannot be
+    opened — callers own the user-facing error. *)
 
 val record : t -> iteration:int -> energy:float -> unit
 (** Append one record.  [iteration] is the 1-based variational

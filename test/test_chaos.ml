@@ -343,8 +343,8 @@ let test_hung_batch_completes_within_two_deadlines () =
       with_hook (fun _ -> Some Pool.Hang) (fun () ->
           let t0 = Unix.gettimeofday () in
           let out, stats =
-            Pool.map ~workers:4 ~item_deadline_s:deadline ~item_retries:1
-              (fun x -> x * x) items
+            Pool.map ~workers:4 ~item_deadline_s:deadline (fun x -> x * x)
+              items
           in
           let elapsed = Unix.gettimeofday () -. t0 in
           Alcotest.(check (list int)) "results correct despite the hang"
@@ -356,31 +356,84 @@ let test_hung_batch_completes_within_two_deadlines () =
             (elapsed < 2.0 *. deadline);
           Alcotest.(check int) "every worker detected hung" 4
             stats.Pool.hung;
-          Alcotest.(check int) "every item quarantined at retries=1" 4
-            stats.Pool.quarantined;
           Alcotest.(check int) "every item recovered in-parent" 4
             stats.Pool.recovered;
           Alcotest.(check int) "deadline kills are not abnormal exits" 0
             stats.Pool.abnormal_exits))
 
-let test_poison_batch_quarantines_and_converges () =
+(* Every worker dies on its first item, so no item is delivered and the
+   parent recomputes them all. *)
+let test_every_crash_batch_converges () =
   leak_checked (fun () ->
       let items = [ 0; 1; 2; 3 ] in
       with_hook (fun _ -> Some Pool.Crash_pre) (fun () ->
-          let out, stats =
-            Pool.map ~workers:2 ~item_retries:1 (fun x -> x + 100) items
-          in
+          let out, stats = Pool.map ~workers:2 (fun x -> x + 100) items in
           Alcotest.(check (list int)) "results correct despite every crash"
             (List.map (fun x -> x + 100) items)
             (List.map fst out);
-          Alcotest.(check int) "all items quarantined" 4
-            stats.Pool.quarantined;
           Alcotest.(check int) "all items recovered in-parent" 4
             stats.Pool.recovered;
-          Alcotest.(check int) "crashes counted abnormal" 4
-            stats.Pool.abnormal_exits;
-          Alcotest.(check int) "one respawn per original worker" 2
-            stats.Pool.respawned))
+          Alcotest.(check int) "one crash per worker, counted abnormal" 2
+            stats.Pool.abnormal_exits))
+
+(* One hung worker among healthy ones: only its item is lost, the other
+   workers claim everything else, and the kill lands within the deadline's
+   resolution. *)
+let test_hung_worker_among_healthy () =
+  leak_checked (fun () ->
+      let parent = Unix.getpid () in
+      let items = List.init 12 Fun.id in
+      let deadline = 0.5 in
+      with_hook
+        (fun i -> if i = 5 then Some Pool.Hang else None)
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let out, stats =
+            Pool.map ~workers:3 ~item_deadline_s:deadline
+              (fun x -> ((x * 3) + 1, Unix.getpid ()))
+              items
+          in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check (list int)) "results equal the sequential run"
+            (List.map (fun x -> (x * 3) + 1) items)
+            (List.map (fun ((v, _), _) -> v) out);
+          Alcotest.(check int) "one worker hung" 1 stats.Pool.hung;
+          Alcotest.(check int) "only its item recovered" 1
+            stats.Pool.recovered;
+          List.iteri
+            (fun i ((_, pid), _) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "item %d computed in a child iff not hung" i)
+                (i <> 5) (pid <> parent))
+            out;
+          Alcotest.(check bool)
+            (Printf.sprintf "batch done in %.2fs < 2 deadlines" elapsed)
+            true
+            (elapsed < 2.0 *. deadline)))
+
+(* A hang in the middle of a claim run: 3,000 items at two forked
+   workers claim in runs of 3, so the killed worker takes the rest of its
+   run with it, and fan-in recovers no more than that run. *)
+let test_hang_inside_claim_run () =
+  leak_checked (fun () ->
+      let items = List.init 3000 Fun.id in
+      (* Item 2 + 3k starts a run; 2 + 3*100 + 1 sits in the middle of
+         one. *)
+      let stuck = 2 + (3 * 100) + 1 in
+      with_hook
+        (fun i -> if i = stuck then Some Pool.Hang else None)
+        (fun () ->
+          let out, stats =
+            Pool.map ~workers:2 ~item_deadline_s:0.5 (fun x -> x - 7) items
+          in
+          Alcotest.(check bool) "every result correct, in input order" true
+            (List.for_all2 (fun i (v, _) -> v = i - 7) items out);
+          Alcotest.(check int) "one worker hung" 1 stats.Pool.hung;
+          Alcotest.(check bool)
+            (Printf.sprintf "%d recovered, at most one claim run"
+               stats.Pool.recovered)
+            true
+            (stats.Pool.recovered >= 1 && stats.Pool.recovered <= 3)))
 
 let test_crash_mid_and_partial_write_recovered () =
   leak_checked (fun () ->
@@ -393,16 +446,17 @@ let test_crash_mid_and_partial_write_recovered () =
       in
       with_hook hook (fun () ->
           let out, stats =
-            Pool.map ~workers:3 ~item_retries:1 (fun x -> (x * 7) + 1) items
+            Pool.map ~workers:3 (fun x -> (x * 7) + 1) items
           in
           Alcotest.(check (list int)) "all results correct"
             (List.map (fun x -> (x * 7) + 1) items)
             (List.map fst out);
-          Alcotest.(check bool) "everything recovered or quarantined" true
+          Alcotest.(check bool) "everything recovered" true
             (stats.Pool.recovered = List.length items)))
 
-(* The healthy path closes every feed and result pipe and reaps every
-   worker: twenty maps in a row leave the descriptor count unchanged. *)
+(* The healthy path closes the claim pipe and every result pipe and
+   reaps every worker: twenty maps in a row leave the descriptor count
+   unchanged. *)
 let test_healthy_maps_leak_nothing () =
   leak_checked (fun () ->
       let items = List.init 5 Fun.id in
@@ -510,7 +564,7 @@ let test_flight_dump_on_chaos_crash () =
       leak_checked (fun () ->
           with_hook (fun _ -> Some Pool.Crash_pre) (fun () ->
               let out, stats =
-                Pool.map ~workers:2 ~item_retries:1
+                Pool.map ~workers:2
                   ~item_label:(fun i -> Printf.sprintf "r042-deadbeef#%d" i)
                   (fun x -> x + 1)
                   [ 0; 1; 2; 3 ]
@@ -525,14 +579,14 @@ let test_flight_dump_on_chaos_crash () =
     String.concat "\n"
       (List.map (fun f -> read_whole (Filename.concat dir f)) files)
   in
-  Alcotest.(check bool) "dump names the kill/crash event" true
-    (contains body "pool.abnormal_exit" || contains body "pool.quarantine");
+  Alcotest.(check bool) "dump names the crash event" true
+    (contains body "pool.abnormal_exit");
   Alcotest.(check bool) "dump names the worker's last span" true
     (contains body "span pool.item");
   Alcotest.(check bool) "dump carries the item's run_id" true
     (contains body "r042-deadbeef#")
 
-(* --- Shared dispatch: the parent as a lane --- *)
+(* --- The parent as a lane --- *)
 
 (* An item computed in the parent's lane may itself run a pool map, as a
    bench-matrix cell does under --workers 2: the nested map forks from
@@ -726,8 +780,12 @@ let () =
       ( "pool-supervision",
         [ Alcotest.test_case "hung batch within 2 deadlines" `Quick
             test_hung_batch_completes_within_two_deadlines;
-          Alcotest.test_case "poison batch quarantines" `Quick
-            test_poison_batch_quarantines_and_converges;
+          Alcotest.test_case "every-crash batch converges" `Quick
+            test_every_crash_batch_converges;
+          Alcotest.test_case "hung worker among healthy ones" `Quick
+            test_hung_worker_among_healthy;
+          Alcotest.test_case "hang inside a claim run" `Quick
+            test_hang_inside_claim_run;
           Alcotest.test_case "torn frames recovered" `Quick
             test_crash_mid_and_partial_write_recovered;
           Alcotest.test_case "healthy maps leak nothing" `Quick

@@ -213,8 +213,9 @@ let test_traced_maps_unique_span_ids () =
         (List.length (List.filter (fun (_, p, _) -> p = m) workers)))
     maps
 
-(* The smallest batch that forks, under an item deadline: supervised
-   dispatch forks one child per lane and the parent computes nothing. *)
+(* The smallest batch that forks, under an item deadline: the map forks
+   one child per lane, each with its item fixed at the fork, and the
+   parent computes nothing. *)
 let test_pool_two_items_fork () =
   let parent = Unix.getpid () in
   let out, stats =
@@ -228,9 +229,8 @@ let test_pool_two_items_fork () =
   Alcotest.(check int) "one item per child" 2
     (List.length (List.sort_uniq compare pids))
 
-(* Supervised dispatch computes every item in a forked worker: a map
-   with an item deadline, and one with a fault hook installed (here one
-   that injects nothing). *)
+(* A map with an item deadline, and one with a fault hook installed (here
+   one that injects nothing), computes every item in a forked worker. *)
 let test_pool_supervised_forks_every_item () =
   let parent = Unix.getpid () in
   let pids map =
@@ -248,9 +248,9 @@ let test_pool_supervised_forks_every_item () =
   Fun.protect ~finally:Pool.clear_fault_hook (fun () ->
       forked "hook" (pids (Pool.map ~workers:2)))
 
-(* Shared dispatch: the fork fixes item [j-1] for worker [j], so each of
-   the three forked workers computes its own item, whatever the parent's
-   lane claims meanwhile. *)
+(* The fork fixes item [j-1] for worker [j], so each of the three forked
+   workers computes its own item, whatever the parent's lane claims
+   meanwhile. *)
 let test_pool_worker_own_item () =
   let parent = Unix.getpid () in
   let out, stats =
@@ -263,8 +263,8 @@ let test_pool_worker_own_item () =
   Alcotest.(check int) "one worker each" 3
     (List.length (List.sort_uniq compare own))
 
-(* Pull dispatch: a worker busy with a slow item holds no backlog.  The
-   other worker asks for the next item as soon as it finishes one, so it
+(* Claim dispatch: a worker busy with a slow item holds no backlog.  The
+   other lane claims the next item as soon as it finishes one, so it
    runs every quick item; a round-robin split would hand the slow worker
    items 0, 2 and 4. *)
 let test_pool_pull_balance () =
@@ -322,8 +322,8 @@ let test_workers_from_env_invalid_counted () =
 let test_item_deadline_invalid_warns () =
   (* Regression: an invalid PQC_ITEM_DEADLINE_S ("2s") used to be
      dropped silently, which leaves a map under a hang fault plan with no
-     deadline.  It still reads as unset, so the map runs shared dispatch
-     (the parent's own lane is worker 0), but now warns on stderr (once
+     deadline.  It still reads as unset, so the parent is one of the
+     map's lanes (worker 0), but now warns on stderr (once
      per distinct value) and bumps the pool.env.invalid counter when
      tracing is on.  An empty value, as Bench_matrix.run restores it, is
      not an error. *)
@@ -345,7 +345,7 @@ let test_item_deadline_invalid_warns () =
       with_env "PQC_ITEM_DEADLINE_S" "2s" (fun () ->
           let out, _ = Pool.map ~workers:2 Fun.id [ 1; 2; 3 ] in
           Alcotest.(check (list int)) "results" [ 1; 2; 3 ] (List.map fst out);
-          Alcotest.(check bool) "read as unset: shared dispatch" true
+          Alcotest.(check bool) "read as unset: the parent is a lane" true
             (parent_lane ());
           Alcotest.(check (float 0.0)) "counter bumped" 1.0
             (Obs.counter_value "pool.env.invalid"));

@@ -204,7 +204,7 @@ let test_streaming_flush () =
       for i = 1 to 3 do
         Run_log.record t ~iteration:i ~energy:(float_of_int i)
       done;
-      (* flush_every defaults to 1: all three lines must already be on
+      (* Every record is flushed: all three lines must already be on
          disk while the recorder is still open. *)
       Alcotest.(check int) "records on disk before close" 3
         (List.length (read_lines path));
